@@ -6,7 +6,7 @@ binary mask; only the masked entries travel between client and server.
 """
 import numpy as np
 
-from tinyproto import CompressedPrototype, Mask, Prototype, compress, reconstruct, sparsify
+from tinyproto import Mask, Prototype, compress, reconstruct, sparsify
 
 proto = Prototype(class_id=0, values=[3.0, -1.0, 2.0, 0.7, -0.4])
 mask = Mask(class_id=0, bits=[1, 0, 1, 0, 0])

@@ -3,12 +3,14 @@
 Library layout:
 
 * :mod:`tinyproto.numerics` -- small ReLU models, exact gradients, SGD
-* :mod:`tinyproto.prototypes` -- prototype values and the sparsify /
-  compress / reconstruct operators plus dead-unit diagnostics
+* :mod:`tinyproto.prototypes` -- the one prototype value type (a class id
+  plus a dense, sparse or compressed vector), the sparsify / compress /
+  reconstruct operators, and dead-unit diagnostics
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
   Hamming-distance hill climbing)
-* :mod:`tinyproto.aggregation` -- weighted / simple / scaled per-class
-  combination of client payloads
+* :mod:`tinyproto.aggregation` -- per-class combination of client payloads:
+  the count-weighted variant, and the mean that ``simple`` and ``scaled``
+  share on the server
 * :mod:`tinyproto.client` -- local training, prototype generation, and
   nearest-prototype inference
 * :mod:`tinyproto.datagen` -- synthetic blobs, Dirichlet label-skew
@@ -22,8 +24,7 @@ from .aggregation import (
     AGGREGATOR_CHOICES,
     AggregationError,
     ClassContribution,
-    aggregate_scaled,
-    aggregate_simple,
+    aggregate_mean,
     aggregate_weighted,
 )
 from .client import (
@@ -58,10 +59,8 @@ from .numerics import (
     sgd_step,
 )
 from .prototypes import (
-    CompressedPrototype,
     Mask,
     Prototype,
-    SparseProto,
     compress,
     dead_unit_fraction,
     reconstruct,

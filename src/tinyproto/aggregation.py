@@ -11,9 +11,11 @@ Three variants, selectable per experiment:
   before upload; the server just averages the received vectors and never
   sees a count on its own.
 
-All three accept dense or compressed payloads (the math is the same) and sum
-in ascending client-id order, so results are bit-identical regardless of
-arrival order.
+``simple`` and ``scaled`` differ only on the client (whether it scales by
+its count), so the server runs the same :func:`aggregate_mean` for both.
+Payloads are :class:`~tinyproto.prototypes.Prototype` values, dense or
+compressed (the math is the same), and sums run in ascending client-id
+order, so results are bit-identical regardless of arrival order.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prototypes import CompressedPrototype, Prototype
+from .prototypes import Prototype
 
 __all__ = [
     "AggregationError",
     "ClassContribution",
     "aggregate_weighted",
-    "aggregate_simple",
-    "aggregate_scaled",
+    "aggregate_mean",
     "AGGREGATOR_CHOICES",
 ]
 
@@ -44,13 +45,13 @@ class AggregationError(ValueError):
 class ClassContribution:
     """One client's payload for one class.
 
-    ``sample_count`` is present only in the weighted variant; the scaled
-    variant must arrive without it (the count is folded into the payload).
+    ``sample_count`` is present only in the weighted variant; the mean
+    must arrive without it (a scaled payload already folds it in).
     """
 
     client_id: int
     class_id: int
-    payload: Prototype | CompressedPrototype
+    payload: Prototype
     sample_count: int | None = None
 
     def __post_init__(self):
@@ -77,15 +78,11 @@ def _checked_vectors(contribs: list[ClassContribution]) -> list[ClassContributio
     return sorted(contribs, key=lambda c: c.client_id)
 
 
-def _rebuild(template: Prototype | CompressedPrototype, class_id: int, values: np.ndarray):
-    return type(template)(class_id, values)
-
-
-def aggregate_weighted(contribs: list[ClassContribution]):
+def aggregate_weighted(contribs: list[ClassContribution]) -> Prototype:
     """Count-weighted combination, normalized by the number of contributors.
 
     With counts n_i and vectors v_i this returns
-    (1/N) * sum_i (n_i / sum, n) * v_i  where N is the number of clients
+    (1/N) * sum_i (n_i / sum_j n_j) * v_i  where N is the number of clients
     contributing the class.  Note this is not a convex combination of the
     v_i: the output carries an extra 1/N factor relative to the simple mean.
     """
@@ -104,33 +101,25 @@ def aggregate_weighted(contribs: list[ClassContribution]):
     for c, n in zip(ordered, counts):
         acc += (n / total) * c.payload.values
     acc /= len(ordered)
-    return _rebuild(ordered[0].payload, ordered[0].class_id, acc)
+    return Prototype(ordered[0].class_id, acc)
 
 
-def aggregate_simple(contribs: list[ClassContribution]):
-    """Unweighted mean over contributing clients."""
-    ordered = _checked_vectors(contribs)
-    acc = np.zeros(ordered[0].payload.dim)
-    for c in ordered:
-        acc += c.payload.values
-    acc /= len(ordered)
-    return _rebuild(ordered[0].payload, ordered[0].class_id, acc)
+def aggregate_mean(contribs: list[ClassContribution]) -> Prototype:
+    """Unweighted mean of the payloads over contributing clients.
 
-
-def aggregate_scaled(contribs: list[ClassContribution]):
-    """Mean of client-side pre-scaled payloads (count * vector).
-
-    Contributions must not carry a standalone sample_count: the whole point
-    of the scaled variant is that the server never receives one.
+    Serves both ``simple`` (raw vectors) and ``scaled`` (count * vector,
+    scaled on the client).  Contributions must not carry a standalone
+    sample_count: the point of the scaled variant is that the server never
+    receives one, and the simple variant never sends one.
     """
     ordered = _checked_vectors(contribs)
     for c in ordered:
         if c.sample_count is not None:
             raise AggregationError(
-                "scaled aggregation must not receive standalone sample counts"
+                "mean aggregation must not receive standalone sample counts"
             )
     acc = np.zeros(ordered[0].payload.dim)
     for c in ordered:
         acc += c.payload.values
     acc /= len(ordered)
-    return _rebuild(ordered[0].payload, ordered[0].class_id, acc)
+    return Prototype(ordered[0].class_id, acc)

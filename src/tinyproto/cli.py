@@ -7,7 +7,7 @@ import json
 import logging
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, split_key_value_lines
 from .costmodel import ALGORITHMS, CostQuery, cost
 from .masking import format_mask_rows, generate_masks
 from .protocol import run_experiment
@@ -44,16 +44,28 @@ def _cmd_masks(args: argparse.Namespace) -> int:
     return 0
 
 
+_COST_QUERY_KEYS = (
+    "algorithm",
+    "M",
+    "K",
+    "K_i",
+    "d",
+    "s",
+    "classifier_params",
+    "aux_extractor_params",
+    "aux_classifier_params",
+    "r",
+    "full_model_params",
+)
+
+
 def _parse_cost_query_file(path: str) -> list[CostQuery]:
     """Flat key-value query file; `algorithm` may list several, comma-separated."""
-    values: dict[str, str] = {}
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+        pairs, problems = split_key_value_lines(fh.read(), _COST_QUERY_KEYS)
+    if problems:
+        raise ValueError("invalid query file:\n" + "\n".join(f"  {p}" for p in problems))
+    values = dict(pairs)
     if "algorithm" not in values:
         raise ValueError("query file must set 'algorithm'")
 

@@ -26,7 +26,7 @@ from .numerics import (
     loss_and_grad,
     sgd_step,
 )
-from .prototypes import CompressedPrototype, Prototype, compress
+from .prototypes import Prototype, compress, reconstruct
 
 __all__ = [
     "TrainConfig",
@@ -105,7 +105,7 @@ def compute_local_prototypes(state: ClientState) -> dict[int, Prototype]:
 
 def _dense_targets(
     state: ClientState,
-    global_comp: Mapping[int, CompressedPrototype | Prototype],
+    global_comp: Mapping[int, Prototype],
     cps: bool,
 ) -> dict[int, np.ndarray]:
     """Rebuild full-length regularization targets from received payloads.
@@ -121,29 +121,22 @@ def _dense_targets(
         if cps:
             if state.mask_set is None:
                 raise MaskMissingError(f"client {state.client_id} has no masks yet")
-            mask = state.mask_set.for_class(cls)
-            if payload.dim != mask.popcount:
-                raise ValueError(
-                    f"class {cls}: payload length {payload.dim} != mask popcount {mask.popcount}"
-                )
-            full = np.zeros(mask.dim)
-            full[mask.bits == 1] = payload.values
-            targets[cls] = full
+            targets[cls] = reconstruct(payload, state.mask_set.for_class(cls)).values
         else:
-            targets[cls] = np.asarray(payload.values, dtype=np.float64)
+            targets[cls] = payload.values
     return targets
 
 
 def local_update(
     state: ClientState,
-    global_comp: Mapping[int, CompressedPrototype | Prototype],
+    global_comp: Mapping[int, Prototype],
     cfg: TrainConfig,
     first_round: bool,
     rng: np.random.Generator,
     *,
     cps: bool = True,
     scale_by_count: bool = True,
-) -> dict[int, CompressedPrototype | Prototype]:
+) -> dict[int, Prototype]:
     """Train locally and return this client's per-class upload payloads.
 
     Steps: rebuild dense targets from the received global payloads, run
@@ -192,7 +185,7 @@ def local_update(
     state.local_protos = compute_local_prototypes(state)
     state.last_train_loss = epoch_losses[-1]
 
-    payloads: dict[int, CompressedPrototype | Prototype] = {}
+    payloads: dict[int, Prototype] = {}
     for cls in sorted(state.local_protos):
         count = state.class_counts.get(cls, 0)
         if count <= 0:
@@ -201,14 +194,14 @@ def local_update(
         scale = float(count) if scale_by_count else 1.0
         if cps:
             comp = compress(proto, state.mask_set.for_class(cls))
-            payloads[cls] = CompressedPrototype(cls, scale * comp.values)
+            payloads[cls] = Prototype(cls, scale * comp.values)
         else:
             payloads[cls] = Prototype(cls, scale * proto.values)
     return payloads
 
 
-def predict(state: ClientState, x: np.ndarray) -> int:
-    """Class of the nearest local prototype in feature space (L2).
+def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
+    """Class of the nearest local prototype (L2) for each row of ``x``.
 
     Only locally present classes compete; ties go to the lowest class id.
     """
@@ -217,19 +210,21 @@ def predict(state: ClientState, x: np.ndarray) -> int:
     feats = forward_features(state.params, x)
     class_ids = sorted(state.local_protos)
     stack = np.stack([state.local_protos[c].values for c in class_ids])
-    dists = np.linalg.norm(feats - stack, axis=1)
-    return class_ids[int(np.argmin(dists))]
+    dists = np.linalg.norm(feats[:, None, :] - stack[None, :, :], axis=2)
+    return np.array(class_ids)[np.argmin(dists, axis=1)]
+
+
+def predict(state: ClientState, x: np.ndarray) -> int:
+    """Class of the nearest local prototype in feature space (L2).
+
+    Only locally present classes compete; ties go to the lowest class id.
+    """
+    return int(_nearest_local_class(state, np.atleast_2d(x))[0])
 
 
 def evaluate_accuracy(state: ClientState) -> float:
     """Accuracy of nearest-prototype prediction on the local test split."""
     if state.test_shard is None or len(state.test_shard) == 0:
         raise ValueError(f"client {state.client_id} has no test data")
-    if not state.local_protos:
-        raise InferenceError(f"client {state.client_id} has no local prototypes")
-    feats = forward_features(state.params, state.test_shard.x)
-    class_ids = sorted(state.local_protos)
-    stack = np.stack([state.local_protos[c].values for c in class_ids])
-    dists = np.linalg.norm(feats[:, None, :] - stack[None, :, :], axis=2)
-    picked = np.array(class_ids)[np.argmin(dists, axis=1)]
+    picked = _nearest_local_class(state, state.test_shard.x)
     return float(np.mean(picked == state.test_shard.y))

@@ -29,11 +29,18 @@ with the offending key.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Container
 
 from .aggregation import AGGREGATOR_CHOICES
 from .numerics import RHO_CHOICES
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "split_key_value_lines",
+    "parse_config_text",
+    "load_config",
+]
 
 
 class ConfigError(ValueError):
@@ -168,9 +175,15 @@ class ExperimentConfig:
         return values
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse `key = value` lines; '#' starts a comment."""
-    values = {}
+def split_key_value_lines(
+    text: str, known: Container[str]
+) -> tuple[list[tuple[str, str]], list[str]]:
+    """Split `key = value` lines ('#' starts a comment) into raw string pairs.
+
+    Returns the pairs in file order and the problems found: a line without
+    '=' is named by its line number, a key outside ``known`` by the key.
+    """
+    pairs = []
     problems = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,9 +194,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key not in known:
             problems.append(f"{key}: unknown key")
             continue
+        pairs.append((key, value))
+    return pairs, problems
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse `key = value` lines; '#' starts a comment."""
+    pairs, problems = split_key_value_lines(text, _KEYS)
+    values = {}
+    for key, value in pairs:
         attr, parser = _KEYS[key]
         try:
             values[attr] = parser(value)

@@ -24,12 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import (
-    ClassContribution,
-    aggregate_scaled,
-    aggregate_simple,
-    aggregate_weighted,
-)
+from .aggregation import ClassContribution, aggregate_mean, aggregate_weighted
 from .client import (
     ClientState,
     TrainConfig,
@@ -41,7 +36,7 @@ from .config import ExperimentConfig
 from .datagen import PartitionSpec, dirichlet_partition, make_blobs, split_train_test
 from .masking import MaskSet, format_mask_rows, generate_masks
 from .numerics import init_params
-from .prototypes import CompressedPrototype, Mask, Prototype
+from .prototypes import Mask, Prototype
 from .wire import Frame, FrameType, Record, decode_frame, encode_frame, frame_param_count
 
 __all__ = [
@@ -67,10 +62,11 @@ _TAG_INIT = 14
 _TAG_SAMPLE = 15
 _TAG_SHUFFLE = 16
 
+# simple and scaled differ only on the client (scale_by_count)
 _AGGREGATORS = {
     "weighted": aggregate_weighted,
-    "simple": aggregate_simple,
-    "scaled": aggregate_scaled,
+    "simple": aggregate_mean,
+    "scaled": aggregate_mean,
 }
 
 
@@ -87,7 +83,7 @@ class ServerState:
     """Masks, latest global payloads, and the ever-selected client set."""
 
     mask_set: MaskSet
-    global_comp: dict[int, CompressedPrototype | Prototype]
+    global_comp: dict[int, Prototype]
     selected_ever: set[int] = field(default_factory=set)
     round: int = 0
 
@@ -118,10 +114,8 @@ class FrameLog:
 
 def initial_server(mask_set: MaskSet, n_classes: int, cps: bool) -> ServerState:
     """Server with all-zero global payloads (length s compressed, d dense)."""
-    if cps:
-        zeros = {c: CompressedPrototype(c, np.zeros(mask_set.s)) for c in range(n_classes)}
-    else:
-        zeros = {c: Prototype(c, np.zeros(mask_set.d)) for c in range(n_classes)}
+    dim = mask_set.s if cps else mask_set.d
+    zeros = {c: Prototype(c, np.zeros(dim)) for c in range(n_classes)}
     return ServerState(mask_set=mask_set, global_comp=zeros)
 
 
@@ -144,13 +138,12 @@ def _globals_frame(server: ServerState, round_no: int) -> Frame:
     return Frame(FrameType.GLOBALS, round_no, records)
 
 
-def _globals_from_frame(frame: Frame, cps: bool) -> dict[int, CompressedPrototype | Prototype]:
-    kind = CompressedPrototype if cps else Prototype
-    return {rec.class_id: kind(rec.class_id, rec.values) for rec in frame.records}
+def _globals_from_frame(frame: Frame) -> dict[int, Prototype]:
+    return {rec.class_id: Prototype(rec.class_id, rec.values) for rec in frame.records}
 
 
 def _upload_frame(
-    payloads: dict[int, CompressedPrototype | Prototype],
+    payloads: dict[int, Prototype],
     class_counts: dict[int, int],
     round_no: int,
     aggregator: str,
@@ -166,17 +159,15 @@ def _upload_frame(
 
 
 def _contributions_from_frame(
-    frame: Frame, client_id: int, aggregator: str, cps: bool
+    frame: Frame, client_id: int, aggregator: str
 ) -> list[ClassContribution]:
-    kind = CompressedPrototype if cps else Prototype
     out = []
     for rec in frame.records:
+        count, values = None, rec.values
         if aggregator == "weighted":
-            count = int(rec.values[0])
-            payload = kind(rec.class_id, rec.values[1:])
-            out.append(ClassContribution(client_id, rec.class_id, payload, count))
-        else:
-            out.append(ClassContribution(client_id, rec.class_id, kind(rec.class_id, rec.values)))
+            count, values = int(values[0]), values[1:]
+        payload = Prototype(rec.class_id, values)
+        out.append(ClassContribution(client_id, rec.class_id, payload, count))
     return out
 
 
@@ -218,10 +209,16 @@ def run_round(
         st.client_id: cps and st.client_id not in server.selected_ever for st in sampled
     }
 
-    def client_pass(state: ClientState) -> tuple[int, bytes]:
+    def client_pass(state: ClientState) -> tuple[int, int, bytes]:
+        """Train one client; return the param counts of the masks and globals
+        frames it decoded (accounting reuses them) and its encoded upload."""
+        masks_params = 0
         if needs_masks[state.client_id]:
-            state.mask_set = _mask_set_from_frame(decode_frame(masks_bytes))
-        global_payloads = _globals_from_frame(decode_frame(globals_bytes), cps)
+            masks_frame = decode_frame(masks_bytes)
+            masks_params = frame_param_count(masks_frame)
+            state.mask_set = _mask_set_from_frame(masks_frame)
+        globals_frame = decode_frame(globals_bytes)
+        global_payloads = _globals_from_frame(globals_frame)
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_SHUFFLE, state.client_id, round_no])
         )
@@ -237,30 +234,30 @@ def run_round(
         upload = encode_frame(
             _upload_frame(payloads, state.class_counts, round_no, aggregator)
         )
-        return state.client_id, upload
+        return masks_params, frame_param_count(globals_frame), upload
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            uploads = dict(pool.map(client_pass, sampled))
+            passes = list(pool.map(client_pass, sampled))
     else:
-        uploads = dict(client_pass(st) for st in sampled)
+        passes = [client_pass(st) for st in sampled]
 
     uplink = downlink = mask_params = 0
     by_class: dict[int, list[ClassContribution]] = {}
-    for state in sampled:  # ascending client order fixes the aggregation order
+    # ascending client order fixes the aggregation order
+    for state, (masks_params, globals_params, upload) in zip(sampled, passes):
         cid = state.client_id
-        if needs_masks[cid]:
-            mask_params += frame_param_count(decode_frame(masks_bytes))
-            if frame_log is not None:
-                frame_log.add(round_no, "down", cid, masks_bytes)
-        downlink += frame_param_count(decode_frame(globals_bytes))
+        mask_params += masks_params
+        if needs_masks[cid] and frame_log is not None:
+            frame_log.add(round_no, "down", cid, masks_bytes)
+        downlink += globals_params
         if frame_log is not None:
             frame_log.add(round_no, "down", cid, globals_bytes)
-        upload_frame = decode_frame(uploads[cid])
+        upload_frame = decode_frame(upload)
         uplink += frame_param_count(upload_frame)
         if frame_log is not None:
-            frame_log.add(round_no, "up", cid, uploads[cid])
-        for contrib in _contributions_from_frame(upload_frame, cid, aggregator, cps):
+            frame_log.add(round_no, "up", cid, upload)
+        for contrib in _contributions_from_frame(upload_frame, cid, aggregator):
             by_class.setdefault(contrib.class_id, []).append(contrib)
 
     aggregate = _AGGREGATORS[aggregator]

@@ -1,12 +1,13 @@
-"""Prototype value types and the sparsify / compress / reconstruct operators.
+"""The prototype value type and the sparsify / compress / reconstruct operators.
 
 A prototype is the per-class mean of feature-layer activations.  Each class
 owns a fixed binary mask; zeroing a prototype outside its mask gives the
-structured sparse form, and keeping only the masked entries (in ascending
-index order, which fixes the wire layout) gives the compressed form that
-actually travels between client and server.
+structured sparse form (length d), and keeping only the masked entries (in
+ascending index order, which fixes the wire layout) gives the compressed
+form (length s) that actually travels between client and server.  All three
+forms are the same value type, :class:`Prototype`: a class id plus a vector.
 
-All types are immutable values: arrays are copied on construction and marked
+Values are immutable: arrays are copied on construction and marked
 read-only, so instances are safe to share across threads.
 """
 
@@ -19,8 +20,6 @@ import numpy as np
 __all__ = [
     "Prototype",
     "Mask",
-    "CompressedPrototype",
-    "SparseProto",
     "sparsify",
     "compress",
     "reconstruct",
@@ -32,7 +31,7 @@ def _frozen_float_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -40,7 +39,7 @@ def _frozen_float_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Prototype:
-    """Dense per-class feature mean of dimension d."""
+    """A class id and its vector: dense (length d), sparse or compressed (length s)."""
 
     class_id: int
     values: np.ndarray
@@ -79,70 +78,31 @@ class Mask:
 
     @property
     def popcount(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
 
-@dataclass(frozen=True)
-class CompressedPrototype:
-    """The masked entries of a prototype, length s; this is the wire payload."""
-
-    class_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError("class_id must be >= 0")
-        object.__setattr__(self, "values", _frozen_float_vector(self.values))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SparseProto:
-    """Full-length vector whose support lies inside its class mask.
-
-    Instances come from :func:`sparsify` or :func:`reconstruct`; the support
-    containment is guaranteed by those operators rather than re-checked here
-    (the mask is not stored on the value).
-    """
-
-    class_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError("class_id must be >= 0")
-        object.__setattr__(self, "values", _frozen_float_vector(self.values))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def _check_pair(proto_class: int, proto_dim: int, mask: Mask) -> None:
-    if proto_class != mask.class_id:
+def _check_pair(proto: Prototype, mask: Mask) -> None:
+    if proto.class_id != mask.class_id:
         raise ValueError(
-            f"class mismatch: prototype class {proto_class}, mask class {mask.class_id}"
+            f"class mismatch: prototype class {proto.class_id}, mask class {mask.class_id}"
         )
-    if proto_dim != mask.dim:
-        raise ValueError(f"dimension mismatch: prototype {proto_dim}, mask {mask.dim}")
+    if proto.dim != mask.dim:
+        raise ValueError(f"dimension mismatch: prototype {proto.dim}, mask {mask.dim}")
 
 
-def sparsify(proto: Prototype, mask: Mask) -> SparseProto:
+def sparsify(proto: Prototype, mask: Mask) -> Prototype:
     """Hadamard product with the mask: entries outside the mask become zero."""
-    _check_pair(proto.class_id, proto.dim, mask)
-    return SparseProto(proto.class_id, proto.values * mask.bits)
+    _check_pair(proto, mask)
+    return Prototype(proto.class_id, proto.values * mask.bits)
 
 
-def compress(proto: Prototype, mask: Mask) -> CompressedPrototype:
+def compress(proto: Prototype, mask: Mask) -> Prototype:
     """Keep only the masked entries, in ascending index order."""
-    _check_pair(proto.class_id, proto.dim, mask)
-    return CompressedPrototype(proto.class_id, proto.values[mask.bits == 1])
+    _check_pair(proto, mask)
+    return Prototype(proto.class_id, proto.values[mask.bits == 1])
 
 
-def reconstruct(comp: CompressedPrototype, mask: Mask) -> SparseProto:
+def reconstruct(comp: Prototype, mask: Mask) -> Prototype:
     """Scatter compressed values back to the mask positions, zeros elsewhere.
 
     Inverse of :func:`compress` up to the off-mask entries:
@@ -154,11 +114,12 @@ def reconstruct(comp: CompressedPrototype, mask: Mask) -> SparseProto:
         )
     if comp.dim != mask.popcount:
         raise ValueError(
-            f"length mismatch: payload has {comp.dim} values, mask selects {mask.popcount}"
+            f"length mismatch for class {comp.class_id}: payload has {comp.dim} values, "
+            f"mask selects {mask.popcount}"
         )
     full = np.zeros(mask.dim)
     full[mask.bits == 1] = comp.values
-    return SparseProto(comp.class_id, full)
+    return Prototype(comp.class_id, full)
 
 
 def dead_unit_fraction(proto: Prototype, tol: float = 0.0) -> float:

@@ -199,12 +199,12 @@ def test_criterion_3_aggregation_oracles():
             expect = sum((n / total) * v for v, n in zip(vectors, counts)) / n_clients
             np.testing.assert_allclose(weighted.values, expect, atol=1e-12)
 
-            simple = tp.aggregate_simple(
+            simple = tp.aggregate_mean(
                 [tp.ClassContribution(i, 0, Prototype(0, v)) for i, v in enumerate(vectors)]
             )
             np.testing.assert_allclose(simple.values, sum(vectors) / n_clients, atol=1e-12)
 
-            scaled = tp.aggregate_scaled(
+            scaled = tp.aggregate_mean(
                 [
                     tp.ClassContribution(i, 0, Prototype(0, n * v))
                     for i, (v, n) in enumerate(zip(vectors, counts))
@@ -227,10 +227,10 @@ def test_criterion_3_aggregation_oracles():
             counts = [int(rng.integers(1, 6)) for _ in range(n_clients)]
             dense_mean = sum(n * p.values for p, n in zip(protos, counts)) / n_clients
             via_dense = compress(Prototype(0, dense_mean), mask)
-            via_wire = tp.aggregate_scaled(
+            via_wire = tp.aggregate_mean(
                 [
                     tp.ClassContribution(
-                        i, 0, tp.CompressedPrototype(0, n * compress(p, mask).values)
+                        i, 0, tp.Prototype(0, n * compress(p, mask).values)
                     )
                     for i, (p, n) in enumerate(zip(protos, counts))
                 ]

@@ -3,49 +3,50 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from tinyproto.aggregation import (
     AggregationError,
     ClassContribution,
-    aggregate_scaled,
-    aggregate_simple,
+    aggregate_mean,
     aggregate_weighted,
 )
 from tinyproto.masking import generate_masks
-from tinyproto.prototypes import CompressedPrototype, Prototype, compress
+from tinyproto.prototypes import Prototype, compress
 
 
-def _dense(client, cls, values, count=None):
+def _contrib(client, cls, values, count=None):
     return ClassContribution(client, cls, Prototype(cls, values), count)
 
 
-def _comp(client, cls, values, count=None):
-    return ClassContribution(client, cls, CompressedPrototype(cls, values), count)
+def _without_counts(contribs):
+    return [replace(c, sample_count=None) for c in contribs]
 
 
 class TestWeighted:
     def test_single_client_is_identity(self):
-        out = aggregate_weighted([_dense(0, 1, [2.0, 5.0], count=7)])
+        out = aggregate_weighted([_contrib(0, 1, [2.0, 5.0], count=7)])
         np.testing.assert_array_equal(out.values, [2.0, 5.0])
 
     def test_equal_counts_hand_value(self):
         out = aggregate_weighted(
-            [_dense(0, 0, [2.0, 0.0], count=4), _dense(1, 0, [4.0, 0.0], count=4)]
+            [_contrib(0, 0, [2.0, 0.0], count=4), _contrib(1, 0, [4.0, 0.0], count=4)]
         )
         np.testing.assert_allclose(out.values, [1.5, 0.0])
 
     def test_unequal_counts_hand_value(self):
         out = aggregate_weighted(
-            [_dense(0, 0, [4.0, 0.0], count=3), _dense(1, 0, [8.0, 0.0], count=1)]
+            [_contrib(0, 0, [4.0, 0.0], count=3), _contrib(1, 0, [8.0, 0.0], count=1)]
         )
         np.testing.assert_allclose(out.values, [2.5, 0.0])
 
     def test_missing_count_rejected(self):
         with pytest.raises(AggregationError, match="sample_count"):
-            aggregate_weighted([_dense(0, 0, [1.0])])
+            aggregate_weighted([_contrib(0, 0, [1.0])])
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(AggregationError, match="positive"):
-            aggregate_weighted([_dense(0, 0, [1.0], count=0)])
+            aggregate_weighted([_contrib(0, 0, [1.0], count=0)])
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
@@ -54,55 +55,56 @@ class TestWeighted:
 
 class TestSimple:
     def test_single_client_is_identity(self):
-        out = aggregate_simple([_dense(3, 2, [1.0, -1.0])])
+        out = aggregate_mean([_contrib(3, 2, [1.0, -1.0])])
         np.testing.assert_array_equal(out.values, [1.0, -1.0])
 
     def test_arithmetic_mean(self):
-        out = aggregate_simple([_dense(0, 0, [2.0, 0.0]), _dense(1, 0, [4.0, 0.0])])
+        out = aggregate_mean([_contrib(0, 0, [2.0, 0.0]), _contrib(1, 0, [4.0, 0.0])])
         np.testing.assert_array_equal(out.values, [3.0, 0.0])
 
     def test_matches_weighted_only_for_single_contributor(self):
         # the weighted formula carries an extra 1/N factor, so the two
         # variants agree only when exactly one client contributes
-        single = [_dense(0, 0, [2.0, 6.0], count=5)]
+        single = [_contrib(0, 0, [2.0, 6.0], count=5)]
         np.testing.assert_array_equal(
-            aggregate_simple(single).values, aggregate_weighted(single).values
+            aggregate_mean(_without_counts(single)).values,
+            aggregate_weighted(single).values,
         )
-        pair = [_dense(0, 0, [2.0, 0.0], count=3), _dense(1, 0, [4.0, 0.0], count=3)]
+        pair = [_contrib(0, 0, [2.0, 0.0], count=3), _contrib(1, 0, [4.0, 0.0], count=3)]
         assert not np.allclose(
-            aggregate_simple(pair).values,
-            aggregate_weighted([c for c in pair]).values,
+            aggregate_mean(_without_counts(pair)).values,
+            aggregate_weighted(pair).values,
         )
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            aggregate_simple([])
+            aggregate_mean([])
 
 
 class TestScaled:
     def test_single_client_count_one_is_identity(self):
-        out = aggregate_scaled([_comp(0, 0, [1.0, 2.0])])  # payload = 1 * (1, 2)
+        out = aggregate_mean([_contrib(0, 0, [1.0, 2.0])])  # payload = 1 * (1, 2)
         np.testing.assert_array_equal(out.values, [1.0, 2.0])
 
     def test_hand_value(self):
-        out = aggregate_scaled([_comp(0, 0, [3.0, 6.0]), _comp(1, 0, [5.0, 6.0])])
+        out = aggregate_mean([_contrib(0, 0, [3.0, 6.0]), _contrib(1, 0, [5.0, 6.0])])
         np.testing.assert_array_equal(out.values, [4.0, 6.0])
 
     def test_all_zero_payloads_stay_zero(self):
-        out = aggregate_scaled([_comp(0, 0, [0.0, 0.0]), _comp(1, 0, [0.0, 0.0])])
+        out = aggregate_mean([_contrib(0, 0, [0.0, 0.0]), _contrib(1, 0, [0.0, 0.0])])
         np.testing.assert_array_equal(out.values, [0.0, 0.0])
 
     def test_standalone_count_rejected(self):
         with pytest.raises(AggregationError, match="sample counts"):
-            aggregate_scaled([_comp(0, 0, [1.0], count=3)])
+            aggregate_mean([_contrib(0, 0, [1.0], count=3)])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(AggregationError, match="length"):
-            aggregate_scaled([_comp(0, 0, [1.0]), _comp(1, 0, [1.0, 2.0])])
+            aggregate_mean([_contrib(0, 0, [1.0]), _contrib(1, 0, [1.0, 2.0])])
 
     def test_mixed_classes_rejected(self):
         with pytest.raises(AggregationError, match="classes"):
-            aggregate_scaled([_comp(0, 0, [1.0]), _comp(1, 1, [1.0])])
+            aggregate_mean([_contrib(0, 0, [1.0]), _contrib(1, 1, [1.0])])
 
 
 class TestOracleEquivalence:
@@ -117,19 +119,19 @@ class TestOracleEquivalence:
             counts = [int(rng.integers(1, 9)) for _ in range(n_clients)]
 
             weighted = aggregate_weighted(
-                [_dense(i, 0, v, count=n) for i, (v, n) in enumerate(zip(vectors, counts))]
+                [_contrib(i, 0, v, count=n) for i, (v, n) in enumerate(zip(vectors, counts))]
             )
             total = sum(counts)
             expect = sum((n / total) * v for v, n in zip(vectors, counts)) / n_clients
             np.testing.assert_allclose(weighted.values, expect, atol=1e-12)
 
-            simple = aggregate_simple([_dense(i, 0, v) for i, v in enumerate(vectors)])
+            simple = aggregate_mean([_contrib(i, 0, v) for i, v in enumerate(vectors)])
             np.testing.assert_allclose(
                 simple.values, sum(vectors) / n_clients, atol=1e-12
             )
 
-            scaled = aggregate_scaled(
-                [_comp(i, 0, n * v) for i, (v, n) in enumerate(zip(vectors, counts))]
+            scaled = aggregate_mean(
+                [_contrib(i, 0, n * v) for i, (v, n) in enumerate(zip(vectors, counts))]
             )
             np.testing.assert_allclose(
                 scaled.values, sum(n * v for v, n in zip(vectors, counts)) / n_clients,
@@ -139,9 +141,9 @@ class TestOracleEquivalence:
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(21)
         vectors = [rng.normal(size=4) for _ in range(5)]
-        contribs = [_comp(i, 0, v) for i, v in enumerate(vectors)]
-        forward = aggregate_scaled(contribs)
-        backward = aggregate_scaled(list(reversed(contribs)))
+        contribs = [_contrib(i, 0, v) for i, v in enumerate(vectors)]
+        forward = aggregate_mean(contribs)
+        backward = aggregate_mean(list(reversed(contribs)))
         np.testing.assert_array_equal(forward.values, backward.values)
 
 
@@ -160,9 +162,9 @@ class TestCompressionCommutes:
             dense_mean = sum(n * p.values for p, n in zip(protos, counts)) / n_clients
             via_dense = compress(Prototype(0, dense_mean), mask)
 
-            via_wire = aggregate_scaled(
+            via_wire = aggregate_mean(
                 [
-                    _comp(i, 0, n * compress(p, mask).values)
+                    _contrib(i, 0, n * compress(p, mask).values)
                     for i, (p, n) in enumerate(zip(protos, counts))
                 ]
             )

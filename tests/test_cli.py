@@ -88,3 +88,15 @@ class TestCost:
         query.write_text("algorithm = TinyProto\nM = 2\nK = 3\nK_i = 2\n")
         assert main(["cost", str(query)]) == 2
         assert "comp_dim" in capsys.readouterr().err
+
+    def test_line_without_equals_is_an_error(self, tmp_path, capsys):
+        query = tmp_path / "query.cfg"
+        query.write_text("algorithm = TinyProto\nM 10\nK = 3\nK_i = 2\nd = 8\ns = 2\n")
+        assert main(["cost", str(query)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_unknown_key_is_an_error(self, tmp_path, capsys):
+        query = tmp_path / "query.cfg"
+        query.write_text("algorithm = FedAvg\nM = 2\nfull_model_params = 10\nbogus = 1\n")
+        assert main(["cost", str(query)]) == 2
+        assert "bogus: unknown key" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from tinyproto.client import (
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
 from tinyproto.numerics import ModelParams, forward_features, init_params
-from tinyproto.prototypes import CompressedPrototype, Prototype
+from tinyproto.prototypes import Prototype
 
 
 def _state(seed=21, with_masks=True):
@@ -38,7 +38,7 @@ def _state(seed=21, with_masks=True):
 
 def _globals(feat_ones=2, seed=77, n_classes=3):
     rng = np.random.default_rng(seed)
-    return {c: CompressedPrototype(c, rng.normal(size=feat_ones)) for c in range(n_classes)}
+    return {c: Prototype(c, rng.normal(size=feat_ones)) for c in range(n_classes)}
 
 
 _CFG = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
@@ -214,7 +214,7 @@ class TestLocalUpdate:
 
     def test_zero_global_payloads_are_skipped_as_targets(self):
         state = _state()
-        zeros = {c: CompressedPrototype(c, np.zeros(2)) for c in range(3)}
+        zeros = {c: Prototype(c, np.zeros(2)) for c in range(3)}
         local_update(
             state, zeros, _CFG, first_round=False, rng=np.random.default_rng(2)
         )

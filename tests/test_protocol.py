@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import tinyproto.protocol as protocol
 from tinyproto.client import ClientState, TrainConfig
 from tinyproto.config import ConfigError, ExperimentConfig, parse_config_text
 from tinyproto.datagen import Dataset
@@ -151,6 +152,28 @@ class TestRunRound:
         for rec in uploads[0].records:
             assert len(rec.values) == 4  # count + s values
             assert rec.values[0] == 4.0  # four samples per class in the fixture
+
+    def test_each_delivered_frame_decoded_once(self, monkeypatch):
+        decodes = []
+
+        def counting_decode(data):
+            decodes.append(data)
+            return decode_frame(data)
+
+        monkeypatch.setattr(protocol, "decode_frame", counting_decode)
+        clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
+        mask_set = generate_masks(4, 12, 3, seed=0)
+        server = initial_server(mask_set, 4, cps=True)
+        log = FrameLog()
+        for _ in range(2):
+            run_round(server, clients, 0.5, _CFG, seed=8, cps=True, frame_log=log)
+        kinds = [decode_frame(data).frame_type for _, _, _, data in log.entries]
+        mask_deliveries = kinds.count(FrameType.MASKS)
+        globals_deliveries = kinds.count(FrameType.GLOBALS)
+        uploads = kinds.count(FrameType.UPLOAD)
+        assert mask_deliveries > 0
+        assert globals_deliveries == uploads == 2 * 2  # two rounds, two sampled
+        assert len(decodes) == mask_deliveries + globals_deliveries + uploads
 
     def test_report_independent_of_worker_count(self):
         def run(workers):

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyproto.prototypes import (
-    CompressedPrototype,
     Mask,
     Prototype,
-    SparseProto,
     compress,
     dead_unit_fraction,
     reconstruct,
@@ -29,7 +27,7 @@ def _random_case(rng, max_dim=64):
 class TestSparsify:
     def test_hadamard_example(self):
         out = sparsify(Prototype(0, [3.0, -1.0, 2.0]), Mask(0, [1, 0, 1]))
-        assert isinstance(out, SparseProto)
+        assert isinstance(out, Prototype)
         np.testing.assert_array_equal(out.values, [3.0, 0.0, 2.0])
 
     def test_all_ones_mask_is_identity(self):
@@ -66,16 +64,16 @@ class TestCompress:
 
 class TestReconstruct:
     def test_inverse_of_compress_example(self):
-        out = reconstruct(CompressedPrototype(0, [3.0, 2.0]), Mask(0, [1, 0, 1]))
+        out = reconstruct(Prototype(0, [3.0, 2.0]), Mask(0, [1, 0, 1]))
         np.testing.assert_array_equal(out.values, [3.0, 0.0, 2.0])
 
     def test_empty_mask_gives_zero_vector(self):
-        out = reconstruct(CompressedPrototype(0, []), Mask(0, [0, 0, 0]))
+        out = reconstruct(Prototype(0, []), Mask(0, [0, 0, 0]))
         np.testing.assert_array_equal(out.values, np.zeros(3))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            reconstruct(CompressedPrototype(0, [1.0]), Mask(0, [1, 1, 0]))
+            reconstruct(Prototype(0, [1.0]), Mask(0, [1, 1, 0]))
 
     def test_roundtrip_equals_sparsify_1000_cases(self):
         rng = np.random.default_rng(12)
@@ -156,7 +154,7 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             Prototype(0, [np.nan])
         with pytest.raises(ValueError):
-            CompressedPrototype(0, [np.inf])
+            Prototype(0, [np.inf])
 
     def test_mask_bits_must_be_binary(self):
         with pytest.raises(ValueError):
