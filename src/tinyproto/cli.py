@@ -31,7 +31,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_masks(args: argparse.Namespace) -> int:
-    mask_set = generate_masks(args.K, args.d, args.s, args.seed)
+    try:
+        mask_set = generate_masks(args.K, args.d, args.s, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = format_mask_rows(mask_set)
     if args.out:
         from pathlib import Path

@@ -14,6 +14,16 @@ regimes:
   stops after 10*K*d candidate moves or when no tightest pair can be
   improved.  Ties are always broken toward the lowest index.
 
+  Each move only costs work for the masks that can block it.  Every mask has
+  popcount s, so every distance is even and none is below the minimum
+  ("floor").  Moving bit p of mask a to q changes dist[a, c] by -2, 0 or +2,
+  and by -2 only when c lacks p and has q; so only masks at exactly floor
+  from a that lack p can block the move, and q is acceptable when none of
+  them has it.  Tightest pairs (a < b) are visited lazily in lexicographic
+  order: rows whose minimum is floor, then the columns b > a at floor within
+  a row.  A rejected attempt never changes a distance, so this is the order
+  of a snapshot taken before the first attempt.
+
 Generation is deterministic in (K, d, s, seed); the set produced before the
 local search is recorded so callers can verify the search never hurt.
 """
@@ -102,44 +112,59 @@ def _improve_mask(
     Candidate moves take a shared 1-position p to a position q where both
     masks are 0 (each such move widens the pair by 2); a move is accepted only
     if every distance from the modified mask stays >= floor.  Candidates are
-    scanned in ascending (p, q) order, counted against the budget, and the
-    first acceptable one wins.  Returns (accepted, remaining budget).
+    scanned in ascending (p, q) order, each p charged len(targets) against the
+    budget, and the first acceptable one wins.  Returns (accepted, remaining
+    budget).
+
+    The acceptance test only looks at masks that can block a move.  All masks
+    have popcount s, so every distance is even and >= floor.  Moving bit p to
+    q changes dist[a, c] by 2 * (bits[c, p] - bits[c, q]), so the distance
+    drops (by 2) only when c lacks p and has q, and then falls below floor
+    only when dist[a, c] == floor.  Hence q is acceptable exactly when no mask
+    c != a at distance floor that lacks p has bit q.
     """
-    shared = np.flatnonzero((bits[a] == 1) & (bits[b] == 1))
-    targets = np.flatnonzero((bits[a] == 0) & (bits[b] == 0))
+    shared = np.flatnonzero(bits[a] & bits[b])
+    targets = np.flatnonzero(~(bits[a] | bits[b]))
     if len(targets) == 0:
         return False, budget
-    k = bits.shape[0]
-    others = np.arange(k) != a
-    col = bits.astype(np.int64)
-    target_delta = 1 - 2 * col[:, targets]  # (K, n_targets)
-    for p in shared:
+    tight = bits[dist[a] == floor]  # the diagonal sentinel keeps a out
+    tight_at_shared = tight[:, shared]
+    tight_at_targets = tight[:, targets]
+    for i, p in enumerate(shared):
         if budget <= 0:
             return False, budget
-        # distances from mask a to everyone after dropping bit p, per target q;
-        # the whole scan is evaluated at once and charged against the budget
         budget -= len(targets)
-        base_row = dist[a] + (2 * col[:, p] - 1)
-        new_rows = base_row[:, None] + target_delta
-        acceptable = np.flatnonzero(new_rows[others].min(axis=0) >= floor)
-        if len(acceptable) == 0:
+        blocked = tight_at_targets[~tight_at_shared[:, i]].any(axis=0)
+        free = np.flatnonzero(~blocked)
+        if len(free) == 0:
             continue
-        j = int(acceptable[0])
-        q = int(targets[j])
-        bits[a, p] = 0
-        bits[a, q] = 1
-        new_row = new_rows[:, j]
-        new_row[a] = 0
-        dist[a, :] = new_row
-        dist[:, a] = new_row
+        q = int(targets[free[0]])
+        sentinel = dist[a, a]
+        dist[a, :] += 2 * (bits[:, p].astype(np.int64) - bits[:, q])
+        dist[a, a] = sentinel
+        dist[:, a] = dist[a, :]
+        bits[a, p] = False
+        bits[a, q] = True
         return True, budget
     return False, budget
+
+
+def _tight_pairs(dist: np.ndarray, floor: int):
+    """Yield the pairs a < b with dist[a, b] == floor in lexicographic order.
+
+    Rows come from the row minima (the diagonal holds a sentinel above every
+    real distance); a row's columns are only scanned when the row is reached,
+    so a search that accepts the first pair never looks at the rest.
+    """
+    for a in np.flatnonzero(dist.min(axis=1) == floor):
+        for b in np.flatnonzero(dist[a, a + 1 :] == floor):
+            yield int(a), int(a + 1 + b)
 
 
 def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
     """Build the per-class mask set for (n_classes, d, s), seeded."""
     if n_classes < 1:
-        raise ValueError("need at least one class")
+        raise ValueError(f"need at least one class, got n_classes={n_classes}")
     if not 1 <= s <= d:
         raise ValueError(f"require 1 <= s <= d, got s={s}, d={d}")
 
@@ -152,30 +177,27 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
         masks = tuple(Mask(cls, bits[cls]) for cls in range(n_classes))
         return MaskSet(masks, d=d, s=s, seed=seed, presearch_min_hamming=pre)
 
+    # overlap regime (so n_classes >= 2); one bool matrix for the whole search
     rng = np.random.default_rng(seed)
-    bits = np.zeros((n_classes, d), dtype=np.uint8)
+    bits = np.zeros((n_classes, d), dtype=bool)
     for cls in range(n_classes):
-        bits[cls, np.sort(rng.choice(d, size=s, replace=False))] = 1
-
-    if n_classes < 2:
-        masks = tuple(Mask(cls, bits[cls]) for cls in range(n_classes))
-        return MaskSet(masks, d=d, s=s, seed=seed, presearch_min_hamming=None)
+        bits[cls, np.sort(rng.choice(d, size=s, replace=False))] = True
 
     dist = _pairwise_hamming(bits)
-    np.fill_diagonal(dist, 0)
-    iu = np.triu_indices(n_classes, k=1)
-    presearch = int(dist[iu].min())
+    np.fill_diagonal(dist, 2 * s + 2)  # above any distance, so min() skips it
+    presearch = int(dist.min())
 
     budget = 10 * n_classes * d
     improved = True
     while budget > 0 and improved:
         improved = False
-        floor = int(dist[iu].min())
-        tight = np.argwhere(np.triu(dist == floor, k=1))
-        for a, b in tight:  # lexicographic order from argwhere
-            accepted, budget = _improve_mask(bits, dist, int(a), int(b), floor, budget)
+        # a rejected attempt never changes dist, so walking the pairs lazily
+        # visits them in the same order as a snapshot taken here
+        floor = int(dist.min())
+        for a, b in _tight_pairs(dist, floor):
+            accepted, budget = _improve_mask(bits, dist, a, b, floor, budget)
             if not accepted and budget > 0:
-                accepted, budget = _improve_mask(bits, dist, int(b), int(a), floor, budget)
+                accepted, budget = _improve_mask(bits, dist, b, a, floor, budget)
             if accepted:
                 improved = True
                 break

@@ -64,6 +64,18 @@ class TestMasks:
         rows = (tmp_path / "masks.txt").read_text().strip().split("\n")
         assert len(rows) == 3
 
+    def test_s_larger_than_d_is_an_error(self, capsys):
+        assert main(["masks", "3", "4", "5", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "s=5" in err
+
+    def test_no_classes_is_an_error(self, capsys):
+        assert main(["masks", "0", "4", "2", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "n_classes=0" in err
+
 
 class TestCost:
     def test_emits_csv_for_multiple_algorithms(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Mask generation: disjoint regime, hill-climbing regime, diagnostics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,89 @@ class TestOverlapRegime:
         a = generate_masks(25, 32, 8, seed=6)
         b = generate_masks(25, 32, 8, seed=7)
         assert any(not np.array_equal(x.bits, y.bits) for x, y in zip(a.masks, b.masks))
+
+
+# sha256 of bit_matrix().tobytes() and presearch_min_hamming, recorded from
+# the original full-rescan search; the search must keep returning these masks
+_GOLDEN = {
+    (200, 512, 64, 7): ("1531d547a878e1da14945e46ce6e8a340c74995db5b1c45e7d87dac57a28643d", 90),
+    (10, 64, 8, 7): ("4bbb796750dce849dbad71b158d8da077edace7032c9912a5e7937b16cc08815", 10),
+    (200, 500, 50, 3): ("1147270cf8a1c308bfa12d057fadc39af21fa8cf2bc2f0cfe9255eb6b46ad5f7", 70),
+    (30, 24, 6, 4): ("b8b32ea181256e42ead7c3f7f10468f06c33c5adb59e6b58f6f60c2ebc37190c", 4),
+    (12, 16, 4, 5): ("ae5a406a92ef4e37aa4c9013f6ce3d654df23e13b81d939c95b85f2bca68f562", 2),
+    (25, 32, 8, 6): ("2d85f68b88f04890a4e306c50815cbc0db065dcce3b7c02a16a341c826f4089b", 6),
+}
+
+
+@pytest.mark.parametrize(
+    "config", sorted(_GOLDEN), ids=lambda c: "K{}-d{}-s{}-seed{}".format(*c)
+)
+def test_search_output_is_golden(config):
+    k, d, s, seed = config
+    mask_set = generate_masks(k, d, s, seed=seed)
+    digest = hashlib.sha256(mask_set.bit_matrix().tobytes()).hexdigest()
+    assert (digest, mask_set.presearch_min_hamming) == _GOLDEN[config]
+
+
+def _reference_search(k, d, s, seed):
+    """The search as first written: every candidate q is checked against every
+    mask, and the tight pairs are rescanned in full after each move."""
+    rng = np.random.default_rng(seed)
+    bits = np.zeros((k, d), dtype=np.int64)
+    for cls in range(k):
+        bits[cls, np.sort(rng.choice(d, size=s, replace=False))] = 1
+    dist = 2 * s - 2 * bits @ bits.T
+    np.fill_diagonal(dist, 0)
+    iu = np.triu_indices(k, k=1)
+    presearch = int(dist[iu].min())
+    budget = 10 * k * d
+
+    def improve(a, b, floor):
+        nonlocal budget
+        shared = np.flatnonzero((bits[a] == 1) & (bits[b] == 1))
+        targets = np.flatnonzero((bits[a] == 0) & (bits[b] == 0))
+        if len(targets) == 0:
+            return False
+        others = np.arange(k) != a
+        for p in shared:
+            if budget <= 0:
+                return False
+            budget -= len(targets)
+            new_rows = (dist[a] + 2 * bits[:, p] - 1)[:, None] + 1 - 2 * bits[:, targets]
+            ok = np.flatnonzero(new_rows[others].min(axis=0) >= floor)
+            if len(ok):
+                row = new_rows[:, ok[0]].copy()
+                row[a] = 0
+                bits[a, p], bits[a, targets[ok[0]]] = 0, 1
+                dist[a, :] = row
+                dist[:, a] = row
+                return True
+        return False
+
+    improved = True
+    while budget > 0 and improved:
+        improved = False
+        floor = int(dist[iu].min())
+        for a, b in np.argwhere(np.triu(dist == floor, k=1)):
+            if improve(a, b, floor) or (budget > 0 and improve(b, a, floor)):
+                improved = True
+                break
+            if budget <= 0:
+                break
+    return bits.astype(np.uint8), presearch
+
+
+# small overlap configs; most run out of budget, the rest stall with budget left
+@pytest.mark.parametrize(
+    "k, d, s",
+    [(9, 12, 4), (40, 12, 6), (20, 10, 5), (15, 20, 7), (64, 16, 8), (8, 8, 7), (70, 40, 3)],
+)
+def test_search_matches_reference(k, d, s):
+    for seed in range(3):
+        mask_set = generate_masks(k, d, s, seed=seed)
+        bits, presearch = _reference_search(k, d, s, seed)
+        np.testing.assert_array_equal(mask_set.bit_matrix(), bits)
+        assert mask_set.presearch_min_hamming == presearch
 
 
 class TestArguments:
