@@ -7,8 +7,11 @@ feature means, and uploads the masked entries (optionally pre-multiplied by
 its per-class sample counts).  Prediction is nearest-local-prototype in
 feature space, restricted to classes the client actually holds.
 
-Per-epoch prototype recomputation uses a full pass over the shard, and all
-batches within the epoch reuse that snapshot.
+Every batch of an epoch reuses one prototype snapshot: the per-class feature
+means over the whole shard under the epoch's starting parameters.  Epoch 0
+reuses ``state.local_protos`` when it is set (it always describes
+``state.params``), and each later epoch reuses the means computed at the end
+of the one before, so a round makes one full-shard pass per epoch.
 """
 
 from __future__ import annotations
@@ -112,15 +115,14 @@ def _dense_targets(
 
     All-zero payloads mean the server has not aggregated that class yet;
     they are dropped so the class contributes nothing to the penalty, same
-    as in the very first round.
+    as in the very first round.  With ``cps`` the caller has checked that
+    the client holds its masks.
     """
     targets: dict[int, np.ndarray] = {}
     for cls, payload in global_comp.items():
         if not np.any(payload.values):
             continue
         if cps:
-            if state.mask_set is None:
-                raise MaskMissingError(f"client {state.client_id} has no masks yet")
             targets[cls] = reconstruct(payload, state.mask_set.for_class(cls)).values
         else:
             targets[cls] = payload.values
@@ -158,19 +160,22 @@ def local_update(
 
     xs, ys = state.shard.x, state.shard.y
     params = state.params
+    # the snapshot always describes state.params: local_protos is set by the
+    # previous local_update or by run_round's evaluation
+    protos = state.local_protos
+    if protos is None:
+        protos = compute_local_prototypes(state)
     epoch_losses: list[float] = []
     for _ in range(cfg.local_epochs):
-        state.params = params
-        protos = compute_local_prototypes(state)
         proto_vecs = {cls: p.values for cls, p in protos.items()}
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = [(xs[i], int(ys[i])) for i in idx]
             loss, grads = loss_and_grad(
                 params,
-                batch,
+                xs[idx],
+                ys[idx],
                 state.global_protos,
                 lam,
                 cfg.mu,
@@ -180,9 +185,11 @@ def local_update(
             params = sgd_step(params, grads, cfg.lr)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
+        # the end-of-epoch means are the next epoch's snapshot
+        state.params = params
+        protos = compute_local_prototypes(state)
 
-    state.params = params
-    state.local_protos = compute_local_prototypes(state)
+    state.local_protos = protos
     state.last_train_loss = epoch_losses[-1]
 
     payloads: dict[int, Prototype] = {}

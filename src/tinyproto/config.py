@@ -134,6 +134,8 @@ class ExperimentConfig:
             "hidden_dim",
             "workers",
         ]
+        if self.seed < 0:
+            bad("seed", "must be >= 0")
         for attr in positive_ints:
             if getattr(self, attr) < 1:
                 bad(attr, "must be >= 1")

@@ -167,6 +167,8 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
         raise ValueError(f"need at least one class, got n_classes={n_classes}")
     if not 1 <= s <= d:
         raise ValueError(f"require 1 <= s <= d, got s={s}, d={d}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got seed={seed}")
 
     if n_classes * s <= d:
         # disjoint regime: contiguous block per class, maximal distances 2s

@@ -12,12 +12,15 @@ prototypes; both are supplied as fixed vectors for the current step, so the
 penalty shifts the loss value while the gradient is carried entirely by the
 cross-entropy term.  All reductions run in ascending index order, which makes
 repeated evaluations bit-identical.
+
+A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
+labels.  Inference and training share one definition of the feature layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -126,8 +129,13 @@ def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input dim {x.shape[-1]} != model input dim {params.w1.shape[0]}"
         )
+    return _activations(params, x)[1]
+
+
+def _activations(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden and feature activations; the one definition of the feature net."""
     hidden = np.maximum(x @ params.w1 + params.b1, 0.0)
-    return np.maximum(hidden @ params.w2 + params.b2, 0.0)
+    return hidden, np.maximum(hidden @ params.w2 + params.b2, 0.0)
 
 
 def forward_logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -150,7 +158,8 @@ def _rho(diff: np.ndarray, rho: str) -> float:
 
 def loss_and_grad(
     params: ModelParams,
-    batch: Sequence[tuple[np.ndarray, int]],
+    xs: np.ndarray,
+    ys: np.ndarray,
     global_protos: Mapping[int, np.ndarray],
     lam: float,
     mu: float,
@@ -159,6 +168,7 @@ def loss_and_grad(
 ) -> tuple[float, Gradients]:
     """Combined loss over a minibatch and its exact parameter gradient.
 
+    ``xs`` is the (n, D) input batch and ``ys`` its (n,) integer labels.
     The loss is mean cross-entropy of softmax(logits) against the labels,
     plus lam * sum over classes present in the batch of
     rho(local_proto[c], mu * global_proto[c]).  Classes with no global
@@ -167,26 +177,27 @@ def loss_and_grad(
     returned gradient is the cross-entropy gradient; it matches central
     finite differences of the returned loss.
     """
-    if len(batch) == 0:
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys)
+    if xs.ndim != 2 or ys.shape != xs.shape[:1]:
+        raise ShapeError(f"expected xs (n, D) and ys (n,), got {xs.shape} and {ys.shape}")
+    n = xs.shape[0]
+    if n == 0:
         raise ValueError("empty batch")
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if mu <= 0:
         raise ValueError("mu must be > 0")
 
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    ys = np.array([int(y) for _, y in batch])
     din, _, _, ncls = params.dims
     if xs.shape[1] != din:
         raise ShapeError(f"batch input dim {xs.shape[1]} != model input dim {din}")
+    if not np.issubdtype(ys.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {ys.dtype}")
     if np.any(ys < 0) or np.any(ys >= ncls):
         raise ValueError("label outside [0, K)")
 
-    n = xs.shape[0]
-    z1 = xs @ params.w1 + params.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2 + params.b2
-    a2 = np.maximum(z2, 0.0)
+    a1, a2 = _activations(params, xs)
     z3 = a2 @ params.wc + params.bc
 
     # stable log-softmax cross-entropy, mean over the batch
@@ -198,7 +209,7 @@ def loss_and_grad(
 
     if lam > 0:
         penalty = 0.0
-        for cls in sorted(set(int(y) for y in ys)):
+        for cls in sorted(set(ys.tolist())):
             if cls not in local_protos:
                 raise ValueError(f"no local prototype for batch class {cls}")
             target = global_protos.get(cls)
@@ -210,16 +221,17 @@ def loss_and_grad(
             penalty += _rho(diff, rho)
         loss = loss + lam * penalty
 
-    # backprop of the cross-entropy term (the penalty is constant in params)
+    # backprop of the cross-entropy term (the penalty is constant in params);
+    # relu'(z) is 1 exactly where relu(z) > 0
     g3 = ez / ez.sum(axis=1, keepdims=True)
     g3[np.arange(n), ys] -= 1.0
     g3 /= n
     grad_wc = a2.T @ g3
     grad_bc = g3.sum(axis=0)
-    g2 = (g3 @ params.wc.T) * (z2 > 0)
+    g2 = (g3 @ params.wc.T) * (a2 > 0)
     grad_w2 = a1.T @ g2
     grad_b2 = g2.sum(axis=0)
-    g1 = (g2 @ params.w2.T) * (z1 > 0)
+    g1 = (g2 @ params.w2.T) * (a1 > 0)
     grad_w1 = xs.T @ g1
     grad_b1 = g1.sum(axis=0)
 

@@ -147,11 +147,13 @@ def test_criterion_2_gradient_check():
                 rng.normal(size=(feat, ncls)),
                 rng.normal(size=ncls),
             )
-            batch = [
-                (rng.normal(size=din), int(rng.integers(0, ncls)))
-                for _ in range(int(rng.integers(1, 5)))
-            ]
-            classes = sorted({y for _, y in batch})
+            nb = int(rng.integers(1, 5))
+            xs = np.empty((nb, din))
+            ys = np.empty(nb, dtype=np.int64)
+            for i in range(nb):  # one row, then its label: the draw order
+                xs[i] = rng.normal(size=din)
+                ys[i] = rng.integers(0, ncls)
+            classes = sorted(set(ys.tolist()))
             if case % 2 == 0:
                 lam, mu, globals_, locals_ = 0.0, 1.0, {}, {}
             else:
@@ -159,15 +161,15 @@ def test_criterion_2_gradient_check():
                 mu = float(rng.uniform(0.1, 2.0))
                 globals_ = {c: rng.normal(size=feat) for c in classes}
                 locals_ = {c: rng.normal(size=feat) for c in classes}
-            _, grads = tp.loss_and_grad(params, batch, globals_, lam, mu, locals_)
+            _, grads = tp.loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
             for arr, grad in zip(params.arrays(), grads.arrays()):
                 flat, gflat = arr.reshape(-1), grad.reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up, _ = tp.loss_and_grad(params, batch, globals_, lam, mu, locals_)
+                    up, _ = tp.loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
                     flat[i] = orig - step
-                    down, _ = tp.loss_and_grad(params, batch, globals_, lam, mu, locals_)
+                    down, _ = tp.loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     assert np.isclose(gflat[i], fd, rtol=1e-4, atol=1e-7)

@@ -52,6 +52,12 @@ class TestRun:
         assert main(["run", str(config)]) == 2
         assert "s:" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(_CONFIG.replace("seed = 7", "seed = -1"))
+        assert main(["run", str(config)]) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+
 
 class TestMasks:
     def test_prints_rows(self, capsys):
@@ -75,6 +81,14 @@ class TestMasks:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "n_classes=0" in err
+
+    @pytest.mark.parametrize("shape", [["30", "24", "6"], ["3", "8", "2"]])
+    def test_negative_seed_is_an_error(self, shape, capsys):
+        # (30, 24, 6) searches overlapping masks; (3, 8, 2) is disjoint
+        assert main(["masks", *shape, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "seed=-1" in err
 
 
 class TestCost:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tinyproto.client as client_mod
 from tinyproto.client import (
     ClientState,
     InferenceError,
@@ -219,6 +220,38 @@ class TestLocalUpdate:
             state, zeros, _CFG, first_round=False, rng=np.random.default_rng(2)
         )
         assert state.global_protos == {}
+
+    def test_preset_snapshot_means_one_recompute_per_epoch(self, monkeypatch):
+        state = _state()
+        state.local_protos = compute_local_prototypes(state)
+        calls = []
+
+        def counting(st):
+            calls.append(st.client_id)
+            return compute_local_prototypes(st)
+
+        monkeypatch.setattr(client_mod, "compute_local_prototypes", counting)
+        local_update(
+            state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+        )
+        assert _CFG.local_epochs == 2
+        assert len(calls) == 2
+
+    def test_preset_snapshot_trains_like_a_fresh_one(self):
+        fresh = _state()
+        preset = _state()
+        preset.local_protos = compute_local_prototypes(preset)
+        outs = [
+            local_update(
+                st, _globals(), _CFG, first_round=False, rng=np.random.default_rng(4)
+            )
+            for st in (fresh, preset)
+        ]
+        assert sorted(outs[0]) == sorted(outs[1])
+        for cls in outs[0]:
+            np.testing.assert_array_equal(outs[0][cls].values, outs[1][cls].values)
+        for pa, pb in zip(fresh.params.arrays(), preset.params.arrays()):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_missing_masks_rejected(self):
         state = _state(with_masks=False)

@@ -35,8 +35,12 @@ def _random_instance(rng, max_dim=8, max_batch=4):
         rng.normal(size=ncls),
     )
     nb = int(rng.integers(1, max_batch + 1))
-    batch = [(rng.normal(size=din), int(rng.integers(0, ncls))) for _ in range(nb)]
-    return params, batch, feat, ncls
+    xs = np.empty((nb, din))
+    ys = np.empty(nb, dtype=np.int64)
+    for i in range(nb):  # one row, then its label: the instances' draw order
+        xs[i] = rng.normal(size=din)
+        ys[i] = rng.integers(0, ncls)
+    return params, xs, ys, feat, ncls
 
 
 def _straight_line_features(params, x):
@@ -73,25 +77,24 @@ class TestForwardFeatures:
     def test_matches_straight_line_evaluator(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            params, batch, _, _ = _random_instance(rng)
-            x = batch[0][0]
+            params, xs, _, _, _ = _random_instance(rng)
+            x = xs[0]
             got = forward_features(params, x)
             np.testing.assert_allclose(got, _straight_line_features(params, x), rtol=1e-12)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            params, batch, _, _ = _random_instance(rng)
-            assert np.all(forward_features(params, batch[0][0]) >= 0)
+            params, xs, _, _, _ = _random_instance(rng)
+            assert np.all(forward_features(params, xs[0]) >= 0)
 
     def test_batch_input_supported(self):
         # batched and single-vector products take different BLAS paths, so
         # agreement is to rounding, not bit-for-bit
         rng = np.random.default_rng(2)
-        params, batch, _, _ = _random_instance(rng)
-        xs = np.stack([x for x, _ in batch])
+        params, xs, _, _, _ = _random_instance(rng)
         rows = forward_features(params, xs)
-        for i, (x, _) in enumerate(batch):
+        for i, x in enumerate(xs):
             np.testing.assert_allclose(rows[i], forward_features(params, x), rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch_raises(self):
@@ -114,7 +117,7 @@ class TestForwardLogits:
 
     def test_matches_manual_affine(self):
         rng = np.random.default_rng(3)
-        params, _, feat, ncls = _random_instance(rng)
+        params, _, _, feat, ncls = _random_instance(rng)
         f = rng.normal(size=feat)
         manual = np.array(
             [sum(f[i] * params.wc[i, j] for i in range(feat)) + params.bc[j] for j in range(ncls)]
@@ -127,10 +130,8 @@ class TestForwardLogits:
             forward_logits(params, np.zeros(5))
 
 
-def _reference_cross_entropy(params, batch):
+def _reference_cross_entropy(params, xs, ys):
     """Standalone cross-entropy with the same reduction order."""
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    ys = np.array([y for _, y in batch])
     a1 = np.maximum(xs @ params.w1 + params.b1, 0.0)
     a2 = np.maximum(a1 @ params.w2 + params.b2, 0.0)
     z3 = a2 @ params.wc + params.bc
@@ -138,66 +139,85 @@ def _reference_cross_entropy(params, batch):
     ez = np.exp(z3 - zmax)
     log_norm = np.log(ez.sum(axis=1, keepdims=True)) + zmax
     log_probs = z3 - log_norm
-    return float(np.mean(-log_probs[np.arange(len(batch)), ys]))
+    return float(np.mean(-log_probs[np.arange(len(ys)), ys]))
 
 
 class TestLossAndGrad:
     def test_lambda_zero_is_plain_cross_entropy_bitwise(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            params, batch, _, _ = _random_instance(rng)
-            loss, _ = loss_and_grad(params, batch, {}, 0.0, 1.0, {})
-            assert loss == _reference_cross_entropy(params, batch)
+            params, xs, ys, _, _ = _random_instance(rng)
+            loss, _ = loss_and_grad(params, xs, ys, {}, 0.0, 1.0, {})
+            assert loss == _reference_cross_entropy(params, xs, ys)
 
     def test_penalty_zero_when_local_matches_scaled_global(self):
         rng = np.random.default_rng(5)
-        params, batch, feat, _ = _random_instance(rng)
+        params, xs, ys, feat, _ = _random_instance(rng)
         mu = 0.7
-        classes = sorted({y for _, y in batch})
+        classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: mu * globals_[c] for c in classes}
-        with_pen, _ = loss_and_grad(params, batch, globals_, 2.5, mu, locals_)
-        without, _ = loss_and_grad(params, batch, {}, 0.0, mu, {})
+        with_pen, _ = loss_and_grad(params, xs, ys, globals_, 2.5, mu, locals_)
+        without, _ = loss_and_grad(params, xs, ys, {}, 0.0, mu, {})
         assert with_pen == pytest.approx(without, abs=1e-15)
 
     def test_missing_global_contributes_nothing(self):
         rng = np.random.default_rng(6)
-        params, batch, feat, _ = _random_instance(rng)
-        classes = sorted({y for _, y in batch})
+        params, xs, ys, feat, _ = _random_instance(rng)
+        classes = sorted(set(ys.tolist()))
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        loss_missing, _ = loss_and_grad(params, batch, {}, 1.0, 1.0, locals_)
-        loss_plain, _ = loss_and_grad(params, batch, {}, 0.0, 1.0, {})
+        loss_missing, _ = loss_and_grad(params, xs, ys, {}, 1.0, 1.0, locals_)
+        loss_plain, _ = loss_and_grad(params, xs, ys, {}, 0.0, 1.0, {})
         assert loss_missing == loss_plain
 
     def test_missing_local_prototype_rejected(self):
         rng = np.random.default_rng(7)
-        params, batch, _, _ = _random_instance(rng)
+        params, xs, ys, _, _ = _random_instance(rng)
         with pytest.raises(ValueError, match="local prototype"):
-            loss_and_grad(params, batch, {}, 1.0, 1.0, {})
+            loss_and_grad(params, xs, ys, {}, 1.0, 1.0, {})
 
     def test_empty_batch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="empty"):
-            loss_and_grad(params, [], {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=np.int64), {}, 0.0, 1.0, {})
+
+    def test_length_mismatch_rejected(self):
+        params = _identity_params(2)
+        with pytest.raises(ShapeError):
+            loss_and_grad(params, np.ones((3, 2)), np.array([0, 1]), {}, 0.0, 1.0, {})
+        with pytest.raises(ShapeError):
+            loss_and_grad(params, np.ones((2, 2)), np.array([[0, 1]]), {}, 0.0, 1.0, {})
+
+    def test_one_dimensional_inputs_rejected(self):
+        params = _identity_params(2)
+        with pytest.raises(ShapeError):
+            loss_and_grad(params, np.ones(2), np.array([0, 1]), {}, 0.0, 1.0, {})
+        with pytest.raises(ShapeError):
+            loss_and_grad(params, np.ones(2), np.array([0]), {}, 0.0, 1.0, {})
+
+    def test_non_integer_labels_rejected(self):
+        params = _identity_params(2)
+        with pytest.raises(ValueError, match="integers"):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0.0, 1.0]), {}, 0.0, 1.0, {})
 
     def test_penalty_value_both_rho_variants(self):
         rng = np.random.default_rng(8)
-        params, batch, feat, _ = _random_instance(rng)
-        classes = sorted({y for _, y in batch})
+        params, xs, ys, feat, _ = _random_instance(rng)
+        classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        base = _reference_cross_entropy(params, batch)
+        base = _reference_cross_entropy(params, xs, ys)
         lam, mu = 1.3, 0.4
         sq = sum(
             float(np.sum((locals_[c] - mu * globals_[c]) ** 2)) for c in classes
         )
-        loss_sq, _ = loss_and_grad(params, batch, globals_, lam, mu, locals_, rho="squared_l2")
+        loss_sq, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_, rho="squared_l2")
         assert loss_sq == pytest.approx(base + lam * sq, rel=1e-12)
         smooth = sum(
             float(np.sqrt(np.sum((locals_[c] - mu * globals_[c]) ** 2) + 1e-8))
             for c in classes
         )
-        loss_l2, _ = loss_and_grad(params, batch, globals_, lam, mu, locals_, rho="l2_eps")
+        loss_l2, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_, rho="l2_eps")
         assert loss_l2 == pytest.approx(base + lam * smooth, rel=1e-12)
 
     def test_gradients_match_central_finite_differences(self):
@@ -205,8 +225,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(9)
         step = 1e-5
         for case in range(100):
-            params, batch, feat, _ = _random_instance(rng)
-            classes = sorted({y for _, y in batch})
+            params, xs, ys, feat, _ = _random_instance(rng)
+            classes = sorted(set(ys.tolist()))
             if case % 2 == 0:
                 lam, mu = 0.0, 1.0
                 globals_, locals_ = {}, {}
@@ -214,16 +234,16 @@ class TestLossAndGrad:
                 lam, mu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
                 globals_ = {c: rng.normal(size=feat) for c in classes}
                 locals_ = {c: rng.normal(size=feat) for c in classes}
-            _, grads = loss_and_grad(params, batch, globals_, lam, mu, locals_)
+            _, grads = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
             for arr, grad in zip(params.arrays(), grads.arrays()):
                 flat = arr.reshape(-1)
                 gflat = grad.reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up, _ = loss_and_grad(params, batch, globals_, lam, mu, locals_)
+                    up, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
                     flat[i] = orig - step
-                    down, _ = loss_and_grad(params, batch, globals_, lam, mu, locals_)
+                    down, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     assert np.isclose(gflat[i], fd, rtol=1e-4, atol=1e-7), (
@@ -232,12 +252,12 @@ class TestLossAndGrad:
 
     def test_deterministic_given_same_inputs(self):
         rng = np.random.default_rng(10)
-        params, batch, feat, _ = _random_instance(rng)
-        classes = sorted({y for _, y in batch})
+        params, xs, ys, feat, _ = _random_instance(rng)
+        classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        first = loss_and_grad(params, batch, globals_, 1.0, 1.0, locals_)
-        second = loss_and_grad(params, batch, globals_, 1.0, 1.0, locals_)
+        first = loss_and_grad(params, xs, ys, globals_, 1.0, 1.0, locals_)
+        second = loss_and_grad(params, xs, ys, globals_, 1.0, 1.0, locals_)
         assert first[0] == second[0]
         for a, b in zip(first[1].arrays(), second[1].arrays()):
             np.testing.assert_array_equal(a, b)
