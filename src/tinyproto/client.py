@@ -12,6 +12,12 @@ means over the whole shard under the epoch's starting parameters.  Epoch 0
 reuses ``state.local_protos`` when it is set (it always describes
 ``state.params``), and each later epoch reuses the means computed at the end
 of the one before, so a round makes one full-shard pass per epoch.
+
+The dense targets of a round are rows of one ``(n_live, d)`` array, filled
+by a single boolean scatter of the concatenated non-zero payloads through
+the stacked masks of their classes.  Row-major order puts each class's
+values at its mask positions in ascending order, the layout
+:func:`~tinyproto.prototypes.reconstruct` produces one class at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .numerics import (
     loss_and_grad,
     sgd_step,
 )
-from .prototypes import Prototype, compress, reconstruct
+from .prototypes import Prototype, compress
 
 __all__ = [
     "TrainConfig",
@@ -88,6 +94,10 @@ class ClientState:
     global_protos: dict[int, np.ndarray] = field(default_factory=dict)
     local_protos: dict[int, Prototype] | None = None
     last_train_loss: float | None = None
+    # accuracy on test_shard under the current params and local_protos, None
+    # once local_update starts changing them; evaluation reads nothing else,
+    # so if inference ever reads global prototypes, clear this when they change
+    test_accuracy: float | None = None
 
     @property
     def n_local_classes(self) -> int:
@@ -115,18 +125,32 @@ def _dense_targets(
 
     All-zero payloads mean the server has not aggregated that class yet;
     they are dropped so the class contributes nothing to the penalty, same
-    as in the very first round.  With ``cps`` the caller has checked that
-    the client holds its masks.
+    as in the very first round.  Every payload must have s values (the
+    model's feature dim without ``cps``).  With ``cps`` the caller has
+    checked that the client holds its masks, each non-zero payload needs a
+    class id below K, and all of them are scattered into one read-only array.
     """
-    targets: dict[int, np.ndarray] = {}
+    want = state.mask_set.s if cps else state.params.dims[2]
     for cls, payload in global_comp.items():
-        if not np.any(payload.values):
-            continue
-        if cps:
-            targets[cls] = reconstruct(payload, state.mask_set.for_class(cls)).values
-        else:
-            targets[cls] = payload.values
-    return targets
+        if payload.dim != want:
+            raise ValueError(
+                f"length mismatch for class {cls}: payload has {payload.dim} "
+                f"values, expected {want} ({'mask popcount' if cps else 'feature dim'})"
+            )
+    if not global_comp:
+        return {}
+    values = np.stack([p.values for p in global_comp.values()])
+    live = values.any(axis=1)
+    ids = [cls for cls, keep in zip(global_comp, live) if keep]
+    if not cps:
+        return {cls: global_comp[cls].values for cls in ids}
+    if not ids:
+        return {}
+    bits = np.stack([state.mask_set.for_class(cls).bits for cls in ids])
+    dense = np.zeros(bits.shape)
+    dense[bits == 1] = values[live].ravel()
+    dense.flags.writeable = False
+    return dict(zip(ids, dense))
 
 
 def local_update(
@@ -156,6 +180,7 @@ def local_update(
         raise MaskMissingError(f"client {state.client_id} has no masks yet")
 
     state.global_protos = _dense_targets(state, global_comp, cps)
+    state.test_accuracy = None
     lam = 0.0 if first_round else cfg.lam
 
     xs, ys = state.shard.x, state.shard.y
@@ -217,8 +242,19 @@ def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
     feats = forward_features(state.params, x)
     class_ids = sorted(state.local_protos)
     stack = np.stack([state.local_protos[c].values for c in class_ids])
-    dists = np.linalg.norm(feats[:, None, :] - stack[None, :, :], axis=2)
-    return np.array(class_ids)[np.argmin(dists, axis=1)]
+    return np.array(class_ids)[np.argmin(_l2_distances(feats, stack), axis=1)]
+
+
+def _l2_distances(feats: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(n, c) Euclidean distances between the rows of two arrays.
+
+    Bit-identical to ``np.linalg.norm(feats[:, None] - stack[None], axis=2)``,
+    with one (n, c, d) temporary instead of three: the difference is squared
+    in place, then summed along the same axis.
+    """
+    diff = feats[:, None, :] - stack[None, :, :]
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=2))
 
 
 def predict(state: ClientState, x: np.ndarray) -> int:

@@ -74,6 +74,10 @@ class MaskSet:
         return len(self.masks)
 
     def for_class(self, class_id: int) -> Mask:
+        if not 0 <= class_id < self.n_classes:
+            raise ValueError(
+                f"class id {class_id} outside [0, K) for K={self.n_classes}"
+            )
         return self.masks[class_id]
 
     def bit_matrix(self) -> np.ndarray:

@@ -4,9 +4,13 @@ The simulator is in-process, but every exchange still passes through the
 binary frame codec so traffic numbers measure real serialized payloads.
 Per round: sample clients, deliver masks to first-time participants, send
 every sampled client the full set of global payloads, run the local updates,
-aggregate uploads per class, then evaluate every client on its own test
-split.  Parameter counts (values on the wire, not bytes) are the headline
-traffic metric; mask delivery is tracked separately from prototype traffic.
+aggregate uploads per class, then report every client's accuracy on its own
+test split.  A client is evaluated again only when it has never been
+evaluated or has trained since; an unsampled client keeps its stored
+accuracy, which is exact because evaluation reads only the client's params,
+local prototypes and test split, and none of them changed.  Parameter counts
+(values on the wire, not bytes) are the headline traffic metric; mask
+delivery is tracked separately from prototype traffic.
 
 ``rounds.csv`` intentionally omits wall time so that identical config+seed
 runs produce byte-identical files.
@@ -269,9 +273,11 @@ def run_round(
 
     accuracies = []
     for state in clients:
-        if state.local_protos is None:
-            state.local_protos = compute_local_prototypes(state)
-        accuracies.append(evaluate_accuracy(state))
+        if state.test_accuracy is None:
+            if state.local_protos is None:
+                state.local_protos = compute_local_prototypes(state)
+            state.test_accuracy = evaluate_accuracy(state)
+        accuracies.append(state.test_accuracy)
     losses = [st.last_train_loss for st in sampled if st.last_train_loss is not None]
 
     return RoundReport(

@@ -17,7 +17,7 @@ from tinyproto.client import (
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
 from tinyproto.numerics import ModelParams, forward_features, init_params
-from tinyproto.prototypes import Prototype
+from tinyproto.prototypes import Prototype, reconstruct
 
 
 def _state(seed=21, with_masks=True):
@@ -269,6 +269,31 @@ class TestLocalUpdate:
                 state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
             )
 
+    def test_out_of_range_global_class_rejected(self):
+        state = _state()
+        received = dict(_globals())
+        received[7] = Prototype(7, np.ones(2))
+        with pytest.raises(ValueError, match=r"class id 7 .*K=3"):
+            local_update(
+                state, received, _CFG, first_round=False, rng=np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize("short", [np.ones(1), np.zeros(1)], ids=["live", "zero"])
+    def test_wrong_length_dense_global_rejected(self, short):
+        state = _state()
+        rng = np.random.default_rng(41)
+        received = {c: Prototype(c, rng.normal(size=8)) for c in range(3)}
+        received[1] = Prototype(1, short)
+        with pytest.raises(ValueError, match="class 1"):
+            local_update(
+                state,
+                received,
+                _CFG,
+                first_round=False,
+                rng=np.random.default_rng(3),
+                cps=False,
+            )
+
     def test_dense_mode_returns_full_length(self):
         state = _state()
         rng = np.random.default_rng(41)
@@ -348,3 +373,61 @@ class TestEvaluateAccuracy:
             ]
         )
         assert acc == manual
+
+
+class TestDenseTargets:
+    def test_matches_per_class_reconstruct(self):
+        rng = np.random.default_rng(33)
+        for k, d, s in [(3, 8, 2), (6, 8, 3), (12, 16, 4), (30, 24, 6)]:
+            state = _state()
+            state.mask_set = generate_masks(k, d, s, seed=int(rng.integers(100)))
+            received = {}
+            for cls in rng.permutation(k):
+                values = rng.normal(size=s) if rng.random() < 0.7 else np.zeros(s)
+                received[int(cls)] = Prototype(int(cls), values)
+            targets = client_mod._dense_targets(state, received, cps=True)
+            live = [c for c, p in received.items() if np.any(p.values)]
+            assert list(targets) == live
+            for cls in live:
+                expected = reconstruct(received[cls], state.mask_set.for_class(cls))
+                np.testing.assert_array_equal(targets[cls], expected.values)
+
+    def test_no_live_payload_gives_no_targets(self):
+        state = _state()
+        zeros = {c: Prototype(c, np.zeros(2)) for c in range(3)}
+        assert client_mod._dense_targets(state, zeros, cps=True) == {}
+
+    def test_wrong_compressed_length_names_the_class(self):
+        state = _state()
+        received = dict(_globals())
+        received[2] = Prototype(2, np.ones(3))
+        with pytest.raises(ValueError, match="class 2"):
+            client_mod._dense_targets(state, received, cps=True)
+
+
+class TestL2Distances:
+    def test_equals_linalg_norm(self):
+        rng = np.random.default_rng(34)
+        for n, c, d in [(1, 1, 1), (5, 3, 2), (20, 50, 512), (60, 8, 64), (7, 9, 13)]:
+            feats = rng.normal(size=(n, d))
+            stack = rng.normal(size=(c, d))
+            stack[c // 2] = stack[0]  # duplicate prototypes tie exactly
+            reference = np.linalg.norm(feats[:, None, :] - stack[None, :, :], axis=2)
+            dists = client_mod._l2_distances(feats, stack)
+            assert dists.shape == (n, c)
+            assert np.array_equal(dists, reference)
+
+    def test_nearest_class_matches_linalg_norm_argmin(self):
+        rng = np.random.default_rng(35)
+        state = _state()
+        for _ in range(20):
+            class_ids = sorted(int(c) for c in rng.choice(10, size=4, replace=False))
+            vecs = rng.random(size=(4, 8))
+            vecs[2] = vecs[1]  # duplicate prototypes: the lower class id wins
+            state.local_protos = {c: Prototype(c, v) for c, v in zip(class_ids, vecs)}
+            x = rng.normal(size=(6, 2))
+            feats = forward_features(state.params, x)
+            reference = np.linalg.norm(feats[:, None, :] - vecs[None, :, :], axis=2)
+            expected = np.array(class_ids)[np.argmin(reference, axis=1)]
+            picked = client_mod._nearest_local_class(state, x)
+            np.testing.assert_array_equal(picked, expected)

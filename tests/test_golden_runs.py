@@ -1,5 +1,5 @@
-"""Whole runs of the benchmark's desk and fleet configs reproduce their recorded
-``rounds.csv`` byte for byte.
+"""Whole runs of the benchmark's desk, fleet and wide configs reproduce their
+recorded ``rounds.csv`` byte for byte.
 
 The configs come from ``perfbench/workloads.py`` and the sha256 digests from
 ``perfbench/digests.json``; both are read, never written.  A change that
@@ -30,7 +30,7 @@ def _workloads():
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("workload", ["desk", "fleet"])
+@pytest.mark.parametrize("workload", ["desk", "fleet", "wide"])
 def test_rounds_csv_matches_recorded_digest(workload):
     recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(SEED)]
     config = ExperimentConfig(seed=SEED, **_workloads()[workload].config).validate()

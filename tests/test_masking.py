@@ -168,6 +168,12 @@ class TestArguments:
         with pytest.raises(ValueError):
             generate_masks(0, 4, 2, seed=0)
 
+    @pytest.mark.parametrize("class_id", [-1, 4, 7])
+    def test_class_id_outside_range_rejected(self, class_id):
+        mask_set = generate_masks(4, 12, 3, seed=0)
+        with pytest.raises(ValueError, match=rf"class id {class_id} .*K=4"):
+            mask_set.for_class(class_id)
+
 
 class TestMinPairwiseHamming:
     def test_identical_masks_give_zero(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tinyproto.protocol as protocol
-from tinyproto.client import ClientState, TrainConfig
+from tinyproto.client import ClientState, TrainConfig, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, parse_config_text
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
@@ -174,6 +174,28 @@ class TestRunRound:
         assert mask_deliveries > 0
         assert globals_deliveries == uploads == 2 * 2  # two rounds, two sampled
         assert len(decodes) == mask_deliveries + globals_deliveries + uploads
+
+    def test_only_retrained_clients_are_evaluated(self, monkeypatch):
+        evaluated = []
+
+        def counting_evaluate(state):
+            evaluated.append(state.client_id)
+            return evaluate_accuracy(state)
+
+        monkeypatch.setattr(protocol, "evaluate_accuracy", counting_evaluate)
+        clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
+        mask_set = generate_masks(4, 12, 3, seed=0)
+        server = initial_server(mask_set, 4, cps=True)
+        for round_no in (1, 2):
+            evaluated.clear()
+            log = FrameLog()
+            report = run_round(server, clients, 0.5, _CFG, seed=8, frame_log=log)
+            trained = {cid for _, direction, cid, _ in log.entries if direction == "up"}
+            assert len(trained) == 2
+            expected = set(range(4)) if round_no == 1 else trained
+            assert sorted(evaluated) == sorted(expected)
+            fresh = [evaluate_accuracy(st) for st in clients]
+            assert report.per_client_accuracy == fresh
 
     def test_report_independent_of_worker_count(self):
         def run(workers):
