@@ -56,8 +56,8 @@ for state in result.clients:
 # global prototypes live entirely inside their class masks
 mask_set = result.server.mask_set
 print("\nglobal prototype support (columns = feature dims, x = nonzero):")
-for cls, comp in sorted(result.server.global_comp.items()):
+for cls, comp in enumerate(result.server.global_comp):  # row c is class c
     mask = mask_set.for_class(cls)
     full = np.zeros(mask.dim)
-    full[mask.bits == 1] = comp.values
+    full[mask.bits == 1] = comp
     print(f"  class {cls}: " + "".join("x" if v != 0 else "." for v in full))

@@ -8,22 +8,23 @@ Library layout:
   reconstruct operators, and dead-unit diagnostics
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
   Hamming-distance hill climbing)
-* :mod:`tinyproto.aggregation` -- per-class combination of client payloads:
-  the count-weighted variant, and the mean that ``simple`` and ``scaled``
-  share on the server
+* :mod:`tinyproto.aggregation` -- per-class combination of the client rows
+  of one class: the count-weighted variant, and the mean that ``simple``
+  and ``scaled`` share on the server
 * :mod:`tinyproto.client` -- local training, prototype generation, and
   nearest-prototype inference
 * :mod:`tinyproto.datagen` -- synthetic blobs, Dirichlet label-skew
   partitioning, train/test splits, CSV ingestion
 * :mod:`tinyproto.wire`, :mod:`tinyproto.config`, :mod:`tinyproto.protocol`
-  -- frame codec, config files, round orchestration and the harness
+  -- frame codec (each frame one class-id vector plus one value row per
+  class), config files, round orchestration with per-frame checks, and the
+  harness
 * :mod:`tinyproto.costmodel` -- closed-form per-round communication costs
 """
 
 from .aggregation import (
     AGGREGATOR_CHOICES,
     AggregationError,
-    ClassContribution,
     aggregate_mean,
     aggregate_weighted,
 )
@@ -78,6 +79,6 @@ from .protocol import (
     run_round,
     write_outputs,
 )
-from .wire import Frame, FrameError, FrameType, Record, decode_frame, encode_frame, frame_param_count
+from .wire import Frame, FrameError, FrameType, decode_frame, encode_frame, frame_param_count
 
 __version__ = "0.1.0"

@@ -13,22 +13,19 @@ Three variants, selectable per experiment:
 
 ``simple`` and ``scaled`` differ only on the client (whether it scales by
 its count), so the server runs the same :func:`aggregate_mean` for both.
-Payloads are :class:`~tinyproto.prototypes.Prototype` values, dense or
-compressed (the math is the same), and sums run in ascending client-id
-order, so results are bit-identical regardless of arrival order.
+Each call combines one class: an ``(m, w)`` array with one row per
+contributing client, dense or compressed (the math is the same).  Sums start
+from zeros and add the rows in the order given, then divide; the caller
+passes them in ascending client-id order, so results are bit-identical
+whatever order the uploads arrived in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .prototypes import Prototype
 
 __all__ = [
     "AggregationError",
-    "ClassContribution",
     "aggregate_weighted",
     "aggregate_mean",
     "AGGREGATOR_CHOICES",
@@ -41,85 +38,46 @@ class AggregationError(ValueError):
     """A per-class aggregation received unusable contributions."""
 
 
-@dataclass(frozen=True)
-class ClassContribution:
-    """One client's payload for one class.
-
-    ``sample_count`` is present only in the weighted variant; the mean
-    must arrive without it (a scaled payload already folds it in).
-    """
-
-    client_id: int
-    class_id: int
-    payload: Prototype
-    sample_count: int | None = None
-
-    def __post_init__(self):
-        if self.payload.class_id != self.class_id:
-            raise ValueError(
-                f"payload class {self.payload.class_id} != contribution class {self.class_id}"
-            )
-        if self.sample_count is not None and self.sample_count < 0:
-            raise ValueError("sample_count must be >= 0")
-
-
-def _checked_vectors(contribs: list[ClassContribution]) -> list[ClassContribution]:
-    if not contribs:
+def _rows(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise AggregationError(f"expected an (m, w) array of rows, got shape {values.shape}")
+    if len(values) == 0:
         raise AggregationError("no contributions for class")
-    cls = contribs[0].class_id
-    dim = contribs[0].payload.dim
-    for c in contribs:
-        if c.class_id != cls:
-            raise AggregationError(f"mixed classes in aggregation: {c.class_id} vs {cls}")
-        if c.payload.dim != dim:
-            raise AggregationError(
-                f"payload length mismatch: {c.payload.dim} vs {dim} for class {cls}"
-            )
-    return sorted(contribs, key=lambda c: c.client_id)
+    return values
 
 
-def aggregate_weighted(contribs: list[ClassContribution]) -> Prototype:
+def aggregate_weighted(values, counts) -> np.ndarray:
     """Count-weighted combination, normalized by the number of contributors.
 
-    With counts n_i and vectors v_i this returns
+    With counts n_i and vectors v_i (the rows of ``values``) this returns
     (1/N) * sum_i (n_i / sum_j n_j) * v_i  where N is the number of clients
     contributing the class.  Note this is not a convex combination of the
     v_i: the output carries an extra 1/N factor relative to the simple mean.
     """
-    ordered = _checked_vectors(contribs)
-    counts = []
-    for c in ordered:
-        if c.sample_count is None:
-            raise AggregationError(
-                f"weighted aggregation needs sample_count (client {c.client_id})"
-            )
-        counts.append(c.sample_count)
-    total = sum(counts)
+    values = _rows(values)
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (len(values),):
+        raise AggregationError(f"{counts.shape} counts for {len(values)} rows")
+    total = counts.sum()
     if total <= 0:
         raise AggregationError("weighted aggregation needs a positive total count")
-    acc = np.zeros(ordered[0].payload.dim)
-    for c, n in zip(ordered, counts):
-        acc += (n / total) * c.payload.values
-    acc /= len(ordered)
-    return Prototype(ordered[0].class_id, acc)
+    acc = np.zeros(values.shape[1])
+    for row, n in zip(values, counts):
+        acc += (n / total) * row
+    acc /= len(values)
+    return acc
 
 
-def aggregate_mean(contribs: list[ClassContribution]) -> Prototype:
-    """Unweighted mean of the payloads over contributing clients.
+def aggregate_mean(values) -> np.ndarray:
+    """Unweighted mean of the rows over contributing clients.
 
     Serves both ``simple`` (raw vectors) and ``scaled`` (count * vector,
-    scaled on the client).  Contributions must not carry a standalone
-    sample_count: the point of the scaled variant is that the server never
-    receives one, and the simple variant never sends one.
+    scaled on the client); the server never receives a count for either.
     """
-    ordered = _checked_vectors(contribs)
-    for c in ordered:
-        if c.sample_count is not None:
-            raise AggregationError(
-                "mean aggregation must not receive standalone sample counts"
-            )
-    acc = np.zeros(ordered[0].payload.dim)
-    for c in ordered:
-        acc += c.payload.values
-    acc /= len(ordered)
-    return Prototype(ordered[0].class_id, acc)
+    values = _rows(values)
+    acc = np.zeros(values.shape[1])
+    for row in values:
+        acc += row
+    acc /= len(values)
+    return acc

@@ -13,17 +13,17 @@ reuses ``state.local_protos`` when it is set (it always describes
 ``state.params``), and each later epoch reuses the means computed at the end
 of the one before, so a round makes one full-shard pass per epoch.
 
-The dense targets of a round are rows of one ``(n_live, d)`` array, filled
-by a single boolean scatter of the concatenated non-zero payloads through
-the stacked masks of their classes.  Row-major order puts each class's
-values at its mask positions in ascending order, the layout
-:func:`~tinyproto.prototypes.reconstruct` produces one class at a time.
+Payloads travel as blocks of class ids plus one row per class.  The dense
+targets are rows of one ``(n_live, d)`` array, filled by a boolean scatter
+of the received non-zero rows through the stacked masks of their classes;
+the upload is the boolean gather back.  Row-major order keeps each class's
+values at its mask positions in ascending order, as
+:func:`~tinyproto.prototypes.compress` and ``reconstruct`` do per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .numerics import (
     loss_and_grad,
     sgd_step,
 )
-from .prototypes import Prototype, compress
+from .prototypes import Prototype
 
 __all__ = [
     "TrainConfig",
@@ -118,60 +118,72 @@ def compute_local_prototypes(state: ClientState) -> dict[int, Prototype]:
 
 def _dense_targets(
     state: ClientState,
-    global_comp: Mapping[int, Prototype],
+    global_ids: np.ndarray,
+    global_values: np.ndarray,
     cps: bool,
 ) -> dict[int, np.ndarray]:
-    """Rebuild full-length regularization targets from received payloads.
+    """Rebuild full-length regularization targets from the received block.
 
-    All-zero payloads mean the server has not aggregated that class yet;
-    they are dropped so the class contributes nothing to the penalty, same
-    as in the very first round.  Every payload must have s values (the
-    model's feature dim without ``cps``).  With ``cps`` the caller has
-    checked that the client holds its masks, each non-zero payload needs a
-    class id below K, and all of them are scattered into one read-only array.
+    Row i of ``global_values`` is the payload of class ``global_ids[i]``.
+    All-zero rows mean the server has not aggregated that class yet; they
+    are dropped so the class contributes nothing to the penalty, same as in
+    the very first round.  Every row must have s values (the model's feature
+    dim without ``cps``), every value must be finite, and every class id must
+    lie in [0, K).  With ``cps`` the caller has checked that the client holds
+    its masks, and the live rows are scattered into one read-only array.
     """
-    want = state.mask_set.s if cps else state.params.dims[2]
-    for cls, payload in global_comp.items():
-        if payload.dim != want:
-            raise ValueError(
-                f"length mismatch for class {cls}: payload has {payload.dim} "
-                f"values, expected {want} ({'mask popcount' if cps else 'feature dim'})"
-            )
-    if not global_comp:
+    if cps:
+        n_classes, want = state.mask_set.n_classes, state.mask_set.s
+    else:
+        n_classes, want = state.params.dims[3], state.params.dims[2]
+    bad = (global_ids < 0) | (global_ids >= n_classes)
+    if bad.any():
+        raise ValueError(
+            f"class id {int(global_ids[bad][0])} outside [0, K) for K={n_classes}"
+        )
+    if len(global_ids) == 0:
         return {}
-    values = np.stack([p.values for p in global_comp.values()])
-    live = values.any(axis=1)
-    ids = [cls for cls, keep in zip(global_comp, live) if keep]
+    if global_values.shape[1] != want:
+        raise ValueError(
+            f"length mismatch for class {int(global_ids[0])}: payloads have "
+            f"{global_values.shape[1]} values, expected {want} "
+            f"({'mask popcount' if cps else 'feature dim'})"
+        )
+    finite = np.isfinite(global_values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite payload for class {int(global_ids[~finite][0])}")
+    live = global_values.any(axis=1)
+    ids, values = global_ids[live].tolist(), global_values[live]
     if not cps:
-        return {cls: global_comp[cls].values for cls in ids}
-    if not ids:
-        return {}
-    bits = np.stack([state.mask_set.for_class(cls).bits for cls in ids])
+        return dict(zip(ids, values))
+    bits = state.mask_set.bit_matrix()[ids]
     dense = np.zeros(bits.shape)
-    dense[bits == 1] = values[live].ravel()
+    dense[bits == 1] = values.ravel()
     dense.flags.writeable = False
     return dict(zip(ids, dense))
 
 
 def local_update(
     state: ClientState,
-    global_comp: Mapping[int, Prototype],
+    global_ids: np.ndarray,
+    global_values: np.ndarray,
     cfg: TrainConfig,
     first_round: bool,
     rng: np.random.Generator,
     *,
     cps: bool = True,
     scale_by_count: bool = True,
-) -> dict[int, Prototype]:
-    """Train locally and return this client's per-class upload payloads.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train locally and return this client's upload as ``(ids, block)``.
 
-    Steps: rebuild dense targets from the received global payloads, run
+    Steps: rebuild dense targets from the received global block, run
     ``cfg.local_epochs`` epochs of minibatch SGD (the penalty weight is
     forced to 0 in the first round), recompute the per-class feature means,
-    then mask-compress each one (when ``cps``) and multiply by the class
-    sample count (when ``scale_by_count``).  Only locally present classes
-    are returned.  ``rng`` drives the per-epoch shuffles; the caller derives
-    it from (experiment seed, client id, round).
+    then keep each one's masked entries (when ``cps``) and multiply by the
+    class sample count (when ``scale_by_count``).  Only locally present
+    classes are returned, ids ascending, one block row each.  ``rng`` drives
+    the per-epoch shuffles; the caller derives it from (experiment seed,
+    client id, round).
     """
     n = len(state.shard)
     if n == 0:
@@ -179,7 +191,7 @@ def local_update(
     if cps and state.mask_set is None:
         raise MaskMissingError(f"client {state.client_id} has no masks yet")
 
-    state.global_protos = _dense_targets(state, global_comp, cps)
+    state.global_protos = _dense_targets(state, global_ids, global_values, cps)
     state.test_accuracy = None
     lam = 0.0 if first_round else cfg.lam
 
@@ -217,19 +229,15 @@ def local_update(
     state.local_protos = protos
     state.last_train_loss = epoch_losses[-1]
 
-    payloads: dict[int, Prototype] = {}
-    for cls in sorted(state.local_protos):
-        count = state.class_counts.get(cls, 0)
-        if count <= 0:
-            continue
-        proto = state.local_protos[cls]
-        scale = float(count) if scale_by_count else 1.0
-        if cps:
-            comp = compress(proto, state.mask_set.for_class(cls))
-            payloads[cls] = Prototype(cls, scale * comp.values)
-        else:
-            payloads[cls] = Prototype(cls, scale * proto.values)
-    return payloads
+    ids = [cls for cls in sorted(protos) if state.class_counts.get(cls, 0) > 0]
+    block = np.stack([protos[cls].values for cls in ids])
+    if cps:
+        # row-major order keeps each class's masked entries in index order
+        keep = state.mask_set.bit_matrix()[ids] == 1
+        block = block[keep].reshape(len(ids), state.mask_set.s)
+    if scale_by_count:
+        block = block * np.array([[float(state.class_counts[cls])] for cls in ids])
+    return np.array(ids, dtype=np.int64), block
 
 
 def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:

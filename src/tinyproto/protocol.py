@@ -5,7 +5,10 @@ binary frame codec so traffic numbers measure real serialized payloads.
 Per round: sample clients, deliver masks to first-time participants, send
 every sampled client the full set of global payloads, run the local updates,
 aggregate uploads per class, then report every client's accuracy on its own
-test split.  A client is evaluated again only when it has never been
+test split.  Every frame is one block, a class-id vector plus one value row
+per class; each side checks each frame it decodes once, and a bad frame
+raises :class:`RoundError` naming the client, the class where one applies,
+and the round.  A client is evaluated again only when it has never been
 evaluated or has trained since; an unsampled client keeps its stored
 accuracy, which is exact because evaluation reads only the client's params,
 local prototypes and test split, and none of them changed.  Parameter counts
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import ClassContribution, aggregate_mean, aggregate_weighted
+from .aggregation import aggregate_mean, aggregate_weighted
 from .client import (
     ClientState,
     TrainConfig,
@@ -40,8 +43,8 @@ from .config import ExperimentConfig
 from .datagen import PartitionSpec, dirichlet_partition, make_blobs, split_train_test
 from .masking import MaskSet, format_mask_rows, generate_masks
 from .numerics import init_params
-from .prototypes import Mask, Prototype
-from .wire import Frame, FrameType, Record, decode_frame, encode_frame, frame_param_count
+from .prototypes import Mask
+from .wire import Frame, FrameType, decode_frame, encode_frame, frame_param_count
 
 __all__ = [
     "RoundError",
@@ -75,7 +78,7 @@ _AGGREGATORS = {
 
 
 class RoundError(RuntimeError):
-    """A round could not be executed (e.g. nobody to sample)."""
+    """A round could not be executed (nobody to sample, or a bad frame)."""
 
 
 def _child_seed(base: int, *tags: int) -> int:
@@ -84,10 +87,13 @@ def _child_seed(base: int, *tags: int) -> int:
 
 @dataclass
 class ServerState:
-    """Masks, latest global payloads, and the ever-selected client set."""
+    """Masks, latest global payloads, and the ever-selected client set.
+
+    ``global_comp`` is a (K, w) array whose row c is class c's payload.
+    """
 
     mask_set: MaskSet
-    global_comp: dict[int, Prototype]
+    global_comp: np.ndarray
     selected_ever: set[int] = field(default_factory=set)
     round: int = 0
 
@@ -119,60 +125,54 @@ class FrameLog:
 def initial_server(mask_set: MaskSet, n_classes: int, cps: bool) -> ServerState:
     """Server with all-zero global payloads (length s compressed, d dense)."""
     dim = mask_set.s if cps else mask_set.d
-    zeros = {c: Prototype(c, np.zeros(dim)) for c in range(n_classes)}
-    return ServerState(mask_set=mask_set, global_comp=zeros)
-
-
-def _masks_frame(mask_set: MaskSet, round_no: int) -> Frame:
-    records = tuple(
-        Record(m.class_id, m.bits.astype(np.float64)) for m in mask_set.masks
-    )
-    return Frame(FrameType.MASKS, round_no, records)
+    return ServerState(mask_set=mask_set, global_comp=np.zeros((n_classes, dim)))
 
 
 def _mask_set_from_frame(frame: Frame) -> MaskSet:
-    masks = tuple(Mask(rec.class_id, rec.values.astype(np.uint8)) for rec in frame.records)
+    ids = frame.class_ids.tolist()
+    masks = tuple(Mask(cls, row.astype(np.uint8)) for cls, row in zip(ids, frame.values))
     return MaskSet(masks, d=masks[0].dim, s=masks[0].popcount, seed=None)
 
 
-def _globals_frame(server: ServerState, round_no: int) -> Frame:
-    records = tuple(
-        Record(cls, server.global_comp[cls].values) for cls in sorted(server.global_comp)
-    )
-    return Frame(FrameType.GLOBALS, round_no, records)
+def _check_header(frame: Frame, frame_type: FrameType, round_no: int, client_id: int) -> None:
+    if frame.frame_type != frame_type or frame.round != round_no:
+        raise RoundError(
+            f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
+            f"of this round, got {frame.frame_type.name} of round {frame.round}"
+        )
 
 
-def _globals_from_frame(frame: Frame) -> dict[int, Prototype]:
-    return {rec.class_id: Prototype(rec.class_id, rec.values) for rec in frame.records}
+def _check_upload(
+    frame: Frame, client_id: int, round_no: int, n_classes: int, width: int, weighted: bool
+) -> None:
+    """Reject an upload that is not this round's, or whose block is malformed.
 
-
-def _upload_frame(
-    payloads: dict[int, Prototype],
-    class_counts: dict[int, int],
-    round_no: int,
-    aggregator: str,
-) -> Frame:
-    records = []
-    for cls in sorted(payloads):
-        values = payloads[cls].values
-        if aggregator == "weighted":
-            # the weighted variant ships the raw count as the leading value
-            values = np.concatenate(([float(class_counts[cls])], values))
-        records.append(Record(cls, values))
-    return Frame(FrameType.UPLOAD, round_no, tuple(records))
-
-
-def _contributions_from_frame(
-    frame: Frame, client_id: int, aggregator: str
-) -> list[ClassContribution]:
-    out = []
-    for rec in frame.records:
-        count, values = None, rec.values
-        if aggregator == "weighted":
-            count, values = int(values[0]), values[1:]
-        payload = Prototype(rec.class_id, values)
-        out.append(ClassContribution(client_id, rec.class_id, payload, count))
-    return out
+    Ids must ascend strictly (so none repeats) inside [0, K); rows must have
+    ``width`` finite values (so a frame without records is refused); a
+    ``weighted`` count (column 0) must be whole and >= 0.
+    """
+    _check_header(frame, FrameType.UPLOAD, round_no, client_id)
+    ids, values = frame.class_ids, frame.values
+    if values.shape[1] != width:
+        raise RoundError(
+            f"client {client_id}, round {round_no}: upload rows have "
+            f"{values.shape[1]} values, expected {width}"
+        )
+    problems = [
+        (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
+        (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
+        (~np.isfinite(values).all(axis=1), "has non-finite values"),
+    ]
+    if weighted:
+        counts = values[:, 0]
+        whole = (counts >= 0) & (counts == np.floor(counts))
+        problems.append((~whole, "count is not a whole number >= 0"))
+    for bad, what in problems:
+        if bad.any():
+            raise RoundError(
+                f"client {client_id}, class {int(ids[bad][0])}, round {round_no}: "
+                f"upload {what}"
+            )
 
 
 def run_round(
@@ -207,8 +207,16 @@ def run_round(
     picked = sorted(sample_rng.choice(len(clients), size=n_sampled, replace=False))
     sampled = [clients[i] for i in picked]
 
-    masks_bytes = encode_frame(_masks_frame(server.mask_set, round_no)) if cps else b""
-    globals_bytes = encode_frame(_globals_frame(server, round_no))
+    n_classes, dim = server.global_comp.shape
+    weighted = aggregator == "weighted"
+    width = dim + weighted  # of an upload row: the weighted count leads
+    masks_bytes = b""
+    if cps:
+        bits = server.mask_set.bit_matrix().astype(np.float64)
+        masks_bytes = encode_frame(Frame(FrameType.MASKS, round_no, np.arange(len(bits)), bits))
+    globals_bytes = encode_frame(
+        Frame(FrameType.GLOBALS, round_no, np.arange(n_classes), server.global_comp)
+    )
     needs_masks = {
         st.client_id: cps and st.client_id not in server.selected_ever for st in sampled
     }
@@ -216,28 +224,33 @@ def run_round(
     def client_pass(state: ClientState) -> tuple[int, int, bytes]:
         """Train one client; return the param counts of the masks and globals
         frames it decoded (accounting reuses them) and its encoded upload."""
+        cid = state.client_id
         masks_params = 0
-        if needs_masks[state.client_id]:
+        if needs_masks[cid]:
             masks_frame = decode_frame(masks_bytes)
+            _check_header(masks_frame, FrameType.MASKS, round_no, cid)
             masks_params = frame_param_count(masks_frame)
             state.mask_set = _mask_set_from_frame(masks_frame)
         globals_frame = decode_frame(globals_bytes)
-        global_payloads = _globals_from_frame(globals_frame)
+        _check_header(globals_frame, FrameType.GLOBALS, round_no, cid)
         shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _TAG_SHUFFLE, state.client_id, round_no])
+            np.random.SeedSequence([seed, _TAG_SHUFFLE, cid, round_no])
         )
-        payloads = local_update(
+        ids, block = local_update(
             state,
-            global_payloads,
+            globals_frame.class_ids,
+            globals_frame.values,
             cfg,
             first_round,
             shuffle_rng,
             cps=cps,
             scale_by_count=(aggregator == "scaled"),
         )
-        upload = encode_frame(
-            _upload_frame(payloads, state.class_counts, round_no, aggregator)
-        )
+        if weighted:
+            # the weighted variant ships the raw count as column 0
+            counts = [[float(state.class_counts[cls])] for cls in ids.tolist()]
+            block = np.hstack((counts, block))
+        upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
         return masks_params, frame_param_count(globals_frame), upload
 
     if workers > 1:
@@ -247,8 +260,7 @@ def run_round(
         passes = [client_pass(st) for st in sampled]
 
     uplink = downlink = mask_params = 0
-    by_class: dict[int, list[ClassContribution]] = {}
-    # ascending client order fixes the aggregation order
+    uploads = []
     for state, (masks_params, globals_params, upload) in zip(sampled, passes):
         cid = state.client_id
         mask_params += masks_params
@@ -258,15 +270,24 @@ def run_round(
         if frame_log is not None:
             frame_log.add(round_no, "down", cid, globals_bytes)
         upload_frame = decode_frame(upload)
+        _check_upload(upload_frame, cid, round_no, n_classes, width, weighted)
         uplink += frame_param_count(upload_frame)
         if frame_log is not None:
             frame_log.add(round_no, "up", cid, upload)
-        for contrib in _contributions_from_frame(upload_frame, cid, aggregator):
-            by_class.setdefault(contrib.class_id, []).append(contrib)
+        uploads.append(upload_frame)
 
+    # uploads in ascending client order, then a stable sort by class, give
+    # every class its rows in ascending client order: the summation order
+    ids = np.concatenate([f.class_ids for f in uploads])
+    rows = np.concatenate([f.values for f in uploads])
+    order = np.argsort(ids, kind="stable")
+    classes, starts = np.unique(ids[order], return_index=True)
     aggregate = _AGGREGATORS[aggregator]
-    for cls in sorted(by_class):
-        server.global_comp[cls] = aggregate(by_class[cls])
+    for cls, group in zip(classes.tolist(), np.split(rows[order], starts[1:])):
+        if weighted:
+            server.global_comp[cls] = aggregate(group[:, 1:], group[:, 0])
+        else:
+            server.global_comp[cls] = aggregate(group)
 
     server.selected_ever.update(st.client_id for st in sampled)
     server.round = round_no

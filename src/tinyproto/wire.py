@@ -8,10 +8,14 @@ Layout (all integers little-endian):
     records     n_records x [class_id u32][count u32][count x f64]
     crc32       u32     over every preceding byte
 
-Mask records carry the d bits as 0.0/1.0 values; prototype records carry the
-payload vector.  decode(encode(frame)) is bit-exact, and decoding rejects
-truncation, trailing bytes, unknown frame types, and checksum mismatches.
-Parameter counts for traffic accounting are simply the summed record counts.
+In memory a frame is one block: a ``(n,)`` class-id vector and an ``(n, w)``
+float64 matrix, so every record has the same count w, and one structured
+dtype encodes or decodes the whole frame.  Mask records carry the d bits as
+0.0/1.0 values; prototype records carry the payload vector.
+decode(encode(frame)) is bit-exact (a frame without records decodes to
+width 0), and decoding rejects truncation, trailing bytes, unknown frame
+types, checksum mismatches, and records that differ in width.  Parameter
+counts for traffic accounting are simply ``values.size``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 __all__ = [
     "FrameError",
     "FrameType",
-    "Record",
     "Frame",
     "encode_frame",
     "decode_frame",
@@ -50,45 +53,47 @@ class FrameType(IntEnum):
 
 
 @dataclass(frozen=True)
-class Record:
-    """One class's vector inside a frame."""
-
-    class_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        if self.class_id < 0 or self.class_id > _U32_MAX:
-            raise FrameError(f"class_id {self.class_id} does not fit u32")
-
-
-@dataclass(frozen=True)
 class Frame:
+    """One frame: ``values[i]`` is the record of class ``class_ids[i]``."""
+
     frame_type: FrameType
     round: int
-    records: tuple[Record, ...]
+    class_ids: np.ndarray
+    values: np.ndarray
+
+
+def _record_dtype(width: int) -> np.dtype:
+    return np.dtype([("cid", "<u4"), ("cnt", "<u4"), ("v", "<f8", (width,))])
 
 
 def encode_frame(frame: Frame) -> bytes:
     if frame.round < 0 or frame.round > _U32_MAX:
         raise FrameError(f"round {frame.round} does not fit u32")
-    parts = [_HEADER.pack(int(frame.frame_type), frame.round, len(frame.records))]
-    for rec in frame.records:
-        count = rec.values.shape[0]
-        if count > _U32_MAX:
-            raise FrameError("record too long for u32 count")
-        parts.append(_RECORD_HEADER.pack(rec.class_id, count))
-        parts.append(rec.values.astype("<f8", copy=False).tobytes())
-    body = b"".join(parts)
-    return body + _CRC.pack(zlib.crc32(body))
+    values = np.asarray(frame.values, dtype=np.float64)
+    if values.ndim != 2:
+        raise FrameError(f"values must be an (n, w) array, got shape {values.shape}")
+    n, width = values.shape
+    if width > _U32_MAX:
+        raise FrameError("record too long for u32 count")
+    ids = np.asarray(frame.class_ids)
+    if ids.shape != (n,) or ids.dtype.kind not in "iu":
+        raise FrameError(f"need {n} integer class ids, got {ids.dtype} of shape {ids.shape}")
+    if n and (ids.min() < 0 or ids.max() > _U32_MAX):
+        raise FrameError("class id does not fit u32")
+    records = np.empty(n, dtype=_record_dtype(width))
+    records["cid"] = ids
+    records["cnt"] = width
+    records["v"] = values
+    header = _HEADER.pack(int(frame.frame_type), frame.round, n)
+    crc = zlib.crc32(records, zlib.crc32(header))
+    return b"".join((header, records, _CRC.pack(crc)))
 
 
 def decode_frame(data: bytes) -> Frame:
     if len(data) < _HEADER.size + _CRC.size:
         raise FrameError("frame truncated: shorter than header plus checksum")
-    body, (crc,) = data[: -_CRC.size], _CRC.unpack(data[-_CRC.size :])
+    # a view: slicing the bytes would copy the whole frame
+    body, (crc,) = memoryview(data)[: -_CRC.size], _CRC.unpack(data[-_CRC.size :])
     if zlib.crc32(body) != crc:
         raise FrameError("crc mismatch")
     raw_type, round_no, n_records = _HEADER.unpack_from(body, 0)
@@ -96,24 +101,30 @@ def decode_frame(data: bytes) -> Frame:
         frame_type = FrameType(raw_type)
     except ValueError:
         raise FrameError(f"unknown frame type {raw_type}") from None
-    offset = _HEADER.size
-    records = []
-    for _ in range(n_records):
-        if offset + _RECORD_HEADER.size > len(body):
+    width = 0
+    if n_records:
+        if len(body) < _HEADER.size + _RECORD_HEADER.size:
             raise FrameError("frame truncated inside a record header")
-        class_id, count = _RECORD_HEADER.unpack_from(body, offset)
-        offset += _RECORD_HEADER.size
-        nbytes = count * 8
-        if offset + nbytes > len(body):
-            raise FrameError("frame truncated inside record values")
-        values = np.frombuffer(body, dtype="<f8", count=count, offset=offset).copy()
-        offset += nbytes
-        records.append(Record(class_id, values))
-    if offset != len(body):
-        raise FrameError(f"{len(body) - offset} unexpected trailing bytes")
-    return Frame(frame_type, round_no, tuple(records))
+        _, width = _RECORD_HEADER.unpack_from(body, _HEADER.size)
+    dtype = _record_dtype(width)
+    have, need = len(body) - _HEADER.size, n_records * dtype.itemsize
+    if have < need:
+        raise FrameError(
+            f"frame truncated: {n_records} records of width {width} need {need} bytes, "
+            f"got {have}"
+        )
+    if have > need:
+        raise FrameError(
+            f"{have - need} unexpected trailing bytes after {n_records} records "
+            f"of width {width}"
+        )
+    records = np.frombuffer(body, dtype=dtype, count=n_records, offset=_HEADER.size)
+    if np.any(records["cnt"] != width):
+        raise FrameError(f"records differ in width: the first has {width} values")
+    class_ids = records["cid"].astype(np.int64)  # signed, so differences cannot wrap
+    return Frame(frame_type, round_no, class_ids, records["v"].copy())
 
 
 def frame_param_count(frame: Frame) -> int:
     """Number of transmitted values, the unit of all traffic accounting."""
-    return sum(rec.values.shape[0] for rec in frame.records)
+    return frame.values.size

@@ -191,29 +191,18 @@ def test_criterion_3_aggregation_oracles():
             vectors = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 9)) for _ in range(n_clients)]
 
-            weighted = tp.aggregate_weighted(
-                [
-                    tp.ClassContribution(i, 0, Prototype(0, v), n)
-                    for i, (v, n) in enumerate(zip(vectors, counts))
-                ]
-            )
+            # one row per contributing client, in ascending client order
+            weighted = tp.aggregate_weighted(np.array(vectors), counts)
             total = sum(counts)
             expect = sum((n / total) * v for v, n in zip(vectors, counts)) / n_clients
-            np.testing.assert_allclose(weighted.values, expect, atol=1e-12)
+            np.testing.assert_allclose(weighted, expect, atol=1e-12)
 
-            simple = tp.aggregate_mean(
-                [tp.ClassContribution(i, 0, Prototype(0, v)) for i, v in enumerate(vectors)]
-            )
-            np.testing.assert_allclose(simple.values, sum(vectors) / n_clients, atol=1e-12)
+            simple = tp.aggregate_mean(np.array(vectors))
+            np.testing.assert_allclose(simple, sum(vectors) / n_clients, atol=1e-12)
 
-            scaled = tp.aggregate_mean(
-                [
-                    tp.ClassContribution(i, 0, Prototype(0, n * v))
-                    for i, (v, n) in enumerate(zip(vectors, counts))
-                ]
-            )
+            scaled = tp.aggregate_mean(np.array([n * v for v, n in zip(vectors, counts)]))
             np.testing.assert_allclose(
-                scaled.values,
+                scaled,
                 sum(n * v for v, n in zip(vectors, counts)) / n_clients,
                 atol=1e-12,
             )
@@ -230,14 +219,9 @@ def test_criterion_3_aggregation_oracles():
             dense_mean = sum(n * p.values for p, n in zip(protos, counts)) / n_clients
             via_dense = compress(Prototype(0, dense_mean), mask)
             via_wire = tp.aggregate_mean(
-                [
-                    tp.ClassContribution(
-                        i, 0, tp.Prototype(0, n * compress(p, mask).values)
-                    )
-                    for i, (p, n) in enumerate(zip(protos, counts))
-                ]
+                np.array([n * compress(p, mask).values for p, n in zip(protos, counts)])
             )
-            np.testing.assert_allclose(via_wire.values, via_dense.values, atol=1e-10)
+            np.testing.assert_allclose(via_wire, via_dense.values, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +303,10 @@ def test_criterion_6_sparsity_structure(learning_runs):
     with _criterion("criterion 6: globals have exactly s in-mask nonzeros; dead units exist"):
         result, _, _ = learning_runs
         mask_set = result.server.mask_set
-        for cls, comp in sorted(result.server.global_comp.items()):
+        for cls, comp in enumerate(result.server.global_comp):
             mask = mask_set.for_class(cls)
             full = np.zeros(mask.dim)
-            full[mask.bits == 1] = comp.values
+            full[mask.bits == 1] = comp
             assert int(np.sum(full != 0)) == mask_set.s
             assert np.all(full[mask.bits == 0] == 0)
         for state in result.clients:

@@ -3,108 +3,72 @@
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
-from tinyproto.aggregation import (
-    AggregationError,
-    ClassContribution,
-    aggregate_mean,
-    aggregate_weighted,
-)
+from tinyproto.aggregation import AggregationError, aggregate_mean, aggregate_weighted
 from tinyproto.masking import generate_masks
 from tinyproto.prototypes import Prototype, compress
 
 
-def _contrib(client, cls, values, count=None):
-    return ClassContribution(client, cls, Prototype(cls, values), count)
-
-
-def _without_counts(contribs):
-    return [replace(c, sample_count=None) for c in contribs]
+def _rows(*vectors):
+    """One row per contributing client, in ascending client order."""
+    return np.array(vectors, dtype=np.float64)
 
 
 class TestWeighted:
     def test_single_client_is_identity(self):
-        out = aggregate_weighted([_contrib(0, 1, [2.0, 5.0], count=7)])
-        np.testing.assert_array_equal(out.values, [2.0, 5.0])
+        out = aggregate_weighted(_rows([2.0, 5.0]), [7])
+        np.testing.assert_array_equal(out, [2.0, 5.0])
 
     def test_equal_counts_hand_value(self):
-        out = aggregate_weighted(
-            [_contrib(0, 0, [2.0, 0.0], count=4), _contrib(1, 0, [4.0, 0.0], count=4)]
-        )
-        np.testing.assert_allclose(out.values, [1.5, 0.0])
+        out = aggregate_weighted(_rows([2.0, 0.0], [4.0, 0.0]), [4, 4])
+        np.testing.assert_allclose(out, [1.5, 0.0])
 
     def test_unequal_counts_hand_value(self):
-        out = aggregate_weighted(
-            [_contrib(0, 0, [4.0, 0.0], count=3), _contrib(1, 0, [8.0, 0.0], count=1)]
-        )
-        np.testing.assert_allclose(out.values, [2.5, 0.0])
-
-    def test_missing_count_rejected(self):
-        with pytest.raises(AggregationError, match="sample_count"):
-            aggregate_weighted([_contrib(0, 0, [1.0])])
+        out = aggregate_weighted(_rows([4.0, 0.0], [8.0, 0.0]), [3, 1])
+        np.testing.assert_allclose(out, [2.5, 0.0])
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(AggregationError, match="positive"):
-            aggregate_weighted([_contrib(0, 0, [1.0], count=0)])
+            aggregate_weighted(_rows([1.0]), [0])
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            aggregate_weighted([])
+            aggregate_weighted(np.zeros((0, 2)), [])
 
 
 class TestSimple:
     def test_single_client_is_identity(self):
-        out = aggregate_mean([_contrib(3, 2, [1.0, -1.0])])
-        np.testing.assert_array_equal(out.values, [1.0, -1.0])
+        out = aggregate_mean(_rows([1.0, -1.0]))
+        np.testing.assert_array_equal(out, [1.0, -1.0])
 
     def test_arithmetic_mean(self):
-        out = aggregate_mean([_contrib(0, 0, [2.0, 0.0]), _contrib(1, 0, [4.0, 0.0])])
-        np.testing.assert_array_equal(out.values, [3.0, 0.0])
+        out = aggregate_mean(_rows([2.0, 0.0], [4.0, 0.0]))
+        np.testing.assert_array_equal(out, [3.0, 0.0])
 
     def test_matches_weighted_only_for_single_contributor(self):
         # the weighted formula carries an extra 1/N factor, so the two
         # variants agree only when exactly one client contributes
-        single = [_contrib(0, 0, [2.0, 6.0], count=5)]
-        np.testing.assert_array_equal(
-            aggregate_mean(_without_counts(single)).values,
-            aggregate_weighted(single).values,
-        )
-        pair = [_contrib(0, 0, [2.0, 0.0], count=3), _contrib(1, 0, [4.0, 0.0], count=3)]
-        assert not np.allclose(
-            aggregate_mean(_without_counts(pair)).values,
-            aggregate_weighted(pair).values,
-        )
+        single = _rows([2.0, 6.0])
+        np.testing.assert_array_equal(aggregate_mean(single), aggregate_weighted(single, [5]))
+        pair = _rows([2.0, 0.0], [4.0, 0.0])
+        assert not np.allclose(aggregate_mean(pair), aggregate_weighted(pair, [3, 3]))
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            aggregate_mean([])
+            aggregate_mean(np.zeros((0, 2)))
 
 
 class TestScaled:
     def test_single_client_count_one_is_identity(self):
-        out = aggregate_mean([_contrib(0, 0, [1.0, 2.0])])  # payload = 1 * (1, 2)
-        np.testing.assert_array_equal(out.values, [1.0, 2.0])
+        out = aggregate_mean(_rows([1.0, 2.0]))  # payload = 1 * (1, 2)
+        np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_hand_value(self):
-        out = aggregate_mean([_contrib(0, 0, [3.0, 6.0]), _contrib(1, 0, [5.0, 6.0])])
-        np.testing.assert_array_equal(out.values, [4.0, 6.0])
+        out = aggregate_mean(_rows([3.0, 6.0], [5.0, 6.0]))
+        np.testing.assert_array_equal(out, [4.0, 6.0])
 
     def test_all_zero_payloads_stay_zero(self):
-        out = aggregate_mean([_contrib(0, 0, [0.0, 0.0]), _contrib(1, 0, [0.0, 0.0])])
-        np.testing.assert_array_equal(out.values, [0.0, 0.0])
-
-    def test_standalone_count_rejected(self):
-        with pytest.raises(AggregationError, match="sample counts"):
-            aggregate_mean([_contrib(0, 0, [1.0], count=3)])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(AggregationError, match="length"):
-            aggregate_mean([_contrib(0, 0, [1.0]), _contrib(1, 0, [1.0, 2.0])])
-
-    def test_mixed_classes_rejected(self):
-        with pytest.raises(AggregationError, match="classes"):
-            aggregate_mean([_contrib(0, 0, [1.0]), _contrib(1, 1, [1.0])])
+        out = aggregate_mean(_rows([0.0, 0.0], [0.0, 0.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
 class TestOracleEquivalence:
@@ -118,33 +82,19 @@ class TestOracleEquivalence:
             vectors = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 9)) for _ in range(n_clients)]
 
-            weighted = aggregate_weighted(
-                [_contrib(i, 0, v, count=n) for i, (v, n) in enumerate(zip(vectors, counts))]
-            )
+            weighted = aggregate_weighted(_rows(*vectors), counts)
             total = sum(counts)
             expect = sum((n / total) * v for v, n in zip(vectors, counts)) / n_clients
-            np.testing.assert_allclose(weighted.values, expect, atol=1e-12)
+            np.testing.assert_allclose(weighted, expect, atol=1e-12)
 
-            simple = aggregate_mean([_contrib(i, 0, v) for i, v in enumerate(vectors)])
-            np.testing.assert_allclose(
-                simple.values, sum(vectors) / n_clients, atol=1e-12
-            )
+            simple = aggregate_mean(_rows(*vectors))
+            np.testing.assert_allclose(simple, sum(vectors) / n_clients, atol=1e-12)
 
-            scaled = aggregate_mean(
-                [_contrib(i, 0, n * v) for i, (v, n) in enumerate(zip(vectors, counts))]
-            )
+            scaled = aggregate_mean(_rows(*(n * v for v, n in zip(vectors, counts))))
             np.testing.assert_allclose(
-                scaled.values, sum(n * v for v, n in zip(vectors, counts)) / n_clients,
+                scaled, sum(n * v for v, n in zip(vectors, counts)) / n_clients,
                 atol=1e-12,
             )
-
-    def test_permutation_invariance_bit_exact(self):
-        rng = np.random.default_rng(21)
-        vectors = [rng.normal(size=4) for _ in range(5)]
-        contribs = [_contrib(i, 0, v) for i, v in enumerate(vectors)]
-        forward = aggregate_mean(contribs)
-        backward = aggregate_mean(list(reversed(contribs)))
-        np.testing.assert_array_equal(forward.values, backward.values)
 
 
 class TestCompressionCommutes:
@@ -163,9 +113,6 @@ class TestCompressionCommutes:
             via_dense = compress(Prototype(0, dense_mean), mask)
 
             via_wire = aggregate_mean(
-                [
-                    _contrib(i, 0, n * compress(p, mask).values)
-                    for i, (p, n) in enumerate(zip(protos, counts))
-                ]
+                _rows(*(n * compress(p, mask).values for p, n in zip(protos, counts)))
             )
-            np.testing.assert_allclose(via_wire.values, via_dense.values, atol=1e-10)
+            np.testing.assert_allclose(via_wire, via_dense.values, atol=1e-10)

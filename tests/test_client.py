@@ -38,8 +38,15 @@ def _state(seed=21, with_masks=True):
 
 
 def _globals(feat_ones=2, seed=77, n_classes=3):
+    """A received globals block: class ids and one payload row per class."""
     rng = np.random.default_rng(seed)
-    return {c: Prototype(c, rng.normal(size=feat_ones)) for c in range(n_classes)}
+    return np.arange(n_classes), np.array([rng.normal(size=feat_ones) for _ in range(n_classes)])
+
+
+def _by_class(upload):
+    """An upload's ``(ids, block)`` as {class id: row}."""
+    ids, block = upload
+    return dict(zip(ids.tolist(), block))
 
 
 _CFG = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
@@ -89,68 +96,69 @@ class TestComputeLocalPrototypes:
 class TestLocalUpdate:
     def test_returns_exactly_local_classes(self):
         state = _state()
-        payloads = local_update(
-            state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+        ids, _ = local_update(
+            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
         )
-        assert sorted(payloads) == [0, 1]
+        assert ids.tolist() == [0, 1]
 
     def test_payload_lengths_are_mask_popcount(self):
         state = _state()
-        payloads = local_update(
-            state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+        _, block = local_update(
+            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
         )
-        assert all(p.dim == 2 for p in payloads.values())
+        assert block.shape == (2, 2)
 
     def test_count_scaling_identity_when_counts_are_one(self):
         state = _state()
         state.shard = Dataset(state.shard.x[:2], np.array([0, 1]), 3)
         state.class_counts = state.shard.class_counts()
-        scaled = local_update(
-            state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(1)
-        )
+        scaled = _by_class(local_update(
+            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(1)
+        ))
         state2 = _state()
         state2.shard = Dataset(state2.shard.x[:2], np.array([0, 1]), 3)
         state2.class_counts = state2.shard.class_counts()
-        plain = local_update(
+        plain = _by_class(local_update(
             state2,
-            _globals(),
+            *_globals(),
             _CFG,
             first_round=False,
             rng=np.random.default_rng(1),
             scale_by_count=False,
-        )
+        ))
         for cls in scaled:
-            np.testing.assert_array_equal(scaled[cls].values, plain[cls].values)
+            np.testing.assert_array_equal(scaled[cls], plain[cls])
 
     def test_golden_trace(self):
         """Frozen from a step-by-step scripted re-execution of the SGD trace."""
         state = _state()
-        payloads = local_update(
+        payloads = _by_class(local_update(
             state,
-            _globals(),
+            *_globals(),
             _CFG,
             first_round=False,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
+        ))
+        np.testing.assert_array_equal(
+            payloads[0], [2.5408967120416546, 0.8474224997798309]
         )
         np.testing.assert_array_equal(
-            payloads[0].values, [2.5408967120416546, 0.8474224997798309]
-        )
-        np.testing.assert_array_equal(
-            payloads[1].values, [4.313737356370234, 7.1739106454232875]
+            payloads[1], [4.313737356370234, 7.1739106454232875]
         )
 
     def test_matches_scripted_reexecution(self):
         """Independent straight-line re-run of the same training trace."""
         state = _state()
         cfg = _CFG
-        global_comp = _globals()
-        payloads = local_update(
+        global_ids, global_values = _globals()
+        payloads = _by_class(local_update(
             state,
-            global_comp,
+            global_ids,
+            global_values,
             cfg,
             first_round=False,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
-        )
+        ))
 
         p = init_params(2, 3, 8, 3, seed=21)
         w1, b1, w2, b2, wc, bc = (a.copy() for a in p.arrays())
@@ -187,37 +195,41 @@ class TestLocalUpdate:
             proto = feats[y == cls].mean(axis=0)
             comp = proto[state.mask_set.for_class(cls).bits == 1]
             np.testing.assert_array_equal(
-                payloads[cls].values, comp * int(np.sum(y == cls))
+                payloads[cls], comp * int(np.sum(y == cls))
             )
 
     def test_first_round_trace_equals_lambda_zero(self):
         state_a = _state()
-        out_a = local_update(
+        out_a = _by_class(local_update(
             state_a,
-            _globals(),
+            *_globals(),
             _CFG,
             first_round=True,
             rng=np.random.default_rng(np.random.SeedSequence([5])),
-        )
+        ))
         state_b = _state()
         cfg_zero = TrainConfig(lam=0.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
-        out_b = local_update(
+        out_b = _by_class(local_update(
             state_b,
-            _globals(),
+            *_globals(),
             cfg_zero,
             first_round=False,
             rng=np.random.default_rng(np.random.SeedSequence([5])),
-        )
+        ))
         for cls in out_a:
-            np.testing.assert_array_equal(out_a[cls].values, out_b[cls].values)
+            np.testing.assert_array_equal(out_a[cls], out_b[cls])
         for pa, pb in zip(state_a.params.arrays(), state_b.params.arrays()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_zero_global_payloads_are_skipped_as_targets(self):
         state = _state()
-        zeros = {c: Prototype(c, np.zeros(2)) for c in range(3)}
         local_update(
-            state, zeros, _CFG, first_round=False, rng=np.random.default_rng(2)
+            state,
+            np.arange(3),
+            np.zeros((3, 2)),
+            _CFG,
+            first_round=False,
+            rng=np.random.default_rng(2),
         )
         assert state.global_protos == {}
 
@@ -232,7 +244,7 @@ class TestLocalUpdate:
 
         monkeypatch.setattr(client_mod, "compute_local_prototypes", counting)
         local_update(
-            state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
         )
         assert _CFG.local_epochs == 2
         assert len(calls) == 2
@@ -242,14 +254,14 @@ class TestLocalUpdate:
         preset = _state()
         preset.local_protos = compute_local_prototypes(preset)
         outs = [
-            local_update(
-                st, _globals(), _CFG, first_round=False, rng=np.random.default_rng(4)
-            )
+            _by_class(local_update(
+                st, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(4)
+            ))
             for st in (fresh, preset)
         ]
         assert sorted(outs[0]) == sorted(outs[1])
         for cls in outs[0]:
-            np.testing.assert_array_equal(outs[0][cls].values, outs[1][cls].values)
+            np.testing.assert_array_equal(outs[0][cls], outs[1][cls])
         for pa, pb in zip(fresh.params.arrays(), preset.params.arrays()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -257,7 +269,7 @@ class TestLocalUpdate:
         state = _state(with_masks=False)
         with pytest.raises(MaskMissingError):
             local_update(
-                state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+                state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
             )
 
     def test_empty_shard_rejected(self):
@@ -266,28 +278,27 @@ class TestLocalUpdate:
         state.shard.y = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
             local_update(
-                state, _globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+                state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
             )
 
     def test_out_of_range_global_class_rejected(self):
         state = _state()
-        received = dict(_globals())
-        received[7] = Prototype(7, np.ones(2))
+        ids, values = _globals()
+        ids, values = np.append(ids, 7), np.vstack((values, np.ones(2)))
         with pytest.raises(ValueError, match=r"class id 7 .*K=3"):
             local_update(
-                state, received, _CFG, first_round=False, rng=np.random.default_rng(0)
+                state, ids, values, _CFG, first_round=False, rng=np.random.default_rng(0)
             )
 
     @pytest.mark.parametrize("short", [np.ones(1), np.zeros(1)], ids=["live", "zero"])
     def test_wrong_length_dense_global_rejected(self, short):
+        # every row of a block has one width, so the whole block is short
         state = _state()
-        rng = np.random.default_rng(41)
-        received = {c: Prototype(c, rng.normal(size=8)) for c in range(3)}
-        received[1] = Prototype(1, short)
         with pytest.raises(ValueError, match="class 1"):
             local_update(
                 state,
-                received,
+                np.array([1]),
+                short[None, :],
                 _CFG,
                 first_round=False,
                 rng=np.random.default_rng(3),
@@ -297,16 +308,17 @@ class TestLocalUpdate:
     def test_dense_mode_returns_full_length(self):
         state = _state()
         rng = np.random.default_rng(41)
-        dense_globals = {c: Prototype(c, rng.normal(size=8)) for c in range(3)}
-        payloads = local_update(
+        dense_globals = np.array([rng.normal(size=8) for _ in range(3)])
+        _, block = local_update(
             state,
+            np.arange(3),
             dense_globals,
             _CFG,
             first_round=False,
             rng=np.random.default_rng(3),
             cps=False,
         )
-        assert all(p.dim == 8 for p in payloads.values())
+        assert block.shape[1] == 8
 
 
 class TestPredict:
@@ -385,7 +397,9 @@ class TestDenseTargets:
             for cls in rng.permutation(k):
                 values = rng.normal(size=s) if rng.random() < 0.7 else np.zeros(s)
                 received[int(cls)] = Prototype(int(cls), values)
-            targets = client_mod._dense_targets(state, received, cps=True)
+            ids = np.array(list(received))
+            values = np.array([received[c].values for c in ids])
+            targets = client_mod._dense_targets(state, ids, values, cps=True)
             live = [c for c, p in received.items() if np.any(p.values)]
             assert list(targets) == live
             for cls in live:
@@ -394,15 +408,23 @@ class TestDenseTargets:
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()
-        zeros = {c: Prototype(c, np.zeros(2)) for c in range(3)}
-        assert client_mod._dense_targets(state, zeros, cps=True) == {}
+        zeros = np.zeros((3, 2))
+        assert client_mod._dense_targets(state, np.arange(3), zeros, cps=True) == {}
 
     def test_wrong_compressed_length_names_the_class(self):
         state = _state()
-        received = dict(_globals())
-        received[2] = Prototype(2, np.ones(3))
+        # every row of a block has one width, so the whole block is too long
         with pytest.raises(ValueError, match="class 2"):
-            client_mod._dense_targets(state, received, cps=True)
+            client_mod._dense_targets(state, np.array([2]), np.ones((1, 3)), cps=True)
+
+    @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_the_class(self, bad, cps):
+        state = _state()
+        ids, values = _globals(feat_ones=2 if cps else 8)
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite payload for class 1"):
+            client_mod._dense_targets(state, ids, values, cps=cps)
 
 
 class TestL2Distances:

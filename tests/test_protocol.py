@@ -1,5 +1,6 @@
 """Round orchestration, traffic accounting, config parsing, experiment runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -135,7 +136,7 @@ class TestRunRound:
         for _, _, _, data in log.entries:
             frame = decode_frame(data)
             if frame.frame_type == FrameType.UPLOAD:
-                assert all(len(rec.values) == 3 for rec in frame.records)
+                assert frame.values.shape[1] == 3
 
     def test_weighted_uploads_carry_leading_count(self):
         clients = [_make_client(0, [0, 1])]
@@ -149,9 +150,9 @@ class TestRunRound:
             if decode_frame(d).frame_type == FrameType.UPLOAD
         ]
         assert uploads, "expected an upload frame"
-        for rec in uploads[0].records:
-            assert len(rec.values) == 4  # count + s values
-            assert rec.values[0] == 4.0  # four samples per class in the fixture
+        for row in uploads[0].values:
+            assert len(row) == 4  # count + s values
+            assert row[0] == 4.0  # four samples per class in the fixture
 
     def test_each_delivered_frame_decoded_once(self, monkeypatch):
         decodes = []
@@ -213,6 +214,143 @@ class TestRunRound:
             assert a.mean_test_accuracy == b.mean_test_accuracy
             assert a.per_client_accuracy == b.per_client_accuracy
             assert a.uplink_params == b.uplink_params
+
+    @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
+    def test_globals_sum_rows_in_ascending_client_order(self, aggregator):
+        clients = [_make_client(i, [i % 4, (i + 1) % 4, (i + 2) % 4]) for i in range(12)]
+        mask_set = generate_masks(4, 12, 3, seed=0)
+        server = initial_server(mask_set, 4, cps=True)
+        expected = np.zeros((4, 3))
+        for _ in range(2):
+            log = FrameLog()
+            run_round(server, clients, 0.5, _CFG, seed=9, aggregator=aggregator, frame_log=log)
+            uploads = [(cid, decode_frame(data)) for _, way, cid, data in log.entries if way == "up"]
+            by_class: dict[int, list[np.ndarray]] = {}
+            for _, frame in sorted(uploads, key=lambda entry: entry[0]):
+                for cls, row in zip(frame.class_ids.tolist(), frame.values):
+                    by_class.setdefault(cls, []).append(row)
+            assert max(len(rows) for rows in by_class.values()) > 1
+            for cls, rows in by_class.items():
+                acc = np.zeros(3)
+                if aggregator == "weighted":
+                    total = sum(row[0] for row in rows)
+                    for row in rows:
+                        acc += (row[0] / total) * row[1:]
+                else:
+                    for row in rows:
+                        acc += row
+                acc /= len(rows)
+                expected[cls] = acc
+            assert (server.global_comp == expected).all()
+
+
+def _two_client_round(aggregator="scaled"):
+    """Client 1 alone holds class 3, so a fault keyed on it hits client 1."""
+    clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+    server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+    return run_round(server, clients, 1.0, _CFG, seed=1, aggregator=aggregator)
+
+
+def _fault_upload_block(monkeypatch, fault):
+    """Let ``fault`` rewrite client 1's (ids, block) as local_update returns it."""
+    real = protocol.local_update
+
+    def faulty(state, *args, **kwargs):
+        ids, block = real(state, *args, **kwargs)
+        return fault(ids.copy(), block.copy()) if state.client_id == 1 else (ids, block)
+
+    monkeypatch.setattr(protocol, "local_update", faulty)
+
+
+def _fault_frames(monkeypatch, frame_type, fault, only_class=None):
+    """Let ``fault`` rewrite each frame of ``frame_type`` before it is encoded
+    (only those that carry ``only_class``, when it is given)."""
+    real = protocol.encode_frame
+
+    def faulty(frame):
+        hit = frame.frame_type == frame_type
+        if only_class is not None:
+            hit = hit and only_class in frame.class_ids.tolist()
+        return real(fault(frame) if hit else frame)
+
+    monkeypatch.setattr(protocol, "encode_frame", faulty)
+
+
+class TestFrameChecks:
+    """Each side checks each frame it decodes; a bad one names client, class, round."""
+
+    def test_upload_of_wrong_type_rejected(self, monkeypatch):
+        _fault_frames(
+            monkeypatch,
+            FrameType.UPLOAD,
+            lambda f: dataclasses.replace(f, frame_type=FrameType.GLOBALS),
+            only_class=3,
+        )
+        with pytest.raises(RoundError, match=r"client 1, round 1: expected a UPLOAD"):
+            _two_client_round()
+
+    def test_upload_of_wrong_round_rejected(self, monkeypatch):
+        _fault_frames(
+            monkeypatch, FrameType.UPLOAD, lambda f: dataclasses.replace(f, round=5), only_class=3
+        )
+        with pytest.raises(RoundError, match=r"client 1, round 1: .* of round 5"):
+            _two_client_round()
+
+    def test_upload_class_outside_range_rejected(self, monkeypatch):
+        def fault(ids, block):
+            ids[-1] = 4  # K = 4
+            return ids, block
+
+        _fault_upload_block(monkeypatch, fault)
+        with pytest.raises(RoundError, match=r"client 1, class 4, round 1: .*K=4"):
+            _two_client_round()
+
+    @pytest.mark.parametrize("ids", [[1, 2, 2], [1, 3, 2]], ids=["repeated", "descending"])
+    def test_upload_ids_not_strictly_ascending_rejected(self, monkeypatch, ids):
+        _fault_upload_block(monkeypatch, lambda _, block: (np.array(ids), block))
+        with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*repeated or out of order"):
+            _two_client_round()
+
+    def test_upload_of_wrong_width_rejected(self, monkeypatch):
+        _fault_upload_block(monkeypatch, lambda ids, block: (ids, block[:, :-1]))
+        with pytest.raises(RoundError, match=r"client 1, round 1: .*2 values, expected 3"):
+            _two_client_round()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_upload_with_non_finite_value_rejected(self, monkeypatch, bad):
+        def fault(ids, block):
+            block[1, 0] = bad  # class 2
+            return ids, block
+
+        _fault_upload_block(monkeypatch, fault)
+        with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*non-finite"):
+            _two_client_round()
+
+    @pytest.mark.parametrize("count", [2.5, -4.0])
+    def test_weighted_count_not_whole_and_non_negative_rejected(self, monkeypatch, count):
+        def fault(frame):
+            values = frame.values.copy()
+            values[1, 0] = count  # class 2
+            return dataclasses.replace(frame, values=values)
+
+        _fault_frames(monkeypatch, FrameType.UPLOAD, fault, only_class=3)
+        with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*whole number"):
+            _two_client_round(aggregator="weighted")
+
+    @pytest.mark.parametrize("frame_type", [FrameType.GLOBALS, FrameType.MASKS])
+    def test_downlink_of_wrong_round_rejected(self, monkeypatch, frame_type):
+        _fault_frames(monkeypatch, frame_type, lambda f: dataclasses.replace(f, round=0))
+        with pytest.raises(RoundError, match=rf"client 0, round 1: expected a {frame_type.name}"):
+            _two_client_round()
+
+    def test_globals_of_wrong_type_rejected(self, monkeypatch):
+        _fault_frames(
+            monkeypatch,
+            FrameType.GLOBALS,
+            lambda f: dataclasses.replace(f, frame_type=FrameType.UPLOAD),
+        )
+        with pytest.raises(RoundError, match=r"client 0, round 1: expected a GLOBALS .*got UPLOAD"):
+            _two_client_round()
 
 
 class TestConfig:
@@ -323,7 +461,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.reports[0].mask_params == 0
         globals_ = result.server.global_comp
-        assert all(g.dim == cfg.proto_dim for g in globals_.values())
+        assert all(len(g) == cfg.proto_dim for g in globals_)
 
     def test_weighted_aggregator_runs(self):
         cfg = ExperimentConfig(**{**_SMALL, "aggregator": "weighted"})
