@@ -9,9 +9,7 @@ held-out split.
 """
 import logging
 
-import numpy as np
-
-from tinyproto import ExperimentConfig, dead_unit_fraction, run_experiment
+from tinyproto import ExperimentConfig, dead_unit_fraction, reconstruct, run_experiment
 
 logging.basicConfig(level=logging.WARNING)
 
@@ -47,17 +45,16 @@ print(f"prototype traffic over the run: {result.summary['total_prototype_params'
 # those dead units are what the per-class masks exploit
 print("\ndead-unit fraction of each client's dense local prototypes:")
 for state in result.clients:
+    ids, block = state.local_protos  # ascending class ids, one mean per row
     fractions = [
-        f"{cls}:{dead_unit_fraction(proto):.2f}"
-        for cls, proto in sorted(state.local_protos.items())
+        f"{cls}:{fraction:.2f}"
+        for cls, fraction in zip(ids.tolist(), dead_unit_fraction(block))
     ]
     print(f"  client {state.client_id}: " + "  ".join(fractions))
 
 # global prototypes live entirely inside their class masks
-mask_set = result.server.mask_set
+# (row c of global_comp is class c, row c of the bit matrix its mask)
+dense = reconstruct(result.server.global_comp, result.server.mask_set.bit_matrix())
 print("\nglobal prototype support (columns = feature dims, x = nonzero):")
-for cls, comp in enumerate(result.server.global_comp):  # row c is class c
-    mask = mask_set.for_class(cls)
-    full = np.zeros(mask.dim)
-    full[mask.bits == 1] = comp
+for cls, full in enumerate(dense):
     print(f"  class {cls}: " + "".join("x" if v != 0 else "." for v in full))

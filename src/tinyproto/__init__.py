@@ -3,11 +3,11 @@
 Library layout:
 
 * :mod:`tinyproto.numerics` -- small ReLU models, exact gradients, SGD
-* :mod:`tinyproto.prototypes` -- the one prototype value type (a class id
-  plus a dense, sparse or compressed vector), the sparsify / compress /
-  reconstruct operators, and dead-unit diagnostics
+* :mod:`tinyproto.prototypes` -- the sparsify / compress / reconstruct
+  operators and dead-unit diagnostics; a prototype is a plain float array,
+  one ``(d,)`` row or an ``(n, d)`` block with one mask row per row
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
-  Hamming-distance hill climbing)
+  Hamming-distance hill climbing), stored as one ``(K, d)`` bit matrix
 * :mod:`tinyproto.aggregation` -- per-class combination of the client rows
   of one class: the count-weighted variant, and the mean that ``simple``
   and ``scaled`` share on the server
@@ -48,7 +48,7 @@ from .datagen import (
     make_blobs,
     split_train_test,
 )
-from .masking import MaskSet, format_mask_rows, generate_masks, min_pairwise_hamming
+from .masking import Mask, MaskSet, format_mask_rows, generate_masks, min_pairwise_hamming
 from .numerics import (
     Gradients,
     ModelParams,
@@ -59,14 +59,7 @@ from .numerics import (
     loss_and_grad,
     sgd_step,
 )
-from .prototypes import (
-    Mask,
-    Prototype,
-    compress,
-    dead_unit_fraction,
-    reconstruct,
-    sparsify,
-)
+from .prototypes import compress, dead_unit_fraction, reconstruct, sparsify
 from .protocol import (
     ExperimentResult,
     FrameLog,

@@ -13,12 +13,12 @@ reuses ``state.local_protos`` when it is set (it always describes
 ``state.params``), and each later epoch reuses the means computed at the end
 of the one before, so a round makes one full-shard pass per epoch.
 
-Payloads travel as blocks of class ids plus one row per class.  The dense
-targets are rows of one ``(n_live, d)`` array, filled by a boolean scatter
-of the received non-zero rows through the stacked masks of their classes;
-the upload is the boolean gather back.  Row-major order keeps each class's
-values at its mask positions in ascending order, as
-:func:`~tinyproto.prototypes.compress` and ``reconstruct`` do per class.
+Prototypes and payloads are arrays throughout: a block of ascending class
+ids plus one row per class.  ``compute_local_prototypes`` returns the
+client's means as such an ``(ids, (c, d))`` pair, the upload is
+:func:`~tinyproto.prototypes.compress` of that block through its classes'
+mask rows, and the dense targets are ``reconstruct`` of the received
+non-zero rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .numerics import (
     loss_and_grad,
     sgd_step,
 )
-from .prototypes import Prototype
+from .prototypes import compress, reconstruct
 
 __all__ = [
     "TrainConfig",
@@ -92,7 +92,8 @@ class ClientState:
     test_shard: Dataset | None = None
     mask_set: MaskSet | None = None
     global_protos: dict[int, np.ndarray] = field(default_factory=dict)
-    local_protos: dict[int, Prototype] | None = None
+    # (ids, block): ascending ids of the classes with samples, their means
+    local_protos: tuple[np.ndarray, np.ndarray] | None = None
     last_train_loss: float | None = None
     # accuracy on test_shard under the current params and local_protos, None
     # once local_update starts changing them; evaluation reads nothing else,
@@ -104,16 +105,20 @@ class ClientState:
         return sum(1 for n in self.class_counts.values() if n > 0)
 
 
-def compute_local_prototypes(state: ClientState) -> dict[int, Prototype]:
-    """Per-class mean feature vector over the client's shard (ascending ids)."""
+def compute_local_prototypes(state: ClientState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class mean feature vectors over the client's shard, read-only:
+    ascending ``ids`` of the classes with samples, and row i is ``ids[i]``'s."""
     feats = forward_features(state.params, state.shard.x)
-    protos: dict[int, Prototype] = {}
+    ids, means = [], []
     for cls in sorted(state.class_counts):
         rows = feats[state.shard.y == cls]
-        if rows.shape[0] == 0:
-            continue
-        protos[cls] = Prototype(cls, rows.mean(axis=0))
-    return protos
+        if rows.shape[0] > 0:
+            ids.append(cls)
+            means.append(rows.mean(axis=0))
+    ids = np.array(ids, dtype=np.int64)
+    block = np.array(means).reshape(len(ids), feats.shape[1])
+    ids.flags.writeable = block.flags.writeable = False
+    return ids, block
 
 
 def _dense_targets(
@@ -130,7 +135,7 @@ def _dense_targets(
     the very first round.  Every row must have s values (the model's feature
     dim without ``cps``), every value must be finite, and every class id must
     lie in [0, K).  With ``cps`` the caller has checked that the client holds
-    its masks, and the live rows are scattered into one read-only array.
+    its masks, and the live rows are reconstructed into one read-only array.
     """
     if cps:
         n_classes, want = state.mask_set.n_classes, state.mask_set.s
@@ -153,14 +158,11 @@ def _dense_targets(
     if not finite.all():
         raise ValueError(f"non-finite payload for class {int(global_ids[~finite][0])}")
     live = global_values.any(axis=1)
-    ids, values = global_ids[live].tolist(), global_values[live]
-    if not cps:
-        return dict(zip(ids, values))
-    bits = state.mask_set.bit_matrix()[ids]
-    dense = np.zeros(bits.shape)
-    dense[bits == 1] = values.ravel()
-    dense.flags.writeable = False
-    return dict(zip(ids, dense))
+    ids, values = global_ids[live], global_values[live]
+    if cps:
+        values = reconstruct(values, state.mask_set.bit_matrix()[ids])
+        values.flags.writeable = False
+    return dict(zip(ids.tolist(), values))
 
 
 def local_update(
@@ -204,7 +206,7 @@ def local_update(
         protos = compute_local_prototypes(state)
     epoch_losses: list[float] = []
     for _ in range(cfg.local_epochs):
-        proto_vecs = {cls: p.values for cls, p in protos.items()}
+        proto_vecs = dict(zip(protos[0].tolist(), protos[1]))
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
@@ -229,15 +231,12 @@ def local_update(
     state.local_protos = protos
     state.last_train_loss = epoch_losses[-1]
 
-    ids = [cls for cls in sorted(protos) if state.class_counts.get(cls, 0) > 0]
-    block = np.stack([protos[cls].values for cls in ids])
+    ids, block = protos
     if cps:
-        # row-major order keeps each class's masked entries in index order
-        keep = state.mask_set.bit_matrix()[ids] == 1
-        block = block[keep].reshape(len(ids), state.mask_set.s)
+        block = compress(block, state.mask_set.bit_matrix()[ids])
     if scale_by_count:
-        block = block * np.array([[float(state.class_counts[cls])] for cls in ids])
-    return np.array(ids, dtype=np.int64), block
+        block = block * np.array([[float(state.class_counts[cls])] for cls in ids.tolist()])
+    return ids, block
 
 
 def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
@@ -245,12 +244,11 @@ def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
 
     Only locally present classes compete; ties go to the lowest class id.
     """
-    if not state.local_protos:
+    if state.local_protos is None or len(state.local_protos[0]) == 0:
         raise InferenceError(f"client {state.client_id} has no local prototypes")
+    ids, block = state.local_protos
     feats = forward_features(state.params, x)
-    class_ids = sorted(state.local_protos)
-    stack = np.stack([state.local_protos[c].values for c in class_ids])
-    return np.array(class_ids)[np.argmin(_l2_distances(feats, stack), axis=1)]
+    return ids[np.argmin(_l2_distances(feats, block), axis=1)]
 
 
 def _l2_distances(feats: np.ndarray, stack: np.ndarray) -> np.ndarray:

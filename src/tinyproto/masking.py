@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prototypes import Mask
-
 __all__ = [
+    "Mask",
     "MaskSet",
     "generate_masks",
     "min_pairwise_hamming",
@@ -45,44 +44,75 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MaskSet:
-    """One mask per class, each with popcount exactly s.
+class Mask:
+    """Class ``class_id``'s row of a :class:`MaskSet`, as a read-only view."""
 
+    class_id: int
+    bits: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.bits.shape[0]
+
+    @property
+    def popcount(self) -> int:
+        return int(np.count_nonzero(self.bits))
+
+
+@dataclass(frozen=True)
+class MaskSet:
+    """One mask per class, each with popcount exactly s: row c of ``bits``.
+
+    ``bits`` is checked once and kept as a read-only ``(K, d)`` uint8 copy.
     ``seed`` is the generator seed for reproducibility, or None for sets
     rebuilt from the wire.  ``presearch_min_hamming`` is the minimum pairwise
     Hamming distance of the seeded starting point, before any local search
     (None when there are fewer than two classes).
     """
 
-    masks: tuple[Mask, ...]
-    d: int
+    bits: np.ndarray
     s: int
     seed: int | None
     presearch_min_hamming: int | None = None
 
     def __post_init__(self):
-        for cls, mask in enumerate(self.masks):
-            if mask.class_id != cls:
-                raise ValueError("masks must be ordered by class id starting at 0")
-            if mask.dim != self.d:
-                raise ValueError(f"mask for class {cls} has dimension {mask.dim} != {self.d}")
-            if mask.popcount != self.s:
-                raise ValueError(f"mask for class {cls} has popcount {mask.popcount} != {self.s}")
+        raw = np.asarray(self.bits)
+        if raw.ndim != 2 or raw.shape[0] < 1:
+            raise ValueError(f"expected a (K, d) bit matrix with K >= 1, got shape {raw.shape}")
+        # checked before the uint8 cast, which would truncate 0.5 to 0
+        for bad, what in (
+            (((raw != 0) & (raw != 1)).any(axis=1), "has values other than 0 and 1"),
+            (np.count_nonzero(raw, axis=1) != self.s, f"does not have popcount {self.s}"),
+        ):
+            if bad.any():
+                raise ValueError(f"mask for class {int(np.flatnonzero(bad)[0])} {what}")
+        bits = raw.astype(np.uint8)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     @property
     def n_classes(self) -> int:
-        return len(self.masks)
+        return self.bits.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.bits.shape[1]
+
+    @property
+    def masks(self) -> tuple[Mask, ...]:
+        """One :class:`Mask` view per class, in class order."""
+        return tuple(Mask(cls, row) for cls, row in enumerate(self.bits))
 
     def for_class(self, class_id: int) -> Mask:
         if not 0 <= class_id < self.n_classes:
             raise ValueError(
                 f"class id {class_id} outside [0, K) for K={self.n_classes}"
             )
-        return self.masks[class_id]
+        return Mask(class_id, self.bits[class_id])
 
     def bit_matrix(self) -> np.ndarray:
-        """(K, d) uint8 matrix, one row per class."""
-        return np.stack([m.bits for m in self.masks])
+        """The stored read-only (K, d) uint8 matrix, one row per class."""
+        return self.bits
 
 
 def _pairwise_hamming(bits: np.ndarray) -> np.ndarray:
@@ -180,8 +210,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
         for cls in range(n_classes):
             bits[cls, cls * s : (cls + 1) * s] = 1
         pre = 2 * s if n_classes >= 2 else None
-        masks = tuple(Mask(cls, bits[cls]) for cls in range(n_classes))
-        return MaskSet(masks, d=d, s=s, seed=seed, presearch_min_hamming=pre)
+        return MaskSet(bits, s=s, seed=seed, presearch_min_hamming=pre)
 
     # overlap regime (so n_classes >= 2); one bool matrix for the whole search
     rng = np.random.default_rng(seed)
@@ -210,10 +239,9 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
             if budget <= 0:
                 break
 
-    masks = tuple(Mask(cls, bits[cls]) for cls in range(n_classes))
-    return MaskSet(masks, d=d, s=s, seed=seed, presearch_min_hamming=presearch)
+    return MaskSet(bits, s=s, seed=seed, presearch_min_hamming=presearch)
 
 
 def format_mask_rows(mask_set: MaskSet) -> str:
     """Human-readable dump: one row of d 0/1 characters per class."""
-    return "\n".join("".join(str(int(b)) for b in m.bits) for m in mask_set.masks) + "\n"
+    return "".join("".join(map(str, row)) + "\n" for row in mask_set.bit_matrix().tolist())

@@ -43,7 +43,6 @@ from .config import ExperimentConfig
 from .datagen import PartitionSpec, dirichlet_partition, make_blobs, split_train_test
 from .masking import MaskSet, format_mask_rows, generate_masks
 from .numerics import init_params
-from .prototypes import Mask
 from .wire import Frame, FrameType, decode_frame, encode_frame, frame_param_count
 
 __all__ = [
@@ -128,10 +127,24 @@ def initial_server(mask_set: MaskSet, n_classes: int, cps: bool) -> ServerState:
     return ServerState(mask_set=mask_set, global_comp=np.zeros((n_classes, dim)))
 
 
-def _mask_set_from_frame(frame: Frame) -> MaskSet:
-    ids = frame.class_ids.tolist()
-    masks = tuple(Mask(cls, row.astype(np.uint8)) for cls, row in zip(ids, frame.values))
-    return MaskSet(masks, d=masks[0].dim, s=masks[0].popcount, seed=None)
+def _mask_set_from_frame(
+    frame: Frame, client_id: int, round_no: int, n_classes: int, dim: int
+) -> MaskSet:
+    """A client's masks: one row of ``dim`` bits for each class 0..K-1 of its
+    model, in order, every value 0 or 1 and every row with row 0's popcount."""
+    where = f"client {client_id}, round {round_no}"
+    bits = frame.values
+    if bits.shape != (n_classes, dim):
+        raise RoundError(
+            f"{where}: masks frame has {bits.shape[0]} rows of {bits.shape[1]} values, "
+            f"expected K={n_classes} rows of d={dim}"
+        )
+    if not np.array_equal(frame.class_ids, np.arange(n_classes)):
+        raise RoundError(f"{where}: masks frame class ids are not 0..K-1 in order")
+    try:
+        return MaskSet(bits, s=np.count_nonzero(bits[0]), seed=None)
+    except ValueError as err:
+        raise RoundError(f"{where}: {err}") from None
 
 
 def _check_header(frame: Frame, frame_type: FrameType, round_no: int, client_id: int) -> None:
@@ -210,27 +223,31 @@ def run_round(
     n_classes, dim = server.global_comp.shape
     weighted = aggregator == "weighted"
     width = dim + weighted  # of an upload row: the weighted count leads
+    # only first-time participants get the masks frame: build it only for them
+    needs_masks = {
+        st.client_id for st in sampled if cps and st.client_id not in server.selected_ever
+    }
     masks_bytes = b""
-    if cps:
+    if needs_masks:
         bits = server.mask_set.bit_matrix().astype(np.float64)
         masks_bytes = encode_frame(Frame(FrameType.MASKS, round_no, np.arange(len(bits)), bits))
     globals_bytes = encode_frame(
         Frame(FrameType.GLOBALS, round_no, np.arange(n_classes), server.global_comp)
     )
-    needs_masks = {
-        st.client_id: cps and st.client_id not in server.selected_ever for st in sampled
-    }
 
     def client_pass(state: ClientState) -> tuple[int, int, bytes]:
         """Train one client; return the param counts of the masks and globals
         frames it decoded (accounting reuses them) and its encoded upload."""
         cid = state.client_id
         masks_params = 0
-        if needs_masks[cid]:
+        if cid in needs_masks:
             masks_frame = decode_frame(masks_bytes)
             _check_header(masks_frame, FrameType.MASKS, round_no, cid)
             masks_params = frame_param_count(masks_frame)
-            state.mask_set = _mask_set_from_frame(masks_frame)
+            feat_dim, n_model_classes = state.params.dims[2:]
+            state.mask_set = _mask_set_from_frame(
+                masks_frame, cid, round_no, n_model_classes, feat_dim
+            )
         globals_frame = decode_frame(globals_bytes)
         _check_header(globals_frame, FrameType.GLOBALS, round_no, cid)
         shuffle_rng = np.random.default_rng(
@@ -264,7 +281,7 @@ def run_round(
     for state, (masks_params, globals_params, upload) in zip(sampled, passes):
         cid = state.client_id
         mask_params += masks_params
-        if needs_masks[cid] and frame_log is not None:
+        if cid in needs_masks and frame_log is not None:
             frame_log.add(round_no, "down", cid, masks_bytes)
         downlink += globals_params
         if frame_log is not None:

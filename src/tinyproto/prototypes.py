@@ -1,25 +1,20 @@
-"""The prototype value type and the sparsify / compress / reconstruct operators.
+"""The sparsify / compress / reconstruct operators on prototype arrays.
 
-A prototype is the per-class mean of feature-layer activations.  Each class
-owns a fixed binary mask; zeroing a prototype outside its mask gives the
-structured sparse form (length d), and keeping only the masked entries (in
-ascending index order, which fixes the wire layout) gives the compressed
-form (length s) that actually travels between client and server.  All three
-forms are the same value type, :class:`Prototype`: a class id plus a vector.
-
-Values are immutable: arrays are copied on construction and marked
-read-only, so instances are safe to share across threads.
+A prototype is a class's mean feature vector, a float row of length d.  Each
+class owns a fixed binary mask: zeroing a prototype outside it gives the
+sparse form (length d), and keeping only the masked entries, in ascending
+index order, gives the compressed form (length s) that travels between
+client and server.  These operators are the only code that knows that
+layout.  Each takes one row ``(d,)`` with its mask bits ``(d,)``, or an
+``(n, d)`` block with one mask row per row, compressed to ``(n, s)`` in
+row-major masked order.  A shape or length mismatch raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Prototype",
-    "Mask",
     "sparsify",
     "compress",
     "reconstruct",
@@ -27,108 +22,74 @@ __all__ = [
 ]
 
 
-def _frozen_float_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector contains non-finite entries")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Prototype:
-    """A class id and its vector: dense (length d), sparse or compressed (length s)."""
-
-    class_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError("class_id must be >= 0")
-        object.__setattr__(self, "values", _frozen_float_vector(self.values))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Per-class binary selection pattern over the d prototype dimensions."""
-
-    class_id: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError("class_id must be >= 0")
-        bits = np.array(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValueError(f"expected a 1-D bit vector, got shape {bits.shape}")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("mask bits must be 0 or 1")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def dim(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def popcount(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-
-def _check_pair(proto: Prototype, mask: Mask) -> None:
-    if proto.class_id != mask.class_id:
+def _checked(values, bits, what: str, dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as float64, one row or a block with one ``bits`` row per row."""
+    values, bits = np.asarray(values, dtype=np.float64), np.asarray(bits)
+    if values.ndim not in (1, 2) or bits.ndim != values.ndim:
         raise ValueError(
-            f"class mismatch: prototype class {proto.class_id}, mask class {mask.class_id}"
+            f"expected a row (d,) or a block (n, d) with one mask row each, "
+            f"got {what} {values.shape} and mask bits {bits.shape}"
         )
-    if proto.dim != mask.dim:
-        raise ValueError(f"dimension mismatch: prototype {proto.dim}, mask {mask.dim}")
+    if values.shape[:-1] != bits.shape[:-1]:
+        raise ValueError(f"class mismatch: {what} {values.shape}, mask bits {bits.shape}")
+    if dense and values.shape != bits.shape:
+        raise ValueError(f"dimension mismatch: {what} {values.shape}, mask bits {bits.shape}")
+    return values, bits
 
 
-def sparsify(proto: Prototype, mask: Mask) -> Prototype:
+def _selection(bits: np.ndarray, width: int, what: str) -> np.ndarray:
+    """``bits == 1``, once every row is checked to select ``width`` entries."""
+    keep = bits == 1
+    counts = np.count_nonzero(keep.reshape(-1, bits.shape[-1]), axis=1)
+    bad = np.flatnonzero(counts != width)
+    if len(bad):
+        raise ValueError(
+            f"length mismatch in row {bad[0]}: mask selects {counts[bad[0]]} entries, "
+            f"{what} {width}"
+        )
+    return keep
+
+
+def sparsify(values, bits) -> np.ndarray:
     """Hadamard product with the mask: entries outside the mask become zero."""
-    _check_pair(proto, mask)
-    return Prototype(proto.class_id, proto.values * mask.bits)
+    values, bits = _checked(values, bits, "values", dense=True)
+    return values * bits
 
 
-def compress(proto: Prototype, mask: Mask) -> Prototype:
-    """Keep only the masked entries, in ascending index order."""
-    _check_pair(proto, mask)
-    return Prototype(proto.class_id, proto.values[mask.bits == 1])
+def compress(values, bits) -> np.ndarray:
+    """Keep only the masked entries: ``(s,)`` for a row, ``(n, s)`` for a block.
+
+    Every row of a block must select as many entries as row 0; an empty
+    block gives ``(0, 0)``.
+    """
+    values, bits = _checked(values, bits, "values", dense=True)
+    s = np.count_nonzero(np.atleast_2d(bits)[:1] == 1)
+    keep = _selection(bits, s, "row 0 selects")
+    return values[keep].reshape(*values.shape[:-1], s)
 
 
-def reconstruct(comp: Prototype, mask: Mask) -> Prototype:
+def reconstruct(comp, bits) -> np.ndarray:
     """Scatter compressed values back to the mask positions, zeros elsewhere.
 
     Inverse of :func:`compress` up to the off-mask entries:
-    reconstruct(compress(p, m), m) == sparsify(p, m).
+    reconstruct(compress(v, b), b) == sparsify(v, b).
     """
-    if comp.class_id != mask.class_id:
-        raise ValueError(
-            f"class mismatch: payload class {comp.class_id}, mask class {mask.class_id}"
-        )
-    if comp.dim != mask.popcount:
-        raise ValueError(
-            f"length mismatch for class {comp.class_id}: payload has {comp.dim} values, "
-            f"mask selects {mask.popcount}"
-        )
-    full = np.zeros(mask.dim)
-    full[mask.bits == 1] = comp.values
-    return Prototype(comp.class_id, full)
+    comp, bits = _checked(comp, bits, "payload", dense=False)
+    keep = _selection(bits, comp.shape[-1], "payload has")
+    full = np.zeros(bits.shape)
+    full[keep] = comp.ravel()
+    return full
 
 
-def dead_unit_fraction(proto: Prototype, tol: float = 0.0) -> float:
-    """Fraction of prototype entries with magnitude <= tol.
+def dead_unit_fraction(values, tol: float = 0.0):
+    """Fraction of prototype entries with magnitude <= tol, per row of a block.
 
     With the ReLU feature layer, an entry is exactly zero when the unit never
     fired on any sample of the class, so tol=0 counts truly dead units;
-    raise tol to absorb float drift.
+    raise tol to absorb float drift.  A row gives a float, an ``(n, d)``
+    block an ``(n,)`` array.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return float(np.mean(np.abs(proto.values) <= tol))
+    fractions = np.mean(np.abs(np.asarray(values, dtype=np.float64)) <= tol, axis=-1)
+    return fractions if fractions.ndim else float(fractions)

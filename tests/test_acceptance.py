@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tinyproto as tp
-from tinyproto.prototypes import Mask, Prototype, compress, dead_unit_fraction, reconstruct, sparsify
+from tinyproto.prototypes import compress, dead_unit_fraction, reconstruct, sparsify
 from tinyproto.wire import FrameType, decode_frame, frame_param_count
 
 
@@ -96,30 +96,25 @@ def test_criterion_1_operator_algebra():
             bits = np.zeros(dim, dtype=np.uint8)
             ones = int(rng.integers(0, dim + 1))
             bits[rng.choice(dim, size=ones, replace=False)] = 1
-            mask = Mask(0, bits)
-            a = Prototype(0, rng.normal(size=dim))
-            b = Prototype(0, rng.normal(size=dim))
+            a = rng.normal(size=dim)
+            b = rng.normal(size=dim)
 
-            sa = sparsify(a, mask)
+            sa = sparsify(a, bits)
             # fixed support
-            assert np.all(sa.values[bits == 0] == 0)
+            assert np.all(sa[bits == 0] == 0)
             # non-expansiveness
-            lhs = np.linalg.norm(sa.values - sparsify(b, mask).values)
-            assert lhs <= np.linalg.norm(a.values - b.values) + 1e-12
+            lhs = np.linalg.norm(sa - sparsify(b, bits))
+            assert lhs <= np.linalg.norm(a - b) + 1e-12
             # linearity with a fixed mask
             qa, qb = rng.normal(), rng.normal()
-            mixed = sparsify(Prototype(0, qa * a.values + qb * b.values), mask)
+            mixed = sparsify(qa * a + qb * b, bits)
             np.testing.assert_allclose(
-                mixed.values, qa * sa.values + qb * sparsify(b, mask).values, atol=1e-12
+                mixed, qa * sa + qb * sparsify(b, bits), atol=1e-12
             )
             # idempotence
-            np.testing.assert_array_equal(
-                sparsify(Prototype(0, sa.values), mask).values, sa.values
-            )
+            np.testing.assert_array_equal(sparsify(sa, bits), sa)
             # compress / reconstruct round-trip
-            np.testing.assert_array_equal(
-                reconstruct(compress(a, mask), mask).values, sa.values
-            )
+            np.testing.assert_array_equal(reconstruct(compress(a, bits), bits), sa)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"operator algebra took {elapsed:.2f}s"
 
@@ -212,16 +207,15 @@ def test_criterion_3_aggregation_oracles():
             ones = int(rng.integers(1, dim + 1))
             bits = np.zeros(dim, dtype=np.uint8)
             bits[rng.choice(dim, size=ones, replace=False)] = 1
-            mask = Mask(0, bits)
             n_clients = int(rng.integers(1, 6))
-            protos = [Prototype(0, rng.normal(size=dim)) for _ in range(n_clients)]
+            protos = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 6)) for _ in range(n_clients)]
-            dense_mean = sum(n * p.values for p, n in zip(protos, counts)) / n_clients
-            via_dense = compress(Prototype(0, dense_mean), mask)
+            dense_mean = sum(n * p for p, n in zip(protos, counts)) / n_clients
+            via_dense = compress(dense_mean, bits)
             via_wire = tp.aggregate_mean(
-                np.array([n * compress(p, mask).values for p, n in zip(protos, counts)])
+                np.array([n * compress(p, bits) for p, n in zip(protos, counts)])
             )
-            np.testing.assert_allclose(via_wire, via_dense.values, atol=1e-10)
+            np.testing.assert_allclose(via_wire, via_dense, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +304,9 @@ def test_criterion_6_sparsity_structure(learning_runs):
             assert int(np.sum(full != 0)) == mask_set.s
             assert np.all(full[mask.bits == 0] == 0)
         for state in result.clients:
-            for cls, proto in sorted(state.local_protos.items()):
-                assert dead_unit_fraction(proto, tol=0.0) > 0.0, (
+            ids, block = state.local_protos
+            for cls, fraction in zip(ids.tolist(), dead_unit_fraction(block, tol=0.0)):
+                assert fraction > 0.0, (
                     f"client {state.client_id}, class {cls} has no dead units"
                 )
 

@@ -1,0 +1,56 @@
+"""The benchmark's own correctness checks pass on what the library produces.
+
+``perfbench/checks.py`` reads mask sets through ``n_classes``, ``masks`` and
+each mask's ``class_id``/``dim``/``popcount``, and a finished run through its
+reports, server and written files.  It is loaded here read-only, the way
+``test_golden_runs.py`` loads ``workloads.py``, so a change to ``MaskSet`` or
+to the run outputs that breaks the benchmark's checks fails in this suite.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tinyproto.protocol as protocol
+from tinyproto import ExperimentConfig, generate_masks, run_experiment
+from tinyproto.wire import Frame, FrameType, decode_frame, encode_frame
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _perfbench_module("checks")
+
+
+@pytest.mark.parametrize(
+    "k, d, s", [(4, 16, 4), (10, 64, 8), (200, 512, 64), (12, 16, 4)],
+    ids=["desk-disjoint", "fleet-disjoint", "wide-overlap", "small-overlap"],
+)
+def test_generated_masks_pass_the_mask_checks(k, d, s):
+    assert checks.mask_problems(generate_masks(k, d, s, seed=7), k, d, s) == []
+
+
+@pytest.mark.parametrize("k, d, s", [(4, 16, 4), (30, 24, 6)], ids=["disjoint", "overlap"])
+def test_masks_rebuilt_from_a_frame_pass_the_mask_checks(k, d, s):
+    bits = generate_masks(k, d, s, seed=7).bit_matrix().astype(np.float64)
+    frame = decode_frame(encode_frame(Frame(FrameType.MASKS, 1, np.arange(k), bits)))
+    mask_set = protocol._mask_set_from_frame(frame, client_id=0, round_no=1, n_classes=k, dim=d)
+    assert checks.mask_problems(mask_set, k, d, s) == []
+
+
+def test_desk_run_passes_the_experiment_checks(tmp_path):
+    desk = _perfbench_module("workloads").WORKLOADS["desk"].config
+    config = ExperimentConfig(seed=7, **desk).validate()
+    result = run_experiment(config, out_dir=tmp_path)
+    files = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert checks.experiment_problems(config, result, files) == []

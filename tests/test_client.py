@@ -17,7 +17,6 @@ from tinyproto.client import (
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
 from tinyproto.numerics import ModelParams, forward_features, init_params
-from tinyproto.prototypes import Prototype, reconstruct
 
 
 def _state(seed=21, with_masks=True):
@@ -43,9 +42,9 @@ def _globals(feat_ones=2, seed=77, n_classes=3):
     return np.arange(n_classes), np.array([rng.normal(size=feat_ones) for _ in range(n_classes)])
 
 
-def _by_class(upload):
-    """An upload's ``(ids, block)`` as {class id: row}."""
-    ids, block = upload
+def _by_class(pair):
+    """An ``(ids, block)`` upload or prototype snapshot as {class id: row}."""
+    ids, block = pair
     return dict(zip(ids.tolist(), block))
 
 
@@ -60,23 +59,23 @@ class TestComputeLocalPrototypes:
         state.params = ModelParams(eye, zeros, eye, zeros, np.eye(2), zeros)
         state.shard = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 0]), 2)
         state.class_counts = state.shard.class_counts()
-        protos = compute_local_prototypes(state)
-        np.testing.assert_array_equal(protos[0].values, [2.0, 3.0])
+        protos = _by_class(compute_local_prototypes(state))
+        np.testing.assert_array_equal(protos[0], [2.0, 3.0])
 
     def test_single_sample_is_its_own_feature(self):
         state = _state()
         state.shard = Dataset(state.shard.x[:1], state.shard.y[:1], 3)
         state.class_counts = state.shard.class_counts()
-        protos = compute_local_prototypes(state)
+        protos = _by_class(compute_local_prototypes(state))
         np.testing.assert_array_equal(
-            protos[0].values, forward_features(state.params, state.shard.x[0])
+            protos[0], forward_features(state.params, state.shard.x[0])
         )
 
     def test_matches_brute_force_per_class_means(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
             state = _state(seed=int(rng.integers(0, 1000)))
-            protos = compute_local_prototypes(state)
+            protos = _by_class(compute_local_prototypes(state))
             for cls, proto in protos.items():
                 rows = [
                     forward_features(state.params, x)
@@ -84,13 +83,21 @@ class TestComputeLocalPrototypes:
                     if y == cls
                 ]
                 np.testing.assert_allclose(
-                    proto.values, np.mean(rows, axis=0), atol=1e-12
+                    proto, np.mean(rows, axis=0), atol=1e-12
                 )
 
     def test_absent_classes_omitted(self):
         state = _state()
-        protos = compute_local_prototypes(state)
-        assert sorted(protos) == [0, 1]  # class 2 not in the shard
+        ids, block = compute_local_prototypes(state)
+        assert ids.tolist() == [0, 1]  # class 2 not in the shard
+        assert block.shape == (2, 8)
+
+    def test_snapshot_is_read_only(self):
+        ids, block = compute_local_prototypes(_state())
+        with pytest.raises(ValueError):
+            block[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ids[0] = 2
 
 
 class TestLocalUpdate:
@@ -327,7 +334,10 @@ class TestPredict:
         eye = np.eye(2)
         zeros = np.zeros(2)
         state.params = ModelParams(eye, zeros, eye, zeros, np.eye(2), zeros)
-        state.local_protos = {c: Prototype(c, v) for c, v in protos.items()}
+        class_ids = sorted(protos)
+        state.local_protos = (
+            np.array(class_ids), np.array([protos[c] for c in class_ids], dtype=np.float64)
+        )
         return state
 
     def test_nearer_prototype_wins(self):
@@ -396,15 +406,19 @@ class TestDenseTargets:
             received = {}
             for cls in rng.permutation(k):
                 values = rng.normal(size=s) if rng.random() < 0.7 else np.zeros(s)
-                received[int(cls)] = Prototype(int(cls), values)
+                received[int(cls)] = values
             ids = np.array(list(received))
-            values = np.array([received[c].values for c in ids])
+            values = np.array([received[c] for c in ids])
             targets = client_mod._dense_targets(state, ids, values, cps=True)
-            live = [c for c, p in received.items() if np.any(p.values)]
+            live = [c for c, p in received.items() if np.any(p)]
             assert list(targets) == live
             for cls in live:
-                expected = reconstruct(received[cls], state.mask_set.for_class(cls))
-                np.testing.assert_array_equal(targets[cls], expected.values)
+                # the i-th payload value belongs at the i-th set bit of the mask
+                positions = [j for j, b in enumerate(state.mask_set.for_class(cls).bits) if b]
+                expected = np.zeros(d)
+                for value, j in zip(received[cls], positions):
+                    expected[j] = value
+                np.testing.assert_array_equal(targets[cls], expected)
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()
@@ -446,7 +460,7 @@ class TestL2Distances:
             class_ids = sorted(int(c) for c in rng.choice(10, size=4, replace=False))
             vecs = rng.random(size=(4, 8))
             vecs[2] = vecs[1]  # duplicate prototypes: the lower class id wins
-            state.local_protos = {c: Prototype(c, v) for c, v in zip(class_ids, vecs)}
+            state.local_protos = (np.array(class_ids), vecs)
             x = rng.normal(size=(6, 2))
             feats = forward_features(state.params, x)
             reference = np.linalg.norm(feats[:, None, :] - vecs[None, :, :], axis=2)

@@ -11,7 +11,6 @@ from tinyproto.masking import (
     generate_masks,
     min_pairwise_hamming,
 )
-from tinyproto.prototypes import Mask
 
 
 def _brute_force_min_hamming(mask_set):
@@ -175,15 +174,57 @@ class TestArguments:
             mask_set.for_class(class_id)
 
 
+class TestMaskSet:
+    @pytest.mark.parametrize("bad", [0.5, 1.7, -1], ids=["half", "1.7", "minus-one"])
+    def test_non_binary_values_rejected(self, bad):
+        bits = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        bits[1, 0] = bad
+        with pytest.raises(ValueError, match="class 1 has values other than 0 and 1"):
+            MaskSet(bits, s=2, seed=None)
+
+    def test_wrong_popcount_row_names_its_class(self):
+        bits = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 1]])
+        with pytest.raises(ValueError, match="class 2 does not have popcount 2"):
+            MaskSet(bits, s=2, seed=None)
+
+    @pytest.mark.parametrize(
+        "shape", [(4,), (2, 2, 2), (0, 4)], ids=["one-dimensional", "three-dimensional", "no-rows"]
+    )
+    def test_not_a_matrix_with_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(K, d\) bit matrix"):
+            MaskSet(np.ones(shape), s=2, seed=None)
+
+    def test_bit_matrix_is_the_stored_read_only_matrix(self):
+        mask_set = generate_masks(6, 12, 4, seed=0)
+        bits = mask_set.bit_matrix()
+        assert bits is mask_set.bit_matrix()
+        assert bits.dtype == np.uint8 and bits.shape == (6, 12)
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1
+
+    def test_masks_are_views_of_the_matrix_rows(self):
+        mask_set = generate_masks(6, 12, 4, seed=0)
+        for cls, mask in enumerate(mask_set.masks):
+            assert mask.class_id == cls
+            assert np.shares_memory(mask.bits, mask_set.bit_matrix())
+            np.testing.assert_array_equal(mask.bits, mask_set.for_class(cls).bits)
+
+    def test_input_is_copied(self):
+        bits = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        mask_set = MaskSet(bits, s=1, seed=None)
+        bits[0] = [0, 1]
+        assert mask_set.bit_matrix()[0].tolist() == [1, 0]
+        assert bits.flags.writeable
+
+
 class TestMinPairwiseHamming:
     def test_identical_masks_give_zero(self):
-        masks = (Mask(0, [1, 0, 1]), Mask(1, [1, 0, 1]))
-        mask_set = MaskSet(masks, d=3, s=2, seed=None)
+        mask_set = MaskSet(np.array([[1, 0, 1], [1, 0, 1]]), s=2, seed=None)
         assert min_pairwise_hamming(mask_set) == 0
 
     def test_disjoint_masks_give_two_s(self):
-        masks = (Mask(0, [1, 1, 0, 0]), Mask(1, [0, 0, 1, 1]))
-        mask_set = MaskSet(masks, d=4, s=2, seed=None)
+        mask_set = MaskSet(np.array([[1, 1, 0, 0], [0, 0, 1, 1]]), s=2, seed=None)
         assert min_pairwise_hamming(mask_set) == 4
 
     def test_matches_brute_force_recount(self):

@@ -20,7 +20,7 @@ from tinyproto.protocol import (
     run_experiment,
     run_round,
 )
-from tinyproto.wire import FrameType, decode_frame, frame_param_count
+from tinyproto.wire import FrameType, decode_frame, encode_frame, frame_param_count
 
 
 def _make_client(client_id, classes, n_classes=4, input_dim=3, feat=12, seed=None):
@@ -70,6 +70,26 @@ class TestRunRound:
             if frame.frame_type == FrameType.MASKS:
                 per_client_mask_frames[cid] = per_client_mask_frames.get(cid, 0) + 1
         assert all(n == 1 for n in per_client_mask_frames.values())
+
+    def test_masks_frame_encoded_only_in_rounds_with_a_newcomer(self, monkeypatch):
+        encoded = []
+
+        def counting_encode(frame):
+            encoded.append((frame.round, frame.frame_type))
+            return encode_frame(frame)
+
+        monkeypatch.setattr(protocol, "encode_frame", counting_encode)
+        clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
+        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+        log = FrameLog()
+        reports = [run_round(server, clients, 1.0, _CFG, seed=1, frame_log=log) for _ in range(3)]
+        masks_encoded = [r for r, kind in encoded if kind == FrameType.MASKS]
+        assert masks_encoded == [1]  # rounds 2 and 3 have no newcomer
+        assert [r.mask_params for r in reports] == [4 * 4 * 12, 0, 0]
+        masks_logged = [
+            (r, cid) for r, _, cid, data in log.entries if data[0] == FrameType.MASKS
+        ]
+        assert masks_logged == [(1, 0), (1, 1), (1, 2), (1, 3)]
 
     def test_full_participation_runs_everyone(self):
         clients = [_make_client(i, [i % 4]) for i in range(20)]
@@ -343,6 +363,60 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=rf"client 0, round 1: expected a {frame_type.name}"):
             _two_client_round()
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7])
+    def test_masks_with_non_binary_value_rejected(self, monkeypatch, bad):
+        def fault(frame):
+            values = frame.values.copy()
+            values[2, np.flatnonzero(values[2])[0]] = bad
+            return dataclasses.replace(frame, values=values)
+
+        _fault_frames(monkeypatch, FrameType.MASKS, fault)
+        with pytest.raises(RoundError, match=r"client 0, round 1: mask for class 2 has values other"):
+            _two_client_round()
+
+    def test_masks_row_with_wrong_popcount_rejected(self, monkeypatch):
+        def fault(frame):
+            values = frame.values.copy()
+            values[3] = 1.0
+            return dataclasses.replace(frame, values=values)
+
+        _fault_frames(monkeypatch, FrameType.MASKS, fault)
+        with pytest.raises(RoundError, match=r"client 0, round 1: mask for class 3 .*popcount 3"):
+            _two_client_round()
+
+    def test_masks_frame_without_records_rejected(self, monkeypatch):
+        _fault_frames(
+            monkeypatch,
+            FrameType.MASKS,
+            lambda f: dataclasses.replace(f, class_ids=np.arange(0), values=np.empty((0, 0))),
+        )
+        with pytest.raises(RoundError, match=r"client 0, round 1: masks frame has 0 rows"):
+            _two_client_round()
+
+    @pytest.mark.parametrize("ids", [[1, 2, 3, 4], [0, 1, 3, 2]], ids=["shifted", "swapped"])
+    def test_masks_ids_not_zero_to_k_rejected(self, monkeypatch, ids):
+        _fault_frames(
+            monkeypatch, FrameType.MASKS, lambda f: dataclasses.replace(f, class_ids=np.array(ids))
+        )
+        with pytest.raises(RoundError, match=r"client 0, round 1: masks frame class ids are not"):
+            _two_client_round()
+
+    @pytest.mark.parametrize(
+        "trim, shape",
+        [(lambda v: v[:-1], "3 rows of 12"), (lambda v: v[:, :-1], "4 rows of 11")],
+        ids=["K", "d"],
+    )
+    def test_masks_disagreeing_with_the_model_rejected(self, monkeypatch, trim, shape):
+        _fault_frames(
+            monkeypatch,
+            FrameType.MASKS,
+            lambda f: dataclasses.replace(
+                f, class_ids=f.class_ids[: len(trim(f.values))], values=trim(f.values)
+            ),
+        )
+        with pytest.raises(RoundError, match=rf"client 0, round 1: masks frame has {shape} values, expected K=4 rows of d=12"):
+            _two_client_round()
+
     def test_globals_of_wrong_type_rejected(self, monkeypatch):
         _fault_frames(
             monkeypatch,
@@ -462,6 +536,20 @@ class TestRunExperiment:
         assert result.reports[0].mask_params == 0
         globals_ = result.server.global_comp
         assert all(len(g) == cfg.proto_dim for g in globals_)
+
+    def test_diverging_client_ends_the_round_with_a_named_error(self):
+        # the desk config of demos/03 with a learning rate that sends the
+        # features to inf/nan within a few rounds; the server's upload check
+        # names the first client whose upload is not finite
+        desk = dict(
+            seed=7, n_clients=6, n_classes=4, input_dim=8, proto_dim=16, comp_dim=4,
+            alpha=0.5, per_class=400, sigma=0.35, rounds=5, lr=1e9,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                RoundError, match=r"client \d+, class \d+, round \d+: upload has non-finite values"
+            ):
+                run_experiment(ExperimentConfig(**desk))
 
     def test_weighted_aggregator_runs(self):
         cfg = ExperimentConfig(**{**_SMALL, "aggregator": "weighted"})
