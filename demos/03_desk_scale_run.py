@@ -54,7 +54,7 @@ for state in result.clients:
 
 # global prototypes live entirely inside their class masks
 # (row c of global_comp is class c, row c of the bit matrix its mask)
-dense = reconstruct(result.server.global_comp, result.server.mask_set.bit_matrix())
+dense = reconstruct(result.server.global_comp, result.server.mask_set.bits)
 print("\nglobal prototype support (columns = feature dims, x = nonzero):")
 for cls, full in enumerate(dense):
     print(f"  class {cls}: " + "".join("x" if v != 0 else "." for v in full))

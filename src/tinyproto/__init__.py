@@ -8,9 +8,9 @@ Library layout:
   one ``(d,)`` row or an ``(n, d)`` block with one mask row per row
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
   Hamming-distance hill climbing), stored as one ``(K, d)`` bit matrix
-* :mod:`tinyproto.aggregation` -- per-class combination of the client rows
-  of one class: the count-weighted variant, and the mean that ``simple``
-  and ``scaled`` share on the server
+* :mod:`tinyproto.aggregation` -- one fold of a round's ``(ids, rows)``
+  uploads into each class's combined row: the count-weighted variant, and
+  the mean that ``simple`` and ``scaled`` share on the server
 * :mod:`tinyproto.client` -- local training, prototype generation, and
   nearest-prototype inference
 * :mod:`tinyproto.datagen` -- synthetic blobs, Dirichlet label-skew

@@ -1,4 +1,4 @@
-"""Server-side per-class combination of client prototype payloads.
+"""Server-side combination of a round's client prototype payloads.
 
 Three variants, selectable per experiment:
 
@@ -13,11 +13,13 @@ Three variants, selectable per experiment:
 
 ``simple`` and ``scaled`` differ only on the client (whether it scales by
 its count), so the server runs the same :func:`aggregate_mean` for both.
-Each call combines one class: an ``(m, w)`` array with one row per
-contributing client, dense or compressed (the math is the same).  Sums start
-from zeros and add the rows in the order given, then divide; the caller
-passes them in ascending client-id order, so results are bit-identical
-whatever order the uploads arrived in.
+Each call folds a whole round: ``rows`` holds every upload's rows, dense or
+compressed (the math is the same), and row i belongs to class ``ids[i]``.
+Each class's sum starts from zeros and adds its rows in the order given;
+the caller passes them in ascending client-id order, so results are
+bit-identical whatever order the uploads arrived in.  Each call returns
+``(classes, combined)``: the ascending ids of the classes with a row, and
+one combined row for each.
 """
 
 from __future__ import annotations
@@ -28,56 +30,58 @@ __all__ = [
     "AggregationError",
     "aggregate_weighted",
     "aggregate_mean",
+    "AGGREGATORS",
     "AGGREGATOR_CHOICES",
 ]
 
-AGGREGATOR_CHOICES = ("weighted", "simple", "scaled")
-
 
 class AggregationError(ValueError):
-    """A per-class aggregation received unusable contributions."""
+    """An aggregation received unusable rows."""
 
 
-def _rows(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise AggregationError(f"expected an (m, w) array of rows, got shape {values.shape}")
-    if len(values) == 0:
-        raise AggregationError("no contributions for class")
-    return values
+def _block(ids, rows) -> tuple[np.ndarray, np.ndarray]:
+    ids, rows = np.asarray(ids), np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or len(rows) == 0 or ids.shape != (len(rows),):
+        raise AggregationError(f"need n >= 1 ids and (n, w) rows, got {ids.shape} {rows.shape}")
+    return ids, rows
 
 
-def aggregate_weighted(values, counts) -> np.ndarray:
+def aggregate_weighted(ids, rows, counts) -> tuple[np.ndarray, np.ndarray]:
     """Count-weighted combination, normalized by the number of contributors.
 
-    With counts n_i and vectors v_i (the rows of ``values``) this returns
+    With counts n_i and vectors v_i (the rows of one class) this returns
     (1/N) * sum_i (n_i / sum_j n_j) * v_i  where N is the number of clients
     contributing the class.  Note this is not a convex combination of the
     v_i: the output carries an extra 1/N factor relative to the simple mean.
     """
-    values = _rows(values)
+    ids, rows = _block(ids, rows)
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (len(values),):
-        raise AggregationError(f"{counts.shape} counts for {len(values)} rows")
-    total = counts.sum()
-    if total <= 0:
-        raise AggregationError("weighted aggregation needs a positive total count")
-    acc = np.zeros(values.shape[1])
-    for row, n in zip(values, counts):
-        acc += (n / total) * row
-    acc /= len(values)
-    return acc
+    if counts.shape != ids.shape:
+        raise AggregationError(f"{counts.shape} counts for {len(rows)} rows")
+    # whole counts (the server checks uploads) sum exactly in any order
+    totals = np.bincount(ids, weights=counts)[ids]
+    if (totals <= 0).any():
+        raise AggregationError(f"class {ids[totals <= 0].min()} has no positive total count")
+    return aggregate_mean(ids, (counts / totals)[:, None] * rows)
 
 
-def aggregate_mean(values) -> np.ndarray:
-    """Unweighted mean of the rows over contributing clients.
+def aggregate_mean(ids, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Unweighted mean of each class's rows over its contributing clients.
 
     Serves both ``simple`` (raw vectors) and ``scaled`` (count * vector,
     scaled on the client); the server never receives a count for either.
     """
-    values = _rows(values)
-    acc = np.zeros(values.shape[1])
-    for row in values:
-        acc += row
-    acc /= len(values)
-    return acc
+    ids, rows = _block(ids, rows)
+    contributors = np.bincount(ids)
+    classes = np.flatnonzero(contributors)
+    sums = np.zeros((len(contributors), rows.shape[1]))
+    np.add.at(sums, ids, rows)
+    return classes, sums[classes] / contributors[classes, None]
+
+
+AGGREGATORS = {
+    "weighted": aggregate_weighted,
+    "simple": aggregate_mean,
+    "scaled": aggregate_mean,
+}
+AGGREGATOR_CHOICES = tuple(AGGREGATORS)

@@ -160,7 +160,7 @@ def _dense_targets(
     live = global_values.any(axis=1)
     ids, values = global_ids[live], global_values[live]
     if cps:
-        values = reconstruct(values, state.mask_set.bit_matrix()[ids])
+        values = reconstruct(values, state.mask_set.bits[ids])
         values.flags.writeable = False
     return dict(zip(ids.tolist(), values))
 
@@ -233,7 +233,7 @@ def local_update(
 
     ids, block = protos
     if cps:
-        block = compress(block, state.mask_set.bit_matrix()[ids])
+        block = compress(block, state.mask_set.bits[ids])
     if scale_by_count:
         block = block * np.array([[float(state.class_counts[cls])] for cls in ids.tolist()])
     return ids, block

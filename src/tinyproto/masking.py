@@ -110,10 +110,6 @@ class MaskSet:
             )
         return Mask(class_id, self.bits[class_id])
 
-    def bit_matrix(self) -> np.ndarray:
-        """The stored read-only (K, d) uint8 matrix, one row per class."""
-        return self.bits
-
 
 def _pairwise_hamming(bits: np.ndarray) -> np.ndarray:
     """(K, K) matrix of pairwise Hamming distances for 0/1 rows."""
@@ -128,7 +124,7 @@ def min_pairwise_hamming(mask_set: MaskSet) -> int:
     k = mask_set.n_classes
     if k < 2:
         raise ValueError("need at least two masks to compare")
-    dist = _pairwise_hamming(mask_set.bit_matrix())
+    dist = _pairwise_hamming(mask_set.bits)
     off_diag = dist[np.triu_indices(k, k=1)]
     return int(off_diag.min())
 
@@ -244,4 +240,4 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
 
 def format_mask_rows(mask_set: MaskSet) -> str:
     """Human-readable dump: one row of d 0/1 characters per class."""
-    return "".join("".join(map(str, row)) + "\n" for row in mask_set.bit_matrix().tolist())
+    return "".join("".join(map(str, row)) + "\n" for row in mask_set.bits.tolist())

@@ -1,15 +1,15 @@
 """Round orchestration, byte-level exchange, accounting, and the harness.
 
 The simulator is in-process, but every exchange still passes through the
-binary frame codec so traffic numbers measure real serialized payloads.
-Per round: sample clients, deliver masks to first-time participants, send
-every sampled client the full set of global payloads, run the local updates,
-aggregate uploads per class, then report every client's accuracy on its own
-test split.  Every frame is one block, a class-id vector plus one value row
-per class; each side checks each frame it decodes once, and a bad frame
-raises :class:`RoundError` naming the client, the class where one applies,
-and the round.  A client is evaluated again only when it has never been
-evaluated or has trained since; an unsampled client keeps its stored
+binary frame codec so traffic numbers measure real serialized payloads.  Per
+round: sample clients, deliver masks to first-time participants, send every
+sampled client the full set of global payloads, run the local updates, fold
+all uploads in one aggregator call, then report every client's accuracy on
+its own test split.  Every frame is one block, a class-id vector plus one
+value row per class; each side checks each frame it decodes once, and a bad
+frame raises :class:`RoundError` naming the client, the class where one
+applies, and the round.  A client is evaluated again only when it has never
+been evaluated or has trained since; an unsampled client keeps its stored
 accuracy, which is exact because evaluation reads only the client's params,
 local prototypes and test split, and none of them changed.  Parameter counts
 (values on the wire, not bytes) are the headline traffic metric; mask
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import aggregate_mean, aggregate_weighted
+from .aggregation import AGGREGATORS as _AGGREGATORS
 from .client import (
     ClientState,
     TrainConfig,
@@ -67,13 +67,6 @@ _TAG_SPLIT = 13
 _TAG_INIT = 14
 _TAG_SAMPLE = 15
 _TAG_SHUFFLE = 16
-
-# simple and scaled differ only on the client (scale_by_count)
-_AGGREGATORS = {
-    "weighted": aggregate_weighted,
-    "simple": aggregate_mean,
-    "scaled": aggregate_mean,
-}
 
 
 class RoundError(RuntimeError):
@@ -139,8 +132,7 @@ def _mask_set_from_frame(
             f"{where}: masks frame has {bits.shape[0]} rows of {bits.shape[1]} values, "
             f"expected K={n_classes} rows of d={dim}"
         )
-    if not np.array_equal(frame.class_ids, np.arange(n_classes)):
-        raise RoundError(f"{where}: masks frame class ids are not 0..K-1 in order")
+    _check_class_ids(frame, client_id, round_no, n_classes)
     try:
         return MaskSet(bits, s=np.count_nonzero(bits[0]), seed=None)
     except ValueError as err:
@@ -155,6 +147,14 @@ def _check_header(frame: Frame, frame_type: FrameType, round_no: int, client_id:
         )
 
 
+def _check_class_ids(frame: Frame, client_id: int, round_no: int, n_classes: int) -> None:
+    if not np.array_equal(frame.class_ids, np.arange(n_classes)):
+        raise RoundError(
+            f"client {client_id}, round {round_no}: {frame.frame_type.name.lower()} frame "
+            f"class ids are not 0..K-1 in order for K={n_classes}"
+        )
+
+
 def _check_upload(
     frame: Frame, client_id: int, round_no: int, n_classes: int, width: int, weighted: bool
 ) -> None:
@@ -162,7 +162,8 @@ def _check_upload(
 
     Ids must ascend strictly (so none repeats) inside [0, K); rows must have
     ``width`` finite values (so a frame without records is refused); a
-    ``weighted`` count (column 0) must be whole and >= 0.
+    ``weighted`` count (column 0) must be whole and >= 1, since a client
+    uploads only the classes it holds.
     """
     _check_header(frame, FrameType.UPLOAD, round_no, client_id)
     ids, values = frame.class_ids, frame.values
@@ -178,8 +179,8 @@ def _check_upload(
     ]
     if weighted:
         counts = values[:, 0]
-        whole = (counts >= 0) & (counts == np.floor(counts))
-        problems.append((~whole, "count is not a whole number >= 0"))
+        whole = (counts >= 1) & (counts == np.floor(counts))
+        problems.append((~whole, "count is not a whole number >= 1"))
     for bad, what in problems:
         if bad.any():
             raise RoundError(
@@ -207,6 +208,8 @@ def run_round(
     """
     if not 0 < participation <= 1:
         raise ValueError("participation must lie in (0, 1]")
+    if aggregator not in _AGGREGATORS:
+        raise ValueError(f"aggregator must be one of {', '.join(_AGGREGATORS)}")
     if not clients:
         raise RoundError("no clients available to sample")
     started = time.perf_counter()
@@ -229,7 +232,7 @@ def run_round(
     }
     masks_bytes = b""
     if needs_masks:
-        bits = server.mask_set.bit_matrix().astype(np.float64)
+        bits = server.mask_set.bits.astype(np.float64)
         masks_bytes = encode_frame(Frame(FrameType.MASKS, round_no, np.arange(len(bits)), bits))
     globals_bytes = encode_frame(
         Frame(FrameType.GLOBALS, round_no, np.arange(n_classes), server.global_comp)
@@ -250,6 +253,7 @@ def run_round(
             )
         globals_frame = decode_frame(globals_bytes)
         _check_header(globals_frame, FrameType.GLOBALS, round_no, cid)
+        _check_class_ids(globals_frame, cid, round_no, state.params.dims[3])
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_SHUFFLE, cid, round_no])
         )
@@ -293,18 +297,13 @@ def run_round(
             frame_log.add(round_no, "up", cid, upload)
         uploads.append(upload_frame)
 
-    # uploads in ascending client order, then a stable sort by class, give
-    # every class its rows in ascending client order: the summation order
+    # uploads in ascending client order give every class its rows in
+    # ascending client order: the summation order
     ids = np.concatenate([f.class_ids for f in uploads])
     rows = np.concatenate([f.values for f in uploads])
-    order = np.argsort(ids, kind="stable")
-    classes, starts = np.unique(ids[order], return_index=True)
-    aggregate = _AGGREGATORS[aggregator]
-    for cls, group in zip(classes.tolist(), np.split(rows[order], starts[1:])):
-        if weighted:
-            server.global_comp[cls] = aggregate(group[:, 1:], group[:, 0])
-        else:
-            server.global_comp[cls] = aggregate(group)
+    args = (rows[:, 1:], rows[:, 0]) if weighted else (rows,)
+    classes, combined = _AGGREGATORS[aggregator](ids, *args)
+    server.global_comp[classes] = combined
 
     server.selected_ever.update(st.client_id for st in sampled)
     server.round = round_no

@@ -186,16 +186,20 @@ def test_criterion_3_aggregation_oracles():
             vectors = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 9)) for _ in range(n_clients)]
 
-            # one row per contributing client, in ascending client order
-            weighted = tp.aggregate_weighted(np.array(vectors), counts)
+            # one row per contributing client, in ascending client order, all
+            # of class 0: the fold returns that one class's combined row
+            one_class = np.zeros(n_clients, dtype=np.int64)
+            _, (weighted,) = tp.aggregate_weighted(one_class, np.array(vectors), counts)
             total = sum(counts)
             expect = sum((n / total) * v for v, n in zip(vectors, counts)) / n_clients
             np.testing.assert_allclose(weighted, expect, atol=1e-12)
 
-            simple = tp.aggregate_mean(np.array(vectors))
+            _, (simple,) = tp.aggregate_mean(one_class, np.array(vectors))
             np.testing.assert_allclose(simple, sum(vectors) / n_clients, atol=1e-12)
 
-            scaled = tp.aggregate_mean(np.array([n * v for v, n in zip(vectors, counts)]))
+            _, (scaled,) = tp.aggregate_mean(
+                one_class, np.array([n * v for v, n in zip(vectors, counts)])
+            )
             np.testing.assert_allclose(
                 scaled,
                 sum(n * v for v, n in zip(vectors, counts)) / n_clients,
@@ -212,8 +216,9 @@ def test_criterion_3_aggregation_oracles():
             counts = [int(rng.integers(1, 6)) for _ in range(n_clients)]
             dense_mean = sum(n * p for p, n in zip(protos, counts)) / n_clients
             via_dense = compress(dense_mean, bits)
-            via_wire = tp.aggregate_mean(
-                np.array([n * compress(p, bits) for p, n in zip(protos, counts)])
+            _, (via_wire,) = tp.aggregate_mean(
+                np.zeros(n_clients, dtype=np.int64),
+                np.array([n * compress(p, bits) for p, n in zip(protos, counts)]),
             )
             np.testing.assert_allclose(via_wire, via_dense, atol=1e-10)
 

@@ -1,4 +1,4 @@
-"""Per-class aggregation variants against hand and brute-force oracles."""
+"""Round-level aggregation variants against hand and brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -13,62 +13,127 @@ def _rows(*vectors):
     return np.array(vectors, dtype=np.float64)
 
 
+def _one_class(aggregate, rows, *counts):
+    """Fold a block whose rows all belong to class 0; return that class's row."""
+    classes, combined = aggregate(np.zeros(len(rows), dtype=np.int64), rows, *counts)
+    assert classes.tolist() == [0]
+    return combined[0]
+
+
+def _per_class_loop(ids, rows, counts=None):
+    """The per-class reference: each class's rows in the order given, summed
+    onto zeros one at a time, then divided by the number of rows."""
+    classes = sorted(set(ids.tolist()))
+    combined = []
+    for cls in classes:
+        group = rows[ids == cls]
+        acc = np.zeros(rows.shape[1])
+        if counts is None:
+            for row in group:
+                acc += row
+        else:
+            total = counts[ids == cls].sum()
+            for row, n in zip(group, counts[ids == cls]):
+                acc += (n / total) * row
+        acc /= len(group)
+        combined.append(acc)
+    return classes, np.array(combined)
+
+
 class TestWeighted:
     def test_single_client_is_identity(self):
-        out = aggregate_weighted(_rows([2.0, 5.0]), [7])
+        out = _one_class(aggregate_weighted, _rows([2.0, 5.0]), [7])
         np.testing.assert_array_equal(out, [2.0, 5.0])
 
     def test_equal_counts_hand_value(self):
-        out = aggregate_weighted(_rows([2.0, 0.0], [4.0, 0.0]), [4, 4])
+        out = _one_class(aggregate_weighted, _rows([2.0, 0.0], [4.0, 0.0]), [4, 4])
         np.testing.assert_allclose(out, [1.5, 0.0])
 
     def test_unequal_counts_hand_value(self):
-        out = aggregate_weighted(_rows([4.0, 0.0], [8.0, 0.0]), [3, 1])
+        out = _one_class(aggregate_weighted, _rows([4.0, 0.0], [8.0, 0.0]), [3, 1])
         np.testing.assert_allclose(out, [2.5, 0.0])
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(AggregationError, match="positive"):
-            aggregate_weighted(_rows([1.0]), [0])
+            _one_class(aggregate_weighted, _rows([1.0]), [0])
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            aggregate_weighted(np.zeros((0, 2)), [])
+            aggregate_weighted([], np.zeros((0, 2)), [])
 
 
 class TestSimple:
     def test_single_client_is_identity(self):
-        out = aggregate_mean(_rows([1.0, -1.0]))
+        out = _one_class(aggregate_mean, _rows([1.0, -1.0]))
         np.testing.assert_array_equal(out, [1.0, -1.0])
 
     def test_arithmetic_mean(self):
-        out = aggregate_mean(_rows([2.0, 0.0], [4.0, 0.0]))
+        out = _one_class(aggregate_mean, _rows([2.0, 0.0], [4.0, 0.0]))
         np.testing.assert_array_equal(out, [3.0, 0.0])
 
     def test_matches_weighted_only_for_single_contributor(self):
         # the weighted formula carries an extra 1/N factor, so the two
         # variants agree only when exactly one client contributes
         single = _rows([2.0, 6.0])
-        np.testing.assert_array_equal(aggregate_mean(single), aggregate_weighted(single, [5]))
+        np.testing.assert_array_equal(
+            _one_class(aggregate_mean, single), _one_class(aggregate_weighted, single, [5])
+        )
         pair = _rows([2.0, 0.0], [4.0, 0.0])
-        assert not np.allclose(aggregate_mean(pair), aggregate_weighted(pair, [3, 3]))
+        assert not np.allclose(
+            _one_class(aggregate_mean, pair), _one_class(aggregate_weighted, pair, [3, 3])
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            aggregate_mean(np.zeros((0, 2)))
+            aggregate_mean([], np.zeros((0, 2)))
 
 
 class TestScaled:
     def test_single_client_count_one_is_identity(self):
-        out = aggregate_mean(_rows([1.0, 2.0]))  # payload = 1 * (1, 2)
+        out = _one_class(aggregate_mean, _rows([1.0, 2.0]))  # payload = 1 * (1, 2)
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_hand_value(self):
-        out = aggregate_mean(_rows([3.0, 6.0], [5.0, 6.0]))
+        out = _one_class(aggregate_mean, _rows([3.0, 6.0], [5.0, 6.0]))
         np.testing.assert_array_equal(out, [4.0, 6.0])
 
     def test_all_zero_payloads_stay_zero(self):
-        out = aggregate_mean(_rows([0.0, 0.0], [0.0, 0.0]))
+        out = _one_class(aggregate_mean, _rows([0.0, 0.0], [0.0, 0.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0])
+
+
+class TestRoundFold:
+    def test_classes_ascend_and_skip_classes_without_rows(self):
+        ids = np.array([3, 1, 3, 5])
+        rows = _rows([1.0, 0.0], [2.0, 2.0], [3.0, 4.0], [5.0, 6.0])
+        classes, combined = aggregate_mean(ids, rows)
+        assert classes.tolist() == [1, 3, 5]
+        np.testing.assert_array_equal(combined, [[2.0, 2.0], [2.0, 2.0], [5.0, 6.0]])
+
+    def test_weighted_counts_are_per_class(self):
+        ids = np.array([0, 1, 0])
+        rows = _rows([4.0], [7.0], [8.0])
+        classes, combined = aggregate_weighted(ids, rows, [3, 2, 1])
+        assert classes.tolist() == [0, 1]
+        np.testing.assert_allclose(combined, [[2.5], [7.0]])
+
+    @pytest.mark.parametrize(
+        "ids, rows",
+        [([0, 1], np.zeros((3, 2))), ([0], np.zeros(2)), ([[0]], np.zeros((1, 2)))],
+        ids=["ids-too-short", "rows-one-dimensional", "ids-two-dimensional"],
+    )
+    def test_mismatched_shapes_rejected(self, ids, rows):
+        with pytest.raises(AggregationError, match="need n >= 1 ids"):
+            aggregate_mean(ids, rows)
+
+    def test_counts_of_wrong_length_rejected(self):
+        with pytest.raises(AggregationError, match="counts for 2 rows"):
+            aggregate_weighted([0, 1], _rows([1.0], [2.0]), [1])
+
+    def test_class_with_zero_total_count_named(self):
+        # class 0 is fine; class 2's only count is 0, so it would divide by zero
+        with pytest.raises(AggregationError, match="class 2 has no positive total count"):
+            aggregate_weighted([0, 2], _rows([1.0], [2.0]), [3, 0])
 
 
 class TestOracleEquivalence:
@@ -82,19 +147,33 @@ class TestOracleEquivalence:
             vectors = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 9)) for _ in range(n_clients)]
 
-            weighted = aggregate_weighted(_rows(*vectors), counts)
+            weighted = _one_class(aggregate_weighted, _rows(*vectors), counts)
             total = sum(counts)
             expect = sum((n / total) * v for v, n in zip(vectors, counts)) / n_clients
             np.testing.assert_allclose(weighted, expect, atol=1e-12)
 
-            simple = aggregate_mean(_rows(*vectors))
+            simple = _one_class(aggregate_mean, _rows(*vectors))
             np.testing.assert_allclose(simple, sum(vectors) / n_clients, atol=1e-12)
 
-            scaled = aggregate_mean(_rows(*(n * v for v, n in zip(vectors, counts))))
+            scaled = _one_class(aggregate_mean, _rows(*(n * v for v, n in zip(vectors, counts))))
             np.testing.assert_allclose(
                 scaled, sum(n * v for v, n in zip(vectors, counts)) / n_clients,
                 atol=1e-12,
             )
+
+        # interleaved blocks of several classes, bit-identical to the per-class loop
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n_rows = int(rng.integers(1, 16))
+            ids = rng.integers(0, int(rng.integers(1, 7)), size=n_rows)
+            rows = rng.normal(size=(n_rows, int(rng.integers(1, 7))))
+            counts = rng.integers(1, 9, size=n_rows).astype(np.float64)
+            for got, expect in (
+                (aggregate_weighted(ids, rows, counts), _per_class_loop(ids, rows, counts)),
+                (aggregate_mean(ids, rows), _per_class_loop(ids, rows)),
+            ):
+                assert got[0].tolist() == expect[0]
+                np.testing.assert_array_equal(got[1], expect[1])
 
 
 class TestCompressionCommutes:
@@ -112,7 +191,7 @@ class TestCompressionCommutes:
             dense_mean = sum(n * p for p, n in zip(protos, counts)) / n_clients
             via_dense = compress(dense_mean, mask.bits)
 
-            via_wire = aggregate_mean(
-                _rows(*(n * compress(p, mask.bits) for p, n in zip(protos, counts)))
+            via_wire = _one_class(
+                aggregate_mean, _rows(*(n * compress(p, mask.bits) for p, n in zip(protos, counts)))
             )
             np.testing.assert_allclose(via_wire, via_dense, atol=1e-10)

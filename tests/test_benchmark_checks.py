@@ -5,6 +5,9 @@ each mask's ``class_id``/``dim``/``popcount``, and a finished run through its
 reports, server and written files.  It is loaded here read-only, the way
 ``test_golden_runs.py`` loads ``workloads.py``, so a change to ``MaskSet`` or
 to the run outputs that breaks the benchmark's checks fails in this suite.
+``worker.py`` is loaded the same way, so a library name its tracer wraps
+cannot disappear without failing here: a per-layer metric whose traced name
+is gone would silently read 0.
 """
 
 import importlib.util
@@ -42,7 +45,7 @@ def test_generated_masks_pass_the_mask_checks(k, d, s):
 
 @pytest.mark.parametrize("k, d, s", [(4, 16, 4), (30, 24, 6)], ids=["disjoint", "overlap"])
 def test_masks_rebuilt_from_a_frame_pass_the_mask_checks(k, d, s):
-    bits = generate_masks(k, d, s, seed=7).bit_matrix().astype(np.float64)
+    bits = generate_masks(k, d, s, seed=7).bits.astype(np.float64)
     frame = decode_frame(encode_frame(Frame(FrameType.MASKS, 1, np.arange(k), bits)))
     mask_set = protocol._mask_set_from_frame(frame, client_id=0, round_no=1, n_classes=k, dim=d)
     assert checks.mask_problems(mask_set, k, d, s) == []
@@ -54,3 +57,15 @@ def test_desk_run_passes_the_experiment_checks(tmp_path):
     result = run_experiment(config, out_dir=tmp_path)
     files = {p.name: p.read_text() for p in tmp_path.iterdir()}
     assert checks.experiment_problems(config, result, files) == []
+
+
+def test_every_traced_name_exists(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # worker imports its siblings by name
+    targets = _perfbench_module("worker").layer_targets()
+    missing = [
+        (layer, key)
+        for owner, key, layer, _ in targets
+        if not (key in owner if isinstance(owner, dict) else hasattr(owner, key))
+    ]
+    assert missing == []
+    assert any(layer == "aggregation" for _, _, layer, _ in targets)

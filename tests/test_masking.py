@@ -32,7 +32,7 @@ class TestDisjointRegime:
 
     def test_blocks_disjoint_with_spare_dimensions(self):
         mask_set = generate_masks(10, 500, 50, seed=1)
-        bits = mask_set.bit_matrix()
+        bits = mask_set.bits
         assert np.all(bits.sum(axis=0) <= 1)  # pairwise disjoint
         assert min_pairwise_hamming(mask_set) == 100  # 2s when disjoint
         # exhaustive pairwise check
@@ -71,7 +71,7 @@ class TestOverlapRegime:
         assert any(not np.array_equal(x.bits, y.bits) for x, y in zip(a.masks, b.masks))
 
 
-# sha256 of bit_matrix().tobytes() and presearch_min_hamming, recorded from
+# sha256 of bits.tobytes() and presearch_min_hamming, recorded from
 # the original full-rescan search; the search must keep returning these masks
 _GOLDEN = {
     (200, 512, 64, 7): ("1531d547a878e1da14945e46ce6e8a340c74995db5b1c45e7d87dac57a28643d", 90),
@@ -89,7 +89,7 @@ _GOLDEN = {
 def test_search_output_is_golden(config):
     k, d, s, seed = config
     mask_set = generate_masks(k, d, s, seed=seed)
-    digest = hashlib.sha256(mask_set.bit_matrix().tobytes()).hexdigest()
+    digest = hashlib.sha256(mask_set.bits.tobytes()).hexdigest()
     assert (digest, mask_set.presearch_min_hamming) == _GOLDEN[config]
 
 
@@ -150,7 +150,7 @@ def test_search_matches_reference(k, d, s):
     for seed in range(3):
         mask_set = generate_masks(k, d, s, seed=seed)
         bits, presearch = _reference_search(k, d, s, seed)
-        np.testing.assert_array_equal(mask_set.bit_matrix(), bits)
+        np.testing.assert_array_equal(mask_set.bits, bits)
         assert mask_set.presearch_min_hamming == presearch
 
 
@@ -194,10 +194,8 @@ class TestMaskSet:
         with pytest.raises(ValueError, match=r"expected a \(K, d\) bit matrix"):
             MaskSet(np.ones(shape), s=2, seed=None)
 
-    def test_bit_matrix_is_the_stored_read_only_matrix(self):
-        mask_set = generate_masks(6, 12, 4, seed=0)
-        bits = mask_set.bit_matrix()
-        assert bits is mask_set.bit_matrix()
+    def test_bits_is_the_stored_read_only_matrix(self):
+        bits = generate_masks(6, 12, 4, seed=0).bits
         assert bits.dtype == np.uint8 and bits.shape == (6, 12)
         assert not bits.flags.writeable
         with pytest.raises(ValueError):
@@ -207,14 +205,14 @@ class TestMaskSet:
         mask_set = generate_masks(6, 12, 4, seed=0)
         for cls, mask in enumerate(mask_set.masks):
             assert mask.class_id == cls
-            assert np.shares_memory(mask.bits, mask_set.bit_matrix())
+            assert np.shares_memory(mask.bits, mask_set.bits)
             np.testing.assert_array_equal(mask.bits, mask_set.for_class(cls).bits)
 
     def test_input_is_copied(self):
         bits = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         mask_set = MaskSet(bits, s=1, seed=None)
         bits[0] = [0, 1]
-        assert mask_set.bit_matrix()[0].tolist() == [1, 0]
+        assert mask_set.bits[0].tolist() == [1, 0]
         assert bits.flags.writeable
 
 

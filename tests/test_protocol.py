@@ -112,6 +112,16 @@ class TestRunRound:
             seen |= server.selected_ever
         assert server.selected_ever <= set(range(8))
 
+    def test_unknown_aggregator_rejected_before_training(self):
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+        before = [[a.copy() for a in st.params.arrays()] for st in clients]
+        with pytest.raises(ValueError, match="aggregator must be one of weighted, simple, scaled"):
+            run_round(server, clients, 1.0, _CFG, seed=1, aggregator="bogus")
+        for st, arrays in zip(clients, before):
+            assert all(np.array_equal(a, b) for a, b in zip(st.params.arrays(), arrays))
+        assert server.round == 0 and not server.selected_ever
+
     def test_sampling_count_is_ceiling(self):
         clients = [_make_client(i, [i % 4]) for i in range(5)]
         mask_set = generate_masks(4, 12, 3, seed=0)
@@ -346,7 +356,7 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*non-finite"):
             _two_client_round()
 
-    @pytest.mark.parametrize("count", [2.5, -4.0])
+    @pytest.mark.parametrize("count", [2.5, -4.0, 0.0])
     def test_weighted_count_not_whole_and_non_negative_rejected(self, monkeypatch, count):
         def fault(frame):
             values = frame.values.copy()
@@ -354,7 +364,7 @@ class TestFrameChecks:
             return dataclasses.replace(frame, values=values)
 
         _fault_frames(monkeypatch, FrameType.UPLOAD, fault, only_class=3)
-        with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*whole number"):
+        with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*whole number >= 1"):
             _two_client_round(aggregator="weighted")
 
     @pytest.mark.parametrize("frame_type", [FrameType.GLOBALS, FrameType.MASKS])
@@ -415,6 +425,26 @@ class TestFrameChecks:
             ),
         )
         with pytest.raises(RoundError, match=rf"client 0, round 1: masks frame has {shape} values, expected K=4 rows of d=12"):
+            _two_client_round()
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda ids, values: (np.array([0, 1, 1, 3]), values),
+            lambda ids, values: (np.array([0, 1, 2, 4]), values),
+            lambda ids, values: (ids[:2], values[:2]),
+        ],
+        ids=["repeated", "skipped", "short"],
+    )
+    def test_globals_ids_not_zero_to_k_rejected(self, monkeypatch, cut):
+        def fault(frame):
+            ids, values = cut(frame.class_ids, frame.values)
+            return dataclasses.replace(frame, class_ids=ids, values=values)
+
+        _fault_frames(monkeypatch, FrameType.GLOBALS, fault)
+        with pytest.raises(
+            RoundError, match=r"client 0, round 1: globals frame class ids are not 0..K-1 .*K=4"
+        ):
             _two_client_round()
 
     def test_globals_of_wrong_type_rejected(self, monkeypatch):
