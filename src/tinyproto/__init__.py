@@ -53,6 +53,7 @@ from .numerics import (
     Gradients,
     ModelParams,
     ShapeError,
+    class_penalties,
     forward_features,
     forward_logits,
     init_params,

@@ -1,17 +1,22 @@
 """Per-client behavior: local training, prototype generation, inference.
 
 Each client owns an independently initialized model and a private shard.
-During a round it rebuilds the dense global targets it received, runs E
-epochs of minibatch SGD on the combined loss, recomputes its per-class
-feature means, and uploads the masked entries (optionally pre-multiplied by
-its per-class sample counts).  Prediction is nearest-local-prototype in
-feature space, restricted to classes the client actually holds.
+During a round it rebuilds the dense global targets of the classes it holds,
+runs E epochs of minibatch SGD on the combined loss, recomputes its
+per-class feature means, and uploads the masked entries (optionally
+pre-multiplied by its per-class sample counts).  Prediction is
+nearest-local-prototype in feature space, restricted to classes the client
+actually holds.
 
 Every batch of an epoch reuses one prototype snapshot: the per-class feature
 means over the whole shard under the epoch's starting parameters.  Epoch 0
 reuses ``state.local_protos`` when it is set (it always describes
 ``state.params``), and each later epoch reuses the means computed at the end
-of the one before, so a round makes one full-shard pass per epoch.
+of the one before, so a round makes one full-shard pass per epoch.  The
+snapshot and the targets are fixed for the epoch, so each held class's
+penalty term is computed once per epoch, not once per batch.  An update
+copies the parameters once and every SGD step changes that copy in place;
+the caller's arrays are never written.
 
 Prototypes and payloads are arrays throughout: a block of ascending class
 ids plus one row per class.  ``compute_local_prototypes`` returns the
@@ -31,6 +36,7 @@ from .datagen import Dataset
 from .masking import MaskSet
 from .numerics import (
     ModelParams,
+    class_penalties,
     forward_features,
     loss_and_grad,
     sgd_step,
@@ -127,15 +133,17 @@ def _dense_targets(
     global_values: np.ndarray,
     cps: bool,
 ) -> dict[int, np.ndarray]:
-    """Rebuild full-length regularization targets from the received block.
+    """Rebuild full-length regularization targets for the classes the client holds.
 
     Row i of ``global_values`` is the payload of class ``global_ids[i]``.
     All-zero rows mean the server has not aggregated that class yet; they
     are dropped so the class contributes nothing to the penalty, same as in
-    the very first round.  Every row must have s values (the model's feature
-    dim without ``cps``), every value must be finite, and every class id must
+    the very first round.  Rows of classes outside ``state.class_counts``
+    are dropped too: the penalty reads only the classes of the client's
+    shard.  Every received row must have s values (the model's feature dim
+    without ``cps``), every value must be finite, and every class id must
     lie in [0, K).  With ``cps`` the caller has checked that the client holds
-    its masks, and the live rows are reconstructed into one read-only array.
+    its masks, and the kept rows are reconstructed into one read-only array.
     """
     if cps:
         n_classes, want = state.mask_set.n_classes, state.mask_set.s
@@ -157,8 +165,10 @@ def _dense_targets(
     finite = np.isfinite(global_values).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite payload for class {int(global_ids[~finite][0])}")
-    live = global_values.any(axis=1)
-    ids, values = global_ids[live], global_values[live]
+    held = np.zeros(n_classes, dtype=bool)
+    held[list(state.class_counts)] = True
+    keep = global_values.any(axis=1) & held[global_ids]
+    ids, values = global_ids[keep], global_values[keep]
     if cps:
         values = reconstruct(values, state.mask_set.bits[ids])
         values.flags.writeable = False
@@ -178,11 +188,12 @@ def local_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train locally and return this client's upload as ``(ids, block)``.
 
-    Steps: rebuild dense targets from the received global block, run
-    ``cfg.local_epochs`` epochs of minibatch SGD (the penalty weight is
-    forced to 0 in the first round), recompute the per-class feature means,
-    then keep each one's masked entries (when ``cps``) and multiply by the
-    class sample count (when ``scale_by_count``).  Only locally present
+    Steps: rebuild dense targets of the held classes from the received
+    global block, run ``cfg.local_epochs`` epochs of minibatch SGD on a copy
+    of the params (the penalty weight is forced to 0 in the first round),
+    recompute the per-class feature means, then keep each one's masked
+    entries (when ``cps``) and multiply by the class sample count (when
+    ``scale_by_count``).  Only locally present
     classes are returned, ids ascending, one block row each.  ``rng`` drives
     the per-epoch shuffles; the caller derives it from (experiment seed,
     client id, round).
@@ -198,30 +209,31 @@ def local_update(
     lam = 0.0 if first_round else cfg.lam
 
     xs, ys = state.shard.x, state.shard.y
-    params = state.params
+    # one copy per update, which every batch's step then changes in place
+    params = ModelParams(*(a.copy() for a in state.params.arrays()))
     # the snapshot always describes state.params: local_protos is set by the
     # previous local_update or by run_round's evaluation
     protos = state.local_protos
     if protos is None:
         protos = compute_local_prototypes(state)
+    penalty: dict[int, float] = {}
     epoch_losses: list[float] = []
     for _ in range(cfg.local_epochs):
-        proto_vecs = dict(zip(protos[0].tolist(), protos[1]))
+        if lam > 0:
+            # the snapshot and the targets are fixed for the epoch, so is each
+            # class's penalty term
+            penalty = class_penalties(
+                dict(zip(protos[0].tolist(), protos[1])),
+                state.global_protos,
+                cfg.mu,
+                cfg.rho,
+            )
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(
-                params,
-                xs[idx],
-                ys[idx],
-                state.global_protos,
-                lam,
-                cfg.mu,
-                proto_vecs,
-                rho=cfg.rho,
-            )
-            params = sgd_step(params, grads, cfg.lr)
+            loss, grads = loss_and_grad(params, xs[idx], ys[idx], penalty, lam)
+            sgd_step(params, grads, cfg.lr)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
         # the end-of-epoch means are the next epoch's snapshot

@@ -21,7 +21,9 @@ Files look like:
     cps = on
     rho = squared_l2
 
-Optional extras: per_class, sigma, hidden, train_fraction, workers.
+Optional extras: per_class, sigma, hidden, train_fraction, workers.  Client
+updates run serially, so ``workers`` accepts only 1; the key stays so that
+existing configs that set it to 1 still load.
 Validation collects every problem and reports them together, each prefixed
 with the offending key.
 """
@@ -112,7 +114,7 @@ class ExperimentConfig:
     sigma: float = 0.35
     hidden_dim: int = 32
     train_fraction: float = 0.75
-    workers: int = 1
+    workers: int = 1  # only 1: client updates run serially
 
     def problems(self) -> list[str]:
         """Every validation failure, named by the config-file key."""
@@ -132,7 +134,6 @@ class ExperimentConfig:
             "rounds",
             "per_class",
             "hidden_dim",
-            "workers",
         ]
         if self.seed < 0:
             bad("seed", "must be >= 0")
@@ -155,6 +156,8 @@ class ExperimentConfig:
             bad("participation", "must lie in (0, 1]")
         if not 0 < self.train_fraction < 1:
             bad("train_fraction", "must lie in (0, 1)")
+        if self.workers != 1:
+            bad("workers", "must be 1 (client updates run serially)")
         if self.aggregator not in AGGREGATOR_CHOICES:
             bad("aggregator", f"must be one of {', '.join(AGGREGATOR_CHOICES)}")
         if self.rho not in RHO_CHOICES:

@@ -8,13 +8,17 @@ the dead-unit diagnostics in :mod:`tinyproto.prototypes` measure.
 Training uses plain minibatch SGD with exact hand-derived gradients of the
 combined objective (cross-entropy plus a prototype-alignment penalty).  The
 penalty compares the client's per-class feature means against scaled global
-prototypes; both are supplied as fixed vectors for the current step, so the
-penalty shifts the loss value while the gradient is carried entirely by the
-cross-entropy term.  All reductions run in ascending index order, which makes
-repeated evaluations bit-identical.
+prototypes.  Both sets are fixed for a whole epoch, so :func:`class_penalties`
+computes each held class's term once per epoch, and every batch adds the
+terms of its classes in ascending class order.  The penalty therefore shifts
+the loss value while the gradient is carried entirely by the cross-entropy
+term.  All reductions run in ascending index order, which makes repeated
+evaluations bit-identical.
 
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
-labels.  Inference and training share one definition of the feature layers.
+labels, checked with a few cheap tests per call.  :func:`sgd_step` updates a
+parameter block in place.  Inference and training share one definition of
+the feature layers.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "init_params",
     "forward_features",
     "forward_logits",
+    "class_penalties",
     "loss_and_grad",
     "sgd_step",
     "RHO_CHOICES",
@@ -156,26 +161,48 @@ def _rho(diff: np.ndarray, rho: str) -> float:
     raise ValueError(f"unknown rho {rho!r}; expected one of {RHO_CHOICES}")
 
 
+def class_penalties(
+    local_protos: Mapping[int, np.ndarray],
+    global_protos: Mapping[int, np.ndarray],
+    mu: float,
+    rho: str = "squared_l2",
+) -> dict[int, float]:
+    """Each local class's penalty term rho(local_proto[c] - mu * global_proto[c]).
+
+    The keys are exactly the classes of ``local_protos``; a class with no
+    global prototype maps to 0.0, so it adds nothing to a batch's penalty.
+    Both prototype sets are fixed for an epoch, so a client computes this
+    once per epoch and every batch of the epoch reads it.
+    """
+    if mu <= 0:
+        raise ValueError("mu must be > 0")
+    penalties = {}
+    for cls, local in local_protos.items():
+        target = global_protos.get(cls)
+        if target is None:
+            penalties[cls] = 0.0
+            continue
+        diff = np.asarray(local, dtype=np.float64) - mu * np.asarray(target, dtype=np.float64)
+        penalties[cls] = _rho(diff, rho)
+    return penalties
+
+
 def loss_and_grad(
     params: ModelParams,
     xs: np.ndarray,
     ys: np.ndarray,
-    global_protos: Mapping[int, np.ndarray],
+    class_penalty: Mapping[int, float],
     lam: float,
-    mu: float,
-    local_protos: Mapping[int, np.ndarray],
-    rho: str = "squared_l2",
 ) -> tuple[float, Gradients]:
     """Combined loss over a minibatch and its exact parameter gradient.
 
     ``xs`` is the (n, D) input batch and ``ys`` its (n,) integer labels.
     The loss is mean cross-entropy of softmax(logits) against the labels,
-    plus lam * sum over classes present in the batch of
-    rho(local_proto[c], mu * global_proto[c]).  Classes with no global
-    prototype contribute nothing to the penalty.  The prototype vectors are
-    constants of the step (recomputed outside, once per epoch), so the
-    returned gradient is the cross-entropy gradient; it matches central
-    finite differences of the returned loss.
+    plus lam * the sum, over the classes present in the batch in ascending
+    order, of ``class_penalty[c]`` (see :func:`class_penalties`); with
+    lam > 0 every batch class must have an entry.  The penalty values are
+    constants of the step, so the returned gradient is the cross-entropy
+    gradient; it matches central finite differences of the returned loss.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -186,52 +213,50 @@ def loss_and_grad(
         raise ValueError("empty batch")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-
-    din, _, _, ncls = params.dims
+    din = params.w1.shape[0]
     if xs.shape[1] != din:
         raise ShapeError(f"batch input dim {xs.shape[1]} != model input dim {din}")
-    if not np.issubdtype(ys.dtype, np.integer):
+    if ys.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {ys.dtype}")
-    if np.any(ys < 0) or np.any(ys >= ncls):
+    # a few Python ints: cheaper than two array reductions at minibatch size
+    classes = sorted(set(ys.tolist()))
+    if classes[0] < 0 or classes[-1] >= params.wc.shape[1]:
         raise ValueError("label outside [0, K)")
 
     a1, a2 = _activations(params, xs)
     z3 = a2 @ params.wc + params.bc
 
     # stable log-softmax cross-entropy, mean over the batch
+    rows = np.arange(n)
     zmax = z3.max(axis=1, keepdims=True)
     ez = np.exp(z3 - zmax)
-    log_norm = np.log(ez.sum(axis=1, keepdims=True)) + zmax
-    log_probs = z3 - log_norm
-    loss = float(np.mean(-log_probs[np.arange(n), ys]))
+    ez_sum = ez.sum(axis=1, keepdims=True)
+    log_norm = np.log(ez_sum) + zmax
+    loss = float(np.mean(-(z3[rows, ys] - log_norm[:, 0])))
 
     if lam > 0:
         penalty = 0.0
-        for cls in sorted(set(ys.tolist())):
-            if cls not in local_protos:
+        for cls in classes:
+            value = class_penalty.get(cls)
+            if value is None:
                 raise ValueError(f"no local prototype for batch class {cls}")
-            target = global_protos.get(cls)
-            if target is None:
-                continue
-            diff = np.asarray(local_protos[cls], dtype=np.float64) - mu * np.asarray(
-                target, dtype=np.float64
-            )
-            penalty += _rho(diff, rho)
+            penalty += value
         loss = loss + lam * penalty
 
     # backprop of the cross-entropy term (the penalty is constant in params);
     # relu'(z) is 1 exactly where relu(z) > 0
-    g3 = ez / ez.sum(axis=1, keepdims=True)
-    g3[np.arange(n), ys] -= 1.0
+    g3 = ez
+    g3 /= ez_sum
+    g3[rows, ys] -= 1.0
     g3 /= n
     grad_wc = a2.T @ g3
     grad_bc = g3.sum(axis=0)
-    g2 = (g3 @ params.wc.T) * (a2 > 0)
+    g2 = g3 @ params.wc.T
+    g2 *= a2 > 0
     grad_w2 = a1.T @ g2
     grad_b2 = g2.sum(axis=0)
-    g1 = (g2 @ params.w2.T) * (a1 > 0)
+    g1 = g2 @ params.w2.T
+    g1 *= a1 > 0
     grad_w1 = xs.T @ g1
     grad_b1 = g1.sum(axis=0)
 
@@ -241,13 +266,16 @@ def loss_and_grad(
     return loss, grads
 
 
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
-    """One plain SGD update: params - lr * grads, returned as a new block."""
+def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
+    """One plain SGD update in place: ``p -= lr * g`` for every parameter array.
+
+    Every shape is checked before any array changes.
+    """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    updated = []
-    for p, g in zip(params.arrays(), grads.arrays()):
+    pairs = list(zip(params.arrays(), grads.arrays()))
+    for p, g in pairs:
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        updated.append(p - lr * g)
-    return ModelParams(*updated)
+    for p, g in pairs:
+        p -= lr * g

@@ -3,17 +3,18 @@
 The simulator is in-process, but every exchange still passes through the
 binary frame codec so traffic numbers measure real serialized payloads.  Per
 round: sample clients, deliver masks to first-time participants, send every
-sampled client the full set of global payloads, run the local updates, fold
-all uploads in one aggregator call, then report every client's accuracy on
-its own test split.  Every frame is one block, a class-id vector plus one
-value row per class; each side checks each frame it decodes once, and a bad
-frame raises :class:`RoundError` naming the client, the class where one
-applies, and the round.  A client is evaluated again only when it has never
-been evaluated or has trained since; an unsampled client keeps its stored
-accuracy, which is exact because evaluation reads only the client's params,
-local prototypes and test split, and none of them changed.  Parameter counts
-(values on the wire, not bytes) are the headline traffic metric; mask
-delivery is tracked separately from prototype traffic.
+sampled client the full set of global payloads, run the local updates one
+client after another (one loop decodes a client's frames, runs its update
+and checks its upload), fold all uploads in one aggregator call, then report
+every client's accuracy on its own test split.  Every frame is one block, a
+class-id vector plus one value row per class; each side checks each frame it
+decodes once, and a bad frame raises :class:`RoundError` naming the client,
+the class where one applies, and the round.  A client is evaluated again
+only when it has never been evaluated or has trained since; an unsampled
+client keeps its stored accuracy, which is exact because evaluation reads
+only the client's params, local prototypes and test split, and none of them
+changed.  Parameter counts (values on the wire, not bytes) are the headline
+traffic metric; mask delivery is tracked separately from prototype traffic.
 
 ``rounds.csv`` intentionally omits wall time so that identical config+seed
 runs produce byte-identical files.
@@ -25,7 +26,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,7 +198,6 @@ def run_round(
     *,
     aggregator: str = "scaled",
     cps: bool = True,
-    workers: int = 1,
     frame_log: FrameLog | None = None,
 ) -> RoundReport:
     """Execute one full round and report accuracy and exact traffic.
@@ -238,22 +237,26 @@ def run_round(
         Frame(FrameType.GLOBALS, round_no, np.arange(n_classes), server.global_comp)
     )
 
-    def client_pass(state: ClientState) -> tuple[int, int, bytes]:
-        """Train one client; return the param counts of the masks and globals
-        frames it decoded (accounting reuses them) and its encoded upload."""
+    uplink = downlink = mask_params = 0
+    uploads = []
+    for state in sampled:
         cid = state.client_id
-        masks_params = 0
         if cid in needs_masks:
             masks_frame = decode_frame(masks_bytes)
             _check_header(masks_frame, FrameType.MASKS, round_no, cid)
-            masks_params = frame_param_count(masks_frame)
+            mask_params += frame_param_count(masks_frame)
             feat_dim, n_model_classes = state.params.dims[2:]
             state.mask_set = _mask_set_from_frame(
                 masks_frame, cid, round_no, n_model_classes, feat_dim
             )
+            if frame_log is not None:
+                frame_log.add(round_no, "down", cid, masks_bytes)
         globals_frame = decode_frame(globals_bytes)
         _check_header(globals_frame, FrameType.GLOBALS, round_no, cid)
         _check_class_ids(globals_frame, cid, round_no, state.params.dims[3])
+        downlink += frame_param_count(globals_frame)
+        if frame_log is not None:
+            frame_log.add(round_no, "down", cid, globals_bytes)
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_SHUFFLE, cid, round_no])
         )
@@ -272,24 +275,6 @@ def run_round(
             counts = [[float(state.class_counts[cls])] for cls in ids.tolist()]
             block = np.hstack((counts, block))
         upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
-        return masks_params, frame_param_count(globals_frame), upload
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            passes = list(pool.map(client_pass, sampled))
-    else:
-        passes = [client_pass(st) for st in sampled]
-
-    uplink = downlink = mask_params = 0
-    uploads = []
-    for state, (masks_params, globals_params, upload) in zip(sampled, passes):
-        cid = state.client_id
-        mask_params += masks_params
-        if cid in needs_masks and frame_log is not None:
-            frame_log.add(round_no, "down", cid, masks_bytes)
-        downlink += globals_params
-        if frame_log is not None:
-            frame_log.add(round_no, "down", cid, globals_bytes)
         upload_frame = decode_frame(upload)
         _check_upload(upload_frame, cid, round_no, n_classes, width, weighted)
         uplink += frame_param_count(upload_frame)
@@ -421,7 +406,6 @@ def run_experiment(
             config.seed,
             aggregator=config.aggregator,
             cps=config.cps,
-            workers=config.workers,
             frame_log=frame_log,
         )
         reports.append(report)

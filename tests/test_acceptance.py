@@ -156,15 +156,16 @@ def test_criterion_2_gradient_check():
                 mu = float(rng.uniform(0.1, 2.0))
                 globals_ = {c: rng.normal(size=feat) for c in classes}
                 locals_ = {c: rng.normal(size=feat) for c in classes}
-            _, grads = tp.loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
+            penalty = tp.class_penalties(locals_, globals_, mu)
+            _, grads = tp.loss_and_grad(params, xs, ys, penalty, lam)
             for arr, grad in zip(params.arrays(), grads.arrays()):
                 flat, gflat = arr.reshape(-1), grad.reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up, _ = tp.loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
+                    up, _ = tp.loss_and_grad(params, xs, ys, penalty, lam)
                     flat[i] = orig - step
-                    down, _ = tp.loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
+                    down, _ = tp.loss_and_grad(params, xs, ys, penalty, lam)
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     assert np.isclose(gflat[i], fd, rtol=1e-4, atol=1e-7)

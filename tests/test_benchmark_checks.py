@@ -7,7 +7,9 @@ reports, server and written files.  It is loaded here read-only, the way
 to the run outputs that breaks the benchmark's checks fails in this suite.
 ``worker.py`` is loaded the same way, so a library name its tracer wraps
 cannot disappear without failing here: a per-layer metric whose traced name
-is gone would silently read 0.
+is gone would silently read 0.  Nor can a traced name stop being called (the
+library calling the function some other way), which would read 0 just as
+silently: a traced desk run must record calls to every training layer.
 """
 
 import importlib.util
@@ -69,3 +71,28 @@ def test_every_traced_name_exists(monkeypatch):
     ]
     assert missing == []
     assert any(layer == "aggregation" for _, _, layer, _ in targets)
+
+
+def test_traced_desk_run_records_every_training_layer(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = _perfbench_module("worker")
+    desk = _perfbench_module("workloads").WORKLOADS["desk"].config
+    config = ExperimentConfig(seed=7, **desk).validate()
+    tracer = worker.Tracer()
+    # the benchmark's own round wrapper: it checks each round's traffic, and
+    # with a tracer also against the clients the tracer saw train
+    gate = worker.RoundGate(config, tracer)
+    monkeypatch.setattr(protocol, "run_round", gate)
+    with tracer.installed(worker.layer_targets()):
+        run_experiment(config, out_dir=tmp_path)
+    for layer in (
+        "client.local_update",
+        "numerics.loss_and_grad",
+        "numerics.sgd_step",
+        "client.compute_local_prototypes",
+    ):
+        assert tracer.counts[f"{layer}.calls"] > 0, layer
+    counts = tracer.counts
+    assert counts["numerics.loss_and_grad.calls"] == counts["numerics.sgd_step.calls"]
+    assert len(gate.rounds) == config.rounds
+    assert [problems for _, _, problems in gate.rounds] == [[]] * config.rounds

@@ -51,6 +51,69 @@ def _by_class(pair):
 _CFG = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
 
 
+def _scripted_run(state, cfg, global_values):
+    """Straight-line re-run of ``_state()``'s training trace under the shuffle
+    seed (123, 0): the final (n, d) shard features and the last epoch's mean
+    loss.
+
+    The penalty is recomputed for every batch from the epoch's per-class
+    feature means and the dense targets (``global_values`` row c scattered
+    to class c's mask bits), in ascending batch-class order.
+    """
+    p = init_params(2, 3, 8, 3, seed=21)
+    w1, b1, w2, b2, wc, bc = (a.copy() for a in p.arrays())
+    x = np.array(
+        [[0.5, -1.0], [1.5, 0.5], [-0.5, 2.0], [2.0, 1.0], [0.0, -2.0], [1.0, 1.0]]
+    )
+    y = np.array([0, 1, 1, 0, 0, 1])
+    targets = {}
+    for cls in (0, 1):
+        targets[cls] = np.zeros(8)
+        targets[cls][state.mask_set.for_class(cls).bits == 1] = global_values[cls]
+    rng = np.random.default_rng(np.random.SeedSequence([123, 0]))
+    epoch_loss = None
+    for _ in range(cfg.local_epochs):
+        feats = np.maximum(np.maximum(x @ w1 + b1, 0) @ w2 + b2, 0)
+        snapshot = {cls: feats[y == cls].mean(axis=0) for cls in (0, 1)}
+        order = rng.permutation(len(x))
+        batch_losses = []
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = x[idx], y[idx]
+            nb = len(idx)
+            z1 = xb @ w1 + b1
+            a1 = np.maximum(z1, 0)
+            z2 = a1 @ w2 + b2
+            a2 = np.maximum(z2, 0)
+            z3 = a2 @ wc + bc
+            zmax = z3.max(axis=1, keepdims=True)
+            ez = np.exp(z3 - zmax)
+            log_norm = np.log(ez.sum(axis=1, keepdims=True)) + zmax
+            loss = float(np.mean(-(z3 - log_norm)[np.arange(nb), yb]))
+            penalty = 0.0
+            for cls in sorted(set(yb.tolist())):
+                diff = snapshot[cls] - cfg.mu * targets[cls]
+                if cfg.rho == "squared_l2":
+                    penalty += float(diff @ diff)
+                else:
+                    penalty += float(np.sqrt(diff @ diff + 1e-8))
+            batch_losses.append(loss + cfg.lam * penalty)
+            g3 = ez / ez.sum(axis=1, keepdims=True)
+            g3[np.arange(nb), yb] -= 1
+            g3 /= nb
+            g2 = (g3 @ wc.T) * (z2 > 0)
+            g1 = (g2 @ w2.T) * (z1 > 0)
+            wc -= cfg.lr * (a2.T @ g3)
+            bc -= cfg.lr * g3.sum(0)
+            w2 -= cfg.lr * (a1.T @ g2)
+            b2 -= cfg.lr * g2.sum(0)
+            w1 -= cfg.lr * (xb.T @ g1)
+            b1 -= cfg.lr * g1.sum(0)
+        epoch_loss = float(np.mean(batch_losses))
+    feats = np.maximum(np.maximum(x @ w1 + b1, 0) @ w2 + b2, 0)
+    return feats, epoch_loss
+
+
 class TestComputeLocalPrototypes:
     def test_mean_of_two_feature_vectors(self):
         state = _state()
@@ -167,43 +230,33 @@ class TestLocalUpdate:
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
         ))
 
-        p = init_params(2, 3, 8, 3, seed=21)
-        w1, b1, w2, b2, wc, bc = (a.copy() for a in p.arrays())
-        x = np.array(
-            [[0.5, -1.0], [1.5, 0.5], [-0.5, 2.0], [2.0, 1.0], [0.0, -2.0], [1.0, 1.0]]
-        )
-        y = np.array([0, 1, 1, 0, 0, 1])
-        rng = np.random.default_rng(np.random.SeedSequence([123, 0]))
-        for _ in range(cfg.local_epochs):
-            order = rng.permutation(len(x))
-            for start in range(0, len(x), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                xb, yb = x[idx], y[idx]
-                nb = len(idx)
-                z1 = xb @ w1 + b1
-                a1 = np.maximum(z1, 0)
-                z2 = a1 @ w2 + b2
-                a2 = np.maximum(z2, 0)
-                z3 = a2 @ wc + bc
-                ez = np.exp(z3 - z3.max(axis=1, keepdims=True))
-                g3 = ez / ez.sum(axis=1, keepdims=True)
-                g3[np.arange(nb), yb] -= 1
-                g3 /= nb
-                g2 = (g3 @ wc.T) * (z2 > 0)
-                g1 = (g2 @ w2.T) * (z1 > 0)
-                wc -= cfg.lr * (a2.T @ g3)
-                bc -= cfg.lr * g3.sum(0)
-                w2 -= cfg.lr * (a1.T @ g2)
-                b2 -= cfg.lr * g2.sum(0)
-                w1 -= cfg.lr * (xb.T @ g1)
-                b1 -= cfg.lr * g1.sum(0)
-        feats = np.maximum(np.maximum(x @ w1 + b1, 0) @ w2 + b2, 0)
+        feats, _ = _scripted_run(state, cfg, global_values)
+        y = state.shard.y
         for cls in (0, 1):
             proto = feats[y == cls].mean(axis=0)
             comp = proto[state.mask_set.for_class(cls).bits == 1]
             np.testing.assert_array_equal(
                 payloads[cls], comp * int(np.sum(y == cls))
             )
+
+    @pytest.mark.parametrize("rho", ["squared_l2", "l2_eps"])
+    def test_train_loss_matches_scripted_reexecution(self, rho):
+        """Two epochs of a 4 + 2 batch split, penalty recomputed every batch."""
+        state = _state()
+        cfg = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2, rho=rho)
+        global_ids, global_values = _globals()
+        local_update(
+            state,
+            global_ids,
+            global_values,
+            cfg,
+            first_round=False,
+            rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
+        )
+        _, loss = _scripted_run(state, cfg, global_values)
+        assert len(state.shard) % cfg.batch_size != 0  # the last batch is partial
+        assert loss > 0
+        assert state.last_train_loss == loss
 
     def test_first_round_trace_equals_lambda_zero(self):
         state_a = _state()
@@ -271,6 +324,27 @@ class TestLocalUpdate:
             np.testing.assert_array_equal(outs[0][cls], outs[1][cls])
         for pa, pb in zip(fresh.params.arrays(), preset.params.arrays()):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_clients_sharing_one_params_block_train_independently(self):
+        shared = init_params(2, 3, 8, 3, seed=21)
+        original = [a.copy() for a in shared.arrays()]
+        a, b = _state(), _state()
+        a.params = b.params = shared
+        outs = [
+            _by_class(local_update(
+                st, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(6)
+            ))
+            for st in (a, b)
+        ]
+        # the caller's arrays are never written, so b starts where a started
+        for arr, before in zip(shared.arrays(), original):
+            np.testing.assert_array_equal(arr, before)
+        assert a.params is not shared and b.params is not shared
+        for pa, pb in zip(a.params.arrays(), b.params.arrays()):
+            assert pa is not pb
+            np.testing.assert_array_equal(pa, pb)
+        for cls in outs[0]:
+            np.testing.assert_array_equal(outs[0][cls], outs[1][cls])
 
     def test_missing_masks_rejected(self):
         state = _state(with_masks=False)
@@ -409,16 +483,31 @@ class TestDenseTargets:
                 received[int(cls)] = values
             ids = np.array(list(received))
             values = np.array([received[c] for c in ids])
+            held = {int(c) for c in rng.choice(k, size=k // 2 + 1, replace=False)}
+            state.class_counts = {c: 1 for c in sorted(held)}
             targets = client_mod._dense_targets(state, ids, values, cps=True)
-            live = [c for c, p in received.items() if np.any(p)]
-            assert list(targets) == live
-            for cls in live:
+            # live classes the client holds, in the order received
+            kept = [c for c, p in received.items() if np.any(p) and c in held]
+            assert list(targets) == kept
+            for cls in kept:
                 # the i-th payload value belongs at the i-th set bit of the mask
                 positions = [j for j, b in enumerate(state.mask_set.for_class(cls).bits) if b]
                 expected = np.zeros(d)
                 for value, j in zip(received[cls], positions):
                     expected[j] = value
                 np.testing.assert_array_equal(targets[cls], expected)
+
+    @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
+    def test_live_class_not_held_gets_no_target(self, cps):
+        state = _state()  # holds classes 0 and 1 of K=3
+        ids, values = _globals(feat_ones=2 if cps else 8)
+        assert values.all()  # every row is live, class 2's too
+        targets = client_mod._dense_targets(state, ids, values, cps=cps)
+        assert list(targets) == [0, 1]
+        local_update(
+            state, ids, values, _CFG, first_round=False, rng=np.random.default_rng(0), cps=cps
+        )
+        assert list(state.global_protos) == [0, 1]
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()

@@ -7,6 +7,7 @@ from tinyproto.numerics import (
     Gradients,
     ModelParams,
     ShapeError,
+    class_penalties,
     forward_features,
     forward_logits,
     init_params,
@@ -147,7 +148,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(4)
         for _ in range(20):
             params, xs, ys, _, _ = _random_instance(rng)
-            loss, _ = loss_and_grad(params, xs, ys, {}, 0.0, 1.0, {})
+            loss, _ = loss_and_grad(params, xs, ys, {}, 0.0)
             assert loss == _reference_cross_entropy(params, xs, ys)
 
     def test_penalty_zero_when_local_matches_scaled_global(self):
@@ -157,8 +158,9 @@ class TestLossAndGrad:
         classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: mu * globals_[c] for c in classes}
-        with_pen, _ = loss_and_grad(params, xs, ys, globals_, 2.5, mu, locals_)
-        without, _ = loss_and_grad(params, xs, ys, {}, 0.0, mu, {})
+        penalty = class_penalties(locals_, globals_, mu)
+        with_pen, _ = loss_and_grad(params, xs, ys, penalty, 2.5)
+        without, _ = loss_and_grad(params, xs, ys, {}, 0.0)
         assert with_pen == pytest.approx(without, abs=1e-15)
 
     def test_missing_global_contributes_nothing(self):
@@ -166,39 +168,73 @@ class TestLossAndGrad:
         params, xs, ys, feat, _ = _random_instance(rng)
         classes = sorted(set(ys.tolist()))
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        loss_missing, _ = loss_and_grad(params, xs, ys, {}, 1.0, 1.0, locals_)
-        loss_plain, _ = loss_and_grad(params, xs, ys, {}, 0.0, 1.0, {})
+        penalty = class_penalties(locals_, {}, 1.0)
+        loss_missing, _ = loss_and_grad(params, xs, ys, penalty, 1.0)
+        loss_plain, _ = loss_and_grad(params, xs, ys, {}, 0.0)
         assert loss_missing == loss_plain
 
     def test_missing_local_prototype_rejected(self):
         rng = np.random.default_rng(7)
         params, xs, ys, _, _ = _random_instance(rng)
         with pytest.raises(ValueError, match="local prototype"):
-            loss_and_grad(params, xs, ys, {}, 1.0, 1.0, {})
+            loss_and_grad(params, xs, ys, {}, 1.0)
 
     def test_empty_batch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="empty"):
-            loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=np.int64), {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=np.int64), {}, 0.0)
 
     def test_length_mismatch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones((3, 2)), np.array([0, 1]), {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.ones((3, 2)), np.array([0, 1]), {}, 0.0)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones((2, 2)), np.array([[0, 1]]), {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.ones((2, 2)), np.array([[0, 1]]), {}, 0.0)
 
     def test_one_dimensional_inputs_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones(2), np.array([0, 1]), {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.ones(2), np.array([0, 1]), {}, 0.0)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones(2), np.array([0]), {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.ones(2), np.array([0]), {}, 0.0)
 
     def test_non_integer_labels_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="integers"):
-            loss_and_grad(params, np.ones((2, 2)), np.array([0.0, 1.0]), {}, 0.0, 1.0, {})
+            loss_and_grad(params, np.ones((2, 2)), np.array([0.0, 1.0]), {}, 0.0)
+
+    @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "K"])
+    def test_label_outside_range_rejected(self, label):
+        params = _identity_params(2)
+        with pytest.raises(ValueError, match=r"outside \[0, K\)"):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, label]), {}, 0.0)
+
+    def test_input_dim_mismatch_rejected(self):
+        params = _identity_params(2)
+        with pytest.raises(ShapeError, match="input dim"):
+            loss_and_grad(params, np.ones((2, 3)), np.array([0, 1]), {}, 0.0)
+
+    def test_negative_lambda_rejected(self):
+        params = _identity_params(2)
+        with pytest.raises(ValueError, match="lam"):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), {}, -1.0)
+
+    def test_penalty_adds_batch_classes_in_ascending_order(self):
+        """The per-batch sum the penalty used to be recomputed with, bit for bit."""
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            params, xs, ys, feat, ncls = _random_instance(rng, max_batch=8)
+            locals_ = {c: rng.normal(size=feat) for c in range(ncls)}
+            globals_ = {c: rng.normal(size=feat) for c in range(ncls) if rng.random() < 0.7}
+            lam, mu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
+            expected = 0.0
+            for cls in sorted(set(ys.tolist())):
+                if cls in globals_:
+                    diff = locals_[cls] - mu * globals_[cls]
+                    expected += float(diff @ diff)
+            penalty = class_penalties(locals_, globals_, mu)
+            loss, _ = loss_and_grad(params, xs, ys, penalty, lam)
+            assert loss == _reference_cross_entropy(params, xs, ys) + lam * expected
 
     def test_penalty_value_both_rho_variants(self):
         rng = np.random.default_rng(8)
@@ -211,13 +247,15 @@ class TestLossAndGrad:
         sq = sum(
             float(np.sum((locals_[c] - mu * globals_[c]) ** 2)) for c in classes
         )
-        loss_sq, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_, rho="squared_l2")
+        penalty = class_penalties(locals_, globals_, mu, rho="squared_l2")
+        loss_sq, _ = loss_and_grad(params, xs, ys, penalty, lam)
         assert loss_sq == pytest.approx(base + lam * sq, rel=1e-12)
         smooth = sum(
             float(np.sqrt(np.sum((locals_[c] - mu * globals_[c]) ** 2) + 1e-8))
             for c in classes
         )
-        loss_l2, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_, rho="l2_eps")
+        penalty = class_penalties(locals_, globals_, mu, rho="l2_eps")
+        loss_l2, _ = loss_and_grad(params, xs, ys, penalty, lam)
         assert loss_l2 == pytest.approx(base + lam * smooth, rel=1e-12)
 
     def test_gradients_match_central_finite_differences(self):
@@ -234,16 +272,17 @@ class TestLossAndGrad:
                 lam, mu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
                 globals_ = {c: rng.normal(size=feat) for c in classes}
                 locals_ = {c: rng.normal(size=feat) for c in classes}
-            _, grads = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
+            penalty = class_penalties(locals_, globals_, mu)
+            _, grads = loss_and_grad(params, xs, ys, penalty, lam)
             for arr, grad in zip(params.arrays(), grads.arrays()):
                 flat = arr.reshape(-1)
                 gflat = grad.reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
+                    up, _ = loss_and_grad(params, xs, ys, penalty, lam)
                     flat[i] = orig - step
-                    down, _ = loss_and_grad(params, xs, ys, globals_, lam, mu, locals_)
+                    down, _ = loss_and_grad(params, xs, ys, penalty, lam)
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     assert np.isclose(gflat[i], fd, rtol=1e-4, atol=1e-7), (
@@ -256,40 +295,94 @@ class TestLossAndGrad:
         classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        first = loss_and_grad(params, xs, ys, globals_, 1.0, 1.0, locals_)
-        second = loss_and_grad(params, xs, ys, globals_, 1.0, 1.0, locals_)
+        penalty = class_penalties(locals_, globals_, 1.0)
+        first = loss_and_grad(params, xs, ys, penalty, 1.0)
+        second = loss_and_grad(params, xs, ys, penalty, 1.0)
         assert first[0] == second[0]
         for a, b in zip(first[1].arrays(), second[1].arrays()):
             np.testing.assert_array_equal(a, b)
 
 
+class TestClassPenalties:
+    def test_one_term_per_local_class(self):
+        rng = np.random.default_rng(13)
+        locals_ = {c: rng.normal(size=4) for c in (0, 2, 5)}
+        globals_ = {c: rng.normal(size=4) for c in (2, 3, 5)}
+        mu = 0.6
+        penalty = class_penalties(locals_, globals_, mu)
+        assert sorted(penalty) == [0, 2, 5]
+        assert penalty[0] == 0.0  # no global prototype: adds nothing
+        for cls in (2, 5):
+            diff = locals_[cls] - mu * globals_[cls]
+            assert penalty[cls] == float(diff @ diff)
+
+    def test_smoothed_l2_variant(self):
+        local, target = np.array([3.0, 0.0]), np.array([0.0, 4.0])
+        penalty = class_penalties({1: local}, {1: target}, 1.0, rho="l2_eps")
+        assert penalty[1] == float(np.sqrt(25.0 + 1e-8))
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_non_positive_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            class_penalties({0: np.ones(2)}, {0: np.ones(2)}, mu)
+
+    def test_unknown_rho_rejected(self):
+        with pytest.raises(ValueError, match="unknown rho"):
+            class_penalties({0: np.ones(2)}, {0: np.ones(2)}, 1.0, rho="l1")
+
+
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = _identity_params(2)
+        before = [a.copy() for a in params.arrays()]
         grads = Gradients(*(np.ones_like(a) for a in params.arrays()))
-        out = sgd_step(params, grads, 0.0)
-        for a, b in zip(out.arrays(), params.arrays()):
+        sgd_step(params, grads, 0.0)
+        for a, b in zip(params.arrays(), before):
             np.testing.assert_array_equal(a, b)
 
     def test_zero_grads_keep_params(self):
         params = _identity_params(2)
+        before = [a.copy() for a in params.arrays()]
         grads = Gradients(*(np.zeros_like(a) for a in params.arrays()))
-        out = sgd_step(params, grads, 0.5)
-        for a, b in zip(out.arrays(), params.arrays()):
+        sgd_step(params, grads, 0.5)
+        for a, b in zip(params.arrays(), before):
             np.testing.assert_array_equal(a, b)
 
     def test_single_entry_arithmetic(self):
         one = np.ones((1, 1))
         params = ModelParams(one.copy(), np.ones(1), one.copy(), np.ones(1), one.copy(), np.ones(1))
         grads = Gradients(*(2 * np.ones_like(a) for a in params.arrays()))
-        out = sgd_step(params, grads, 0.5)
-        assert out.w1[0, 0] == 0.0
+        sgd_step(params, grads, 0.5)
+        assert params.w1[0, 0] == 0.0
+
+    def test_in_place_update_equals_out_of_place_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            params, _, _, _, _ = _random_instance(rng)
+            grads = Gradients(*(rng.normal(size=a.shape) for a in params.arrays()))
+            lr = float(rng.uniform(0.001, 1.0))
+            expected = [p - lr * g for p, g in zip(params.arrays(), grads.arrays())]
+            arrays = params.arrays()
+            assert sgd_step(params, grads, lr) is None
+            for before, after, want in zip(arrays, params.arrays(), expected):
+                assert after is before  # updated in place, not replaced
+                np.testing.assert_array_equal(after, want)
 
     def test_shape_mismatch_raises(self):
         params = _identity_params(2)
         grads = Gradients(*(np.zeros((3, 3)) for _ in range(6)))
         with pytest.raises(ShapeError):
             sgd_step(params, grads, 0.1)
+
+    def test_shape_mismatch_leaves_every_array_unchanged(self):
+        params = _identity_params(2)
+        before = [a.copy() for a in params.arrays()]
+        grads = Gradients(*(np.ones_like(a) for a in params.arrays()))
+        grads.bc = np.ones(3)  # only the last array is wrong
+        with pytest.raises(ShapeError):
+            sgd_step(params, grads, 0.1)
+        for a, b in zip(params.arrays(), before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestInitParams:

@@ -228,22 +228,14 @@ class TestRunRound:
             fresh = [evaluate_accuracy(st) for st in clients]
             assert report.per_client_accuracy == fresh
 
-    def test_report_independent_of_worker_count(self):
-        def run(workers):
-            clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(6)]
-            mask_set = generate_masks(4, 12, 3, seed=0)
-            server = initial_server(mask_set, 4, cps=True)
-            reports = [
-                run_round(server, clients, 1.0, _CFG, seed=7, workers=workers)
-                for _ in range(2)
-            ]
-            return reports
-
-        solo, pooled = run(1), run(4)
-        for a, b in zip(solo, pooled):
-            assert a.mean_test_accuracy == b.mean_test_accuracy
-            assert a.per_client_accuracy == b.per_client_accuracy
-            assert a.uplink_params == b.uplink_params
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_workers_other_than_one_refused(self, workers):
+        # client updates run serially: the key stays, and accepts only 1
+        assert parse_config_text("workers = 1").workers == 1
+        with pytest.raises(ConfigError, match="workers: must be 1"):
+            parse_config_text(f"workers = {workers}")
+        with pytest.raises(ConfigError, match="workers: must be 1"):
+            run_experiment(ExperimentConfig(**{**_SMALL, "workers": workers}))
 
     @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
     def test_globals_sum_rows_in_ascending_client_order(self, aggregator):
