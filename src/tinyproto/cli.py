@@ -48,58 +48,47 @@ def _cmd_masks(args: argparse.Namespace) -> int:
     return 0
 
 
-_COST_QUERY_KEYS = (
-    "algorithm",
-    "M",
-    "K",
-    "K_i",
-    "d",
-    "s",
-    "classifier_params",
-    "aux_extractor_params",
-    "aux_classifier_params",
-    "r",
-    "full_model_params",
-)
+# query-file key -> CostQuery field
+_COST_QUERY_FIELDS = {
+    "M": "n_clients",
+    "K": "n_classes",
+    "K_i": "classes_per_client",
+    "d": "proto_dim",
+    "s": "comp_dim",
+    "classifier_params": "classifier_params",
+    "aux_extractor_params": "aux_extractor_params",
+    "aux_classifier_params": "aux_classifier_params",
+    "r": "reduction_factor",
+    "full_model_params": "full_model_params",
+}
 
 
 def _parse_cost_query_file(path: str) -> list[CostQuery]:
-    """Flat key-value query file; `algorithm` may list several, comma-separated."""
+    """Flat key-value query file; `algorithm` and `K_i` may list several,
+    comma-separated.  Every bad line or value is reported, named by its key."""
     with open(path) as fh:
-        pairs, problems = split_key_value_lines(fh.read(), _COST_QUERY_KEYS)
+        pairs, problems = split_key_value_lines(fh.read(), {"algorithm", *_COST_QUERY_FIELDS})
+    values = dict(pairs)
+
+    def number(key: str, text: str) -> int | float | None:
+        parse, what = (float, "a number") if key == "r" else (int, "an integer")
+        try:
+            return parse(text)
+        except ValueError:
+            problems.append(f"{key}: expected {what}, got {text.strip()!r}")
+
+    fields = {}
+    for key, text in values.items():
+        if key == "K_i":
+            counts = [number(key, p) for p in text.split(",") if p.strip()]
+            fields[_COST_QUERY_FIELDS[key]] = counts[0] if len(counts) == 1 else counts
+        elif key != "algorithm":
+            fields[_COST_QUERY_FIELDS[key]] = number(key, text)
     if problems:
         raise ValueError("invalid query file:\n" + "\n".join(f"  {p}" for p in problems))
-    values = dict(pairs)
     if "algorithm" not in values:
         raise ValueError("query file must set 'algorithm'")
-
-    def get_int(key: str) -> int | None:
-        return int(values[key]) if key in values else None
-
-    classes_per_client: int | list[int] | None = None
-    if "K_i" in values:
-        parts = [p for p in values["K_i"].split(",") if p.strip()]
-        counts = [int(p) for p in parts]
-        classes_per_client = counts[0] if len(counts) == 1 else counts
-
-    queries = []
-    for algo in (a.strip() for a in values["algorithm"].split(",")):
-        queries.append(
-            CostQuery(
-                algorithm=algo,
-                n_clients=get_int("M"),
-                n_classes=get_int("K"),
-                classes_per_client=classes_per_client,
-                proto_dim=get_int("d"),
-                comp_dim=get_int("s"),
-                classifier_params=get_int("classifier_params"),
-                aux_extractor_params=get_int("aux_extractor_params"),
-                aux_classifier_params=get_int("aux_classifier_params"),
-                reduction_factor=float(values["r"]) if "r" in values else None,
-                full_model_params=get_int("full_model_params"),
-            )
-        )
-    return queries
+    return [CostQuery(algorithm=a.strip(), **fields) for a in values["algorithm"].split(",")]
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:

@@ -18,23 +18,24 @@ penalty term is computed once per epoch, not once per batch.  An update
 copies the parameters once and every SGD step changes that copy in place;
 the caller's arrays are never written.
 
-Prototypes and payloads are arrays throughout: a block of ascending class
-ids plus one row per class.  ``compute_local_prototypes`` returns the
-client's means as such an ``(ids, (c, d))`` pair, the upload is
-:func:`~tinyproto.prototypes.compress` of that block through its classes'
-mask rows, and the dense targets are ``reconstruct`` of the received
-non-zero rows.
+Every per-class quantity is a ``(K,)`` array indexed by class id or an
+``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
+the shard's histogram, read fresh each time.  The means and the dense targets
+(``reconstruct`` of the received live rows of held classes) are read-only
+pairs, the penalty terms one vector, and the upload is
+:func:`~tinyproto.prototypes.compress` of the means times ``class_counts[ids, None]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import Dataset
 from .masking import MaskSet
 from .numerics import (
+    RHO_CHOICES,
     ModelParams,
     class_penalties,
     forward_features,
@@ -85,19 +86,21 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
+        if self.rho not in RHO_CHOICES:
+            raise ValueError(f"rho must be one of {', '.join(RHO_CHOICES)}")
 
 
 @dataclass
 class ClientState:
-    """Everything one client owns: model, data, counts, and latest targets."""
+    """Everything one client owns: model, data, and latest targets."""
 
     client_id: int
     params: ModelParams
     shard: Dataset
-    class_counts: dict[int, int]
     test_shard: Dataset | None = None
     mask_set: MaskSet | None = None
-    global_protos: dict[int, np.ndarray] = field(default_factory=dict)
+    # (ids, block): the held classes with a live global payload, their targets
+    global_protos: tuple[np.ndarray, np.ndarray] | None = None
     # (ids, block): ascending ids of the classes with samples, their means
     local_protos: tuple[np.ndarray, np.ndarray] | None = None
     last_train_loss: float | None = None
@@ -107,22 +110,22 @@ class ClientState:
     test_accuracy: float | None = None
 
     @property
+    def class_counts(self) -> np.ndarray:
+        """(K,) samples of each class in the shard, derived from it on each read."""
+        return self.shard.class_histogram()
+
+    @property
     def n_local_classes(self) -> int:
-        return sum(1 for n in self.class_counts.values() if n > 0)
+        return int(np.count_nonzero(self.class_counts))
 
 
 def compute_local_prototypes(state: ClientState) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean feature vectors over the client's shard, read-only:
     ascending ``ids`` of the classes with samples, and row i is ``ids[i]``'s."""
     feats = forward_features(state.params, state.shard.x)
-    ids, means = [], []
-    for cls in sorted(state.class_counts):
-        rows = feats[state.shard.y == cls]
-        if rows.shape[0] > 0:
-            ids.append(cls)
-            means.append(rows.mean(axis=0))
-    ids = np.array(ids, dtype=np.int64)
-    block = np.array(means).reshape(len(ids), feats.shape[1])
+    ids = np.flatnonzero(state.class_counts)
+    block = np.array([feats[state.shard.y == cls].mean(axis=0) for cls in ids.tolist()])
+    block = block.reshape(len(ids), feats.shape[1])
     ids.flags.writeable = block.flags.writeable = False
     return ids, block
 
@@ -132,18 +135,19 @@ def _dense_targets(
     global_ids: np.ndarray,
     global_values: np.ndarray,
     cps: bool,
-) -> dict[int, np.ndarray]:
-    """Rebuild full-length regularization targets for the classes the client holds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-length regularization targets for the classes the client holds,
+    as a read-only ``(ids, (n, d))`` pair in the order received.
 
     Row i of ``global_values`` is the payload of class ``global_ids[i]``.
     All-zero rows mean the server has not aggregated that class yet; they
     are dropped so the class contributes nothing to the penalty, same as in
-    the very first round.  Rows of classes outside ``state.class_counts``
-    are dropped too: the penalty reads only the classes of the client's
-    shard.  Every received row must have s values (the model's feature dim
-    without ``cps``), every value must be finite, and every class id must
-    lie in [0, K).  With ``cps`` the caller has checked that the client holds
-    its masks, and the kept rows are reconstructed into one read-only array.
+    the very first round.  Rows of classes with no samples are dropped too:
+    the penalty reads only the classes of the client's shard.  Every
+    received row must have s values (the model's feature dim without
+    ``cps``), every value must be finite, and every class id must lie in
+    [0, K).  With ``cps`` the caller has checked that the client holds its
+    masks, and the kept rows are reconstructed.
     """
     if cps:
         n_classes, want = state.mask_set.n_classes, state.mask_set.s
@@ -154,9 +158,7 @@ def _dense_targets(
         raise ValueError(
             f"class id {int(global_ids[bad][0])} outside [0, K) for K={n_classes}"
         )
-    if len(global_ids) == 0:
-        return {}
-    if global_values.shape[1] != want:
+    if len(global_ids) and global_values.shape[1] != want:
         raise ValueError(
             f"length mismatch for class {int(global_ids[0])}: payloads have "
             f"{global_values.shape[1]} values, expected {want} "
@@ -165,14 +167,12 @@ def _dense_targets(
     finite = np.isfinite(global_values).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite payload for class {int(global_ids[~finite][0])}")
-    held = np.zeros(n_classes, dtype=bool)
-    held[list(state.class_counts)] = True
-    keep = global_values.any(axis=1) & held[global_ids]
+    keep = global_values.any(axis=1) & (state.class_counts[global_ids] > 0)
     ids, values = global_ids[keep], global_values[keep]
     if cps:
         values = reconstruct(values, state.mask_set.bits[ids])
-        values.flags.writeable = False
-    return dict(zip(ids.tolist(), values))
+    ids.flags.writeable = values.flags.writeable = False
+    return ids, values
 
 
 def local_update(
@@ -216,17 +216,14 @@ def local_update(
     protos = state.local_protos
     if protos is None:
         protos = compute_local_prototypes(state)
-    penalty: dict[int, float] = {}
+    penalty = None
     epoch_losses: list[float] = []
     for _ in range(cfg.local_epochs):
         if lam > 0:
             # the snapshot and the targets are fixed for the epoch, so is each
             # class's penalty term
             penalty = class_penalties(
-                dict(zip(protos[0].tolist(), protos[1])),
-                state.global_protos,
-                cfg.mu,
-                cfg.rho,
+                protos, state.global_protos, cfg.mu, cfg.rho, n_classes=state.params.dims[3]
             )
         order = rng.permutation(n)
         batch_losses = []
@@ -247,7 +244,7 @@ def local_update(
     if cps:
         block = compress(block, state.mask_set.bits[ids])
     if scale_by_count:
-        block = block * np.array([[float(state.class_counts[cls])] for cls in ids.tolist()])
+        block = block * state.class_counts[ids, None]
     return ids, block
 
 

@@ -5,6 +5,10 @@ radius-4 sphere, which keeps classes well separated at small noise levels.
 Partitioning draws, per class, client proportions from a Dirichlet
 distribution and assigns that class's samples by largest-remainder rounding,
 so label skew grows as the concentration alpha shrinks.
+
+Per-class counts are never stored beside a dataset: ``class_histogram()``
+derives the one ``(K,)`` count vector from the labels whenever it is asked,
+so no copy of the counts can disagree with the shard.
 """
 
 from __future__ import annotations
@@ -60,12 +64,8 @@ class Dataset:
         return Dataset(self.x[indices], self.y[indices], self.n_classes)
 
     def class_histogram(self) -> np.ndarray:
+        """(K,) samples per class, 0 for a class the dataset lacks."""
         return np.bincount(self.y, minlength=self.n_classes)
-
-    def class_counts(self) -> dict[int, int]:
-        """Counts for classes actually present, keyed by class id."""
-        hist = self.class_histogram()
-        return {int(c): int(n) for c, n in enumerate(hist) if n > 0}
 
 
 @dataclass(frozen=True)
@@ -117,19 +117,17 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def dirichlet_partition(
-    ds: Dataset, spec: PartitionSpec
-) -> tuple[list[Dataset | None], list[dict[int, int]]]:
+def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset | None]:
     """Split a dataset into per-client shards with Dirichlet label skew.
 
     Per class, client proportions are drawn from Dir(alpha * ones(M)) and the
     class's samples are dealt out by largest-remainder rounding, so every
     sample lands on exactly one client.  Clients that receive nothing get a
-    None shard (and a logged warning); counts are returned per client.
+    None shard (and a logged warning).  A shard's per-class counts are its
+    :meth:`Dataset.class_histogram`.
     """
     rng = np.random.default_rng(spec.seed)
     assigned: list[list[np.ndarray]] = [[] for _ in range(spec.n_clients)]
-    counts: list[dict[int, int]] = [{} for _ in range(spec.n_clients)]
     for cls in range(ds.n_classes):
         cls_idx = np.flatnonzero(ds.y == cls)
         if len(cls_idx) == 0:
@@ -140,7 +138,6 @@ def dirichlet_partition(
         for client, n in enumerate(per_client):
             if n > 0:
                 assigned[client].append(cls_idx[start : start + n])
-                counts[client][cls] = int(n)
             start += n
     shards: list[Dataset | None] = []
     for client in range(spec.n_clients):
@@ -150,7 +147,7 @@ def dirichlet_partition(
             continue
         idx = np.sort(np.concatenate(assigned[client]))
         shards.append(ds.subset(idx))
-    return shards, counts
+    return shards
 
 
 def split_train_test(shard: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

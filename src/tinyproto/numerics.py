@@ -8,12 +8,13 @@ the dead-unit diagnostics in :mod:`tinyproto.prototypes` measure.
 Training uses plain minibatch SGD with exact hand-derived gradients of the
 combined objective (cross-entropy plus a prototype-alignment penalty).  The
 penalty compares the client's per-class feature means against scaled global
-prototypes.  Both sets are fixed for a whole epoch, so :func:`class_penalties`
-computes each held class's term once per epoch, and every batch adds the
-terms of its classes in ascending class order.  The penalty therefore shifts
-the loss value while the gradient is carried entirely by the cross-entropy
-term.  All reductions run in ascending index order, which makes repeated
-evaluations bit-identical.
+prototypes.  Both sets arrive as ``(ids, (n, d))`` pairs and are fixed for a
+whole epoch, so :func:`class_penalties` computes each held class's term once
+per epoch into one ``(K,)`` vector indexed by class id, and every batch adds
+the entries of its classes in ascending class order.  The penalty therefore
+shifts the loss value while the gradient is carried entirely by the
+cross-entropy term.  All reductions run in ascending index order, which makes
+repeated evaluations bit-identical.
 
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
 labels, checked with a few cheap tests per call.  :func:`sgd_step` updates a
@@ -24,7 +25,6 @@ the feature layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -39,9 +39,13 @@ __all__ = [
     "loss_and_grad",
     "sgd_step",
     "RHO_CHOICES",
+    "NO_LOCAL_PROTOTYPE",
 ]
 
 RHO_CHOICES = ("squared_l2", "l2_eps")
+
+# class_penalties' entry for a class without a local prototype: below every rho
+NO_LOCAL_PROTOTYPE = -1.0
 
 # epsilon under the root for the smoothed-l2 distance variant
 _L2_EPS = 1e-8
@@ -162,28 +166,31 @@ def _rho(diff: np.ndarray, rho: str) -> float:
 
 
 def class_penalties(
-    local_protos: Mapping[int, np.ndarray],
-    global_protos: Mapping[int, np.ndarray],
+    local_protos: tuple[np.ndarray, np.ndarray],
+    targets: tuple[np.ndarray, np.ndarray],
     mu: float,
     rho: str = "squared_l2",
-) -> dict[int, float]:
-    """Each local class's penalty term rho(local_proto[c] - mu * global_proto[c]).
+    *,
+    n_classes: int,
+) -> np.ndarray:
+    """The ``(K,)`` vector of each class's term rho(local[c] - mu * target[c]).
 
-    The keys are exactly the classes of ``local_protos``; a class with no
-    global prototype maps to 0.0, so it adds nothing to a batch's penalty.
-    Both prototype sets are fixed for an epoch, so a client computes this
-    once per epoch and every batch of the epoch reads it.
+    Both arguments are ``(ids, (n, d))`` pairs, row i of class ``ids[i]``.
+    A local class without a target gets 0.0, so it adds nothing to a batch's
+    penalty; a class without a local prototype gets ``NO_LOCAL_PROTOTYPE``.
+    Both sets are fixed for an epoch, so a client computes this once per
+    epoch and every batch of the epoch reads it.
     """
     if mu <= 0:
         raise ValueError("mu must be > 0")
-    penalties = {}
-    for cls, local in local_protos.items():
-        target = global_protos.get(cls)
-        if target is None:
-            penalties[cls] = 0.0
-            continue
-        diff = np.asarray(local, dtype=np.float64) - mu * np.asarray(target, dtype=np.float64)
-        penalties[cls] = _rho(diff, rho)
+    (local_ids, local_rows), (target_ids, target_rows) = local_protos, targets
+    penalties = np.full(n_classes, NO_LOCAL_PROTOTYPE)
+    penalties[local_ids] = 0.0
+    target_row = np.full(n_classes, -1)  # -1: no target
+    target_row[target_ids] = np.arange(len(target_ids))
+    for i, (cls, j) in enumerate(zip(local_ids.tolist(), target_row[local_ids].tolist())):
+        if j >= 0:
+            penalties[cls] = _rho(local_rows[i] - mu * target_rows[j], rho)
     return penalties
 
 
@@ -191,7 +198,7 @@ def loss_and_grad(
     params: ModelParams,
     xs: np.ndarray,
     ys: np.ndarray,
-    class_penalty: Mapping[int, float],
+    class_penalty: np.ndarray | None,
     lam: float,
 ) -> tuple[float, Gradients]:
     """Combined loss over a minibatch and its exact parameter gradient.
@@ -199,10 +206,11 @@ def loss_and_grad(
     ``xs`` is the (n, D) input batch and ``ys`` its (n,) integer labels.
     The loss is mean cross-entropy of softmax(logits) against the labels,
     plus lam * the sum, over the classes present in the batch in ascending
-    order, of ``class_penalty[c]`` (see :func:`class_penalties`); with
-    lam > 0 every batch class must have an entry.  The penalty values are
-    constants of the step, so the returned gradient is the cross-entropy
-    gradient; it matches central finite differences of the returned loss.
+    order, of ``class_penalty[c]``: the ``(K,)`` vector of
+    :func:`class_penalties`, read only when lam > 0, where every batch class
+    must have a local prototype.  The penalty values are constants of the
+    step, so the returned gradient is the cross-entropy gradient; it matches
+    central finite differences of the returned loss.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -213,14 +221,14 @@ def loss_and_grad(
         raise ValueError("empty batch")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    din = params.w1.shape[0]
+    din, n_classes = params.w1.shape[0], params.wc.shape[1]
     if xs.shape[1] != din:
         raise ShapeError(f"batch input dim {xs.shape[1]} != model input dim {din}")
     if ys.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {ys.dtype}")
     # a few Python ints: cheaper than two array reductions at minibatch size
     classes = sorted(set(ys.tolist()))
-    if classes[0] < 0 or classes[-1] >= params.wc.shape[1]:
+    if classes[0] < 0 or classes[-1] >= n_classes:
         raise ValueError("label outside [0, K)")
 
     a1, a2 = _activations(params, xs)
@@ -235,13 +243,17 @@ def loss_and_grad(
     loss = float(np.mean(-(z3[rows, ys] - log_norm[:, 0])))
 
     if lam > 0:
+        if np.shape(class_penalty) != (n_classes,):
+            raise ShapeError(
+                f"class penalty shape {np.shape(class_penalty)}, expected (K,) for K={n_classes}"
+            )
         penalty = 0.0
         for cls in classes:
-            value = class_penalty.get(cls)
-            if value is None:
+            value = class_penalty[cls]
+            if value == NO_LOCAL_PROTOTYPE:
                 raise ValueError(f"no local prototype for batch class {cls}")
             penalty += value
-        loss = loss + lam * penalty
+        loss = loss + lam * float(penalty)
 
     # backprop of the cross-entropy term (the penalty is constant in params);
     # relu'(z) is 1 exactly where relu(z) > 0

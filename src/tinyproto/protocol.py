@@ -272,8 +272,7 @@ def run_round(
         )
         if weighted:
             # the weighted variant ships the raw count as column 0
-            counts = [[float(state.class_counts[cls])] for cls in ids.tolist()]
-            block = np.hstack((counts, block))
+            block = np.hstack((state.class_counts[ids, None], block))
         upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
         upload_frame = decode_frame(upload)
         _check_upload(upload_frame, cid, round_no, n_classes, width, weighted)
@@ -340,7 +339,7 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
         seed=_child_seed(config.seed, _TAG_PARTITION),
         train_fraction=config.train_fraction,
     )
-    shards, _ = dirichlet_partition(data, spec)
+    shards = dirichlet_partition(data, spec)
     clients: list[ClientState] = []
     dropped: list[int] = []
     for cid in range(config.n_clients):
@@ -359,15 +358,7 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
             config.n_classes,
             seed=_child_seed(config.seed, _TAG_INIT, cid),
         )
-        clients.append(
-            ClientState(
-                client_id=cid,
-                params=params,
-                shard=train,
-                class_counts=train.class_counts(),
-                test_shard=test,
-            )
-        )
+        clients.append(ClientState(client_id=cid, params=params, shard=train, test_shard=test))
     return clients, dropped
 
 

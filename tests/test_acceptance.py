@@ -156,7 +156,11 @@ def test_criterion_2_gradient_check():
                 mu = float(rng.uniform(0.1, 2.0))
                 globals_ = {c: rng.normal(size=feat) for c in classes}
                 locals_ = {c: rng.normal(size=feat) for c in classes}
-            penalty = tp.class_penalties(locals_, globals_, mu)
+            pairs = [  # as (ids, (n, d)) pairs
+                (np.array(list(p), dtype=np.int64), np.reshape(list(p.values()), (len(p), feat)))
+                for p in (locals_, globals_)
+            ]
+            penalty = tp.class_penalties(*pairs, mu, n_classes=ncls)
             _, grads = tp.loss_and_grad(params, xs, ys, penalty, lam)
             for arr, grad in zip(params.arrays(), grads.arrays()):
                 flat, gflat = arr.reshape(-1), grad.reshape(-1)

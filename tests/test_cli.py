@@ -126,3 +126,20 @@ class TestCost:
         query.write_text("algorithm = FedAvg\nM = 2\nfull_model_params = 10\nbogus = 1\n")
         assert main(["cost", str(query)]) == 2
         assert "bogus: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("M = abc", "M: expected an integer, got 'abc'"),
+            ("K_i = 3,x", "K_i: expected an integer, got 'x'"),
+            ("r = fast", "r: expected a number, got 'fast'"),
+        ],
+        ids=["M", "K_i", "r"],
+    )
+    def test_bad_value_is_named_by_its_key(self, tmp_path, capsys, line, message):
+        query = tmp_path / "query.cfg"
+        query.write_text(f"algorithm = TinyProto\nK = 3\nd = 8\ns = 2\n{line}\n")
+        assert main(["cost", str(query)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err

@@ -16,7 +16,14 @@ from tinyproto.client import (
 )
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
-from tinyproto.numerics import ModelParams, forward_features, init_params
+from tinyproto.numerics import (
+    NO_LOCAL_PROTOTYPE,
+    ModelParams,
+    class_penalties,
+    forward_features,
+    init_params,
+    loss_and_grad,
+)
 
 
 def _state(seed=21, with_masks=True):
@@ -31,7 +38,6 @@ def _state(seed=21, with_masks=True):
         client_id=0,
         params=params,
         shard=shard,
-        class_counts=shard.class_counts(),
         mask_set=generate_masks(n_classes, feat, ones, seed=9) if with_masks else None,
     )
 
@@ -121,14 +127,12 @@ class TestComputeLocalPrototypes:
         zeros = np.zeros(2)
         state.params = ModelParams(eye, zeros, eye, zeros, np.eye(2), zeros)
         state.shard = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 0]), 2)
-        state.class_counts = state.shard.class_counts()
         protos = _by_class(compute_local_prototypes(state))
         np.testing.assert_array_equal(protos[0], [2.0, 3.0])
 
     def test_single_sample_is_its_own_feature(self):
         state = _state()
         state.shard = Dataset(state.shard.x[:1], state.shard.y[:1], 3)
-        state.class_counts = state.shard.class_counts()
         protos = _by_class(compute_local_prototypes(state))
         np.testing.assert_array_equal(
             protos[0], forward_features(state.params, state.shard.x[0])
@@ -163,6 +167,13 @@ class TestComputeLocalPrototypes:
             ids[0] = 2
 
 
+class TestTrainConfig:
+    def test_unknown_rho_rejected(self):
+        # refused when the config is made, not in the first update that reads it
+        with pytest.raises(ValueError, match="rho must be one of squared_l2, l2_eps"):
+            TrainConfig(rho="l1")
+
+
 class TestLocalUpdate:
     def test_returns_exactly_local_classes(self):
         state = _state()
@@ -181,13 +192,11 @@ class TestLocalUpdate:
     def test_count_scaling_identity_when_counts_are_one(self):
         state = _state()
         state.shard = Dataset(state.shard.x[:2], np.array([0, 1]), 3)
-        state.class_counts = state.shard.class_counts()
         scaled = _by_class(local_update(
             state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(1)
         ))
         state2 = _state()
         state2.shard = Dataset(state2.shard.x[:2], np.array([0, 1]), 3)
-        state2.class_counts = state2.shard.class_counts()
         plain = _by_class(local_update(
             state2,
             *_globals(),
@@ -291,7 +300,8 @@ class TestLocalUpdate:
             first_round=False,
             rng=np.random.default_rng(2),
         )
-        assert state.global_protos == {}
+        ids, block = state.global_protos
+        assert ids.shape == (0,) and block.shape == (0, 8)
 
     def test_preset_snapshot_means_one_recompute_per_epoch(self, monkeypatch):
         state = _state()
@@ -484,8 +494,9 @@ class TestDenseTargets:
             ids = np.array(list(received))
             values = np.array([received[c] for c in ids])
             held = {int(c) for c in rng.choice(k, size=k // 2 + 1, replace=False)}
-            state.class_counts = {c: 1 for c in sorted(held)}
-            targets = client_mod._dense_targets(state, ids, values, cps=True)
+            # one sample of each held class
+            state.shard = Dataset(np.zeros((len(held), 2)), sorted(held), k)
+            targets = _by_class(client_mod._dense_targets(state, ids, values, cps=True))
             # live classes the client holds, in the order received
             kept = [c for c, p in received.items() if np.any(p) and c in held]
             assert list(targets) == kept
@@ -502,17 +513,18 @@ class TestDenseTargets:
         state = _state()  # holds classes 0 and 1 of K=3
         ids, values = _globals(feat_ones=2 if cps else 8)
         assert values.all()  # every row is live, class 2's too
-        targets = client_mod._dense_targets(state, ids, values, cps=cps)
-        assert list(targets) == [0, 1]
+        target_ids, _ = client_mod._dense_targets(state, ids, values, cps=cps)
+        assert target_ids.tolist() == [0, 1]
         local_update(
             state, ids, values, _CFG, first_round=False, rng=np.random.default_rng(0), cps=cps
         )
-        assert list(state.global_protos) == [0, 1]
+        assert state.global_protos[0].tolist() == [0, 1]
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()
         zeros = np.zeros((3, 2))
-        assert client_mod._dense_targets(state, np.arange(3), zeros, cps=True) == {}
+        ids, block = client_mod._dense_targets(state, np.arange(3), zeros, cps=True)
+        assert ids.shape == (0,) and block.shape == (0, 8)
 
     def test_wrong_compressed_length_names_the_class(self):
         state = _state()
@@ -556,3 +568,126 @@ class TestL2Distances:
             expected = np.array(class_ids)[np.argmin(reference, axis=1)]
             picked = client_mod._nearest_local_class(state, x)
             np.testing.assert_array_equal(picked, expected)
+
+
+def _reference_local_prototypes(state):
+    """The per-class dict loop the array path replaced: {class id: mean}."""
+    counts = {int(c): int(n) for c, n in enumerate(np.bincount(state.shard.y)) if n > 0}
+    feats = forward_features(state.params, state.shard.x)
+    return {cls: feats[state.shard.y == cls].mean(axis=0) for cls in sorted(counts)}
+
+
+def _reference_targets(state, ids, values, cps):
+    """{class id: dense target} of the live rows of held classes, in the order received."""
+    held = set(np.flatnonzero(np.bincount(state.shard.y)).tolist())
+    targets = {}
+    for cls, row in zip(ids.tolist(), values):
+        if np.any(row) and cls in held:
+            if cps:
+                full = np.zeros(state.mask_set.d)
+                full[state.mask_set.for_class(cls).bits == 1] = row
+                row = full
+            targets[cls] = row
+    return targets
+
+
+def _reference_penalties(local_protos, global_protos, mu, rho):
+    """{class id: term} over the local classes; 0.0 for one without a target."""
+    penalties = {}
+    for cls, local in local_protos.items():
+        target = global_protos.get(cls)
+        if target is None:
+            penalties[cls] = 0.0
+            continue
+        diff = np.asarray(local, dtype=np.float64) - mu * np.asarray(target, dtype=np.float64)
+        if rho == "squared_l2":
+            penalties[cls] = float(diff @ diff)
+        else:
+            penalties[cls] = float(np.sqrt(diff @ diff + 1e-8))
+    return penalties
+
+
+class TestArrayPathMatchesDictReference:
+    """Class-indexed arrays give the bits of the per-class dict loops they replaced."""
+
+    def _draw(self, rng, case):
+        k = int(rng.integers(2, 13))
+        d = int(rng.integers(2, 17))
+        s = int(rng.integers(1, d + 1))
+        held = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+        if case % 4 == 0:
+            live = [c for c in range(k) if c not in held]  # no held class is live
+        else:
+            live = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False).tolist()
+        labels = np.repeat(held, rng.integers(1, 5, size=len(held)))
+        shard = Dataset(rng.normal(size=(len(labels), 3)), rng.permutation(labels), k)
+        cps = case % 2 == 0
+        ids = np.arange(k) if case % 3 else rng.permutation(k)
+        values = rng.normal(size=(k, s if cps else d))
+        values[~np.isin(ids, live)] = 0.0
+        cfg = TrainConfig(
+            lam=float(rng.uniform(0.1, 2.0)),
+            mu=float(rng.uniform(0.1, 2.0)),
+            lr=0.05,
+            batch_size=int(rng.integers(1, 6)),
+            local_epochs=2,
+            rho=("squared_l2", "l2_eps")[case // 2 % 2],  # with cps: all four pairs
+        )
+        state = ClientState(
+            client_id=case,
+            params=init_params(3, 4, d, k, seed=case),
+            shard=shard,
+            mask_set=generate_masks(k, d, s, seed=case),
+        )
+        return state, ids, values, cps, cfg
+
+    def test_dense_targets_penalties_and_count_scaling(self):
+        rng = np.random.default_rng(36)
+        overlapping = disjoint_live = 0
+        for case in range(60):
+            state, ids, values, cps, cfg = self._draw(rng, case)
+            k = state.mask_set.n_classes
+            overlapping += k * state.mask_set.s > state.mask_set.d
+            counts = np.bincount(state.shard.y, minlength=k)
+
+            target_ids, target_block = client_mod._dense_targets(state, ids, values, cps)
+            targets = _reference_targets(state, ids, values, cps)
+            assert target_ids.tolist() == list(targets)
+            assert target_block.shape == (len(targets), state.mask_set.d)
+            assert all(np.array_equal(row, targets[c]) for c, row in zip(target_ids, target_block))
+            disjoint_live += not targets
+
+            local = compute_local_prototypes(state)
+            local_ref = _reference_local_prototypes(state)
+            assert local[0].tolist() == list(local_ref)
+            assert all(np.array_equal(row, local_ref[c]) for c, row in zip(*local))
+
+            penalty = class_penalties(
+                local, (target_ids, target_block), cfg.mu, cfg.rho, n_classes=k
+            )
+            expected = _reference_penalties(local_ref, targets, cfg.mu, cfg.rho)
+            for cls in range(k):
+                assert penalty[cls] == expected.get(cls, NO_LOCAL_PROTOTYPE)
+            # the batch sum of the terms, classes ascending, as loss_and_grad adds it
+            xs, ys = state.shard.x, state.shard.y
+            ce, _ = loss_and_grad(state.params, xs, ys, None, 0.0)
+            total = 0.0
+            for cls in sorted(set(ys.tolist())):
+                total += expected[cls]
+            loss, _ = loss_and_grad(state.params, xs, ys, penalty, cfg.lam)
+            assert loss == ce + cfg.lam * total
+
+            # count scaling: the same update with and without it (an update
+            # never writes the caller's params, so both start from the same)
+            twin = ClientState(case, state.params, state.shard, mask_set=state.mask_set)
+            up_ids, scaled = local_update(
+                state, ids, values, cfg, False, np.random.default_rng(case), cps=cps
+            )
+            plain_ids, plain = local_update(
+                twin, ids, values, cfg, False, np.random.default_rng(case),
+                cps=cps, scale_by_count=False,
+            )
+            assert up_ids.tolist() == plain_ids.tolist() == np.flatnonzero(counts).tolist()
+            column = np.array([[float(counts[c])] for c in up_ids.tolist()])
+            assert np.array_equal(scaled, plain * column)
+        assert overlapping >= 10 and disjoint_live >= 10

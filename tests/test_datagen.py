@@ -49,48 +49,44 @@ class TestMakeBlobs:
 class TestDirichletPartition:
     def test_huge_alpha_is_nearly_uniform(self):
         ds = make_blobs(3, 4, per_class=40, sigma=0.2, seed=0)
-        shards, counts = dirichlet_partition(ds, PartitionSpec(4, alpha=1e6, seed=1))
-        for per_client in counts:
-            for cls, n in per_client.items():
-                assert abs(n - 40 / 4) <= 1
+        shards = dirichlet_partition(ds, PartitionSpec(4, alpha=1e6, seed=1))
+        for shard in shards:
+            assert np.all(np.abs(shard.class_histogram() - 40 / 4) <= 1)
 
     def test_single_client_takes_everything(self):
         ds = make_blobs(3, 4, per_class=10, sigma=0.2, seed=0)
-        shards, counts = dirichlet_partition(ds, PartitionSpec(1, alpha=0.1, seed=1))
+        shards = dirichlet_partition(ds, PartitionSpec(1, alpha=0.1, seed=1))
         assert len(shards[0]) == len(ds)
 
     def test_golden_seeded_draw(self):
         """Frozen from a recorded draw: alpha=0.1, four clients."""
         ds = make_blobs(3, 4, per_class=40, sigma=0.2, seed=11)
-        shards, counts = dirichlet_partition(ds, PartitionSpec(4, alpha=0.1, seed=5))
+        shards = dirichlet_partition(ds, PartitionSpec(4, alpha=0.1, seed=5))
         sizes = [0 if s is None else len(s) for s in shards]
         assert sizes == [58, 3, 59, 0]
-        assert counts == [{0: 40, 2: 18}, {2: 3}, {1: 40, 2: 19}, {}]
+        counts = [None if s is None else s.class_histogram().tolist() for s in shards]
+        assert counts == [[40, 0, 18], [0, 0, 3], [0, 40, 19], None]
 
     def test_conservation_and_recount(self):
         ds = make_blobs(4, 5, per_class=33, sigma=0.4, seed=6)
-        shards, counts = dirichlet_partition(ds, PartitionSpec(5, alpha=0.3, seed=7))
+        shards = dirichlet_partition(ds, PartitionSpec(5, alpha=0.3, seed=7))
         total = sum(len(s) for s in shards if s is not None)
         assert total == len(ds)
         hist = np.zeros(4, dtype=int)
-        for shard, per_client in zip(shards, counts):
-            if shard is None:
-                assert per_client == {}
-                continue
-            recount = {
-                int(c): int(n)
-                for c, n in enumerate(np.bincount(shard.y, minlength=4))
-                if n > 0
-            }
-            assert recount == per_client
-            hist += np.bincount(shard.y, minlength=4)
+        for shard in shards:
+            if shard is not None:
+                hist += np.bincount(shard.y, minlength=4)
         np.testing.assert_array_equal(hist, ds.class_histogram())
 
     def test_seed_determinism(self):
         ds = make_blobs(3, 4, per_class=20, sigma=0.2, seed=1)
         first = dirichlet_partition(ds, PartitionSpec(3, alpha=0.2, seed=4))
         second = dirichlet_partition(ds, PartitionSpec(3, alpha=0.2, seed=4))
-        assert first[1] == second[1]
+        assert [s is None for s in first] == [s is None for s in second]
+        for a, b in zip(first, second):
+            if a is not None:
+                np.testing.assert_array_equal(a.x, b.x)
+                np.testing.assert_array_equal(a.y, b.y)
 
 
 class TestSplitTrainTest:

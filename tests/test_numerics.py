@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tinyproto.numerics import (
+    NO_LOCAL_PROTOTYPE,
     Gradients,
     ModelParams,
     ShapeError,
@@ -42,6 +43,20 @@ def _random_instance(rng, max_dim=8, max_batch=4):
         xs[i] = rng.normal(size=din)
         ys[i] = rng.integers(0, ncls)
     return params, xs, ys, feat, ncls
+
+
+def _pair(by_class, width):
+    """A {class id: row} dict as the ``(ids, (n, width))`` pair, ids ascending."""
+    ids = sorted(by_class)
+    block = np.array([by_class[c] for c in ids], dtype=np.float64).reshape(len(ids), width)
+    return np.array(ids, dtype=np.int64), block
+
+
+def _penalties(locals_, globals_, width, n_classes, mu, rho="squared_l2"):
+    """``class_penalties`` of two {class id: row} dicts."""
+    return class_penalties(
+        _pair(locals_, width), _pair(globals_, width), mu, rho, n_classes=n_classes
+    )
 
 
 def _straight_line_features(params, x):
@@ -148,76 +163,86 @@ class TestLossAndGrad:
         rng = np.random.default_rng(4)
         for _ in range(20):
             params, xs, ys, _, _ = _random_instance(rng)
-            loss, _ = loss_and_grad(params, xs, ys, {}, 0.0)
+            loss, _ = loss_and_grad(params, xs, ys, None, 0.0)
             assert loss == _reference_cross_entropy(params, xs, ys)
 
     def test_penalty_zero_when_local_matches_scaled_global(self):
         rng = np.random.default_rng(5)
-        params, xs, ys, feat, _ = _random_instance(rng)
+        params, xs, ys, feat, ncls = _random_instance(rng)
         mu = 0.7
         classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: mu * globals_[c] for c in classes}
-        penalty = class_penalties(locals_, globals_, mu)
+        penalty = _penalties(locals_, globals_, feat, ncls, mu)
         with_pen, _ = loss_and_grad(params, xs, ys, penalty, 2.5)
-        without, _ = loss_and_grad(params, xs, ys, {}, 0.0)
+        without, _ = loss_and_grad(params, xs, ys, None, 0.0)
         assert with_pen == pytest.approx(without, abs=1e-15)
 
     def test_missing_global_contributes_nothing(self):
         rng = np.random.default_rng(6)
-        params, xs, ys, feat, _ = _random_instance(rng)
+        params, xs, ys, feat, ncls = _random_instance(rng)
         classes = sorted(set(ys.tolist()))
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        penalty = class_penalties(locals_, {}, 1.0)
+        penalty = _penalties(locals_, {}, feat, ncls, 1.0)
         loss_missing, _ = loss_and_grad(params, xs, ys, penalty, 1.0)
-        loss_plain, _ = loss_and_grad(params, xs, ys, {}, 0.0)
+        loss_plain, _ = loss_and_grad(params, xs, ys, None, 0.0)
         assert loss_missing == loss_plain
 
     def test_missing_local_prototype_rejected(self):
         rng = np.random.default_rng(7)
-        params, xs, ys, _, _ = _random_instance(rng)
-        with pytest.raises(ValueError, match="local prototype"):
-            loss_and_grad(params, xs, ys, {}, 1.0)
+        params, xs, ys, feat, ncls = _random_instance(rng)
+        penalty = _penalties({}, {}, feat, ncls, 1.0)
+        assert (penalty == NO_LOCAL_PROTOTYPE).all()
+        with pytest.raises(ValueError, match=f"no local prototype for batch class {min(ys)}"):
+            loss_and_grad(params, xs, ys, penalty, 1.0)
+
+    @pytest.mark.parametrize(
+        "penalty", [None, np.zeros(1), np.zeros(3)], ids=["none", "short", "long"]
+    )
+    def test_penalty_vector_not_of_length_k_rejected(self, penalty):
+        params = _identity_params(2)
+        with pytest.raises(ShapeError, match="class penalty"):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), penalty, 1.0)
 
     def test_empty_batch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="empty"):
-            loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=np.int64), {}, 0.0)
+            loss_and_grad(params, np.empty((0, 2)), np.empty(0, dtype=np.int64), None, 0.0)
 
     def test_length_mismatch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones((3, 2)), np.array([0, 1]), {}, 0.0)
+            loss_and_grad(params, np.ones((3, 2)), np.array([0, 1]), None, 0.0)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones((2, 2)), np.array([[0, 1]]), {}, 0.0)
+            loss_and_grad(params, np.ones((2, 2)), np.array([[0, 1]]), None, 0.0)
 
     def test_one_dimensional_inputs_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones(2), np.array([0, 1]), {}, 0.0)
+            loss_and_grad(params, np.ones(2), np.array([0, 1]), None, 0.0)
         with pytest.raises(ShapeError):
-            loss_and_grad(params, np.ones(2), np.array([0]), {}, 0.0)
+            loss_and_grad(params, np.ones(2), np.array([0]), None, 0.0)
 
     def test_non_integer_labels_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="integers"):
-            loss_and_grad(params, np.ones((2, 2)), np.array([0.0, 1.0]), {}, 0.0)
+            loss_and_grad(params, np.ones((2, 2)), np.array([0.0, 1.0]), None, 0.0)
 
     @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "K"])
     def test_label_outside_range_rejected(self, label):
         params = _identity_params(2)
         with pytest.raises(ValueError, match=r"outside \[0, K\)"):
-            loss_and_grad(params, np.ones((2, 2)), np.array([0, label]), {}, 0.0)
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, label]), None, 0.0)
 
     def test_input_dim_mismatch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ShapeError, match="input dim"):
-            loss_and_grad(params, np.ones((2, 3)), np.array([0, 1]), {}, 0.0)
+            loss_and_grad(params, np.ones((2, 3)), np.array([0, 1]), None, 0.0)
 
     def test_negative_lambda_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="lam"):
-            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), {}, -1.0)
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), None, -1.0)
 
     def test_penalty_adds_batch_classes_in_ascending_order(self):
         """The per-batch sum the penalty used to be recomputed with, bit for bit."""
@@ -232,13 +257,13 @@ class TestLossAndGrad:
                 if cls in globals_:
                     diff = locals_[cls] - mu * globals_[cls]
                     expected += float(diff @ diff)
-            penalty = class_penalties(locals_, globals_, mu)
+            penalty = _penalties(locals_, globals_, feat, ncls, mu)
             loss, _ = loss_and_grad(params, xs, ys, penalty, lam)
             assert loss == _reference_cross_entropy(params, xs, ys) + lam * expected
 
     def test_penalty_value_both_rho_variants(self):
         rng = np.random.default_rng(8)
-        params, xs, ys, feat, _ = _random_instance(rng)
+        params, xs, ys, feat, ncls = _random_instance(rng)
         classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: rng.normal(size=feat) for c in classes}
@@ -247,14 +272,14 @@ class TestLossAndGrad:
         sq = sum(
             float(np.sum((locals_[c] - mu * globals_[c]) ** 2)) for c in classes
         )
-        penalty = class_penalties(locals_, globals_, mu, rho="squared_l2")
+        penalty = _penalties(locals_, globals_, feat, ncls, mu, rho="squared_l2")
         loss_sq, _ = loss_and_grad(params, xs, ys, penalty, lam)
         assert loss_sq == pytest.approx(base + lam * sq, rel=1e-12)
         smooth = sum(
             float(np.sqrt(np.sum((locals_[c] - mu * globals_[c]) ** 2) + 1e-8))
             for c in classes
         )
-        penalty = class_penalties(locals_, globals_, mu, rho="l2_eps")
+        penalty = _penalties(locals_, globals_, feat, ncls, mu, rho="l2_eps")
         loss_l2, _ = loss_and_grad(params, xs, ys, penalty, lam)
         assert loss_l2 == pytest.approx(base + lam * smooth, rel=1e-12)
 
@@ -263,7 +288,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(9)
         step = 1e-5
         for case in range(100):
-            params, xs, ys, feat, _ = _random_instance(rng)
+            params, xs, ys, feat, ncls = _random_instance(rng)
             classes = sorted(set(ys.tolist()))
             if case % 2 == 0:
                 lam, mu = 0.0, 1.0
@@ -272,7 +297,7 @@ class TestLossAndGrad:
                 lam, mu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
                 globals_ = {c: rng.normal(size=feat) for c in classes}
                 locals_ = {c: rng.normal(size=feat) for c in classes}
-            penalty = class_penalties(locals_, globals_, mu)
+            penalty = _penalties(locals_, globals_, feat, ncls, mu)
             _, grads = loss_and_grad(params, xs, ys, penalty, lam)
             for arr, grad in zip(params.arrays(), grads.arrays()):
                 flat = arr.reshape(-1)
@@ -291,11 +316,11 @@ class TestLossAndGrad:
 
     def test_deterministic_given_same_inputs(self):
         rng = np.random.default_rng(10)
-        params, xs, ys, feat, _ = _random_instance(rng)
+        params, xs, ys, feat, ncls = _random_instance(rng)
         classes = sorted(set(ys.tolist()))
         globals_ = {c: rng.normal(size=feat) for c in classes}
         locals_ = {c: rng.normal(size=feat) for c in classes}
-        penalty = class_penalties(locals_, globals_, 1.0)
+        penalty = _penalties(locals_, globals_, feat, ncls, 1.0)
         first = loss_and_grad(params, xs, ys, penalty, 1.0)
         second = loss_and_grad(params, xs, ys, penalty, 1.0)
         assert first[0] == second[0]
@@ -309,8 +334,9 @@ class TestClassPenalties:
         locals_ = {c: rng.normal(size=4) for c in (0, 2, 5)}
         globals_ = {c: rng.normal(size=4) for c in (2, 3, 5)}
         mu = 0.6
-        penalty = class_penalties(locals_, globals_, mu)
-        assert sorted(penalty) == [0, 2, 5]
+        penalty = _penalties(locals_, globals_, 4, 7, mu)
+        assert penalty.shape == (7,)
+        assert np.flatnonzero(penalty != NO_LOCAL_PROTOTYPE).tolist() == [0, 2, 5]
         assert penalty[0] == 0.0  # no global prototype: adds nothing
         for cls in (2, 5):
             diff = locals_[cls] - mu * globals_[cls]
@@ -318,17 +344,17 @@ class TestClassPenalties:
 
     def test_smoothed_l2_variant(self):
         local, target = np.array([3.0, 0.0]), np.array([0.0, 4.0])
-        penalty = class_penalties({1: local}, {1: target}, 1.0, rho="l2_eps")
+        penalty = _penalties({1: local}, {1: target}, 2, 2, 1.0, rho="l2_eps")
         assert penalty[1] == float(np.sqrt(25.0 + 1e-8))
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_non_positive_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="mu"):
-            class_penalties({0: np.ones(2)}, {0: np.ones(2)}, mu)
+            _penalties({0: np.ones(2)}, {0: np.ones(2)}, 2, 1, mu)
 
     def test_unknown_rho_rejected(self):
         with pytest.raises(ValueError, match="unknown rho"):
-            class_penalties({0: np.ones(2)}, {0: np.ones(2)}, 1.0, rho="l1")
+            _penalties({0: np.ones(2)}, {0: np.ones(2)}, 2, 1, 1.0, rho="l1")
 
 
 class TestSgdStep:

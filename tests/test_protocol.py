@@ -37,7 +37,6 @@ def _make_client(client_id, classes, n_classes=4, input_dim=3, feat=12, seed=Non
         client_id=client_id,
         params=params,
         shard=shard,
-        class_counts=shard.class_counts(),
         test_shard=test,
     )
 
