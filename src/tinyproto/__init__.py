@@ -36,7 +36,6 @@ from .client import (
     compute_local_prototypes,
     evaluate_accuracy,
     local_update,
-    predict,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .costmodel import ALGORITHMS, CostQuery, cost, cost_millions, figure1_table
@@ -55,7 +54,6 @@ from .numerics import (
     ShapeError,
     class_penalties,
     forward_features,
-    forward_logits,
     init_params,
     loss_and_grad,
     sgd_step,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from .config import ConfigError, load_config, split_key_value_lines
@@ -73,9 +74,13 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
     def number(key: str, text: str) -> int | float | None:
         parse, what = (float, "a number") if key == "r" else (int, "an integer")
         try:
-            return parse(text)
+            value = parse(text)
+            if math.isfinite(value):
+                return value
+            what = "a finite number"
         except ValueError:
-            problems.append(f"{key}: expected {what}, got {text.strip()!r}")
+            pass
+        problems.append(f"{key}: expected {what}, got {text.strip()!r}")
 
     fields = {}
     for key, text in values.items():

@@ -24,6 +24,12 @@ the shard's histogram, read fresh each time.  The means and the dense targets
 (``reconstruct`` of the received live rows of held classes) are read-only
 pairs, the penalty terms one vector, and the upload is
 :func:`~tinyproto.prototypes.compress` of the means times ``class_counts[ids, None]``.
+
+Inference screens all test rows with one GEMM, ``|p|^2 - 2 f.p``.  Where
+the best score beats the second by more than a rounding bound,
+``8 (d + 2) eps (|f|^2 + max |p|^2)`` plus an underflow term (derived in
+:func:`_nearest_local_class`), the exact distances have the same argmin; the other rows, near or exact ties,
+fall back to the exact (n, c, d) distances, so every prediction is exact.
 """
 
 from __future__ import annotations
@@ -51,9 +57,11 @@ __all__ = [
     "MaskMissingError",
     "compute_local_prototypes",
     "local_update",
-    "predict",
     "evaluate_accuracy",
 ]
+
+
+_F64 = np.finfo(np.float64)
 
 
 class InferenceError(RuntimeError):
@@ -121,11 +129,25 @@ class ClientState:
 
 def compute_local_prototypes(state: ClientState) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean feature vectors over the client's shard, read-only:
-    ascending ``ids`` of the classes with samples, and row i is ``ids[i]``'s."""
+    ascending ``ids`` of the classes with samples, and row i is ``ids[i]``'s.
+
+    One stable sort puts the features in class order, each class's rows in
+    shard order; each class's contiguous slice is summed with
+    ``sum(axis=0)``, which adds its rows in that order just as a masked
+    ``mean(axis=0)`` does, then divided by the class count.  The result is
+    bit-identical to the per-class masked mean.  (``np.add.reduceat`` is not.)
+    """
     feats = forward_features(state.params, state.shard.x)
-    ids = np.flatnonzero(state.class_counts)
-    block = np.array([feats[state.shard.y == cls].mean(axis=0) for cls in ids.tolist()])
-    block = block.reshape(len(ids), feats.shape[1])
+    feats = feats[np.argsort(state.shard.y, kind="stable")]
+    counts = state.class_counts
+    ids = np.flatnonzero(counts)
+    held = counts[ids]
+    ends = np.cumsum(held)
+    starts = ends - held
+    block = feats[starts]  # the sum of a one-sample class is its row
+    for i in np.flatnonzero(held > 1).tolist():
+        feats[starts[i] : ends[i]].sum(axis=0, out=block[i])
+    block /= held[:, None]
     ids.flags.writeable = block.flags.writeable = False
     return ids, block
 
@@ -252,12 +274,49 @@ def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
     """Class of the nearest local prototype (L2) for each row of ``x``.
 
     Only locally present classes compete; ties go to the lowest class id.
+    The answer is the argmin of :func:`_l2_distances`, ties included, but
+    that (n, c, d) computation runs only on rows a GEMM screen cannot settle.
+
+    The screen scores ``|p|^2 - 2 f.p``, the squared distance less ``|f|^2``.
+    With ``u = eps / 2`` and, per row, ``M = 2 (|f|^2 + max_k |p_k|^2)``,
+    which is at least ``(|f| + |p_k|)^2`` for every k, each score is within
+    ``(d + 2) u M`` of its exact value (dot products of ``d`` terms in any
+    order, then one addition), and so is each squared sum of
+    ``_l2_distances`` (``d`` non-negative terms, each rounded twice before
+    the sum).  A row whose best score beats its second best by more than
+
+        B = 4 (d + 2) eps M + 8 (d + 2) smallest_subnormal
+
+    therefore has computed squared distances more than ``4 (d + 2) u M``
+    apart, above the ``5 u M`` their correctly rounded square roots need to
+    stay apart: the exact argmin is the screen's, and unique.  The subnormal
+    term covers gradual underflow, and the margin the rounding of ``B``.
+    ``B`` is computed from ``2 M``, so it is infinite wherever a score could
+    overflow.  Every other row, a near or exact tie or one with a
+    non-finite value, is ranked again by ``_l2_distances``.
     """
     if state.local_protos is None or len(state.local_protos[0]) == 0:
         raise InferenceError(f"client {state.client_id} has no local prototypes")
     ids, block = state.local_protos
     feats = forward_features(state.params, x)
-    return ids[np.argmin(_l2_distances(feats, block), axis=1)]
+    sq_norms = np.einsum("kj,kj->k", block, block)
+    scores = feats @ block.T
+    scores *= -2.0
+    scores += sq_norms
+    picked = np.argmin(scores, axis=1)
+    if block.shape[0] > 1:
+        best_two = np.partition(scores, 1, axis=1)
+        d = block.shape[1]
+        bound = np.einsum("ij,ij->i", feats, feats)
+        bound += sq_norms.max()
+        bound *= 4.0  # 2 M: infinite wherever a score could overflow
+        bound *= 2 * (d + 2) * _F64.eps
+        bound += 8 * (d + 2) * _F64.smallest_subnormal
+        settled = best_two[:, 1] - best_two[:, 0] > bound
+        if not settled.all():
+            near = np.flatnonzero(~settled)
+            picked[near] = np.argmin(_l2_distances(feats[near], block), axis=1)
+    return ids[picked]
 
 
 def _l2_distances(feats: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -270,14 +329,6 @@ def _l2_distances(feats: np.ndarray, stack: np.ndarray) -> np.ndarray:
     diff = feats[:, None, :] - stack[None, :, :]
     diff *= diff
     return np.sqrt(np.add.reduce(diff, axis=2))
-
-
-def predict(state: ClientState, x: np.ndarray) -> int:
-    """Class of the nearest local prototype in feature space (L2).
-
-    Only locally present classes compete; ties go to the lowest class id.
-    """
-    return int(_nearest_local_class(state, np.atleast_2d(x))[0])
 
 
 def evaluate_accuracy(state: ClientState) -> float:

@@ -19,6 +19,7 @@ implicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,8 +69,8 @@ def _require(query: CostQuery, name: str):
     value = getattr(query, name)
     if value is None:
         raise ValueError(f"{query.algorithm} cost requires field {name!r}")
-    if isinstance(value, (int, float)) and value < 0:
-        raise ValueError(f"field {name!r} must be >= 0")
+    if isinstance(value, (int, float)) and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"field {name!r} must be finite and >= 0, got {value!r}")
     return value
 
 

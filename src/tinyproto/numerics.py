@@ -18,8 +18,10 @@ repeated evaluations bit-identical.
 
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
 labels, checked with a few cheap tests per call.  :func:`sgd_step` updates a
-parameter block in place.  Inference and training share one definition of
-the feature layers.
+parameter block in place and consumes the gradient block it is given: each
+gradient is scaled by the learning rate in place, so a caller that needs the
+raw gradients afterwards passes a copy.  Inference and training share one
+definition of the feature layers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "Gradients",
     "init_params",
     "forward_features",
-    "forward_logits",
     "class_penalties",
     "loss_and_grad",
     "sgd_step",
@@ -145,16 +146,6 @@ def _activations(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.nda
     """Hidden and feature activations; the one definition of the feature net."""
     hidden = np.maximum(x @ params.w1 + params.b1, 0.0)
     return hidden, np.maximum(hidden @ params.w2 + params.b2, 0.0)
-
-
-def forward_logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Affine classifier head: features @ wc + bc."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != params.wc.shape[0]:
-        raise ShapeError(
-            f"feature dim {features.shape[-1]} != model feature dim {params.wc.shape[0]}"
-        )
-    return features @ params.wc + params.bc
 
 
 def _rho(diff: np.ndarray, rho: str) -> float:
@@ -281,7 +272,11 @@ def loss_and_grad(
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
     """One plain SGD update in place: ``p -= lr * g`` for every parameter array.
 
-    Every shape is checked before any array changes.
+    Consumes ``grads``: each gradient is scaled by ``lr`` in place, so no
+    temporary is made, and then subtracted; the parameters come out
+    bit-equal to ``p - lr * g``.  ``grads`` must therefore share no memory
+    with ``params``.  Every shape is checked before any array of either
+    block changes.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -290,4 +285,5 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     for p, g in pairs:
-        p -= lr * g
+        g *= lr
+        p -= g

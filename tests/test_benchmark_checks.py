@@ -10,9 +10,13 @@ cannot disappear without failing here: a per-layer metric whose traced name
 is gone would silently read 0.  Nor can a traced name stop being called (the
 library calling the function some other way), which would read 0 just as
 silently: a traced desk run must record calls to every training layer.
+Each workload's traced benchmark experiment must also reproduce the
+``rounds.csv`` digest recorded in ``digests.json``, so a kernel change that
+flips one prediction fails here, not only in the benchmark's report.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -96,3 +100,18 @@ def test_traced_desk_run_records_every_training_layer(monkeypatch, tmp_path):
     assert counts["numerics.loss_and_grad.calls"] == counts["numerics.sgd_step.calls"]
     assert len(gate.rounds) == config.rounds
     assert [problems for _, _, problems in gate.rounds] == [[]] * config.rounds
+
+
+@pytest.mark.parametrize("workload", ["desk", "fleet", "wide"])
+def test_traced_benchmark_run_matches_recorded_digest(monkeypatch, tmp_path, workload):
+    """One experiment as the benchmark's worker runs it: after a warm-up run
+    in the same process, with every layer wrapped by the tracer and each
+    round checked by the round gate."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = _perfbench_module("worker")
+    monkeypatch.setattr(worker, "HERE", tmp_path)  # its temporary run directories go here
+    record = worker.run_once(workload, 7, trace=True, spans_path=None)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload]["7"]
+    assert record["problems"] == []
+    assert [problems for _, _, problems in record["rounds"]] == [[]] * len(record["rounds"])
+    assert record["rounds_csv_sha256"] == recorded

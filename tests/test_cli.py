@@ -143,3 +143,15 @@ class TestCost:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_non_finite_r_is_named(self, tmp_path, capsys, r):
+        query = tmp_path / "query.cfg"
+        query.write_text(
+            "algorithm = FedKD\nM = 2\naux_extractor_params = 5\n"
+            f"aux_classifier_params = 3\nr = {r}\n"
+        )
+        assert main(["cost", str(query)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"r: expected a finite number, got '{r}'" in err

@@ -12,7 +12,6 @@ from tinyproto.client import (
     compute_local_prototypes,
     evaluate_accuracy,
     local_update,
-    predict,
 )
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
@@ -158,6 +157,25 @@ class TestComputeLocalPrototypes:
         ids, block = compute_local_prototypes(state)
         assert ids.tolist() == [0, 1]  # class 2 not in the shard
         assert block.shape == (2, 8)
+
+    def test_bit_equal_to_masked_mean(self, monkeypatch):
+        _features_are_inputs(monkeypatch)
+        rng = np.random.default_rng(39)
+        for case in range(300):
+            k = int(rng.integers(1, 9))
+            d = (1, 2, int(rng.integers(3, 70)))[case % 3]
+            counts = rng.integers(0, 6, size=k)
+            counts[int(rng.integers(k))] = 1  # a single-sample class
+            if case % 5 == 0:
+                counts[int(rng.integers(k))] = 300  # a long in-order sum
+            labels = rng.permutation(np.repeat(np.arange(k), counts))  # shuffled
+            x = rng.normal(size=(len(labels), d)) * (1e-3, 1.0, 1e3)[int(rng.integers(3))]
+            # params are never read: the features are the inputs
+            state = ClientState(client_id=0, params=None, shard=Dataset(x, labels, k))
+            ids, block = compute_local_prototypes(state)
+            assert ids.tolist() == np.flatnonzero(counts).tolist()
+            reference = np.array([x[labels == c].mean(axis=0) for c in ids.tolist()])
+            assert block.tobytes() == reference.tobytes()
 
     def test_snapshot_is_read_only(self):
         ids, block = compute_local_prototypes(_state())
@@ -412,7 +430,14 @@ class TestLocalUpdate:
         assert block.shape[1] == 8
 
 
+def _predict(state, x):
+    """Nearest-local-prototype class of one input row."""
+    return int(client_mod._nearest_local_class(state, np.atleast_2d(x))[0])
+
+
 class TestPredict:
+    """Nearest-local-prototype inference, one row at a time."""
+
     def _kitted_state(self, protos):
         state = _state()
         eye = np.eye(2)
@@ -426,15 +451,15 @@ class TestPredict:
 
     def test_nearer_prototype_wins(self):
         state = self._kitted_state({0: [0.0, 0.0], 1: [4.0, 0.0]})
-        assert predict(state, np.array([1.0, 0.0])) == 0
+        assert _predict(state, np.array([1.0, 0.0])) == 0
 
     def test_exact_prototype_match(self):
         state = self._kitted_state({0: [1.0, 2.0], 1: [5.0, 0.5]})
-        assert predict(state, np.array([5.0, 0.5])) == 1
+        assert _predict(state, np.array([5.0, 0.5])) == 1
 
     def test_tie_breaks_to_lowest_class(self):
         state = self._kitted_state({1: [2.0, 0.0], 2: [0.0, 2.0]})
-        assert predict(state, np.array([1.0, 1.0])) == 1
+        assert _predict(state, np.array([1.0, 1.0])) == 1
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(31)
@@ -447,23 +472,23 @@ class TestPredict:
                 sorted(protos),
                 key=lambda c: (float(np.linalg.norm(feats - protos[c])), c),
             )
-            assert predict(state, x) == best
+            assert _predict(state, x) == best
 
     def test_common_scale_leaves_argmin_unchanged(self):
         rng = np.random.default_rng(32)
         protos = {c: rng.normal(size=2) for c in range(4)}
         state = self._kitted_state(protos)
         x = rng.normal(size=2)
-        base = predict(state, x)
+        base = _predict(state, x)
         for scale in (0.5, 3.0, 17.0):
             scaled = self._kitted_state({c: scale * v for c, v in protos.items()})
-            assert predict(scaled, scale * x) == base
+            assert _predict(scaled, scale * x) == base
 
     def test_no_prototypes_is_an_error(self):
         state = _state()
         state.local_protos = None
         with pytest.raises(InferenceError):
-            predict(state, np.zeros(2))
+            _predict(state, np.zeros(2))
 
 
 class TestEvaluateAccuracy:
@@ -474,7 +499,7 @@ class TestEvaluateAccuracy:
         acc = evaluate_accuracy(state)
         manual = np.mean(
             [
-                predict(state, x) == y
+                _predict(state, x) == y
                 for x, y in zip(state.test_shard.x, state.test_shard.y)
             ]
         )
@@ -568,6 +593,88 @@ class TestL2Distances:
             expected = np.array(class_ids)[np.argmin(reference, axis=1)]
             picked = client_mod._nearest_local_class(state, x)
             np.testing.assert_array_equal(picked, expected)
+
+
+def _features_are_inputs(monkeypatch):
+    """Make the model's features its inputs, so any real values can be drawn."""
+    monkeypatch.setattr(client_mod, "forward_features", lambda params, x: x)
+
+
+def _count_rechecks(monkeypatch):
+    """The row count of each exact ``_l2_distances`` call, as a growing list."""
+    exact = client_mod._l2_distances
+    rechecked = []
+
+    def counting(feats, stack):
+        rechecked.append(len(feats))
+        return exact(feats, stack)
+
+    monkeypatch.setattr(client_mod, "_l2_distances", counting)
+    return rechecked
+
+
+class TestScreenedNearestClass:
+    """The GEMM screen plus its exact fallback gives the argmin of
+    ``_l2_distances``, ties included, on every draw."""
+
+    def _draw(self, rng, case):
+        d = (1, 2, 16, 512, int(rng.integers(3, 65)))[case % 5]
+        c = 1 if case % 7 == 0 else int(rng.integers(2, 13))
+        n = int(rng.integers(1, 9))
+        scale = (1e-3, 1.0, 1e3)[int(rng.integers(3))]
+        if rng.integers(2):
+            feats, block = rng.normal(size=(n, d)), rng.normal(size=(c, d))
+        else:  # ReLU-like: non-negative, with exact zeros
+            feats = np.maximum(rng.normal(size=(n, d)), 0.0)
+            block = np.maximum(rng.normal(size=(c, d)), 0.0)
+        feats, block = scale * feats, scale * block
+        kind = int(rng.integers(6))
+        if kind == 0 and c > 1:
+            block[c // 2] = block[0]  # duplicate prototypes
+        elif kind == 1:
+            block[int(rng.integers(c))] = 0.0  # an all-zero prototype
+        elif kind == 2:
+            feats[0] = block[int(rng.integers(c))]  # a row equal to a prototype
+        elif kind == 3 and c > 1:
+            # prototype 0's offset from row 0, permuted: as far but for rounding
+            block[1] = feats[0] + (block[0] - feats[0])[rng.permutation(d)]
+        elif kind == 4:
+            feats[:] = 0.0
+            block[: c // 2] = 0.0
+        ids = np.sort(rng.choice(3 * c, size=c, replace=False))
+        return feats, ids, block
+
+    def test_matches_exact_argmin_on_seeded_draws(self, monkeypatch):
+        _features_are_inputs(monkeypatch)
+        exact = client_mod._l2_distances
+        rechecked = _count_rechecks(monkeypatch)
+        rng = np.random.default_rng(38)
+        state = _state()
+        rows = 0
+        for case in range(2400):
+            feats, ids, block = self._draw(rng, case)
+            state.local_protos = (ids, block)
+            expected = ids[np.argmin(exact(feats, block), axis=1)]
+            np.testing.assert_array_equal(client_mod._nearest_local_class(state, feats), expected)
+            rows += len(feats)
+        # both paths ran: most rows settled by the screen, ties re-ranked
+        assert 100 <= sum(rechecked) <= rows // 2
+
+    def test_near_tie_takes_the_fallback(self, monkeypatch):
+        _features_are_inputs(monkeypatch)
+        f = np.array([0.6369616873214543, 0.2697867137638703])
+        p0 = np.array([0.04097352393619469, 0.016527635528529094])
+        # p0's offset from f with its coordinates swapped: as far from f but
+        # for rounding
+        p1 = f + (p0 - f)[::-1]
+        block = np.array([p0, p1])
+        state = _state()
+        state.local_protos = (np.array([0, 1]), block)
+        exact = client_mod._l2_distances
+        rechecked = _count_rechecks(monkeypatch)
+        picked = client_mod._nearest_local_class(state, f[None])
+        assert rechecked == [1]
+        assert picked.tolist() == [int(np.argmin(exact(f[None], block)[0]))]
 
 
 def _reference_local_prototypes(state):

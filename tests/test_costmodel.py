@@ -1,5 +1,7 @@
 """Closed-form cost formulas and their table/figure helpers."""
 
+import math
+
 import pytest
 
 from tinyproto.costmodel import CostQuery, cost, cost_millions, figure1_table
@@ -68,6 +70,18 @@ class TestCostFormulas:
             cost(CostQuery(algorithm="TinyProto", n_clients=2, n_classes=3, classes_per_client=2))
         with pytest.raises(ValueError, match="full_model_params"):
             cost(CostQuery(algorithm="FedAvg", n_clients=2))
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+    def test_bad_reduction_factor_named(self, r):
+        query = CostQuery(
+            algorithm="FedKD",
+            n_clients=2,
+            aux_extractor_params=5,
+            aux_classifier_params=3,
+            reduction_factor=r,
+        )
+        with pytest.raises(ValueError, match="'reduction_factor' must be finite and >= 0"):
+            cost(query)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -10,7 +10,6 @@ from tinyproto.numerics import (
     ShapeError,
     class_penalties,
     forward_features,
-    forward_logits,
     init_params,
     loss_and_grad,
     sgd_step,
@@ -117,33 +116,6 @@ class TestForwardFeatures:
         params = _identity_params(3)
         with pytest.raises(ShapeError):
             forward_features(params, np.zeros(4))
-
-
-class TestForwardLogits:
-    def test_identity_classifier_passes_basis_vector(self):
-        params = _identity_params(3)
-        e1 = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(forward_logits(params, e1), e1)
-
-    def test_zero_weights_return_bias(self):
-        params = _identity_params(2)
-        params.wc = np.zeros((2, 2))
-        params.bc = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(forward_logits(params, np.ones(2)), params.bc)
-
-    def test_matches_manual_affine(self):
-        rng = np.random.default_rng(3)
-        params, _, _, feat, ncls = _random_instance(rng)
-        f = rng.normal(size=feat)
-        manual = np.array(
-            [sum(f[i] * params.wc[i, j] for i in range(feat)) + params.bc[j] for j in range(ncls)]
-        )
-        np.testing.assert_allclose(forward_logits(params, f), manual, rtol=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        params = _identity_params(3)
-        with pytest.raises(ShapeError):
-            forward_logits(params, np.zeros(5))
 
 
 def _reference_cross_entropy(params, xs, ys):
@@ -405,9 +377,10 @@ class TestSgdStep:
         before = [a.copy() for a in params.arrays()]
         grads = Gradients(*(np.ones_like(a) for a in params.arrays()))
         grads.bc = np.ones(3)  # only the last array is wrong
+        grads_before = [g.copy() for g in grads.arrays()]
         with pytest.raises(ShapeError):
             sgd_step(params, grads, 0.1)
-        for a, b in zip(params.arrays(), before):
+        for a, b in zip(params.arrays() + grads.arrays(), before + grads_before):
             np.testing.assert_array_equal(a, b)
 
 
