@@ -14,7 +14,7 @@ Library layout:
 * :mod:`tinyproto.client` -- local training, prototype generation, and
   nearest-prototype inference
 * :mod:`tinyproto.datagen` -- synthetic blobs, Dirichlet label-skew
-  partitioning, train/test splits, CSV ingestion
+  partitioning, train/test splits
 * :mod:`tinyproto.wire`, :mod:`tinyproto.config`, :mod:`tinyproto.protocol`
   -- frame codec (each frame one class-id vector plus one value row per
   class), config files, round orchestration with per-frame checks, and the
@@ -39,14 +39,7 @@ from .client import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .costmodel import ALGORITHMS, CostQuery, cost, cost_millions, figure1_table
-from .datagen import (
-    Dataset,
-    PartitionSpec,
-    dirichlet_partition,
-    load_csv,
-    make_blobs,
-    split_train_test,
-)
+from .datagen import Dataset, dirichlet_partition, make_blobs, split_train_test
 from .masking import Mask, MaskSet, format_mask_rows, generate_masks, min_pairwise_hamming
 from .numerics import (
     Gradients,

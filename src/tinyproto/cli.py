@@ -11,7 +11,7 @@ import sys
 from .config import ConfigError, load_config, split_key_value_lines
 from .costmodel import ALGORITHMS, CostQuery, cost
 from .masking import format_mask_rows, generate_masks
-from .protocol import run_experiment
+from .protocol import RoundError, run_experiment
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -25,7 +25,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    result = run_experiment(config, out_dir=args.out)
+    try:
+        result = run_experiment(config, out_dir=args.out)
+    except RoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not args.quiet:
         print(json.dumps(result.summary, indent=2, sort_keys=True))
     return 0
@@ -66,18 +70,22 @@ _COST_QUERY_FIELDS = {
 
 def _parse_cost_query_file(path: str) -> list[CostQuery]:
     """Flat key-value query file; `algorithm` and `K_i` may list several,
-    comma-separated.  Every bad line or value is reported, named by its key."""
+    comma-separated.  Every bad line or value (one that does not parse, is
+    not finite or is negative) is reported, named by its key."""
     with open(path) as fh:
         pairs, problems = split_key_value_lines(fh.read(), {"algorithm", *_COST_QUERY_FIELDS})
     values = dict(pairs)
 
     def number(key: str, text: str) -> int | float | None:
-        parse, what = (float, "a number") if key == "r" else (int, "an integer")
+        if key == "r":
+            parse, noun, what = float, "number", "a number"
+        else:
+            parse, noun, what = int, "integer", "an integer"
         try:
             value = parse(text)
-            if math.isfinite(value):
+            if math.isfinite(value) and value >= 0:
                 return value
-            what = "a finite number"
+            what = f"a non-negative {noun}" if math.isfinite(value) else "a finite number"
         except ValueError:
             pass
         problems.append(f"{key}: expected {what}, got {text.strip()!r}")

@@ -20,10 +20,13 @@ the caller's arrays are never written.
 
 Every per-class quantity is a ``(K,)`` array indexed by class id or an
 ``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
-the shard's histogram, read fresh each time.  The means and the dense targets
-(``reconstruct`` of the received live rows of held classes) are read-only
-pairs, the penalty terms one vector, and the upload is
-:func:`~tinyproto.prototypes.compress` of the means times ``class_counts[ids, None]``.
+the shard's histogram, read fresh each time.  The received globals are one
+``(K, w)`` block, row c for class c.  The means are a read-only pair; the
+dense targets (``reconstruct`` of the live received rows of held classes)
+are a pair that lives only for one update, the penalty terms one vector,
+and the upload is :func:`~tinyproto.prototypes.compress` of the means times
+``class_counts[ids, None]``.  In the first round every global row is zero,
+so no class has a target and every penalty term is 0.0.
 
 Inference screens all test rows with one GEMM, ``|p|^2 - 2 f.p``.  Where
 the best score beats the second by more than a rounding bound,
@@ -100,15 +103,13 @@ class TrainConfig:
 
 @dataclass
 class ClientState:
-    """Everything one client owns: model, data, and latest targets."""
+    """Everything one client owns: model, data, masks, and latest means."""
 
     client_id: int
     params: ModelParams
     shard: Dataset
     test_shard: Dataset | None = None
     mask_set: MaskSet | None = None
-    # (ids, block): the held classes with a live global payload, their targets
-    global_protos: tuple[np.ndarray, np.ndarray] | None = None
     # (ids, block): ascending ids of the classes with samples, their means
     local_protos: tuple[np.ndarray, np.ndarray] | None = None
     last_train_loss: float | None = None
@@ -153,56 +154,30 @@ def compute_local_prototypes(state: ClientState) -> tuple[np.ndarray, np.ndarray
 
 
 def _dense_targets(
-    state: ClientState,
-    global_ids: np.ndarray,
-    global_values: np.ndarray,
-    cps: bool,
+    state: ClientState, global_values: np.ndarray, cps: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-length regularization targets for the classes the client holds,
-    as a read-only ``(ids, (n, d))`` pair in the order received.
+    as an ``(ids, (n, d))`` pair, ids ascending.
 
-    Row i of ``global_values`` is the payload of class ``global_ids[i]``.
-    All-zero rows mean the server has not aggregated that class yet; they
-    are dropped so the class contributes nothing to the penalty, same as in
-    the very first round.  Rows of classes with no samples are dropped too:
-    the penalty reads only the classes of the client's shard.  Every
-    received row must have s values (the model's feature dim without
-    ``cps``), every value must be finite, and every class id must lie in
-    [0, K).  With ``cps`` the caller has checked that the client holds its
-    masks, and the kept rows are reconstructed.
+    Row c of the ``(K, w)`` block ``global_values`` is class c's payload, as
+    the caller has checked (rows of one width, finite values).  All-zero
+    rows mean the server has not aggregated that class yet, as in the first
+    round; they are dropped so the class contributes nothing to the penalty.
+    Rows of classes with no samples are dropped too: the penalty reads only
+    the classes of the client's shard.  With ``cps`` the caller has checked
+    that the client holds its masks, and the kept rows are reconstructed.
     """
-    if cps:
-        n_classes, want = state.mask_set.n_classes, state.mask_set.s
-    else:
-        n_classes, want = state.params.dims[3], state.params.dims[2]
-    bad = (global_ids < 0) | (global_ids >= n_classes)
-    if bad.any():
-        raise ValueError(
-            f"class id {int(global_ids[bad][0])} outside [0, K) for K={n_classes}"
-        )
-    if len(global_ids) and global_values.shape[1] != want:
-        raise ValueError(
-            f"length mismatch for class {int(global_ids[0])}: payloads have "
-            f"{global_values.shape[1]} values, expected {want} "
-            f"({'mask popcount' if cps else 'feature dim'})"
-        )
-    finite = np.isfinite(global_values).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite payload for class {int(global_ids[~finite][0])}")
-    keep = global_values.any(axis=1) & (state.class_counts[global_ids] > 0)
-    ids, values = global_ids[keep], global_values[keep]
+    ids = np.flatnonzero(global_values.any(axis=1) & (state.class_counts > 0))
+    values = global_values[ids]
     if cps:
         values = reconstruct(values, state.mask_set.bits[ids])
-    ids.flags.writeable = values.flags.writeable = False
     return ids, values
 
 
 def local_update(
     state: ClientState,
-    global_ids: np.ndarray,
     global_values: np.ndarray,
     cfg: TrainConfig,
-    first_round: bool,
     rng: np.random.Generator,
     *,
     cps: bool = True,
@@ -211,14 +186,13 @@ def local_update(
     """Train locally and return this client's upload as ``(ids, block)``.
 
     Steps: rebuild dense targets of the held classes from the received
-    global block, run ``cfg.local_epochs`` epochs of minibatch SGD on a copy
-    of the params (the penalty weight is forced to 0 in the first round),
-    recompute the per-class feature means, then keep each one's masked
-    entries (when ``cps``) and multiply by the class sample count (when
-    ``scale_by_count``).  Only locally present
-    classes are returned, ids ascending, one block row each.  ``rng`` drives
-    the per-epoch shuffles; the caller derives it from (experiment seed,
-    client id, round).
+    ``(K, w)`` global block (row c is class c's), run ``cfg.local_epochs``
+    epochs of minibatch SGD on a copy of the params, recompute the per-class
+    feature means, then keep each one's masked entries (when ``cps``) and
+    multiply by the class sample count (when ``scale_by_count``).  Only
+    locally present classes are returned, ids ascending, one block row each.
+    ``rng`` drives the per-epoch shuffles; the caller derives it from
+    (experiment seed, client id, round).
     """
     n = len(state.shard)
     if n == 0:
@@ -226,9 +200,15 @@ def local_update(
     if cps and state.mask_set is None:
         raise MaskMissingError(f"client {state.client_id} has no masks yet")
 
-    state.global_protos = _dense_targets(state, global_ids, global_values, cps)
+    n_classes = len(state.class_counts)
+    if len(global_values) != n_classes:
+        raise ValueError(
+            f"globals block has {len(global_values)} rows, one per class id "
+            f"in [0, K) for K={n_classes}"
+        )
+
+    targets = _dense_targets(state, global_values, cps)
     state.test_accuracy = None
-    lam = 0.0 if first_round else cfg.lam
 
     xs, ys = state.shard.x, state.shard.y
     # one copy per update, which every batch's step then changes in place
@@ -241,17 +221,17 @@ def local_update(
     penalty = None
     epoch_losses: list[float] = []
     for _ in range(cfg.local_epochs):
-        if lam > 0:
+        if cfg.lam > 0:
             # the snapshot and the targets are fixed for the epoch, so is each
             # class's penalty term
             penalty = class_penalties(
-                protos, state.global_protos, cfg.mu, cfg.rho, n_classes=state.params.dims[3]
+                protos, targets, cfg.mu, cfg.rho, n_classes=state.params.dims[3]
             )
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(params, xs[idx], ys[idx], penalty, lam)
+            loss, grads = loss_and_grad(params, xs[idx], ys[idx], penalty, cfg.lam)
             sgd_step(params, grads, cfg.lr)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))

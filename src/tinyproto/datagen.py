@@ -13,7 +13,6 @@ so no copy of the counts can disagree with the shard.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -21,11 +20,9 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "PartitionSpec",
     "make_blobs",
     "dirichlet_partition",
     "split_train_test",
-    "load_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -56,34 +53,12 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.x.shape[1]
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.x[indices], self.y[indices], self.n_classes)
 
     def class_histogram(self) -> np.ndarray:
         """(K,) samples per class, 0 for a class the dataset lacks."""
         return np.bincount(self.y, minlength=self.n_classes)
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How to split a dataset across clients."""
-
-    n_clients: int
-    alpha: float
-    seed: int
-    train_fraction: float = 0.75
-
-    def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must lie in (0, 1)")
 
 
 def make_blobs(
@@ -117,7 +92,9 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset | None]:
+def dirichlet_partition(
+    ds: Dataset, n_clients: int, alpha: float, seed: int
+) -> list[Dataset | None]:
     """Split a dataset into per-client shards with Dirichlet label skew.
 
     Per class, client proportions are drawn from Dir(alpha * ones(M)) and the
@@ -126,13 +103,17 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset | None
     None shard (and a logged warning).  A shard's per-class counts are its
     :meth:`Dataset.class_histogram`.
     """
-    rng = np.random.default_rng(spec.seed)
-    assigned: list[list[np.ndarray]] = [[] for _ in range(spec.n_clients)]
+    if n_clients < 1:
+        raise ValueError("n_clients must be >= 1")
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    rng = np.random.default_rng(seed)
+    assigned: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
     for cls in range(ds.n_classes):
         cls_idx = np.flatnonzero(ds.y == cls)
         if len(cls_idx) == 0:
             continue
-        props = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
+        props = rng.dirichlet(np.full(n_clients, alpha))
         per_client = _largest_remainder(props * len(cls_idx), len(cls_idx))
         start = 0
         for client, n in enumerate(per_client):
@@ -140,7 +121,7 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset | None
                 assigned[client].append(cls_idx[start : start + n])
             start += n
     shards: list[Dataset | None] = []
-    for client in range(spec.n_clients):
+    for client in range(n_clients):
         if not assigned[client]:
             log.warning("client %d received no samples; shard is empty", client)
             shards.append(None)
@@ -165,43 +146,3 @@ def split_train_test(shard: Dataset, fraction: float, seed: int) -> tuple[Datase
     test_idx = np.sort(perm[n_train:])
     return shard.subset(train_idx), shard.subset(test_idx)
 
-
-def load_csv(path) -> Dataset:
-    """Read `y,x_0,...,x_{D-1}` rows below a one-line header.
-
-    Labels must be non-negative integers; any non-numeric cell is rejected
-    with the offending data row and column in the message.
-    """
-    xs = []
-    ys = []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise ValueError("csv file is empty") from None
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"row {row_no}: expected {width} cells, got {len(row)}")
-            values = []
-            for col_no, cell in enumerate(row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"row {row_no}: non-numeric cell {cell.strip()!r} in column {col_no}"
-                    ) from None
-            label = values[0]
-            if label < 0 or label != int(label):
-                raise ValueError(f"row {row_no}: label {label!r} is not a non-negative integer")
-            ys.append(int(label))
-            xs.append(values[1:])
-    if not xs:
-        raise ValueError("csv file has a header but no data rows")
-    y = np.array(ys, dtype=np.int64)
-    return Dataset(np.array(xs), y, int(y.max()) + 1)

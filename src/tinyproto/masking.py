@@ -64,15 +64,13 @@ class MaskSet:
     """One mask per class, each with popcount exactly s: row c of ``bits``.
 
     ``bits`` is checked once and kept as a read-only ``(K, d)`` uint8 copy.
-    ``seed`` is the generator seed for reproducibility, or None for sets
-    rebuilt from the wire.  ``presearch_min_hamming`` is the minimum pairwise
-    Hamming distance of the seeded starting point, before any local search
-    (None when there are fewer than two classes).
+    ``presearch_min_hamming`` is the minimum pairwise Hamming distance of the
+    seeded starting point, before any local search (None when there are
+    fewer than two classes, or for a set rebuilt from the wire).
     """
 
     bits: np.ndarray
     s: int
-    seed: int | None
     presearch_min_hamming: int | None = None
 
     def __post_init__(self):
@@ -102,13 +100,6 @@ class MaskSet:
     def masks(self) -> tuple[Mask, ...]:
         """One :class:`Mask` view per class, in class order."""
         return tuple(Mask(cls, row) for cls, row in enumerate(self.bits))
-
-    def for_class(self, class_id: int) -> Mask:
-        if not 0 <= class_id < self.n_classes:
-            raise ValueError(
-                f"class id {class_id} outside [0, K) for K={self.n_classes}"
-            )
-        return Mask(class_id, self.bits[class_id])
 
 
 def _pairwise_hamming(bits: np.ndarray) -> np.ndarray:
@@ -206,7 +197,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
         for cls in range(n_classes):
             bits[cls, cls * s : (cls + 1) * s] = 1
         pre = 2 * s if n_classes >= 2 else None
-        return MaskSet(bits, s=s, seed=seed, presearch_min_hamming=pre)
+        return MaskSet(bits, s=s, presearch_min_hamming=pre)
 
     # overlap regime (so n_classes >= 2); one bool matrix for the whole search
     rng = np.random.default_rng(seed)
@@ -235,7 +226,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
             if budget <= 0:
                 break
 
-    return MaskSet(bits, s=s, seed=seed, presearch_min_hamming=presearch)
+    return MaskSet(bits, s=s, presearch_min_hamming=presearch)
 
 
 def format_mask_rows(mask_set: MaskSet) -> str:

@@ -9,12 +9,17 @@ and checks its upload), fold all uploads in one aggregator call, then report
 every client's accuracy on its own test split.  Every frame is one block, a
 class-id vector plus one value row per class; each side checks each frame it
 decodes once, and a bad frame raises :class:`RoundError` naming the client,
-the class where one applies, and the round.  A client is evaluated again
-only when it has never been evaluated or has trained since; an unsampled
-client keeps its stored accuracy, which is exact because evaluation reads
-only the client's params, local prototypes and test split, and none of them
-changed.  Parameter counts (values on the wire, not bytes) are the headline
-traffic metric; mask delivery is tracked separately from prototype traffic.
+the class where one applies, and the round.  The checks of all three frame
+kinds live here: a client's masks and globals (ids 0..K-1, so row c of the
+globals block is class c's; the width of its exchange; finite values) and
+the server's uploads.  The first round's globals are all zero, so no class
+has a target and that round trains as with lam = 0.  A client is evaluated
+again only when it has never been evaluated or has trained since; an
+unsampled client keeps its stored accuracy, which is exact because
+evaluation reads only the client's params, local prototypes and test split,
+and none of them changed.  Parameter counts (values on the wire, not bytes)
+are the headline traffic metric; mask delivery is tracked separately from
+prototype traffic.
 
 ``rounds.csv`` intentionally omits wall time so that identical config+seed
 runs produce byte-identical files.
@@ -34,13 +39,14 @@ import numpy as np
 from .aggregation import AGGREGATORS as _AGGREGATORS
 from .client import (
     ClientState,
+    MaskMissingError,
     TrainConfig,
     compute_local_prototypes,
     evaluate_accuracy,
     local_update,
 )
 from .config import ExperimentConfig
-from .datagen import PartitionSpec, dirichlet_partition, make_blobs, split_train_test
+from .datagen import dirichlet_partition, make_blobs, split_train_test
 from .masking import MaskSet, format_mask_rows, generate_masks
 from .numerics import init_params
 from .wire import Frame, FrameType, decode_frame, encode_frame, frame_param_count
@@ -101,7 +107,6 @@ class RoundReport:
     uplink_params: int
     downlink_params: int
     mask_params: int
-    wall_time: float
 
 
 @dataclass
@@ -134,7 +139,7 @@ def _mask_set_from_frame(
         )
     _check_class_ids(frame, client_id, round_no, n_classes)
     try:
-        return MaskSet(bits, s=np.count_nonzero(bits[0]), seed=None)
+        return MaskSet(bits, s=np.count_nonzero(bits[0]))
     except ValueError as err:
         raise RoundError(f"{where}: {err}") from None
 
@@ -152,6 +157,29 @@ def _check_class_ids(frame: Frame, client_id: int, round_no: int, n_classes: int
         raise RoundError(
             f"client {client_id}, round {round_no}: {frame.frame_type.name.lower()} frame "
             f"class ids are not 0..K-1 in order for K={n_classes}"
+        )
+
+
+def _check_globals(
+    frame: Frame, client_id: int, round_no: int, n_classes: int, width: int, cps: bool
+) -> None:
+    """Reject a globals frame that is not this round's, or whose block does
+    not fit the client: ids must be 0..K-1 in order (so row c is class c's),
+    rows must have ``width`` values (the mask popcount with ``cps``, else the
+    feature dim) and every value must be finite."""
+    _check_header(frame, FrameType.GLOBALS, round_no, client_id)
+    _check_class_ids(frame, client_id, round_no, n_classes)
+    values = frame.values
+    if values.shape[1] != width:
+        raise RoundError(
+            f"client {client_id}, round {round_no}: globals rows have {values.shape[1]} "
+            f"values, expected {width} ({'mask popcount' if cps else 'feature dim'})"
+        )
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise RoundError(
+            f"client {client_id}, class {int(frame.class_ids[bad][0])}, round {round_no}: "
+            "globals has non-finite values"
         )
 
 
@@ -211,9 +239,7 @@ def run_round(
         raise ValueError(f"aggregator must be one of {', '.join(_AGGREGATORS)}")
     if not clients:
         raise RoundError("no clients available to sample")
-    started = time.perf_counter()
     round_no = server.round + 1
-    first_round = round_no == 1
 
     sample_rng = np.random.default_rng(
         np.random.SeedSequence([seed, _TAG_SAMPLE, round_no])
@@ -241,19 +267,27 @@ def run_round(
     uploads = []
     for state in sampled:
         cid = state.client_id
+        feat_dim, n_model_classes = state.params.dims[2:]
         if cid in needs_masks:
             masks_frame = decode_frame(masks_bytes)
             _check_header(masks_frame, FrameType.MASKS, round_no, cid)
             mask_params += frame_param_count(masks_frame)
-            feat_dim, n_model_classes = state.params.dims[2:]
             state.mask_set = _mask_set_from_frame(
                 masks_frame, cid, round_no, n_model_classes, feat_dim
             )
             if frame_log is not None:
                 frame_log.add(round_no, "down", cid, masks_bytes)
+        if cps and state.mask_set is None:
+            raise MaskMissingError(f"client {cid} has no masks yet")
         globals_frame = decode_frame(globals_bytes)
-        _check_header(globals_frame, FrameType.GLOBALS, round_no, cid)
-        _check_class_ids(globals_frame, cid, round_no, state.params.dims[3])
+        _check_globals(
+            globals_frame,
+            cid,
+            round_no,
+            n_model_classes,
+            state.mask_set.s if cps else feat_dim,
+            cps,
+        )
         downlink += frame_param_count(globals_frame)
         if frame_log is not None:
             frame_log.add(round_no, "down", cid, globals_bytes)
@@ -262,10 +296,8 @@ def run_round(
         )
         ids, block = local_update(
             state,
-            globals_frame.class_ids,
             globals_frame.values,
             cfg,
-            first_round,
             shuffle_rng,
             cps=cps,
             scale_by_count=(aggregator == "scaled"),
@@ -309,7 +341,6 @@ def run_round(
         uplink_params=uplink,
         downlink_params=downlink,
         mask_params=mask_params,
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -322,7 +353,6 @@ class ExperimentResult:
     summary: dict
     server: ServerState
     clients: list[ClientState]
-    dropped_clients: list[int]
 
 
 def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[int]]:
@@ -333,13 +363,9 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
         config.sigma,
         seed=_child_seed(config.seed, _TAG_DATA),
     )
-    spec = PartitionSpec(
-        n_clients=config.n_clients,
-        alpha=config.alpha,
-        seed=_child_seed(config.seed, _TAG_PARTITION),
-        train_fraction=config.train_fraction,
+    shards = dirichlet_partition(
+        data, config.n_clients, config.alpha, seed=_child_seed(config.seed, _TAG_PARTITION)
     )
-    shards = dirichlet_partition(data, spec)
     clients: list[ClientState] = []
     dropped: list[int] = []
     for cid in range(config.n_clients):
@@ -425,7 +451,7 @@ def run_experiment(
         "wall_time_sec": time.perf_counter() - started,
         "config": config.to_dict(),
     }
-    result = ExperimentResult(config, reports, summary, server, clients, dropped)
+    result = ExperimentResult(config, reports, summary, server, clients)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result

@@ -307,12 +307,11 @@ def test_criterion_6_sparsity_structure(learning_runs):
     with _criterion("criterion 6: globals have exactly s in-mask nonzeros; dead units exist"):
         result, _, _ = learning_runs
         mask_set = result.server.mask_set
-        for cls, comp in enumerate(result.server.global_comp):
-            mask = mask_set.for_class(cls)
-            full = np.zeros(mask.dim)
-            full[mask.bits == 1] = comp
+        for comp, bits in zip(result.server.global_comp, mask_set.bits):
+            full = np.zeros(mask_set.d)
+            full[bits == 1] = comp
             assert int(np.sum(full != 0)) == mask_set.s
-            assert np.all(full[mask.bits == 0] == 0)
+            assert np.all(full[bits == 0] == 0)
         for state in result.clients:
             ids, block = state.local_protos
             for cls, fraction in zip(ids.tolist(), dead_unit_fraction(block, tol=0.0)):

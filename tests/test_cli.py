@@ -1,7 +1,9 @@
 """Command-line entry points: run, masks, cost."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from tinyproto.cli import main
@@ -51,6 +53,23 @@ class TestRun:
         config.write_text("s = 50\nd = 16\n")
         assert main(["run", str(config)]) == 2
         assert "s:" in capsys.readouterr().err
+
+    def test_failed_round_is_an_error_without_traceback(self, tmp_path, capsys):
+        # the desk config of demos/03 with a learning rate that sends the
+        # features to inf/nan within a few rounds
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "seed = 7\nM = 6\nK = 4\nD = 8\nd = 16\ns = 4\nalpha = 0.5\n"
+            "per_class = 400\nsigma = 0.35\nrounds = 5\nlr = 1e9\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: client \d+, class \d+, round \d+: upload has non-finite values\n",
+            captured.err,
+        )
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -139,6 +158,27 @@ class TestCost:
     def test_bad_value_is_named_by_its_key(self, tmp_path, capsys, line, message):
         query = tmp_path / "query.cfg"
         query.write_text(f"algorithm = TinyProto\nK = 3\nd = 8\ns = 2\n{line}\n")
+        assert main(["cost", str(query)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("algorithm = TinyProto\nK = 3\nK_i = 2\nd = 8\ns = 2\nM = -3\n",
+             "M: expected a non-negative integer, got '-3'"),
+            ("algorithm = TinyProto\nK = 3\nd = 8\ns = 2\nK_i = 2,-1\n",
+             "K_i: expected a non-negative integer, got '-1'"),
+            ("algorithm = FedKD\nM = 2\naux_extractor_params = 5\n"
+             "aux_classifier_params = 3\nr = -0.5\n",
+             "r: expected a non-negative number, got '-0.5'"),
+        ],
+        ids=["M", "K_i", "r"],
+    )
+    def test_negative_value_is_named_by_its_key(self, tmp_path, capsys, lines, message):
+        query = tmp_path / "query.cfg"
+        query.write_text(lines)
         assert main(["cost", str(query)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

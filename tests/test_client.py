@@ -42,9 +42,22 @@ def _state(seed=21, with_masks=True):
 
 
 def _globals(feat_ones=2, seed=77, n_classes=3):
-    """A received globals block: class ids and one payload row per class."""
+    """A received ``(K, w)`` globals block: row c is class c's payload."""
     rng = np.random.default_rng(seed)
-    return np.arange(n_classes), np.array([rng.normal(size=feat_ones) for _ in range(n_classes)])
+    return np.array([rng.normal(size=feat_ones) for _ in range(n_classes)])
+
+
+def _capture_targets(monkeypatch):
+    """The targets pair of each ``class_penalties`` call, as a growing list."""
+    real = client_mod.class_penalties
+    seen = []
+
+    def capturing(local, targets, *args, **kwargs):
+        seen.append(targets)
+        return real(local, targets, *args, **kwargs)
+
+    monkeypatch.setattr(client_mod, "class_penalties", capturing)
+    return seen
 
 
 def _by_class(pair):
@@ -74,7 +87,7 @@ def _scripted_run(state, cfg, global_values):
     targets = {}
     for cls in (0, 1):
         targets[cls] = np.zeros(8)
-        targets[cls][state.mask_set.for_class(cls).bits == 1] = global_values[cls]
+        targets[cls][state.mask_set.bits[cls] == 1] = global_values[cls]
     rng = np.random.default_rng(np.random.SeedSequence([123, 0]))
     epoch_loss = None
     for _ in range(cfg.local_epochs):
@@ -196,14 +209,14 @@ class TestLocalUpdate:
     def test_returns_exactly_local_classes(self):
         state = _state()
         ids, _ = local_update(
-            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+            state, _globals(), _CFG, rng=np.random.default_rng(0)
         )
         assert ids.tolist() == [0, 1]
 
     def test_payload_lengths_are_mask_popcount(self):
         state = _state()
         _, block = local_update(
-            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+            state, _globals(), _CFG, rng=np.random.default_rng(0)
         )
         assert block.shape == (2, 2)
 
@@ -211,15 +224,14 @@ class TestLocalUpdate:
         state = _state()
         state.shard = Dataset(state.shard.x[:2], np.array([0, 1]), 3)
         scaled = _by_class(local_update(
-            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(1)
+            state, _globals(), _CFG, rng=np.random.default_rng(1)
         ))
         state2 = _state()
         state2.shard = Dataset(state2.shard.x[:2], np.array([0, 1]), 3)
         plain = _by_class(local_update(
             state2,
-            *_globals(),
+            _globals(),
             _CFG,
-            first_round=False,
             rng=np.random.default_rng(1),
             scale_by_count=False,
         ))
@@ -231,9 +243,8 @@ class TestLocalUpdate:
         state = _state()
         payloads = _by_class(local_update(
             state,
-            *_globals(),
+            _globals(),
             _CFG,
-            first_round=False,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
         ))
         np.testing.assert_array_equal(
@@ -247,13 +258,11 @@ class TestLocalUpdate:
         """Independent straight-line re-run of the same training trace."""
         state = _state()
         cfg = _CFG
-        global_ids, global_values = _globals()
+        global_values = _globals()
         payloads = _by_class(local_update(
             state,
-            global_ids,
             global_values,
             cfg,
-            first_round=False,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
         ))
 
@@ -261,7 +270,7 @@ class TestLocalUpdate:
         y = state.shard.y
         for cls in (0, 1):
             proto = feats[y == cls].mean(axis=0)
-            comp = proto[state.mask_set.for_class(cls).bits == 1]
+            comp = proto[state.mask_set.bits[cls] == 1]
             np.testing.assert_array_equal(
                 payloads[cls], comp * int(np.sum(y == cls))
             )
@@ -271,13 +280,11 @@ class TestLocalUpdate:
         """Two epochs of a 4 + 2 batch split, penalty recomputed every batch."""
         state = _state()
         cfg = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2, rho=rho)
-        global_ids, global_values = _globals()
+        global_values = _globals()
         local_update(
             state,
-            global_ids,
             global_values,
             cfg,
-            first_round=False,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
         )
         _, loss = _scripted_run(state, cfg, global_values)
@@ -286,40 +293,37 @@ class TestLocalUpdate:
         assert state.last_train_loss == loss
 
     def test_first_round_trace_equals_lambda_zero(self):
+        # the first round's globals are all zero: lam > 0 then adds exactly
+        # 0.0 to every loss and nothing to any gradient
         state_a = _state()
-        out_a = _by_class(local_update(
+        assert _CFG.lam > 0
+        out_a = local_update(
             state_a,
-            *_globals(),
-            _CFG,
-            first_round=True,
-            rng=np.random.default_rng(np.random.SeedSequence([5])),
-        ))
-        state_b = _state()
-        cfg_zero = TrainConfig(lam=0.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
-        out_b = _by_class(local_update(
-            state_b,
-            *_globals(),
-            cfg_zero,
-            first_round=False,
-            rng=np.random.default_rng(np.random.SeedSequence([5])),
-        ))
-        for cls in out_a:
-            np.testing.assert_array_equal(out_a[cls], out_b[cls])
-        for pa, pb in zip(state_a.params.arrays(), state_b.params.arrays()):
-            np.testing.assert_array_equal(pa, pb)
-
-    def test_zero_global_payloads_are_skipped_as_targets(self):
-        state = _state()
-        local_update(
-            state,
-            np.arange(3),
             np.zeros((3, 2)),
             _CFG,
-            first_round=False,
-            rng=np.random.default_rng(2),
+            rng=np.random.default_rng(np.random.SeedSequence([5])),
         )
-        ids, block = state.global_protos
-        assert ids.shape == (0,) and block.shape == (0, 8)
+        state_b = _state()
+        cfg_zero = TrainConfig(lam=0.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
+        out_b = local_update(
+            state_b,
+            _globals(),
+            cfg_zero,
+            rng=np.random.default_rng(np.random.SeedSequence([5])),
+        )
+        assert out_a[0].tolist() == out_b[0].tolist()
+        assert out_a[1].tobytes() == out_b[1].tobytes()
+        for pa, pb in zip(state_a.params.arrays(), state_b.params.arrays()):
+            assert pa.tobytes() == pb.tobytes()
+        assert state_a.last_train_loss == state_b.last_train_loss
+
+    def test_zero_global_payloads_are_skipped_as_targets(self, monkeypatch):
+        state = _state()
+        seen = _capture_targets(monkeypatch)
+        local_update(state, np.zeros((3, 2)), _CFG, rng=np.random.default_rng(2))
+        assert len(seen) == _CFG.local_epochs
+        for ids, block in seen:
+            assert ids.shape == (0,) and block.shape == (0, 8)
 
     def test_preset_snapshot_means_one_recompute_per_epoch(self, monkeypatch):
         state = _state()
@@ -332,7 +336,7 @@ class TestLocalUpdate:
 
         monkeypatch.setattr(client_mod, "compute_local_prototypes", counting)
         local_update(
-            state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+            state, _globals(), _CFG, rng=np.random.default_rng(0)
         )
         assert _CFG.local_epochs == 2
         assert len(calls) == 2
@@ -343,7 +347,7 @@ class TestLocalUpdate:
         preset.local_protos = compute_local_prototypes(preset)
         outs = [
             _by_class(local_update(
-                st, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(4)
+                st, _globals(), _CFG, rng=np.random.default_rng(4)
             ))
             for st in (fresh, preset)
         ]
@@ -360,7 +364,7 @@ class TestLocalUpdate:
         a.params = b.params = shared
         outs = [
             _by_class(local_update(
-                st, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(6)
+                st, _globals(), _CFG, rng=np.random.default_rng(6)
             ))
             for st in (a, b)
         ]
@@ -378,8 +382,15 @@ class TestLocalUpdate:
         state = _state(with_masks=False)
         with pytest.raises(MaskMissingError):
             local_update(
-                state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
+                state, _globals(), _CFG, rng=np.random.default_rng(0)
             )
+
+    def test_out_of_range_global_class_rejected(self):
+        # row c is class c's, so an eighth row would be class 7 with K=3
+        state = _state()
+        values = np.vstack((_globals(), np.ones((5, 2))))
+        with pytest.raises(ValueError, match=r"8 rows.*class id .*K=3"):
+            local_update(state, values, _CFG, rng=np.random.default_rng(0))
 
     def test_empty_shard_rejected(self):
         state = _state()
@@ -387,31 +398,7 @@ class TestLocalUpdate:
         state.shard.y = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
             local_update(
-                state, *_globals(), _CFG, first_round=False, rng=np.random.default_rng(0)
-            )
-
-    def test_out_of_range_global_class_rejected(self):
-        state = _state()
-        ids, values = _globals()
-        ids, values = np.append(ids, 7), np.vstack((values, np.ones(2)))
-        with pytest.raises(ValueError, match=r"class id 7 .*K=3"):
-            local_update(
-                state, ids, values, _CFG, first_round=False, rng=np.random.default_rng(0)
-            )
-
-    @pytest.mark.parametrize("short", [np.ones(1), np.zeros(1)], ids=["live", "zero"])
-    def test_wrong_length_dense_global_rejected(self, short):
-        # every row of a block has one width, so the whole block is short
-        state = _state()
-        with pytest.raises(ValueError, match="class 1"):
-            local_update(
-                state,
-                np.array([1]),
-                short[None, :],
-                _CFG,
-                first_round=False,
-                rng=np.random.default_rng(3),
-                cps=False,
+                state, _globals(), _CFG, rng=np.random.default_rng(0)
             )
 
     def test_dense_mode_returns_full_length(self):
@@ -420,10 +407,8 @@ class TestLocalUpdate:
         dense_globals = np.array([rng.normal(size=8) for _ in range(3)])
         _, block = local_update(
             state,
-            np.arange(3),
             dense_globals,
             _CFG,
-            first_round=False,
             rng=np.random.default_rng(3),
             cps=False,
         )
@@ -516,55 +501,38 @@ class TestDenseTargets:
             for cls in rng.permutation(k):
                 values = rng.normal(size=s) if rng.random() < 0.7 else np.zeros(s)
                 received[int(cls)] = values
-            ids = np.array(list(received))
-            values = np.array([received[c] for c in ids])
+            values = np.array([received[c] for c in range(k)])  # row c is class c's
             held = {int(c) for c in rng.choice(k, size=k // 2 + 1, replace=False)}
             # one sample of each held class
             state.shard = Dataset(np.zeros((len(held), 2)), sorted(held), k)
-            targets = _by_class(client_mod._dense_targets(state, ids, values, cps=True))
-            # live classes the client holds, in the order received
-            kept = [c for c, p in received.items() if np.any(p) and c in held]
+            targets = _by_class(client_mod._dense_targets(state, values, cps=True))
+            # live classes the client holds, ascending
+            kept = [c for c in range(k) if np.any(received[c]) and c in held]
             assert list(targets) == kept
             for cls in kept:
                 # the i-th payload value belongs at the i-th set bit of the mask
-                positions = [j for j, b in enumerate(state.mask_set.for_class(cls).bits) if b]
+                positions = [j for j, b in enumerate(state.mask_set.bits[cls]) if b]
                 expected = np.zeros(d)
                 for value, j in zip(received[cls], positions):
                     expected[j] = value
                 np.testing.assert_array_equal(targets[cls], expected)
 
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
-    def test_live_class_not_held_gets_no_target(self, cps):
+    def test_live_class_not_held_gets_no_target(self, cps, monkeypatch):
         state = _state()  # holds classes 0 and 1 of K=3
-        ids, values = _globals(feat_ones=2 if cps else 8)
+        values = _globals(feat_ones=2 if cps else 8)
         assert values.all()  # every row is live, class 2's too
-        target_ids, _ = client_mod._dense_targets(state, ids, values, cps=cps)
+        target_ids, _ = client_mod._dense_targets(state, values, cps=cps)
         assert target_ids.tolist() == [0, 1]
-        local_update(
-            state, ids, values, _CFG, first_round=False, rng=np.random.default_rng(0), cps=cps
-        )
-        assert state.global_protos[0].tolist() == [0, 1]
+        seen = _capture_targets(monkeypatch)
+        local_update(state, values, _CFG, rng=np.random.default_rng(0), cps=cps)
+        assert [ids.tolist() for ids, _ in seen] == [[0, 1]] * _CFG.local_epochs
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()
         zeros = np.zeros((3, 2))
-        ids, block = client_mod._dense_targets(state, np.arange(3), zeros, cps=True)
+        ids, block = client_mod._dense_targets(state, zeros, cps=True)
         assert ids.shape == (0,) and block.shape == (0, 8)
-
-    def test_wrong_compressed_length_names_the_class(self):
-        state = _state()
-        # every row of a block has one width, so the whole block is too long
-        with pytest.raises(ValueError, match="class 2"):
-            client_mod._dense_targets(state, np.array([2]), np.ones((1, 3)), cps=True)
-
-    @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_payload_names_the_class(self, bad, cps):
-        state = _state()
-        ids, values = _globals(feat_ones=2 if cps else 8)
-        values[1, 0] = bad
-        with pytest.raises(ValueError, match="non-finite payload for class 1"):
-            client_mod._dense_targets(state, ids, values, cps=cps)
 
 
 class TestL2Distances:
@@ -684,25 +652,26 @@ def _reference_local_prototypes(state):
     return {cls: feats[state.shard.y == cls].mean(axis=0) for cls in sorted(counts)}
 
 
-def _reference_targets(state, ids, values, cps):
-    """{class id: dense target} of the live rows of held classes, in the order received."""
+def _reference_targets(state, values, cps):
+    """{class id: dense target} of the live rows of held classes, ascending;
+    row c of ``values`` is class c's."""
     held = set(np.flatnonzero(np.bincount(state.shard.y)).tolist())
     targets = {}
-    for cls, row in zip(ids.tolist(), values):
+    for cls, row in enumerate(values):
         if np.any(row) and cls in held:
             if cps:
                 full = np.zeros(state.mask_set.d)
-                full[state.mask_set.for_class(cls).bits == 1] = row
+                full[state.mask_set.bits[cls] == 1] = row
                 row = full
             targets[cls] = row
     return targets
 
 
-def _reference_penalties(local_protos, global_protos, mu, rho):
+def _reference_penalties(local_protos, targets, mu, rho):
     """{class id: term} over the local classes; 0.0 for one without a target."""
     penalties = {}
     for cls, local in local_protos.items():
-        target = global_protos.get(cls)
+        target = targets.get(cls)
         if target is None:
             penalties[cls] = 0.0
             continue
@@ -730,8 +699,10 @@ class TestArrayPathMatchesDictReference:
         shard = Dataset(rng.normal(size=(len(labels), 3)), rng.permutation(labels), k)
         cps = case % 2 == 0
         ids = np.arange(k) if case % 3 else rng.permutation(k)
-        values = rng.normal(size=(k, s if cps else d))
-        values[~np.isin(ids, live)] = 0.0
+        drawn = rng.normal(size=(k, s if cps else d))
+        drawn[~np.isin(ids, live)] = 0.0
+        values = np.empty_like(drawn)
+        values[ids] = drawn  # the (K, w) block: row c is class c's
         cfg = TrainConfig(
             lam=float(rng.uniform(0.1, 2.0)),
             mu=float(rng.uniform(0.1, 2.0)),
@@ -746,19 +717,19 @@ class TestArrayPathMatchesDictReference:
             shard=shard,
             mask_set=generate_masks(k, d, s, seed=case),
         )
-        return state, ids, values, cps, cfg
+        return state, values, cps, cfg
 
     def test_dense_targets_penalties_and_count_scaling(self):
         rng = np.random.default_rng(36)
         overlapping = disjoint_live = 0
         for case in range(60):
-            state, ids, values, cps, cfg = self._draw(rng, case)
+            state, values, cps, cfg = self._draw(rng, case)
             k = state.mask_set.n_classes
             overlapping += k * state.mask_set.s > state.mask_set.d
             counts = np.bincount(state.shard.y, minlength=k)
 
-            target_ids, target_block = client_mod._dense_targets(state, ids, values, cps)
-            targets = _reference_targets(state, ids, values, cps)
+            target_ids, target_block = client_mod._dense_targets(state, values, cps)
+            targets = _reference_targets(state, values, cps)
             assert target_ids.tolist() == list(targets)
             assert target_block.shape == (len(targets), state.mask_set.d)
             assert all(np.array_equal(row, targets[c]) for c, row in zip(target_ids, target_block))
@@ -788,10 +759,10 @@ class TestArrayPathMatchesDictReference:
             # never writes the caller's params, so both start from the same)
             twin = ClientState(case, state.params, state.shard, mask_set=state.mask_set)
             up_ids, scaled = local_update(
-                state, ids, values, cfg, False, np.random.default_rng(case), cps=cps
+                state, values, cfg, np.random.default_rng(case), cps=cps
             )
             plain_ids, plain = local_update(
-                twin, ids, values, cfg, False, np.random.default_rng(case),
+                twin, values, cfg, np.random.default_rng(case),
                 cps=cps, scale_by_count=False,
             )
             assert up_ids.tolist() == plain_ids.tolist() == np.flatnonzero(counts).tolist()

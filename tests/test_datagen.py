@@ -1,16 +1,9 @@
-"""Blob generation, Dirichlet partitioning, splits, and CSV ingestion."""
+"""Blob generation, Dirichlet partitioning, and train/test splits."""
 
 import numpy as np
 import pytest
 
-from tinyproto.datagen import (
-    Dataset,
-    PartitionSpec,
-    dirichlet_partition,
-    load_csv,
-    make_blobs,
-    split_train_test,
-)
+from tinyproto.datagen import Dataset, dirichlet_partition, make_blobs, split_train_test
 
 
 class TestMakeBlobs:
@@ -49,19 +42,19 @@ class TestMakeBlobs:
 class TestDirichletPartition:
     def test_huge_alpha_is_nearly_uniform(self):
         ds = make_blobs(3, 4, per_class=40, sigma=0.2, seed=0)
-        shards = dirichlet_partition(ds, PartitionSpec(4, alpha=1e6, seed=1))
+        shards = dirichlet_partition(ds, 4, alpha=1e6, seed=1)
         for shard in shards:
             assert np.all(np.abs(shard.class_histogram() - 40 / 4) <= 1)
 
     def test_single_client_takes_everything(self):
         ds = make_blobs(3, 4, per_class=10, sigma=0.2, seed=0)
-        shards = dirichlet_partition(ds, PartitionSpec(1, alpha=0.1, seed=1))
+        shards = dirichlet_partition(ds, 1, alpha=0.1, seed=1)
         assert len(shards[0]) == len(ds)
 
     def test_golden_seeded_draw(self):
         """Frozen from a recorded draw: alpha=0.1, four clients."""
         ds = make_blobs(3, 4, per_class=40, sigma=0.2, seed=11)
-        shards = dirichlet_partition(ds, PartitionSpec(4, alpha=0.1, seed=5))
+        shards = dirichlet_partition(ds, 4, alpha=0.1, seed=5)
         sizes = [0 if s is None else len(s) for s in shards]
         assert sizes == [58, 3, 59, 0]
         counts = [None if s is None else s.class_histogram().tolist() for s in shards]
@@ -69,7 +62,7 @@ class TestDirichletPartition:
 
     def test_conservation_and_recount(self):
         ds = make_blobs(4, 5, per_class=33, sigma=0.4, seed=6)
-        shards = dirichlet_partition(ds, PartitionSpec(5, alpha=0.3, seed=7))
+        shards = dirichlet_partition(ds, 5, alpha=0.3, seed=7)
         total = sum(len(s) for s in shards if s is not None)
         assert total == len(ds)
         hist = np.zeros(4, dtype=int)
@@ -78,10 +71,20 @@ class TestDirichletPartition:
                 hist += np.bincount(shard.y, minlength=4)
         np.testing.assert_array_equal(hist, ds.class_histogram())
 
+    @pytest.mark.parametrize(
+        "n_clients, alpha, what",
+        [(0, 0.5, "n_clients must be >= 1"), (3, 0.0, "alpha must be > 0"), (3, -1.0, "alpha")],
+        ids=["no-clients", "zero-alpha", "negative-alpha"],
+    )
+    def test_bad_args_rejected(self, n_clients, alpha, what):
+        ds = make_blobs(3, 4, per_class=10, sigma=0.2, seed=0)
+        with pytest.raises(ValueError, match=what):
+            dirichlet_partition(ds, n_clients, alpha=alpha, seed=1)
+
     def test_seed_determinism(self):
         ds = make_blobs(3, 4, per_class=20, sigma=0.2, seed=1)
-        first = dirichlet_partition(ds, PartitionSpec(3, alpha=0.2, seed=4))
-        second = dirichlet_partition(ds, PartitionSpec(3, alpha=0.2, seed=4))
+        first = dirichlet_partition(ds, 3, alpha=0.2, seed=4)
+        second = dirichlet_partition(ds, 3, alpha=0.2, seed=4)
         assert [s is None for s in first] == [s is None for s in second]
         for a, b in zip(first, second):
             if a is not None:
@@ -118,40 +121,6 @@ class TestSplitTrainTest:
         ds = make_blobs(1, 2, per_class=2, sigma=0.2, seed=0)
         train, test = split_train_test(ds, 0.99, seed=0)
         assert len(train) == 1 and len(test) == 1
-
-
-class TestLoadCsv:
-    def test_reads_header_and_rows(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("y,x_0,x_1\n0,1.5,-2.0\n1,0.25,3.0\n")
-        ds = load_csv(path)
-        assert ds.n_classes == 2
-        np.testing.assert_array_equal(ds.y, [0, 1])
-        np.testing.assert_array_equal(ds.x, [[1.5, -2.0], [0.25, 3.0]])
-
-    def test_non_numeric_cell_names_row_and_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,x_0\n0,1.0\n1,abc\n")
-        with pytest.raises(ValueError, match=r"row 2: non-numeric cell 'abc' in column 1"):
-            load_csv(path)
-
-    def test_bad_label_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,x_0\n0.5,1.0\n")
-        with pytest.raises(ValueError, match="row 1"):
-            load_csv(path)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,x_0,x_1\n0,1.0,2.0\n1,3.0\n")
-        with pytest.raises(ValueError, match="row 2"):
-            load_csv(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            load_csv(path)
 
 
 class TestDatasetInvariants:

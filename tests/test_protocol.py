@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tinyproto.protocol as protocol
-from tinyproto.client import ClientState, TrainConfig, evaluate_accuracy
+from tinyproto.client import ClientState, MaskMissingError, TrainConfig, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, parse_config_text
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
@@ -227,6 +227,32 @@ class TestRunRound:
             fresh = [evaluate_accuracy(st) for st in clients]
             assert report.per_client_accuracy == fresh
 
+    def test_first_round_trains_as_with_lambda_zero(self):
+        # the first round's globals are all zero, so the penalty adds nothing
+        runs = []
+        for cfg in (_CFG, dataclasses.replace(_CFG, lam=0.0)):
+            clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+            server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+            runs.append((run_round(server, clients, 1.0, cfg, seed=1), server, clients))
+        (report_a, server_a, clients_a), (report_b, server_b, clients_b) = runs
+        assert _CFG.lam > 0
+        assert report_a == report_b
+        assert server_a.global_comp.tobytes() == server_b.global_comp.tobytes()
+        for a, b in zip(clients_a, clients_b):
+            for pa, pb in zip(a.params.arrays(), b.params.arrays()):
+                assert pa.tobytes() == pb.tobytes()
+
+    def test_cps_round_for_a_client_without_masks_is_refused(self):
+        # masks go to first-time participants of a cps round only, so a
+        # client first sampled in a dense round never receives them
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+        server.global_comp = np.zeros((4, 12))
+        run_round(server, clients, 1.0, _CFG, seed=1, cps=False)
+        server.global_comp = np.zeros((4, 3))
+        with pytest.raises(MaskMissingError, match="client 0 has no masks yet"):
+            run_round(server, clients, 1.0, _CFG, seed=1, cps=True)
+
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_refused(self, workers):
         # client updates run serially: the key stays, and accepts only 1
@@ -437,6 +463,38 @@ class TestFrameChecks:
             RoundError, match=r"client 0, round 1: globals frame class ids are not 0..K-1 .*K=4"
         ):
             _two_client_round()
+
+    @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_globals_with_non_finite_value_rejected(self, bad, cps):
+        # a live round: round 1 aggregates every class, then row 1 goes bad
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=cps)
+        run_round(server, clients, 1.0, _CFG, seed=1, cps=cps)
+        assert server.global_comp.any(axis=1).all()
+        server.global_comp[1, 0] = bad
+        with pytest.raises(
+            RoundError, match=r"client 0, class 1, round 2: globals has non-finite values"
+        ):
+            run_round(server, clients, 1.0, _CFG, seed=1, cps=cps)
+
+    @pytest.mark.parametrize("live", [False, True], ids=["zero", "live"])
+    @pytest.mark.parametrize(
+        "server_cps, cps, want",
+        [
+            (False, True, r"12 values, expected 3 \(mask popcount\)"),
+            (True, False, r"3 values, expected 12 \(feature dim\)"),
+        ],
+        ids=["dense-server-cps-round", "cps-server-dense-round"],
+    )
+    def test_globals_of_wrong_width_rejected(self, server_cps, cps, want, live):
+        # every row of a block has one width, so the whole block is refused
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=server_cps)
+        if live:
+            server.global_comp[:] = 1.0
+        with pytest.raises(RoundError, match=rf"client 0, round 1: globals rows have {want}"):
+            run_round(server, clients, 1.0, _CFG, seed=1, cps=cps)
 
     def test_globals_of_wrong_type_rejected(self, monkeypatch):
         _fault_frames(

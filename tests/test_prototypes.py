@@ -216,4 +216,4 @@ class TestDeadUnitFraction:
 class TestValueTypes:
     def test_mask_bits_must_be_binary(self):
         with pytest.raises(ValueError):
-            MaskSet(np.array([[0, 2]]), s=1, seed=None)
+            MaskSet(np.array([[0, 2]]), s=1)
