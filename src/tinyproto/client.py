@@ -3,8 +3,9 @@
 Each client owns an independently initialized model and a private shard.
 During a round it rebuilds the dense global targets of the classes it holds,
 runs E epochs of minibatch SGD on the combined loss, recomputes its
-per-class feature means, and uploads the masked entries (optionally
-pre-multiplied by its per-class sample counts).  Prediction is
+per-class feature means, and returns their masked entries when it holds
+masks (only compressed rounds deliver them), else the full means.  The
+caller builds the upload from them, count scaling included.  Prediction is
 nearest-local-prototype in feature space, restricted to classes the client
 actually holds.
 
@@ -24,8 +25,10 @@ the shard's histogram, read fresh each time.  The received globals are one
 ``(K, w)`` block, row c for class c.  The means are a read-only pair; the
 dense targets (``reconstruct`` of the live received rows of held classes)
 are a pair that lives only for one update, the penalty terms one vector,
-and the upload is :func:`~tinyproto.prototypes.compress` of the means times
-``class_counts[ids, None]``.  In the first round every global row is zero,
+and the update's result is :func:`~tinyproto.prototypes.compress` of the
+means (``scaled`` rounds then multiply it by ``class_counts[ids, None]``).
+The received block must be ``(K, s)`` when the client holds masks and
+``(K, d)`` when not.  In the first round every global row is zero,
 so no class has a target and every penalty term is 0.0.
 
 Inference screens all test rows with one GEMM, ``|p|^2 - 2 f.p``.  Where
@@ -153,9 +156,7 @@ def compute_local_prototypes(state: ClientState) -> tuple[np.ndarray, np.ndarray
     return ids, block
 
 
-def _dense_targets(
-    state: ClientState, global_values: np.ndarray, cps: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _dense_targets(state: ClientState, global_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full-length regularization targets for the classes the client holds,
     as an ``(ids, (n, d))`` pair, ids ascending.
 
@@ -164,12 +165,12 @@ def _dense_targets(
     rows mean the server has not aggregated that class yet, as in the first
     round; they are dropped so the class contributes nothing to the penalty.
     Rows of classes with no samples are dropped too: the penalty reads only
-    the classes of the client's shard.  With ``cps`` the caller has checked
-    that the client holds its masks, and the kept rows are reconstructed.
+    the classes of the client's shard.  A client that holds masks gets
+    compressed rows, and the kept rows are reconstructed.
     """
     ids = np.flatnonzero(global_values.any(axis=1) & (state.class_counts > 0))
     values = global_values[ids]
-    if cps:
+    if state.mask_set is not None:
         values = reconstruct(values, state.mask_set.bits[ids])
     return ids, values
 
@@ -179,35 +180,33 @@ def local_update(
     global_values: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    *,
-    cps: bool = True,
-    scale_by_count: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train locally and return this client's upload as ``(ids, block)``.
+    """Train locally and return this client's class means as ``(ids, block)``.
 
     Steps: rebuild dense targets of the held classes from the received
     ``(K, w)`` global block (row c is class c's), run ``cfg.local_epochs``
     epochs of minibatch SGD on a copy of the params, recompute the per-class
-    feature means, then keep each one's masked entries (when ``cps``) and
-    multiply by the class sample count (when ``scale_by_count``).  Only
-    locally present classes are returned, ids ascending, one block row each.
-    ``rng`` drives the per-epoch shuffles; the caller derives it from
-    (experiment seed, client id, round).
+    feature means, then keep each one's masked entries when the client holds
+    masks (only compressed rounds deliver them), so rows of s values then
+    and of d otherwise.  Only locally present classes are returned, ids
+    ascending, one unscaled block row each; the caller applies any count
+    scaling.  ``rng`` drives the per-epoch shuffles; the caller
+    derives it from (experiment seed, client id, round).
     """
     n = len(state.shard)
     if n == 0:
         raise ValueError(f"client {state.client_id} has an empty shard")
-    if cps and state.mask_set is None:
-        raise MaskMissingError(f"client {state.client_id} has no masks yet")
 
+    masks = state.mask_set
     n_classes = len(state.class_counts)
-    if len(global_values) != n_classes:
+    width = state.params.dims[2] if masks is None else masks.s
+    if global_values.shape != (n_classes, width):
         raise ValueError(
-            f"globals block has {len(global_values)} rows, one per class id "
-            f"in [0, K) for K={n_classes}"
+            f"client {state.client_id}: globals block has shape {global_values.shape}, "
+            f"expected (K, {'d' if masks is None else 's'}) = ({n_classes}, {width})"
         )
 
-    targets = _dense_targets(state, global_values, cps)
+    targets = _dense_targets(state, global_values)
     state.test_accuracy = None
 
     xs, ys = state.shard.x, state.shard.y
@@ -243,10 +242,8 @@ def local_update(
     state.last_train_loss = epoch_losses[-1]
 
     ids, block = protos
-    if cps:
-        block = compress(block, state.mask_set.bits[ids])
-    if scale_by_count:
-        block = block * state.class_counts[ids, None]
+    if masks is not None:
+        block = compress(block, masks.bits[ids])
     return ids, block
 
 

@@ -1,7 +1,8 @@
 """Closed-form per-round communication costs for the compared algorithms.
 
 Costs are raw parameter counts per federation round (uplink plus downlink),
-matching the traffic the simulator measures for its own exchanges:
+matching the traffic the simulator measures for its own exchanges under the
+``simple`` and ``scaled`` aggregators:
 
     LG-FedAvg   sum_i |phi_i| * 2
     FML         M * (|theta_aux| + |phi_aux|) * 2
@@ -12,9 +13,11 @@ matching the traffic the simulator measures for its own exchanges:
     FedAvg      2 * M * full_model_params
 
 K_i is the number of classes present on client i (only those travel uplink;
-the server always answers with all K).  The FedAvg convention (full model up
-and down per client) is stated here because the comparison figure leaves it
-implicit.
+the server always answers with all K).  Under ``weighted`` every uploaded
+class also carries its count, so the simulator's TinyProto uplink is
+sum_i K_i * (s + 1), one value per class more than billed here.  The
+FedAvg convention (full model up and down per client) is stated here
+because the comparison figure leaves it implicit.
 """
 
 from __future__ import annotations

@@ -4,22 +4,23 @@ The simulator is in-process, but every exchange still passes through the
 binary frame codec so traffic numbers measure real serialized payloads.  Per
 round: sample clients, deliver masks to first-time participants, send every
 sampled client the full set of global payloads, run the local updates one
-client after another (one loop decodes a client's frames, runs its update
-and checks its upload), fold all uploads in one aggregator call, then report
-every client's accuracy on its own test split.  Every frame is one block, a
-class-id vector plus one value row per class; each side checks each frame it
-decodes once, and a bad frame raises :class:`RoundError` naming the client,
-the class where one applies, and the round.  The checks of all three frame
-kinds live here: a client's masks and globals (ids 0..K-1, so row c of the
-globals block is class c's; the width of its exchange; finite values) and
-the server's uploads.  The first round's globals are all zero, so no class
-has a target and that round trains as with lam = 0.  A client is evaluated
-again only when it has never been evaluated or has trained since; an
-unsampled client keeps its stored accuracy, which is exact because
-evaluation reads only the client's params, local prototypes and test split,
-and none of them changed.  Parameter counts (values on the wire, not bytes)
-are the headline traffic metric; mask delivery is tracked separately from
-prototype traffic.
+client after another (one loop decodes a client's frames, runs its update,
+builds and checks its upload), fold all uploads in one aggregator call, then
+report every client's accuracy on its own test split.  ``cps`` and the
+aggregator are set once, by :func:`initial_server`; a client compresses when
+it holds masks (only ``cps`` rounds deliver them), and ``scaled``'s count
+scaling is applied where the upload frame is built.  Every frame is one
+block, a class-id vector plus one value row per class; each side checks each
+frame it decodes once, all three kinds with :func:`_check_frame`.  A bad
+frame, or a local update that overflows, raises :class:`RoundError` naming
+the client, the class where one applies, and the round.  The first round's
+globals are all zero, so no class has a target and that round trains as
+with lam = 0.  A client is evaluated again only when it has never been
+evaluated or has trained since; an unsampled client keeps its stored
+accuracy, which is exact because evaluation reads only the client's params,
+local prototypes and test split, and none of them changed.  Parameter counts
+(values on the wire, not bytes) are the headline traffic metric; mask
+delivery is tracked separately from prototype traffic.
 
 ``rounds.csv`` intentionally omits wall time so that identical config+seed
 runs produce byte-identical files.
@@ -85,12 +86,15 @@ def _child_seed(base: int, *tags: int) -> int:
 
 @dataclass
 class ServerState:
-    """Masks, latest global payloads, and the ever-selected client set.
+    """Masks, exchange settings, latest global payloads, and the ever-selected
+    client set.
 
     ``global_comp`` is a (K, w) array whose row c is class c's payload.
     """
 
     mask_set: MaskSet
+    cps: bool
+    aggregator: str
     global_comp: np.ndarray
     selected_ever: set[int] = field(default_factory=set)
     round: int = 0
@@ -119,10 +123,57 @@ class FrameLog:
         self.entries.append((round_no, direction, client_id, data))
 
 
-def initial_server(mask_set: MaskSet, n_classes: int, cps: bool) -> ServerState:
-    """Server with all-zero global payloads (length s compressed, d dense)."""
+def initial_server(mask_set: MaskSet, *, cps: bool, aggregator: str = "scaled") -> ServerState:
+    """Server with all-zero global payloads (length s compressed, d dense);
+    every round reads ``cps`` and ``aggregator`` from it."""
+    if aggregator not in _AGGREGATORS:
+        raise ValueError(f"aggregator must be one of {', '.join(_AGGREGATORS)}")
     dim = mask_set.s if cps else mask_set.d
-    return ServerState(mask_set=mask_set, global_comp=np.zeros((n_classes, dim)))
+    return ServerState(mask_set, cps, aggregator, np.zeros((mask_set.n_classes, dim)))
+
+
+def _check_frame(
+    frame: Frame,
+    frame_type: FrameType,
+    round_no: int,
+    client_id: int,
+    n_classes: int,
+    width: int,
+    *,
+    every_class: bool,
+) -> None:
+    """Reject a frame that is not this round's ``frame_type``, or whose block
+    is malformed: rows must have ``width`` values, all finite (so a frame
+    without records is refused), and ids must ascend strictly (so none
+    repeats) inside [0, K).  With ``every_class`` (masks, globals) the ids
+    must be exactly 0..K-1, which implies both, and makes row c class c's."""
+    if frame.frame_type != frame_type or frame.round != round_no:
+        raise RoundError(
+            f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
+            f"of this round, got {frame.frame_type.name} of round {frame.round}"
+        )
+    kind = frame_type.name.lower()
+    ids, values = frame.class_ids, frame.values
+    if values.shape[1] != width:
+        raise RoundError(
+            f"client {client_id}, round {round_no}: {kind} rows have "
+            f"{values.shape[1]} values, expected {width}"
+        )
+    if every_class and not np.array_equal(ids, np.arange(n_classes)):
+        raise RoundError(
+            f"client {client_id}, round {round_no}: {kind} frame class ids are not "
+            f"0..K-1 in order for K={n_classes}"
+        )
+    problems = [] if every_class else [
+        (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
+        (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
+    ]
+    problems.append((~np.isfinite(values).all(axis=1), "has non-finite values"))
+    for bad, what in problems:
+        if bad.any():
+            raise RoundError(
+                f"client {client_id}, class {int(ids[bad][0])}, round {round_no}: {kind} {what}"
+            )
 
 
 def _mask_set_from_frame(
@@ -130,91 +181,11 @@ def _mask_set_from_frame(
 ) -> MaskSet:
     """A client's masks: one row of ``dim`` bits for each class 0..K-1 of its
     model, in order, every value 0 or 1 and every row with row 0's popcount."""
-    where = f"client {client_id}, round {round_no}"
-    bits = frame.values
-    if bits.shape != (n_classes, dim):
-        raise RoundError(
-            f"{where}: masks frame has {bits.shape[0]} rows of {bits.shape[1]} values, "
-            f"expected K={n_classes} rows of d={dim}"
-        )
-    _check_class_ids(frame, client_id, round_no, n_classes)
+    _check_frame(frame, FrameType.MASKS, round_no, client_id, n_classes, dim, every_class=True)
     try:
-        return MaskSet(bits, s=np.count_nonzero(bits[0]))
+        return MaskSet(frame.values, s=np.count_nonzero(frame.values[0]))
     except ValueError as err:
-        raise RoundError(f"{where}: {err}") from None
-
-
-def _check_header(frame: Frame, frame_type: FrameType, round_no: int, client_id: int) -> None:
-    if frame.frame_type != frame_type or frame.round != round_no:
-        raise RoundError(
-            f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
-            f"of this round, got {frame.frame_type.name} of round {frame.round}"
-        )
-
-
-def _check_class_ids(frame: Frame, client_id: int, round_no: int, n_classes: int) -> None:
-    if not np.array_equal(frame.class_ids, np.arange(n_classes)):
-        raise RoundError(
-            f"client {client_id}, round {round_no}: {frame.frame_type.name.lower()} frame "
-            f"class ids are not 0..K-1 in order for K={n_classes}"
-        )
-
-
-def _check_globals(
-    frame: Frame, client_id: int, round_no: int, n_classes: int, width: int, cps: bool
-) -> None:
-    """Reject a globals frame that is not this round's, or whose block does
-    not fit the client: ids must be 0..K-1 in order (so row c is class c's),
-    rows must have ``width`` values (the mask popcount with ``cps``, else the
-    feature dim) and every value must be finite."""
-    _check_header(frame, FrameType.GLOBALS, round_no, client_id)
-    _check_class_ids(frame, client_id, round_no, n_classes)
-    values = frame.values
-    if values.shape[1] != width:
-        raise RoundError(
-            f"client {client_id}, round {round_no}: globals rows have {values.shape[1]} "
-            f"values, expected {width} ({'mask popcount' if cps else 'feature dim'})"
-        )
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise RoundError(
-            f"client {client_id}, class {int(frame.class_ids[bad][0])}, round {round_no}: "
-            "globals has non-finite values"
-        )
-
-
-def _check_upload(
-    frame: Frame, client_id: int, round_no: int, n_classes: int, width: int, weighted: bool
-) -> None:
-    """Reject an upload that is not this round's, or whose block is malformed.
-
-    Ids must ascend strictly (so none repeats) inside [0, K); rows must have
-    ``width`` finite values (so a frame without records is refused); a
-    ``weighted`` count (column 0) must be whole and >= 1, since a client
-    uploads only the classes it holds.
-    """
-    _check_header(frame, FrameType.UPLOAD, round_no, client_id)
-    ids, values = frame.class_ids, frame.values
-    if values.shape[1] != width:
-        raise RoundError(
-            f"client {client_id}, round {round_no}: upload rows have "
-            f"{values.shape[1]} values, expected {width}"
-        )
-    problems = [
-        (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
-        (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
-        (~np.isfinite(values).all(axis=1), "has non-finite values"),
-    ]
-    if weighted:
-        counts = values[:, 0]
-        whole = (counts >= 1) & (counts == np.floor(counts))
-        problems.append((~whole, "count is not a whole number >= 1"))
-    for bad, what in problems:
-        if bad.any():
-            raise RoundError(
-                f"client {client_id}, class {int(ids[bad][0])}, round {round_no}: "
-                f"upload {what}"
-            )
+        raise RoundError(f"client {client_id}, round {round_no}: {err}") from None
 
 
 def run_round(
@@ -224,22 +195,20 @@ def run_round(
     cfg: TrainConfig,
     seed: int,
     *,
-    aggregator: str = "scaled",
-    cps: bool = True,
     frame_log: FrameLog | None = None,
 ) -> RoundReport:
     """Execute one full round and report accuracy and exact traffic.
 
     ``seed`` is the experiment seed; the round's sampling and each client's
     minibatch shuffles derive their own streams from (seed, client, round).
+    ``server.cps`` and ``server.aggregator`` say how prototypes travel.
     """
     if not 0 < participation <= 1:
         raise ValueError("participation must lie in (0, 1]")
-    if aggregator not in _AGGREGATORS:
-        raise ValueError(f"aggregator must be one of {', '.join(_AGGREGATORS)}")
     if not clients:
         raise RoundError("no clients available to sample")
     round_no = server.round + 1
+    cps, aggregator = server.cps, server.aggregator
 
     sample_rng = np.random.default_rng(
         np.random.SeedSequence([seed, _TAG_SAMPLE, round_no])
@@ -250,7 +219,7 @@ def run_round(
 
     n_classes, dim = server.global_comp.shape
     weighted = aggregator == "weighted"
-    width = dim + weighted  # of an upload row: the weighted count leads
+    up_width = dim + weighted  # the weighted count leads an upload row
     # only first-time participants get the masks frame: build it only for them
     needs_masks = {
         st.client_id for st in sampled if cps and st.client_id not in server.selected_ever
@@ -270,23 +239,19 @@ def run_round(
         feat_dim, n_model_classes = state.params.dims[2:]
         if cid in needs_masks:
             masks_frame = decode_frame(masks_bytes)
-            _check_header(masks_frame, FrameType.MASKS, round_no, cid)
-            mask_params += frame_param_count(masks_frame)
             state.mask_set = _mask_set_from_frame(
                 masks_frame, cid, round_no, n_model_classes, feat_dim
             )
+            mask_params += frame_param_count(masks_frame)
             if frame_log is not None:
                 frame_log.add(round_no, "down", cid, masks_bytes)
         if cps and state.mask_set is None:
             raise MaskMissingError(f"client {cid} has no masks yet")
         globals_frame = decode_frame(globals_bytes)
-        _check_globals(
-            globals_frame,
-            cid,
-            round_no,
-            n_model_classes,
-            state.mask_set.s if cps else feat_dim,
-            cps,
+        width = state.mask_set.s if cps else feat_dim
+        _check_frame(
+            globals_frame, FrameType.GLOBALS, round_no, cid, n_model_classes, width,
+            every_class=True,
         )
         downlink += frame_param_count(globals_frame)
         if frame_log is not None:
@@ -294,20 +259,30 @@ def run_round(
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_SHUFFLE, cid, round_no])
         )
-        ids, block = local_update(
-            state,
-            globals_frame.values,
-            cfg,
-            shuffle_rng,
-            cps=cps,
-            scale_by_count=(aggregator == "scaled"),
-        )
-        if weighted:
+        try:
+            # stop at the first overflow instead of training on inf and NaN
+            with np.errstate(over="raise", invalid="raise"):
+                ids, block = local_update(state, globals_frame.values, cfg, shuffle_rng)
+        except FloatingPointError as err:
+            raise RoundError(f"client {cid}, round {round_no}: training diverged: {err}") from None
+        if aggregator == "scaled":
+            block = block * state.class_counts[ids, None]
+        elif weighted:
             # the weighted variant ships the raw count as column 0
             block = np.hstack((state.class_counts[ids, None], block))
         upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
         upload_frame = decode_frame(upload)
-        _check_upload(upload_frame, cid, round_no, n_classes, width, weighted)
+        _check_frame(
+            upload_frame, FrameType.UPLOAD, round_no, cid, n_classes, up_width, every_class=False
+        )
+        if weighted:
+            counts = upload_frame.values[:, 0]
+            bad = (counts < 1) | (counts != np.floor(counts))
+            if bad.any():
+                raise RoundError(
+                    f"client {cid}, class {int(upload_frame.class_ids[bad][0])}, "
+                    f"round {round_no}: upload count is not a whole number >= 1"
+                )
         uplink += frame_param_count(upload_frame)
         if frame_log is not None:
             frame_log.add(round_no, "up", cid, upload)
@@ -403,7 +378,7 @@ def run_experiment(
     mask_set = generate_masks(
         config.n_classes, config.proto_dim, config.comp_dim, seed=config.seed
     )
-    server = initial_server(mask_set, config.n_classes, config.cps)
+    server = initial_server(mask_set, cps=config.cps, aggregator=config.aggregator)
     cfg = TrainConfig(
         lam=config.lam,
         mu=config.mu,
@@ -421,8 +396,6 @@ def run_experiment(
             config.participation,
             cfg,
             config.seed,
-            aggregator=config.aggregator,
-            cps=config.cps,
             frame_log=frame_log,
         )
         reports.append(report)

@@ -7,7 +7,6 @@ import tinyproto.client as client_mod
 from tinyproto.client import (
     ClientState,
     InferenceError,
-    MaskMissingError,
     TrainConfig,
     compute_local_prototypes,
     evaluate_accuracy,
@@ -23,6 +22,7 @@ from tinyproto.numerics import (
     init_params,
     loss_and_grad,
 )
+from tinyproto.protocol import FrameLog, initial_server, run_round
 
 
 def _state(seed=21, with_masks=True):
@@ -64,6 +64,12 @@ def _by_class(pair):
     """An ``(ids, block)`` upload or prototype snapshot as {class id: row}."""
     ids, block = pair
     return dict(zip(ids.tolist(), block))
+
+
+def _count_scaled(state, pair):
+    """A ``local_update`` result scaled as a ``scaled`` round uploads it."""
+    ids, block = pair
+    return ids, block * state.class_counts[ids, None]
 
 
 _CFG = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
@@ -221,32 +227,31 @@ class TestLocalUpdate:
         assert block.shape == (2, 2)
 
     def test_count_scaling_identity_when_counts_are_one(self):
-        state = _state()
-        state.shard = Dataset(state.shard.x[:2], np.array([0, 1]), 3)
-        scaled = _by_class(local_update(
-            state, _globals(), _CFG, rng=np.random.default_rng(1)
-        ))
-        state2 = _state()
-        state2.shard = Dataset(state2.shard.x[:2], np.array([0, 1]), 3)
-        plain = _by_class(local_update(
-            state2,
-            _globals(),
-            _CFG,
-            rng=np.random.default_rng(1),
-            scale_by_count=False,
-        ))
-        for cls in scaled:
-            np.testing.assert_array_equal(scaled[cls], plain[cls])
+        # a round scales each upload row by its class count: with one sample
+        # per class, a scaled round uploads the bits a simple round does
+        uploads = []
+        for aggregator in ("scaled", "simple"):
+            state = _state(with_masks=False)  # the round delivers them
+            state.shard = Dataset(state.shard.x[:2], np.array([0, 1]), 3)
+            state.test_shard = state.shard
+            server = initial_server(
+                generate_masks(3, 8, 2, seed=9), cps=True, aggregator=aggregator
+            )
+            log = FrameLog()
+            run_round(server, [state], 1.0, _CFG, seed=1, frame_log=log)
+            uploads += [data for _, way, _, data in log.entries if way == "up"]
+        assert len(uploads) == 2
+        assert uploads[0] == uploads[1]
 
     def test_golden_trace(self):
         """Frozen from a step-by-step scripted re-execution of the SGD trace."""
         state = _state()
-        payloads = _by_class(local_update(
+        payloads = _by_class(_count_scaled(state, local_update(
             state,
             _globals(),
             _CFG,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
-        ))
+        )))
         np.testing.assert_array_equal(
             payloads[0], [2.5408967120416546, 0.8474224997798309]
         )
@@ -259,12 +264,12 @@ class TestLocalUpdate:
         state = _state()
         cfg = _CFG
         global_values = _globals()
-        payloads = _by_class(local_update(
+        payloads = _by_class(_count_scaled(state, local_update(
             state,
             global_values,
             cfg,
             rng=np.random.default_rng(np.random.SeedSequence([123, 0])),
-        ))
+        )))
 
         feats, _ = _scripted_run(state, cfg, global_values)
         y = state.shard.y
@@ -379,17 +384,28 @@ class TestLocalUpdate:
             np.testing.assert_array_equal(outs[0][cls], outs[1][cls])
 
     def test_missing_masks_rejected(self):
+        # a compressed (K, s) block cannot be read without masks
         state = _state(with_masks=False)
-        with pytest.raises(MaskMissingError):
+        want = r"client 0: globals block has shape \(3, 2\), expected \(K, d\) = \(3, 8\)"
+        with pytest.raises(ValueError, match=want):
             local_update(
                 state, _globals(), _CFG, rng=np.random.default_rng(0)
+            )
+
+    def test_dense_globals_for_a_client_with_masks_rejected(self):
+        # a client with masks reads (K, s) rows: a dense block is refused, not misread
+        state = _state()
+        want = r"client 0: globals block has shape \(3, 8\), expected \(K, s\) = \(3, 2\)"
+        with pytest.raises(ValueError, match=want):
+            local_update(
+                state, _globals(feat_ones=8), _CFG, rng=np.random.default_rng(0)
             )
 
     def test_out_of_range_global_class_rejected(self):
         # row c is class c's, so an eighth row would be class 7 with K=3
         state = _state()
         values = np.vstack((_globals(), np.ones((5, 2))))
-        with pytest.raises(ValueError, match=r"8 rows.*class id .*K=3"):
+        with pytest.raises(ValueError, match=r"shape \(8, 2\), expected \(K, s\) = \(3, 2\)"):
             local_update(state, values, _CFG, rng=np.random.default_rng(0))
 
     def test_empty_shard_rejected(self):
@@ -402,7 +418,7 @@ class TestLocalUpdate:
             )
 
     def test_dense_mode_returns_full_length(self):
-        state = _state()
+        state = _state(with_masks=False)
         rng = np.random.default_rng(41)
         dense_globals = np.array([rng.normal(size=8) for _ in range(3)])
         _, block = local_update(
@@ -410,7 +426,6 @@ class TestLocalUpdate:
             dense_globals,
             _CFG,
             rng=np.random.default_rng(3),
-            cps=False,
         )
         assert block.shape[1] == 8
 
@@ -505,7 +520,7 @@ class TestDenseTargets:
             held = {int(c) for c in rng.choice(k, size=k // 2 + 1, replace=False)}
             # one sample of each held class
             state.shard = Dataset(np.zeros((len(held), 2)), sorted(held), k)
-            targets = _by_class(client_mod._dense_targets(state, values, cps=True))
+            targets = _by_class(client_mod._dense_targets(state, values))
             # live classes the client holds, ascending
             kept = [c for c in range(k) if np.any(received[c]) and c in held]
             assert list(targets) == kept
@@ -519,19 +534,19 @@ class TestDenseTargets:
 
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
     def test_live_class_not_held_gets_no_target(self, cps, monkeypatch):
-        state = _state()  # holds classes 0 and 1 of K=3
+        state = _state(with_masks=cps)  # holds classes 0 and 1 of K=3
         values = _globals(feat_ones=2 if cps else 8)
         assert values.all()  # every row is live, class 2's too
-        target_ids, _ = client_mod._dense_targets(state, values, cps=cps)
+        target_ids, _ = client_mod._dense_targets(state, values)
         assert target_ids.tolist() == [0, 1]
         seen = _capture_targets(monkeypatch)
-        local_update(state, values, _CFG, rng=np.random.default_rng(0), cps=cps)
+        local_update(state, values, _CFG, rng=np.random.default_rng(0))
         assert [ids.tolist() for ids, _ in seen] == [[0, 1]] * _CFG.local_epochs
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()
         zeros = np.zeros((3, 2))
-        ids, block = client_mod._dense_targets(state, zeros, cps=True)
+        ids, block = client_mod._dense_targets(state, zeros)
         assert ids.shape == (0,) and block.shape == (0, 8)
 
 
@@ -711,27 +726,28 @@ class TestArrayPathMatchesDictReference:
             local_epochs=2,
             rho=("squared_l2", "l2_eps")[case // 2 % 2],  # with cps: all four pairs
         )
+        masks = generate_masks(k, d, s, seed=case)
         state = ClientState(
             client_id=case,
             params=init_params(3, 4, d, k, seed=case),
             shard=shard,
-            mask_set=generate_masks(k, d, s, seed=case),
+            mask_set=masks if cps else None,  # only compressed rounds deliver masks
         )
-        return state, values, cps, cfg
+        return state, masks, values, cps, cfg
 
     def test_dense_targets_penalties_and_count_scaling(self):
         rng = np.random.default_rng(36)
         overlapping = disjoint_live = 0
         for case in range(60):
-            state, values, cps, cfg = self._draw(rng, case)
-            k = state.mask_set.n_classes
-            overlapping += k * state.mask_set.s > state.mask_set.d
+            state, masks, values, cps, cfg = self._draw(rng, case)
+            k = masks.n_classes
+            overlapping += k * masks.s > masks.d
             counts = np.bincount(state.shard.y, minlength=k)
 
-            target_ids, target_block = client_mod._dense_targets(state, values, cps)
+            target_ids, target_block = client_mod._dense_targets(state, values)
             targets = _reference_targets(state, values, cps)
             assert target_ids.tolist() == list(targets)
-            assert target_block.shape == (len(targets), state.mask_set.d)
+            assert target_block.shape == (len(targets), masks.d)
             assert all(np.array_equal(row, targets[c]) for c, row in zip(target_ids, target_block))
             disjoint_live += not targets
 
@@ -755,17 +771,15 @@ class TestArrayPathMatchesDictReference:
             loss, _ = loss_and_grad(state.params, xs, ys, penalty, cfg.lam)
             assert loss == ce + cfg.lam * total
 
-            # count scaling: the same update with and without it (an update
-            # never writes the caller's params, so both start from the same)
-            twin = ClientState(case, state.params, state.shard, mask_set=state.mask_set)
-            up_ids, scaled = local_update(
-                state, values, cfg, np.random.default_rng(case), cps=cps
-            )
-            plain_ids, plain = local_update(
-                twin, values, cfg, np.random.default_rng(case),
-                cps=cps, scale_by_count=False,
-            )
-            assert up_ids.tolist() == plain_ids.tolist() == np.flatnonzero(counts).tolist()
+            # the update returns the unscaled (compressed) means; a scaled
+            # round multiplies row i by the count of class ids[i]
+            up_ids, plain = local_update(state, values, cfg, np.random.default_rng(case))
+            assert up_ids.tolist() == np.flatnonzero(counts).tolist()
+            means = state.local_protos[1]
+            if cps:  # each row's entries at its mask's set bits, in order
+                means = np.array([row[bits == 1] for row, bits in zip(means, masks.bits[up_ids])])
+            assert np.array_equal(plain, means)
+            _, scaled = _count_scaled(state, (up_ids, plain))
             column = np.array([[float(counts[c])] for c in up_ids.tolist()])
             assert np.array_equal(scaled, plain * column)
         assert overlapping >= 10 and disjoint_live >= 10

@@ -53,3 +53,35 @@ def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
     config = ExperimentConfig(seed=SEED, **desk).validate()
     text = rounds_csv_text(run_experiment(config))
     assert hashlib.sha256(text.encode()).hexdigest() == recorded
+
+
+@pytest.mark.parametrize(
+    "overrides, recorded",
+    [
+        (
+            dict(aggregator="simple", cps=True),
+            "888c08b7414f1dc3b0cd5bb2be456bc37e4ec033e6c175b2308e37f0dcc81f11",
+        ),
+        (
+            dict(aggregator="scaled", cps=False),
+            "14da601e05c9ad44cd989fb3857c23f1e50e194c16c0f863cb1dba6c0f87273b",
+        ),
+        (
+            dict(aggregator="weighted", cps=False),
+            "7f990d8a2b1eab27ce34357feb46ad0e23b98955b50afcb627a56b9922e77a64",
+        ),
+        (
+            # K*s = 36 > d = 16: overlapping masks, and a penalty that trains
+            dict(aggregator="scaled", cps=True, comp_dim=9, lam=0.3),
+            "0ff690c7166f64e73623cfed55420c19ff8f26641838c23f89639ccde9a5f633",
+        ),
+    ],
+    ids=["simple-cps-on", "scaled-cps-off", "weighted-cps-off", "scaled-cps-on-overlap-lam"],
+)
+def test_desk_rounds_csv_every_other_exchange_path(overrides, recorded):
+    # with the cases above and the benchmark's, every aggregator is pinned
+    # with cps on and with cps off
+    desk = {**_workloads()["desk"].config, **overrides}
+    config = ExperimentConfig(seed=SEED, **desk).validate()
+    text = rounds_csv_text(run_experiment(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded

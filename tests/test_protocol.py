@@ -49,7 +49,7 @@ class TestRunRound:
         # two clients, two classes each, s=3: uplink must be 2 * 2 * 3
         clients = [_make_client(0, [0, 1]), _make_client(1, [2, 3])]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         report = run_round(server, clients, 1.0, _CFG, seed=1)
         assert report.uplink_params == 12
         assert report.downlink_params == 2 * 4 * 3  # all K classes down, both clients
@@ -57,7 +57,7 @@ class TestRunRound:
     def test_masks_delivered_once(self):
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2])]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         log = FrameLog()
         r1 = run_round(server, clients, 1.0, _CFG, seed=1, frame_log=log)
         assert r1.mask_params == 2 * 4 * 12  # K*d per first-time client
@@ -79,7 +79,7 @@ class TestRunRound:
 
         monkeypatch.setattr(protocol, "encode_frame", counting_encode)
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
         log = FrameLog()
         reports = [run_round(server, clients, 1.0, _CFG, seed=1, frame_log=log) for _ in range(3)]
         masks_encoded = [r for r, kind in encoded if kind == FrameType.MASKS]
@@ -93,7 +93,7 @@ class TestRunRound:
     def test_full_participation_runs_everyone(self):
         clients = [_make_client(i, [i % 4]) for i in range(20)]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         report = run_round(server, clients, 1.0, _CFG, seed=2)
         assert server.selected_ever == set(range(20))
         assert report.uplink_params == 20 * 1 * 3  # one class per client
@@ -102,7 +102,7 @@ class TestRunRound:
     def test_selected_set_grows_monotonically(self):
         clients = [_make_client(i, [i % 4]) for i in range(8)]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         seen = set()
         for _ in range(4):
             before = set(server.selected_ever)
@@ -112,32 +112,27 @@ class TestRunRound:
         assert server.selected_ever <= set(range(8))
 
     def test_unknown_aggregator_rejected_before_training(self):
-        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
-        before = [[a.copy() for a in st.params.arrays()] for st in clients]
+        # the server is refused, so no round can start, let alone train
         with pytest.raises(ValueError, match="aggregator must be one of weighted, simple, scaled"):
-            run_round(server, clients, 1.0, _CFG, seed=1, aggregator="bogus")
-        for st, arrays in zip(clients, before):
-            assert all(np.array_equal(a, b) for a, b in zip(st.params.arrays(), arrays))
-        assert server.round == 0 and not server.selected_ever
+            initial_server(generate_masks(4, 12, 3, seed=0), cps=True, aggregator="bogus")
 
     def test_sampling_count_is_ceiling(self):
         clients = [_make_client(i, [i % 4]) for i in range(5)]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         run_round(server, clients, 0.5, _CFG, seed=4)
         assert len(server.selected_ever) == 3  # ceil(0.5 * 5)
 
     def test_no_clients_is_round_error(self):
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         with pytest.raises(RoundError):
             run_round(server, [], 1.0, _CFG, seed=1)
 
     def test_accounting_matches_frame_recount(self):
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         log = FrameLog()
         report = run_round(server, clients, 1.0, _CFG, seed=5, frame_log=log)
         up = down = masks = 0
@@ -159,7 +154,7 @@ class TestRunRound:
     def test_scaled_uploads_have_no_count_field(self):
         clients = [_make_client(0, [0, 1])]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         log = FrameLog()
         run_round(server, clients, 1.0, _CFG, seed=6, frame_log=log)
         for _, _, _, data in log.entries:
@@ -170,9 +165,9 @@ class TestRunRound:
     def test_weighted_uploads_carry_leading_count(self):
         clients = [_make_client(0, [0, 1])]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True, aggregator="weighted")
         log = FrameLog()
-        run_round(server, clients, 1.0, _CFG, seed=6, aggregator="weighted", frame_log=log)
+        run_round(server, clients, 1.0, _CFG, seed=6, frame_log=log)
         uploads = [
             decode_frame(d)
             for _, _, _, d in log.entries
@@ -182,6 +177,22 @@ class TestRunRound:
         for row in uploads[0].values:
             assert len(row) == 4  # count + s values
             assert row[0] == 4.0  # four samples per class in the fixture
+
+    def test_weighted_uplink_carries_one_count_per_class(self):
+        # under weighted every uploaded class also carries its count, so the
+        # uplink is sum_i K_i * (s + 1), not the sum_i K_i * s of scaled
+        k_i = [2, 2, 2, 3]
+        uplinks = {}
+        for aggregator in ("scaled", "weighted"):
+            clients = [_make_client(i, [i, i + 1]) for i in range(3)]
+            clients.append(_make_client(3, [0, 1, 2]))
+            server = initial_server(
+                generate_masks(4, 12, 3, seed=0), cps=True, aggregator=aggregator
+            )
+            uplinks[aggregator] = run_round(server, clients, 1.0, _CFG, seed=1).uplink_params
+        assert [st.n_local_classes for st in clients] == k_i
+        assert uplinks["scaled"] == sum(k * 3 for k in k_i) == 27
+        assert uplinks["weighted"] == sum(k * (3 + 1) for k in k_i) == 36
 
     def test_each_delivered_frame_decoded_once(self, monkeypatch):
         decodes = []
@@ -193,10 +204,10 @@ class TestRunRound:
         monkeypatch.setattr(protocol, "decode_frame", counting_decode)
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         log = FrameLog()
         for _ in range(2):
-            run_round(server, clients, 0.5, _CFG, seed=8, cps=True, frame_log=log)
+            run_round(server, clients, 0.5, _CFG, seed=8, frame_log=log)
         kinds = [decode_frame(data).frame_type for _, _, _, data in log.entries]
         mask_deliveries = kinds.count(FrameType.MASKS)
         globals_deliveries = kinds.count(FrameType.GLOBALS)
@@ -215,7 +226,7 @@ class TestRunRound:
         monkeypatch.setattr(protocol, "evaluate_accuracy", counting_evaluate)
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True)
         for round_no in (1, 2):
             evaluated.clear()
             log = FrameLog()
@@ -232,7 +243,7 @@ class TestRunRound:
         runs = []
         for cfg in (_CFG, dataclasses.replace(_CFG, lam=0.0)):
             clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-            server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
+            server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
             runs.append((run_round(server, clients, 1.0, cfg, seed=1), server, clients))
         (report_a, server_a, clients_a), (report_b, server_b, clients_b) = runs
         assert _CFG.lam > 0
@@ -246,12 +257,10 @@ class TestRunRound:
         # masks go to first-time participants of a cps round only, so a
         # client first sampled in a dense round never receives them
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
-        server.global_comp = np.zeros((4, 12))
-        run_round(server, clients, 1.0, _CFG, seed=1, cps=False)
-        server.global_comp = np.zeros((4, 3))
+        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
+        server.selected_ever = {0, 1}
         with pytest.raises(MaskMissingError, match="client 0 has no masks yet"):
-            run_round(server, clients, 1.0, _CFG, seed=1, cps=True)
+            run_round(server, clients, 1.0, _CFG, seed=1)
 
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_refused(self, workers):
@@ -266,11 +275,11 @@ class TestRunRound:
     def test_globals_sum_rows_in_ascending_client_order(self, aggregator):
         clients = [_make_client(i, [i % 4, (i + 1) % 4, (i + 2) % 4]) for i in range(12)]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, 4, cps=True)
+        server = initial_server(mask_set, cps=True, aggregator=aggregator)
         expected = np.zeros((4, 3))
         for _ in range(2):
             log = FrameLog()
-            run_round(server, clients, 0.5, _CFG, seed=9, aggregator=aggregator, frame_log=log)
+            run_round(server, clients, 0.5, _CFG, seed=9, frame_log=log)
             uploads = [(cid, decode_frame(data)) for _, way, cid, data in log.entries if way == "up"]
             by_class: dict[int, list[np.ndarray]] = {}
             for _, frame in sorted(uploads, key=lambda entry: entry[0]):
@@ -294,19 +303,8 @@ class TestRunRound:
 def _two_client_round(aggregator="scaled"):
     """Client 1 alone holds class 3, so a fault keyed on it hits client 1."""
     clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-    server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=True)
-    return run_round(server, clients, 1.0, _CFG, seed=1, aggregator=aggregator)
-
-
-def _fault_upload_block(monkeypatch, fault):
-    """Let ``fault`` rewrite client 1's (ids, block) as local_update returns it."""
-    real = protocol.local_update
-
-    def faulty(state, *args, **kwargs):
-        ids, block = real(state, *args, **kwargs)
-        return fault(ids.copy(), block.copy()) if state.client_id == 1 else (ids, block)
-
-    monkeypatch.setattr(protocol, "local_update", faulty)
+    server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True, aggregator=aggregator)
+    return run_round(server, clients, 1.0, _CFG, seed=1)
 
 
 def _fault_frames(monkeypatch, frame_type, fault, only_class=None):
@@ -321,6 +319,16 @@ def _fault_frames(monkeypatch, frame_type, fault, only_class=None):
         return real(fault(frame) if hit else frame)
 
     monkeypatch.setattr(protocol, "encode_frame", faulty)
+
+
+def _fault_upload_block(monkeypatch, fault):
+    """Let ``fault`` rewrite client 1's upload (ids, block) before it is encoded."""
+
+    def rewrite(frame):
+        ids, block = fault(frame.class_ids.copy(), frame.values.copy())
+        return dataclasses.replace(frame, class_ids=ids, values=block)
+
+    _fault_frames(monkeypatch, FrameType.UPLOAD, rewrite, only_class=3)
 
 
 class TestFrameChecks:
@@ -417,7 +425,7 @@ class TestFrameChecks:
             FrameType.MASKS,
             lambda f: dataclasses.replace(f, class_ids=np.arange(0), values=np.empty((0, 0))),
         )
-        with pytest.raises(RoundError, match=r"client 0, round 1: masks frame has 0 rows"):
+        with pytest.raises(RoundError, match=r"client 0, round 1: masks rows have 0 values"):
             _two_client_round()
 
     @pytest.mark.parametrize("ids", [[1, 2, 3, 4], [0, 1, 3, 2]], ids=["shifted", "swapped"])
@@ -429,11 +437,14 @@ class TestFrameChecks:
             _two_client_round()
 
     @pytest.mark.parametrize(
-        "trim, shape",
-        [(lambda v: v[:-1], "3 rows of 12"), (lambda v: v[:, :-1], "4 rows of 11")],
+        "trim, want",
+        [
+            (lambda v: v[:-1], "masks frame class ids are not 0..K-1 in order for K=4"),
+            (lambda v: v[:, :-1], "masks rows have 11 values, expected 12"),
+        ],
         ids=["K", "d"],
     )
-    def test_masks_disagreeing_with_the_model_rejected(self, monkeypatch, trim, shape):
+    def test_masks_disagreeing_with_the_model_rejected(self, monkeypatch, trim, want):
         _fault_frames(
             monkeypatch,
             FrameType.MASKS,
@@ -441,7 +452,7 @@ class TestFrameChecks:
                 f, class_ids=f.class_ids[: len(trim(f.values))], values=trim(f.values)
             ),
         )
-        with pytest.raises(RoundError, match=rf"client 0, round 1: masks frame has {shape} values, expected K=4 rows of d=12"):
+        with pytest.raises(RoundError, match=rf"client 0, round 1: {want}"):
             _two_client_round()
 
     @pytest.mark.parametrize(
@@ -469,32 +480,33 @@ class TestFrameChecks:
     def test_globals_with_non_finite_value_rejected(self, bad, cps):
         # a live round: round 1 aggregates every class, then row 1 goes bad
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=cps)
-        run_round(server, clients, 1.0, _CFG, seed=1, cps=cps)
+        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=cps)
+        run_round(server, clients, 1.0, _CFG, seed=1)
         assert server.global_comp.any(axis=1).all()
         server.global_comp[1, 0] = bad
         with pytest.raises(
             RoundError, match=r"client 0, class 1, round 2: globals has non-finite values"
         ):
-            run_round(server, clients, 1.0, _CFG, seed=1, cps=cps)
+            run_round(server, clients, 1.0, _CFG, seed=1)
 
     @pytest.mark.parametrize("live", [False, True], ids=["zero", "live"])
     @pytest.mark.parametrize(
-        "server_cps, cps, want",
-        [
-            (False, True, r"12 values, expected 3 \(mask popcount\)"),
-            (True, False, r"3 values, expected 12 \(feature dim\)"),
-        ],
+        "server_cps, width, want",
+        [(False, 3, "3 values, expected 12"), (True, 12, "12 values, expected 3")],
         ids=["dense-server-cps-round", "cps-server-dense-round"],
     )
-    def test_globals_of_wrong_width_rejected(self, server_cps, cps, want, live):
-        # every row of a block has one width, so the whole block is refused
+    def test_globals_of_wrong_width_rejected(self, monkeypatch, server_cps, width, want, live):
+        # a block as wide as the other mode's, all zero or live: every row of
+        # a block has one width, so the whole block is refused
+        def fault(frame):
+            values = np.full((4, width), 1.0 if live else 0.0)
+            return dataclasses.replace(frame, values=values)
+
+        _fault_frames(monkeypatch, FrameType.GLOBALS, fault)
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), 4, cps=server_cps)
-        if live:
-            server.global_comp[:] = 1.0
+        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=server_cps)
         with pytest.raises(RoundError, match=rf"client 0, round 1: globals rows have {want}"):
-            run_round(server, clients, 1.0, _CFG, seed=1, cps=cps)
+            run_round(server, clients, 1.0, _CFG, seed=1)
 
     def test_globals_of_wrong_type_rejected(self, monkeypatch):
         _fault_frames(
@@ -617,18 +629,17 @@ class TestRunExperiment:
         assert all(len(g) == cfg.proto_dim for g in globals_)
 
     def test_diverging_client_ends_the_round_with_a_named_error(self):
-        # the desk config of demos/03 with a learning rate that sends the
-        # features to inf/nan within a few rounds; the server's upload check
-        # names the first client whose upload is not finite
+        # the desk config of demos/03 with a learning rate that overflows the
+        # features in the first round; training stops at the first overflow
+        # and names the client, with no numpy warning on the way
         desk = dict(
             seed=7, n_clients=6, n_classes=4, input_dim=8, proto_dim=16, comp_dim=4,
             alpha=0.5, per_class=400, sigma=0.35, rounds=5, lr=1e9,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                RoundError, match=r"client \d+, class \d+, round \d+: upload has non-finite values"
-            ):
-                run_experiment(ExperimentConfig(**desk))
+        with pytest.raises(
+            RoundError, match=r"client \d+, round \d+: training diverged: overflow encountered"
+        ):
+            run_experiment(ExperimentConfig(**desk))
 
     def test_weighted_aggregator_runs(self):
         cfg = ExperimentConfig(**{**_SMALL, "aggregator": "weighted"})
