@@ -19,10 +19,21 @@ regimes:
   ("floor").  Moving bit p of mask a to q changes dist[a, c] by -2, 0 or +2,
   and by -2 only when c lacks p and has q; so only masks at exactly floor
   from a that lack p can block the move, and q is acceptable when none of
-  them has it.  Tightest pairs (a < b) are visited lazily in lexicographic
-  order: rows whose minimum is floor, then the columns b > a at floor within
-  a row.  A rejected attempt never changes a distance, so this is the order
-  of a snapshot taken before the first attempt.
+  them has it.
+
+  The search runs on plain Python ints used as bitsets.  Each mask row and
+  each column (the set of masks having that dimension) is one int, each
+  mask's floor partners (the masks at exactly floor from it) are one int,
+  and one more int marks the rows that have a partner above them; the
+  distances are a list of lists.  The tightest pairs (a < b) are visited in
+  lexicographic order: the lowest marked row, then its partners above it in
+  ascending order.  A rejected attempt changes nothing, so this is the
+  order of a snapshot taken before the first attempt.  A candidate p costs
+  one OR over a's partners that lack p, and the target is the lowest bit of
+  the free targets.  An accepted move p -> q changes dist[a, c] only for
+  the masks c in exactly one of column p and column q, so it updates those
+  distances and their partner bits; only when the last pair at the floor is
+  gone is the whole (K, K) matrix scanned again, for the new floor.
 
 Generation is deterministic in (K, d, s, seed); the set produced before the
 local search is recorded so callers can verify the search never hurt.
@@ -30,6 +41,7 @@ local search is recorded so callers can verify the search never hurt.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +115,14 @@ class MaskSet:
 
 
 def _pairwise_hamming(bits: np.ndarray) -> np.ndarray:
-    """(K, K) matrix of pairwise Hamming distances for 0/1 rows."""
-    b = bits.astype(np.int64)
-    overlap = b @ b.T
-    pop = b.sum(axis=1)
+    """(K, K) int64 matrix of pairwise Hamming distances for 0/1 rows.
+
+    The overlaps are one float64 matrix product: every partial sum is a
+    whole number no larger than d, so it is exact while d < 2**53.
+    """
+    b = bits.astype(np.float64)
+    overlap = (b @ b.T).astype(np.int64)
+    pop = np.count_nonzero(bits, axis=1)
     return pop[:, None] + pop[None, :] - 2 * overlap
 
 
@@ -120,70 +136,174 @@ def min_pairwise_hamming(mask_set: MaskSet) -> int:
     return int(off_diag.min())
 
 
-def _improve_mask(
-    bits: np.ndarray,
-    dist: np.ndarray,
-    a: int,
-    b: int,
-    floor: int,
-    budget: int,
-) -> tuple[bool, int]:
-    """Try to widen pair (a, b) by moving one 1-bit of mask a.
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as an int with column j at bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    Candidate moves take a shared 1-position p to a position q where both
-    masks are 0 (each such move widens the pair by 2); a move is accepted only
-    if every distance from the modified mask stays >= floor.  Candidates are
-    scanned in ascending (p, q) order, each p charged len(targets) against the
-    budget, and the first acceptable one wins.  Returns (accepted, remaining
-    budget).
 
-    The acceptance test only looks at masks that can block a move.  All masks
-    have popcount s, so every distance is even and >= floor.  Moving bit p to
-    q changes dist[a, c] by 2 * (bits[c, p] - bits[c, q]), so the distance
-    drops (by 2) only when c lacks p and has q, and then falls below floor
-    only when dist[a, c] == floor.  Hence q is acceptable exactly when no mask
-    c != a at distance floor that lacks p has bit q.
+def _bit_indices(bitset: int):
+    """Yield the positions of the set bits of ``bitset``, lowest first."""
+    while bitset:
+        low = bitset & -bitset
+        bitset ^= low
+        yield low.bit_length() - 1
+
+
+class _Climb:
+    """The overlap-regime hill climb, on plain Python ints and lists.
+
+    ``rows[c]`` is mask c with dimension j at bit j (``full`` has all ``d``
+    bits set), ``cols[j]`` the masks having dimension j with mask c at bit
+    c, and ``dist[a][c]`` their Hamming distance (the diagonal holds a
+    sentinel above every real distance).  ``partners[a]`` holds the masks at
+    exactly ``floor`` from a, and ``above`` the rows a that have a partner
+    c > a.
     """
-    shared = np.flatnonzero(bits[a] & bits[b])
-    targets = np.flatnonzero(~(bits[a] | bits[b]))
-    if len(targets) == 0:
-        return False, budget
-    tight = bits[dist[a] == floor]  # the diagonal sentinel keeps a out
-    tight_at_shared = tight[:, shared]
-    tight_at_targets = tight[:, targets]
-    for i, p in enumerate(shared):
-        if budget <= 0:
+
+    def __init__(self, bits: np.ndarray, dist: np.ndarray):
+        self.d = bits.shape[1]
+        self.full = (1 << self.d) - 1
+        self.rows = _row_ints(bits)
+        self.cols = _row_ints(bits.T)
+        self.dist = dist.tolist()
+        self._set_floor()
+
+    def _set_floor(self) -> None:
+        """Take the floor from the distances and rebuild every partner set.
+
+        This is the one O(K^2) step; it runs at the start and whenever a
+        move takes away the last pair at the floor.
+        """
+        self.floor = floor = min(map(min, self.dist))
+        self.partners = partners = []
+        self.above = 0
+        for a, row in enumerate(self.dist):
+            # the membership test runs in C and skips most rows
+            if floor in row:
+                partners.append(sum(1 << c for c, v in enumerate(row) if v == floor))
+            else:
+                partners.append(0)
+            self._mark(a)
+
+    def _mark(self, a: int) -> None:
+        """Set row a's bit in ``above`` exactly when a has a partner above it."""
+        if self.partners[a] >> (a + 1):
+            self.above |= 1 << a
+        else:
+            self.above &= ~(1 << a)
+
+    def tight_pairs(self):
+        """Yield the pairs a < b at the floor in lexicographic order.
+
+        The sets are read lazily, so a search that accepts the first pair
+        never walks the rest; a caller must stop after an accepted move.
+        """
+        for a in _bit_indices(self.above):
+            for offset in _bit_indices(self.partners[a] >> (a + 1)):
+                yield a, a + 1 + offset
+
+    def improve(self, a: int, b: int, budget: int) -> tuple[bool, int]:
+        """Try to widen pair (a, b) by moving one 1-bit of mask a.
+
+        Candidate moves take a shared 1-position p to a position q where
+        both masks are 0 (each such move widens the pair by 2).  The p are
+        scanned in ascending order, each charged the number of targets
+        against the budget, and for each the lowest target that no partner
+        of a lacking p has is taken (see the module docstring).  Returns
+        (accepted, remaining budget).
+        """
+        rows = self.rows
+        shared = rows[a] & rows[b]
+        targets = self.full & ~(rows[a] | rows[b])
+        if not targets:
             return False, budget
-        budget -= len(targets)
-        blocked = tight_at_targets[~tight_at_shared[:, i]].any(axis=0)
-        free = np.flatnonzero(~blocked)
-        if len(free) == 0:
-            continue
-        q = int(targets[free[0]])
-        sentinel = dist[a, a]
-        dist[a, :] += 2 * (bits[:, p].astype(np.int64) - bits[:, q])
-        dist[a, a] = sentinel
-        dist[:, a] = dist[a, :]
-        bits[a, p] = False
-        bits[a, q] = True
-        return True, budget
-    return False, budget
+        n_targets = targets.bit_count()
+        tight = [rows[c] for c in _bit_indices(self.partners[a])]
+        while shared:
+            if budget <= 0:
+                return False, budget
+            budget -= n_targets
+            p_bit = shared & -shared
+            shared ^= p_bit
+            blocked = 0
+            for row in tight:
+                if not row & p_bit:
+                    blocked |= row
+            free = targets & ~blocked
+            if free:
+                self._move(a, p_bit.bit_length() - 1, (free & -free).bit_length() - 1)
+                return True, budget
+        return False, budget
+
+    def _move(self, a: int, p: int, q: int) -> None:
+        """Move bit p of mask a to q and update what that changes.
+
+        dist[a, c] grows by 2 for the masks c having p but not q, falls by 2
+        for those having q but not p, and is unchanged for every other c.
+        """
+        rows, cols, dist, partners = self.rows, self.cols, self.dist, self.partners
+        floor, row_a, a_bit = self.floor, self.dist[a], 1 << a
+        further = (cols[p] & ~cols[q]) ^ a_bit
+        closer = cols[q] & ~cols[p]
+        rows[a] ^= (1 << p) | (1 << q)
+        cols[p] ^= a_bit
+        cols[q] ^= a_bit
+        # the bit walks are inlined: these two loops are the search's hot path
+        while further:
+            c_bit = further & -further
+            further ^= c_bit
+            c = c_bit.bit_length() - 1
+            if row_a[c] == floor:
+                partners[a] ^= c_bit
+                partners[c] ^= a_bit
+                if c < a:
+                    self._mark(c)
+            row_a[c] += 2
+            dist[c][a] += 2
+        while closer:
+            c_bit = closer & -closer
+            closer ^= c_bit
+            c = c_bit.bit_length() - 1
+            row_a[c] -= 2
+            dist[c][a] -= 2
+            if row_a[c] == floor:
+                partners[a] |= c_bit
+                partners[c] |= a_bit
+                if c < a:
+                    self.above |= c_bit
+        self._mark(a)
+        if not self.above:
+            self._set_floor()
+
+    def matrix(self) -> np.ndarray:
+        """The masks as a (K, d) uint8 matrix."""
+        d = self.d
+        width = (d + 7) // 8
+        packed = np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8
+        )
+        return np.unpackbits(
+            packed.reshape(len(self.rows), width), axis=1, count=d, bitorder="little"
+        )
 
 
-def _tight_pairs(dist: np.ndarray, floor: int):
-    """Yield the pairs a < b with dist[a, b] == floor in lexicographic order.
-
-    Rows come from the row minima (the diagonal holds a sentinel above every
-    real distance); a row's columns are only scanned when the row is reached,
-    so a search that accepts the first pair never looks at the rest.
-    """
-    for a in np.flatnonzero(dist.min(axis=1) == floor):
-        for b in np.flatnonzero(dist[a, a + 1 :] == floor):
-            yield int(a), int(a + 1 + b)
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; refuse bools and anything not an integer."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got the bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
     """Build the per-class mask set for (n_classes, d, s), seeded."""
+    n_classes = _as_int("n_classes", n_classes)
+    d = _as_int("d", d)
+    s = _as_int("s", s)
+    seed = _as_int("seed", seed)
     if n_classes < 1:
         raise ValueError(f"need at least one class, got n_classes={n_classes}")
     if not 1 <= s <= d:
@@ -199,34 +319,31 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
         pre = 2 * s if n_classes >= 2 else None
         return MaskSet(bits, s=s, presearch_min_hamming=pre)
 
-    # overlap regime (so n_classes >= 2); one bool matrix for the whole search
+    # overlap regime (so n_classes >= 2): the seeded start, then the climb
     rng = np.random.default_rng(seed)
-    bits = np.zeros((n_classes, d), dtype=bool)
+    bits = np.zeros((n_classes, d), dtype=np.uint8)
     for cls in range(n_classes):
-        bits[cls, np.sort(rng.choice(d, size=s, replace=False))] = True
-
+        bits[cls, np.sort(rng.choice(d, size=s, replace=False))] = 1
     dist = _pairwise_hamming(bits)
     np.fill_diagonal(dist, 2 * s + 2)  # above any distance, so min() skips it
-    presearch = int(dist.min())
+    climb = _Climb(bits, dist)
+    presearch = climb.floor
 
     budget = 10 * n_classes * d
     improved = True
     while budget > 0 and improved:
         improved = False
-        # a rejected attempt never changes dist, so walking the pairs lazily
-        # visits them in the same order as a snapshot taken here
-        floor = int(dist.min())
-        for a, b in _tight_pairs(dist, floor):
-            accepted, budget = _improve_mask(bits, dist, a, b, floor, budget)
+        for a, b in climb.tight_pairs():
+            accepted, budget = climb.improve(a, b, budget)
             if not accepted and budget > 0:
-                accepted, budget = _improve_mask(bits, dist, b, a, floor, budget)
+                accepted, budget = climb.improve(b, a, budget)
             if accepted:
                 improved = True
                 break
             if budget <= 0:
                 break
 
-    return MaskSet(bits, s=s, presearch_min_hamming=presearch)
+    return MaskSet(climb.matrix(), s=s, presearch_min_hamming=presearch)
 
 
 def format_mask_rows(mask_set: MaskSet) -> str:

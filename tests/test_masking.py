@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tinyproto.masking import (
     MaskSet,
@@ -80,6 +82,11 @@ _GOLDEN = {
     (30, 24, 6, 4): ("b8b32ea181256e42ead7c3f7f10468f06c33c5adb59e6b58f6f60c2ebc37190c", 4),
     (12, 16, 4, 5): ("ae5a406a92ef4e37aa4c9013f6ce3d654df23e13b81d939c95b85f2bca68f562", 2),
     (25, 32, 8, 6): ("2d85f68b88f04890a4e306c50815cbc0db065dcce3b7c02a16a341c826f4089b", 6),
+    # the wide benchmark shape at more seeds, recorded from the numpy search
+    (200, 512, 64, 0): ("436109e2f9cab5a0b612efa72d0527f8e9b67fc8bbfe1fbb540954139d809f3e", 90),
+    (200, 512, 64, 1): ("9ef23469f0be90bc2ef0863a3457aad98de71dbb19d556a71fe62cb6ca188dcc", 86),
+    (200, 512, 64, 2): ("5659587bfd53f08f2d9304a091114df130f1be35530ccc5f578ef8b168a83b79", 90),
+    (200, 512, 64, 3): ("bb311d04b6d9f7d44fe65ad34ab7e2ed99e49c17af73ab336103e1d83959d614", 90),
 }
 
 
@@ -154,6 +161,28 @@ def test_search_matches_reference(k, d, s):
         assert mask_set.presearch_min_hamming == presearch
 
 
+@st.composite
+def _overlap_configs(draw):
+    """(K, d, s, seed) with K*s > d, so the search runs."""
+    k = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 40))
+    s = draw(st.integers(d // k + 1, d))
+    return k, d, s, draw(st.integers(0, 10_000))
+
+
+# the two examples pin both ways a search ends: (9, 12, 4) at seed 0 runs out
+# of budget, (5, 7, 3) at seed 1 stalls with 308 candidate moves left
+@given(_overlap_configs())
+@example((9, 12, 4, 0))
+@example((5, 7, 3, 1))
+@settings(max_examples=30, deadline=None)
+def test_search_matches_reference_on_random_shapes(config):
+    mask_set = generate_masks(*config)
+    bits, presearch = _reference_search(*config)
+    np.testing.assert_array_equal(mask_set.bits, bits)
+    assert mask_set.presearch_min_hamming == presearch
+
+
 class TestArguments:
     def test_s_larger_than_d_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +195,38 @@ class TestArguments:
     def test_no_classes_rejected(self):
         with pytest.raises(ValueError):
             generate_masks(0, 4, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("n_classes", (4.0, 8, 2, 0)),
+            ("d", (4, 8.0, 2, 0)),
+            ("s", (4, 8, 2.5, 0)),
+            ("seed", (4, 8, 2, np.float64(0.0))),
+            ("seed", (4, 8, 2, "0")),
+            ("n_classes", (True, 8, 2, 0)),
+            ("d", (4, np.True_, 2, 0)),
+            ("s", (4, 8, True, 0)),
+            ("seed", (4, 8, 2, False)),
+        ],
+        ids=[
+            "float-K", "float-d", "float-s", "numpy-float-seed", "str-seed",
+            "bool-K", "numpy-bool-d", "bool-s", "bool-seed",
+        ],
+    )
+    def test_non_integer_argument_named(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            generate_masks(*args)
+
+    def test_numpy_integer_arguments_act_as_ints(self):
+        # d > 64, so a numpy d would overflow a full-width bit pattern
+        config = (30, 100, 10, 2)
+        as_numpy = (np.int64(30), np.int64(100), np.int32(10), np.uint8(2))
+        bits, presearch = _reference_search(*config)
+        for args in (config, as_numpy):
+            mask_set = generate_masks(*args)
+            np.testing.assert_array_equal(mask_set.bits, bits)
+            assert mask_set.presearch_min_hamming == presearch
 
 
 class TestMaskSet:
