@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Poke at the binary frame format used for every exchange.
 
-Frames carry length-prefixed per-class records (u32 class id, u32 count,
-count float64 values) behind a 9-byte header, with a crc32 trailer.  In
-memory a frame is one block: a class-id vector plus one value row per class,
-so every record of a frame has the same width.  The simulator encodes and
+A frame is one block, in memory and on the wire: a class-id vector plus
+one value row per class.  The bytes are a 13-byte header (frame type u8,
+round, record count n and width w as u32), the n class ids as u32, the n*w
+float64 values row by row, and a crc32 trailer.  The simulator encodes and
 decodes real bytes on every exchange, so its traffic numbers are
 measurements, not estimates.
 """
@@ -27,15 +27,15 @@ print("decoded:", back.frame_type.name, "round", back.round)
 for cls, row in zip(back.class_ids, back.values):
     print(f"  class {cls}: {row}")
 
-# flip one payload byte: the crc catches it
+# flip the first byte of the values, after the header and the ids: the crc catches it
 corrupt = bytearray(data)
-corrupt[12] ^= 0x01
+corrupt[13 + 4 * len(frame.class_ids)] ^= 0x01
 try:
     decode_frame(bytes(corrupt))
 except FrameError as exc:
     print("corrupted frame rejected:", exc)
 
-# chop the tail off: length checks catch it
+# chop the tail off: the trailer no longer matches, so the crc catches it
 try:
     decode_frame(data[: len(data) // 2])
 except FrameError as exc:

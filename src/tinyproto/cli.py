@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config, split_key_value_lines
 from .costmodel import ALGORITHMS, CostQuery, cost
@@ -17,6 +18,17 @@ from .protocol import RoundError, run_experiment
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", help="directory for output files")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+
+def _emit(args: argparse.Namespace, name: str, text: str) -> None:
+    """Write ``text`` to file ``name`` under ``--out`` if given, and print it
+    unless ``--quiet``."""
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+    if not args.quiet:
+        print(text, end="")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -41,15 +53,7 @@ def _cmd_masks(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = format_mask_rows(mask_set)
-    if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "masks.txt").write_text(text)
-    if not args.quiet:
-        print(text, end="")
+    _emit(args, "masks.txt", format_mask_rows(mask_set))
     return 0
 
 
@@ -113,15 +117,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         return 2
     lines = ["algorithm,params,params_millions"]
     lines += [f"{algo},{n},{n / 1e6:.2f}" for algo, n in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "costs.csv").write_text(text)
-    if not args.quiet:
-        print(text, end="")
+    _emit(args, "costs.csv", "\n".join(lines) + "\n")
     return 0
 
 

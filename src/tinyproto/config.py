@@ -25,11 +25,13 @@ Optional extras: per_class, sigma, hidden, train_fraction, workers.  Client
 updates run serially, so ``workers`` accepts only 1; the key stays so that
 existing configs that set it to 1 still load.
 Validation collects every problem and reports them together, each prefixed
-with the offending key.
+with the offending key: a key set twice, a value that does not parse, a
+float that is NaN or infinite, or a value out of range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Container
 
@@ -117,11 +119,18 @@ class ExperimentConfig:
     workers: int = 1  # only 1: client updates run serially
 
     def problems(self) -> list[str]:
-        """Every validation failure, named by the config-file key."""
-        out = []
+        """Every validation failure, named by the config-file key; a
+        non-finite float is reported alone, not also as out of range."""
+        non_finite = [
+            attr
+            for attr, parser in _KEYS.values()
+            if parser is float and not math.isfinite(getattr(self, attr))
+        ]
+        out = [f"{_ATTR_TO_KEY[a]}: must be finite, got {getattr(self, a)}" for a in non_finite]
 
         def bad(attr: str, message: str) -> None:
-            out.append(f"{_ATTR_TO_KEY[attr]}: {message}")
+            if attr not in non_finite:
+                out.append(f"{_ATTR_TO_KEY[attr]}: {message}")
 
         positive_ints = [
             "n_clients",
@@ -186,10 +195,12 @@ def split_key_value_lines(
     """Split `key = value` lines ('#' starts a comment) into raw string pairs.
 
     Returns the pairs in file order and the problems found: a line without
-    '=' is named by its line number, a key outside ``known`` by the key.
+    '=' is named by its line number, a key outside ``known`` by the key, and
+    a key set again by the key and both line numbers.
     """
     pairs = []
     problems = []
+    first_line = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,6 +213,10 @@ def split_key_value_lines(
         if key not in known:
             problems.append(f"{key}: unknown key")
             continue
+        if key in first_line:
+            problems.append(f"{key}: set more than once (lines {first_line[key]} and {line_no})")
+            continue
+        first_line[key] = line_no
         pairs.append((key, value))
     return pairs, problems
 

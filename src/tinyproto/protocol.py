@@ -143,10 +143,10 @@ def _check_frame(
     every_class: bool,
 ) -> None:
     """Reject a frame that is not this round's ``frame_type``, or whose block
-    is malformed: rows must have ``width`` values, all finite (so a frame
-    without records is refused), and ids must ascend strictly (so none
-    repeats) inside [0, K).  With ``every_class`` (masks, globals) the ids
-    must be exactly 0..K-1, which implies both, and makes row c class c's."""
+    is malformed: rows must have ``width`` values, there must be at least
+    one row, all finite, and ids must ascend strictly (so none repeats)
+    inside [0, K).  With ``every_class`` (masks, globals) the ids must be exactly
+    0..K-1, which implies both, and makes row c class c's."""
     if frame.frame_type != frame_type or frame.round != round_no:
         raise RoundError(
             f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
@@ -159,6 +159,8 @@ def _check_frame(
             f"client {client_id}, round {round_no}: {kind} rows have "
             f"{values.shape[1]} values, expected {width}"
         )
+    if not len(ids):
+        raise RoundError(f"client {client_id}, round {round_no}: {kind} frame has no records")
     if every_class and not np.array_equal(ids, np.arange(n_classes)):
         raise RoundError(
             f"client {client_id}, round {round_no}: {kind} frame class ids are not "

@@ -1,21 +1,22 @@
 """Binary frame encoding for every server/client exchange.
 
+A frame is one block, in memory and on the wire: a ``(n,)`` class-id vector
+and an ``(n, w)`` float64 matrix whose row i is the record of class id i.
 Layout (all integers little-endian):
 
     frame_type  u8      1=MASKS 2=UPLOAD 3=GLOBALS
     round       u32
-    n_records   u32
-    records     n_records x [class_id u32][count u32][count x f64]
+    n           u32     number of records
+    width       u32     values per record
+    class_ids   n x u32
+    values      n*w x f64, row-major
     crc32       u32     over every preceding byte
 
-In memory a frame is one block: a ``(n,)`` class-id vector and an ``(n, w)``
-float64 matrix, so every record has the same count w, and one structured
-dtype encodes or decodes the whole frame.  Mask records carry the d bits as
-0.0/1.0 values; prototype records carry the payload vector.
-decode(encode(frame)) is bit-exact (a frame without records decodes to
-width 0), and decoding rejects truncation, trailing bytes, unknown frame
-types, checksum mismatches, and records that differ in width.  Parameter
-counts for traffic accounting are simply ``values.size``.
+Mask records carry the d bits as 0.0/1.0 values; prototype records carry the
+payload vector.  decode(encode(frame)) is bit-exact, a frame without records
+included, and decoding rejects truncation, trailing bytes, unknown frame
+types and checksum mismatches.  Parameter counts for traffic accounting are
+simply ``values.size``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ __all__ = [
     "frame_param_count",
 ]
 
-_HEADER = struct.Struct("<BII")
-_RECORD_HEADER = struct.Struct("<II")
+_HEADER = struct.Struct("<BIII")
 _CRC = struct.Struct("<I")
 _U32_MAX = 0xFFFFFFFF
 
@@ -62,10 +62,6 @@ class Frame:
     values: np.ndarray
 
 
-def _record_dtype(width: int) -> np.dtype:
-    return np.dtype([("cid", "<u4"), ("cnt", "<u4"), ("v", "<f8", (width,))])
-
-
 def encode_frame(frame: Frame) -> bytes:
     if frame.round < 0 or frame.round > _U32_MAX:
         raise FrameError(f"round {frame.round} does not fit u32")
@@ -74,19 +70,21 @@ def encode_frame(frame: Frame) -> bytes:
         raise FrameError(f"values must be an (n, w) array, got shape {values.shape}")
     n, width = values.shape
     if width > _U32_MAX:
-        raise FrameError("record too long for u32 count")
+        raise FrameError(f"width {width} does not fit u32")
     ids = np.asarray(frame.class_ids)
     if ids.shape != (n,) or ids.dtype.kind not in "iu":
         raise FrameError(f"need {n} integer class ids, got {ids.dtype} of shape {ids.shape}")
     if n and (ids.min() < 0 or ids.max() > _U32_MAX):
         raise FrameError("class id does not fit u32")
-    records = np.empty(n, dtype=_record_dtype(width))
-    records["cid"] = ids
-    records["cnt"] = width
-    records["v"] = values
-    header = _HEADER.pack(int(frame.frame_type), frame.round, n)
-    crc = zlib.crc32(records, zlib.crc32(header))
-    return b"".join((header, records, _CRC.pack(crc)))
+    # one buffer filled in place: joining per-field bytes costs an allocation
+    # per field, which dominates the many small upload frames
+    values_at = _HEADER.size + 4 * n
+    buf = bytearray(values_at + 8 * values.size + _CRC.size)
+    _HEADER.pack_into(buf, 0, int(frame.frame_type), frame.round, n, width)
+    np.frombuffer(buf, "<u4", n, _HEADER.size)[:] = ids
+    np.frombuffer(buf, "<f8", values.size, values_at).reshape(n, width)[:] = values
+    _CRC.pack_into(buf, len(buf) - _CRC.size, zlib.crc32(memoryview(buf)[: -_CRC.size]))
+    return bytes(buf)
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -96,33 +94,24 @@ def decode_frame(data: bytes) -> Frame:
     body, (crc,) = memoryview(data)[: -_CRC.size], _CRC.unpack(data[-_CRC.size :])
     if zlib.crc32(body) != crc:
         raise FrameError("crc mismatch")
-    raw_type, round_no, n_records = _HEADER.unpack_from(body, 0)
+    raw_type, round_no, n, width = _HEADER.unpack_from(body, 0)
     try:
         frame_type = FrameType(raw_type)
     except ValueError:
         raise FrameError(f"unknown frame type {raw_type}") from None
-    width = 0
-    if n_records:
-        if len(body) < _HEADER.size + _RECORD_HEADER.size:
-            raise FrameError("frame truncated inside a record header")
-        _, width = _RECORD_HEADER.unpack_from(body, _HEADER.size)
-    dtype = _record_dtype(width)
-    have, need = len(body) - _HEADER.size, n_records * dtype.itemsize
+    have, need = len(body) - _HEADER.size, n * (4 + 8 * width)
     if have < need:
         raise FrameError(
-            f"frame truncated: {n_records} records of width {width} need {need} bytes, "
-            f"got {have}"
+            f"frame truncated: {n} records of width {width} need {need} bytes, got {have}"
         )
     if have > need:
         raise FrameError(
-            f"{have - need} unexpected trailing bytes after {n_records} records "
-            f"of width {width}"
+            f"{have - need} unexpected trailing bytes after {n} records of width {width}"
         )
-    records = np.frombuffer(body, dtype=dtype, count=n_records, offset=_HEADER.size)
-    if np.any(records["cnt"] != width):
-        raise FrameError(f"records differ in width: the first has {width} values")
-    class_ids = records["cid"].astype(np.int64)  # signed, so differences cannot wrap
-    return Frame(frame_type, round_no, class_ids, records["v"].copy())
+    # signed ids, so differences cannot wrap; a copied, aligned value matrix
+    class_ids = np.frombuffer(body, "<u4", n, _HEADER.size).astype(np.int64)
+    values = np.frombuffer(body, "<f8", n * width, _HEADER.size + 4 * n).reshape(n, width)
+    return Frame(frame_type, round_no, class_ids, values.copy())
 
 
 def frame_param_count(frame: Frame) -> int:

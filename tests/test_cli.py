@@ -75,6 +75,12 @@ class TestRun:
         assert main(["run", str(config)]) == 2
         assert "seed: must be >= 0" in capsys.readouterr().err
 
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(_CONFIG.replace("lr = 0.01", "lr = nan"))
+        assert main(["run", str(config)]) == 2
+        assert "lr: must be finite, got nan" in capsys.readouterr().err
+
 
 class TestMasks:
     def test_prints_rows(self, capsys):
@@ -181,6 +187,14 @@ class TestCost:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    def test_repeated_key_is_an_error(self, tmp_path, capsys):
+        query = tmp_path / "query.cfg"
+        query.write_text("algorithm = TinyProto\nM = 4\nK = 4\nK_i = 2\nd = 8\ns = 2\nK = 400\n")
+        assert main(["cost", str(query)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "K: set more than once (lines 3 and 7)" in captured.err
 
     @pytest.mark.parametrize("r", ["inf", "nan"])
     def test_non_finite_r_is_named(self, tmp_path, capsys, r):

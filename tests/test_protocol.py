@@ -371,6 +371,11 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=r"client 1, round 1: .*2 values, expected 3"):
             _two_client_round()
 
+    def test_upload_without_records_rejected(self, monkeypatch):
+        _fault_upload_block(monkeypatch, lambda *_: (np.arange(0), np.zeros((0, 3))))
+        with pytest.raises(RoundError, match=r"client 1, round 1"):
+            _two_client_round()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_upload_with_non_finite_value_rejected(self, monkeypatch, bad):
         def fault(ids, block):
@@ -565,6 +570,20 @@ class TestConfig:
     def test_bool_spellings(self):
         assert parse_config_text("cps = on").cps is True
         assert parse_config_text("cps = false").cps is False
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["alpha", "lambda", "mu", "lr", "participation", "sigma", "train_fraction"]
+    )
+    def test_non_finite_float_named_alone(self, key, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"{key} = {text}")
+        assert err.value.problems == [f"{key}: must be finite, got {float(text)}"]
+
+    def test_repeated_key_named_with_both_lines(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("lr = 0.5\n# a comment\nlr = 0.02\n")
+        assert err.value.problems == ["lr: set more than once (lines 1 and 3)"]
 
 
 _SMALL = dict(

@@ -1,4 +1,4 @@
-"""Frame codec: bit-exact round-trips, the per-record byte layout, and
+"""Frame codec: bit-exact round-trips, the block byte layout, and
 corruption rejection."""
 
 import struct
@@ -19,45 +19,54 @@ from tinyproto.wire import (
 )
 
 
-def _reference_encode(frame_type, round_no, class_ids, rows) -> bytes:
-    """One struct pack per record: the layout the block codec must reproduce.
+def _reference_encode(frame_type, round_no, n, width, class_ids, values) -> bytes:
+    """One struct pack per field: the layout the block codec must reproduce.
 
-    ``rows`` may differ in length, which no block frame can express.
+    ``n`` and ``width`` go into the header as given, so a test can make the
+    header disagree with the ids and values that follow it.
     """
-    parts = [struct.pack("<BII", int(frame_type), round_no, len(class_ids))]
-    for cid, row in zip(class_ids, rows):
-        row = np.asarray(row, dtype=np.float64)
-        parts.append(struct.pack("<II", int(cid), row.shape[0]))
-        parts.append(row.astype("<f8").tobytes())
+    parts = [
+        struct.pack("<B", int(frame_type)),
+        struct.pack("<I", round_no),
+        struct.pack("<I", n),
+        struct.pack("<I", width),
+    ]
+    parts += [struct.pack("<I", int(cid)) for cid in class_ids]
+    parts += [struct.pack("<d", float(v)) for row in values for v in row]
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _assert_frames_equal(a: Frame, b: Frame):
-    assert a.frame_type == b.frame_type
-    assert a.round == b.round
-    np.testing.assert_array_equal(a.class_ids, b.class_ids)
-    if len(b.class_ids):
-        np.testing.assert_array_equal(a.values, b.values, strict=True)
-    else:  # no record carries the width of an empty frame
-        assert a.values.size == b.values.size == 0
+def _assert_frames_equal(decoded: Frame, original: Frame):
+    assert decoded.frame_type == original.frame_type
+    assert decoded.round == original.round
+    assert decoded.class_ids.dtype == np.int64
+    np.testing.assert_array_equal(decoded.class_ids, original.class_ids)
+    np.testing.assert_array_equal(decoded.values, original.values, strict=True)
+    assert decoded.values.flags.writeable
 
 
 def _assert_codec_matches_reference(frame: Frame):
     data = encode_frame(frame)
-    reference = _reference_encode(frame.frame_type, frame.round, frame.class_ids, frame.values)
+    reference = _reference_encode(
+        frame.frame_type, frame.round, *frame.values.shape, frame.class_ids, frame.values
+    )
     assert data == reference
+    assert data[0] == frame.frame_type
     _assert_frames_equal(decode_frame(reference), frame)
 
 
 class TestRoundTrip:
     def test_empty_globals_frame(self):
+        # the header carries the width, so even an empty block keeps its shape
         frame = Frame(FrameType.GLOBALS, 3, np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
         _assert_frames_equal(decode_frame(encode_frame(frame)), frame)
+        _assert_codec_matches_reference(frame)
 
     def test_single_record(self):
         frame = Frame(FrameType.UPLOAD, 1, np.array([7]), np.array([[4.0, 6.0]]))
         _assert_frames_equal(decode_frame(encode_frame(frame)), frame)
+        _assert_codec_matches_reference(frame)
 
     def test_random_frames_1000(self):
         rng = np.random.default_rng(40)
@@ -125,27 +134,31 @@ class TestRejection:
                 decode_frame(data[:cut])
 
     def test_unknown_frame_type(self):
-        body = struct.pack("<BII", 9, 0, 0)
-        data = body + struct.pack("<I", zlib.crc32(body))
+        data = _reference_encode(9, 0, 0, 0, [], [])
         with pytest.raises(FrameError, match="unknown frame type"):
             decode_frame(data)
 
     def test_trailing_garbage(self):
-        body = struct.pack("<BII", 1, 0, 0) + b"\x00" * 3
+        body = struct.pack("<BIII", 1, 0, 0, 0) + b"\x00" * 3
         data = body + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(FrameError, match="trailing"):
             decode_frame(data)
 
     @pytest.mark.parametrize(
-        "widths", [(2, 1, 3), (1, 3), (3, 1), (2, 2, 0)], ids=["same-length", "long", "short", "zero"]
+        "n, width, match",
+        [(3, 2, "truncated"), (2, 3, "truncated"), (1, 2, "trailing"), (2, 1, "trailing")],
+        ids=["n-long", "width-long", "n-short", "width-short"],
     )
-    def test_mixed_widths_rejected(self, widths):
-        # (2, 1, 3) fills exactly the bytes of three width-2 records, so only
-        # the per-record counts can tell it apart
-        rows = [np.arange(w, dtype=np.float64) for w in widths]
-        data = _reference_encode(FrameType.UPLOAD, 1, range(len(rows)), rows)
-        with pytest.raises(FrameError, match="width"):
+    def test_header_disagrees_with_body(self, n, width, match):
+        # the body holds 2 ids and a (2, 2) block; the crc covers the bad header
+        data = _reference_encode(FrameType.UPLOAD, 1, n, width, [0, 1], np.ones((2, 2)))
+        with pytest.raises(FrameError, match=match):
             decode_frame(data)
+
+    def test_encode_rejects_round_outside_u32(self):
+        for bad in (-1, 2**32):
+            with pytest.raises(FrameError, match="u32"):
+                encode_frame(Frame(FrameType.UPLOAD, bad, np.arange(1), np.zeros((1, 1))))
 
     def test_encode_rejects_values_not_2d(self):
         for values in (np.zeros(3), np.zeros((1, 2, 3)), np.float64(1.0)):
