@@ -1,4 +1,11 @@
-"""Command-line front end: run experiments, dump masks, evaluate costs."""
+"""Command-line front end: run experiments, dump masks, evaluate costs.
+
+A file that cannot be read or written, the config or query file or the
+``--out`` directory, ends any subcommand with one ``error:`` line naming the
+path and exit status 2.  ``run`` creates ``--out`` before it trains, so a
+bad output path fails at once; a run that then fails leaves that directory
+empty.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, split_key_value_lines
+from .config import ConfigError, load_config, read_utf8_text, split_key_value_lines
 from .costmodel import ALGORITHMS, CostQuery, cost
 from .masking import format_mask_rows, generate_masks
 from .protocol import RoundError, run_experiment
@@ -37,6 +44,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         result = run_experiment(config, out_dir=args.out)
     except RoundError as exc:
@@ -76,8 +85,7 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
     """Flat key-value query file; `algorithm` and `K_i` may list several,
     comma-separated.  Every bad line or value (one that does not parse, is
     not finite or is negative) is reported, named by its key."""
-    with open(path) as fh:
-        pairs, problems = split_key_value_lines(fh.read(), {"algorithm", *_COST_QUERY_FIELDS})
+    pairs, problems = split_key_value_lines(read_utf8_text(path), {"algorithm", *_COST_QUERY_FIELDS})
     values = dict(pairs)
 
     def number(key: str, text: str) -> int | float | None:
@@ -112,7 +120,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     try:
         queries = _parse_cost_query_file(args.query)
         rows = [(q.algorithm, cost(q)) for q in queries]
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines = ["algorithm,params,params_millions"]
@@ -153,7 +161,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(message)s",
     )
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

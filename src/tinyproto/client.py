@@ -9,15 +9,14 @@ caller builds the upload from them, count scaling included.  Prediction is
 nearest-local-prototype in feature space, restricted to classes the client
 actually holds.
 
-Every batch of an epoch reuses one prototype snapshot: the per-class feature
-means over the whole shard under the epoch's starting parameters.  Epoch 0
-reuses ``state.local_protos`` when it is set (it always describes
-``state.params``), and each later epoch reuses the means computed at the end
-of the one before, so a round makes one full-shard pass per epoch.  The
-snapshot and the targets are fixed for the epoch, so each held class's
-penalty term is computed once per epoch, not once per batch.  An update
-copies the parameters once and every SGD step changes that copy in place;
-the caller's arrays are never written.
+The penalty terms are fixed for the whole update: when ``lam > 0``, each
+held class's term is computed once, before the first epoch, from the
+per-class feature means the update starts with.  Those are
+``state.local_protos`` when it is set (it always describes
+``state.params``), else one full-shard pass under ``state.params``.  The
+means are computed once more after the last epoch, for the upload and
+evaluation.  An update copies the parameters once and every SGD step changes
+that copy in place; the caller's arrays are never written.
 
 Every per-class quantity is a ``(K,)`` array indexed by class id or an
 ``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
@@ -40,6 +39,7 @@ fall back to the exact (n, c, d) distances, so every prediction is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +47,6 @@ import numpy as np
 from .datagen import Dataset
 from .masking import MaskSet
 from .numerics import (
-    RHO_CHOICES,
     ModelParams,
     class_penalties,
     forward_features,
@@ -87,9 +86,12 @@ class TrainConfig:
     lr: float = 0.01
     batch_size: int = 32
     local_epochs: int = 1
-    rho: str = "squared_l2"
 
     def __post_init__(self):
+        for name in ("lam", "mu", "lr"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.mu <= 0:
@@ -100,8 +102,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if self.rho not in RHO_CHOICES:
-            raise ValueError(f"rho must be one of {', '.join(RHO_CHOICES)}")
 
 
 @dataclass
@@ -212,20 +212,16 @@ def local_update(
     xs, ys = state.shard.x, state.shard.y
     # one copy per update, which every batch's step then changes in place
     params = ModelParams(*(a.copy() for a in state.params.arrays()))
-    # the snapshot always describes state.params: local_protos is set by the
-    # previous local_update or by run_round's evaluation
-    protos = state.local_protos
-    if protos is None:
-        protos = compute_local_prototypes(state)
     penalty = None
-    epoch_losses: list[float] = []
+    if cfg.lam > 0:
+        # the update's starting means and the targets fix each class's term
+        # for every epoch; local_protos, when set, describes state.params
+        # (set by the previous local_update or by run_round's evaluation)
+        protos = state.local_protos
+        if protos is None:
+            protos = compute_local_prototypes(state)
+        penalty = class_penalties(protos, targets, cfg.mu, n_classes=state.params.dims[3])
     for _ in range(cfg.local_epochs):
-        if cfg.lam > 0:
-            # the snapshot and the targets are fixed for the epoch, so is each
-            # class's penalty term
-            penalty = class_penalties(
-                protos, targets, cfg.mu, cfg.rho, n_classes=state.params.dims[3]
-            )
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
@@ -233,15 +229,12 @@ def local_update(
             loss, grads = loss_and_grad(params, xs[idx], ys[idx], penalty, cfg.lam)
             sgd_step(params, grads, cfg.lr)
             batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-        # the end-of-epoch means are the next epoch's snapshot
-        state.params = params
-        protos = compute_local_prototypes(state)
 
-    state.local_protos = protos
-    state.last_train_loss = epoch_losses[-1]
+    state.params = params
+    state.local_protos = compute_local_prototypes(state)
+    state.last_train_loss = float(np.mean(batch_losses))
 
-    ids, block = protos
+    ids, block = state.local_protos
     if masks is not None:
         block = compress(block, masks.bits[ids])
     return ids, block

@@ -19,7 +19,6 @@ Files look like:
     participation = 1.0
     aggregator = scaled
     cps = on
-    rho = squared_l2
 
 Optional extras: per_class, sigma, hidden, train_fraction, workers.  Client
 updates run serially, so ``workers`` accepts only 1; the key stays so that
@@ -31,17 +30,19 @@ float that is NaN or infinite, or a value out of range.
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Container
 
 from .aggregation import AGGREGATOR_CHOICES
-from .numerics import RHO_CHOICES
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "split_key_value_lines",
+    "read_utf8_text",
     "parse_config_text",
     "load_config",
 ]
@@ -82,7 +83,6 @@ _KEYS: dict[str, tuple[str, type | object]] = {
     "participation": ("participation", float),
     "aggregator": ("aggregator", str),
     "cps": ("cps", _parse_bool),
-    "rho": ("rho", str),
     "per_class": ("per_class", int),
     "sigma": ("sigma", float),
     "hidden": ("hidden_dim", int),
@@ -111,7 +111,6 @@ class ExperimentConfig:
     participation: float = 1.0
     aggregator: str = "scaled"
     cps: bool = True
-    rho: str = "squared_l2"
     per_class: int = 100
     sigma: float = 0.35
     hidden_dim: int = 32
@@ -169,8 +168,6 @@ class ExperimentConfig:
             bad("workers", "must be 1 (client updates run serially)")
         if self.aggregator not in AGGREGATOR_CHOICES:
             bad("aggregator", f"must be one of {', '.join(AGGREGATOR_CHOICES)}")
-        if self.rho not in RHO_CHOICES:
-            bad("rho", f"must be one of {', '.join(RHO_CHOICES)}")
         return out
 
     def validate(self) -> "ExperimentConfig":
@@ -236,6 +233,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values).validate()
 
 
+def read_utf8_text(path) -> str:
+    """The file's text, read as UTF-8; a file that is not UTF-8 raises an
+    ``OSError`` naming it, like every other unreadable file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(
+            errno.EILSEQ, f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)
+        ) from None
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_utf8_text(path))

@@ -8,13 +8,13 @@ the dead-unit diagnostics in :mod:`tinyproto.prototypes` measure.
 Training uses plain minibatch SGD with exact hand-derived gradients of the
 combined objective (cross-entropy plus a prototype-alignment penalty).  The
 penalty compares the client's per-class feature means against scaled global
-prototypes.  Both sets arrive as ``(ids, (n, d))`` pairs and are fixed for a
-whole epoch, so :func:`class_penalties` computes each held class's term once
-per epoch into one ``(K,)`` vector indexed by class id, and every batch adds
-the entries of its classes in ascending class order.  The penalty therefore
-shifts the loss value while the gradient is carried entirely by the
-cross-entropy term.  All reductions run in ascending index order, which makes
-repeated evaluations bit-identical.
+prototypes by squared L2 distance.  Both sets arrive as ``(ids, (n, d))``
+pairs and are fixed for a whole update, so :func:`class_penalties` computes
+each held class's term once per update into one ``(K,)`` vector indexed by
+class id, and every batch adds the entries of its classes in ascending class
+order.  The penalty therefore shifts the loss value while the gradient is
+carried entirely by the cross-entropy term.  All reductions run in
+ascending index order, which makes repeated evaluations bit-identical.
 
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
 labels, checked with a few cheap tests per call.  :func:`sgd_step` updates a
@@ -39,17 +39,7 @@ __all__ = [
     "class_penalties",
     "loss_and_grad",
     "sgd_step",
-    "RHO_CHOICES",
-    "NO_LOCAL_PROTOTYPE",
 ]
-
-RHO_CHOICES = ("squared_l2", "l2_eps")
-
-# class_penalties' entry for a class without a local prototype: below every rho
-NO_LOCAL_PROTOTYPE = -1.0
-
-# epsilon under the root for the smoothed-l2 distance variant
-_L2_EPS = 1e-8
 
 
 class ShapeError(ValueError):
@@ -148,40 +138,30 @@ def _activations(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return hidden, np.maximum(hidden @ params.w2 + params.b2, 0.0)
 
 
-def _rho(diff: np.ndarray, rho: str) -> float:
-    if rho == "squared_l2":
-        return float(diff @ diff)
-    if rho == "l2_eps":
-        return float(np.sqrt(diff @ diff + _L2_EPS))
-    raise ValueError(f"unknown rho {rho!r}; expected one of {RHO_CHOICES}")
-
-
 def class_penalties(
     local_protos: tuple[np.ndarray, np.ndarray],
     targets: tuple[np.ndarray, np.ndarray],
     mu: float,
-    rho: str = "squared_l2",
     *,
     n_classes: int,
 ) -> np.ndarray:
-    """The ``(K,)`` vector of each class's term rho(local[c] - mu * target[c]).
+    """The ``(K,)`` vector of each class's term ``|local[c] - mu * target[c]|^2``.
 
     Both arguments are ``(ids, (n, d))`` pairs, row i of class ``ids[i]``.
-    A local class without a target gets 0.0, so it adds nothing to a batch's
-    penalty; a class without a local prototype gets ``NO_LOCAL_PROTOTYPE``.
-    Both sets are fixed for an epoch, so a client computes this once per
-    epoch and every batch of the epoch reads it.
+    A class that lacks a local prototype or a target gets 0.0, so it adds
+    nothing to a batch's penalty.  Both sets are fixed for an update, so a
+    client computes this once per update and every batch reads it.
     """
     if mu <= 0:
         raise ValueError("mu must be > 0")
     (local_ids, local_rows), (target_ids, target_rows) = local_protos, targets
-    penalties = np.full(n_classes, NO_LOCAL_PROTOTYPE)
-    penalties[local_ids] = 0.0
+    penalties = np.zeros(n_classes)
     target_row = np.full(n_classes, -1)  # -1: no target
     target_row[target_ids] = np.arange(len(target_ids))
     for i, (cls, j) in enumerate(zip(local_ids.tolist(), target_row[local_ids].tolist())):
         if j >= 0:
-            penalties[cls] = _rho(local_rows[i] - mu * target_rows[j], rho)
+            diff = local_rows[i] - mu * target_rows[j]
+            penalties[cls] = diff @ diff
     return penalties
 
 
@@ -198,10 +178,9 @@ def loss_and_grad(
     The loss is mean cross-entropy of softmax(logits) against the labels,
     plus lam * the sum, over the classes present in the batch in ascending
     order, of ``class_penalty[c]``: the ``(K,)`` vector of
-    :func:`class_penalties`, read only when lam > 0, where every batch class
-    must have a local prototype.  The penalty values are constants of the
-    step, so the returned gradient is the cross-entropy gradient; it matches
-    central finite differences of the returned loss.
+    :func:`class_penalties`, read only when lam > 0.  The penalty values are
+    constants of the step, so the returned gradient is the cross-entropy
+    gradient; it matches central finite differences of the returned loss.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -240,10 +219,7 @@ def loss_and_grad(
             )
         penalty = 0.0
         for cls in classes:
-            value = class_penalty[cls]
-            if value == NO_LOCAL_PROTOTYPE:
-                raise ValueError(f"no local prototype for batch class {cls}")
-            penalty += value
+            penalty += class_penalty[cls]
         loss = loss + lam * float(penalty)
 
     # backprop of the cross-entropy term (the penalty is constant in params);

@@ -387,7 +387,6 @@ def run_experiment(
         lr=config.lr,
         batch_size=config.batch_size,
         local_epochs=config.local_epochs,
-        rho=config.rho,
     )
 
     reports = []

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from tinyproto import cli
 from tinyproto.cli import main
 
 _CONFIG = """
@@ -24,7 +25,6 @@ rounds = 2
 participation = 1.0
 aggregator = scaled
 cps = on
-rho = squared_l2
 per_class = 30
 """
 
@@ -207,3 +207,51 @@ class TestCost:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"r: expected a finite number, got '{r}'" in err
+
+
+def _assert_file_error(capsys, path):
+    """Exit status 2 with one ``error:`` line naming ``path``, no traceback."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert repr(str(path)) in captured.err
+    return captured.err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends every subcommand alike."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main(["run", str(path)]) == 2
+        _assert_file_error(capsys, path)
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        _assert_file_error(capsys, tmp_path)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(_CONFIG.encode() + b"# caf\xe9\n")
+        assert main(["run", str(path)]) == 2
+        assert "not UTF-8 text" in _assert_file_error(capsys, path)
+
+    def test_masks_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["masks", "3", "8", "2", "1", "--out", str(out)]) == 2
+        _assert_file_error(capsys, out)
+
+    def test_run_out_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.cfg"
+        config.write_text(_CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_training)
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        _assert_file_error(capsys, out)

@@ -15,7 +15,6 @@ from tinyproto.client import (
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
 from tinyproto.numerics import (
-    NO_LOCAL_PROTOTYPE,
     ModelParams,
     class_penalties,
     forward_features,
@@ -80,9 +79,9 @@ def _scripted_run(state, cfg, global_values):
     seed (123, 0): the final (n, d) shard features and the last epoch's mean
     loss.
 
-    The penalty is recomputed for every batch from the epoch's per-class
-    feature means and the dense targets (``global_values`` row c scattered
-    to class c's mask bits), in ascending batch-class order.
+    The penalty is recomputed for every batch from the per-class feature
+    means the update starts with and the dense targets (``global_values``
+    row c scattered to class c's mask bits), in ascending batch-class order.
     """
     p = init_params(2, 3, 8, 3, seed=21)
     w1, b1, w2, b2, wc, bc = (a.copy() for a in p.arrays())
@@ -96,9 +95,9 @@ def _scripted_run(state, cfg, global_values):
         targets[cls][state.mask_set.bits[cls] == 1] = global_values[cls]
     rng = np.random.default_rng(np.random.SeedSequence([123, 0]))
     epoch_loss = None
+    feats = np.maximum(np.maximum(x @ w1 + b1, 0) @ w2 + b2, 0)
+    snapshot = {cls: feats[y == cls].mean(axis=0) for cls in (0, 1)}
     for _ in range(cfg.local_epochs):
-        feats = np.maximum(np.maximum(x @ w1 + b1, 0) @ w2 + b2, 0)
-        snapshot = {cls: feats[y == cls].mean(axis=0) for cls in (0, 1)}
         order = rng.permutation(len(x))
         batch_losses = []
         for start in range(0, len(x), cfg.batch_size):
@@ -117,10 +116,7 @@ def _scripted_run(state, cfg, global_values):
             penalty = 0.0
             for cls in sorted(set(yb.tolist())):
                 diff = snapshot[cls] - cfg.mu * targets[cls]
-                if cfg.rho == "squared_l2":
-                    penalty += float(diff @ diff)
-                else:
-                    penalty += float(np.sqrt(diff @ diff + 1e-8))
+                penalty += float(diff @ diff)
             batch_losses.append(loss + cfg.lam * penalty)
             g3 = ez / ez.sum(axis=1, keepdims=True)
             g3[np.arange(nb), yb] -= 1
@@ -205,10 +201,12 @@ class TestComputeLocalPrototypes:
 
 
 class TestTrainConfig:
-    def test_unknown_rho_rejected(self):
-        # refused when the config is made, not in the first update that reads it
-        with pytest.raises(ValueError, match="rho must be one of squared_l2, l2_eps"):
-            TrainConfig(rho="l1")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lam", "mu", "lr"])
+    def test_non_finite_float_rejected(self, field, value):
+        # refused when the config is made, not as a nan or inf training loss
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            TrainConfig(**{field: value})
 
 
 class TestLocalUpdate:
@@ -280,11 +278,10 @@ class TestLocalUpdate:
                 payloads[cls], comp * int(np.sum(y == cls))
             )
 
-    @pytest.mark.parametrize("rho", ["squared_l2", "l2_eps"])
-    def test_train_loss_matches_scripted_reexecution(self, rho):
+    def test_train_loss_matches_scripted_reexecution(self):
         """Two epochs of a 4 + 2 batch split, penalty recomputed every batch."""
         state = _state()
-        cfg = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2, rho=rho)
+        cfg = _CFG
         global_values = _globals()
         local_update(
             state,
@@ -326,25 +323,36 @@ class TestLocalUpdate:
         state = _state()
         seen = _capture_targets(monkeypatch)
         local_update(state, np.zeros((3, 2)), _CFG, rng=np.random.default_rng(2))
-        assert len(seen) == _CFG.local_epochs
+        assert len(seen) == 1
         for ids, block in seen:
             assert ids.shape == (0,) and block.shape == (0, 8)
 
-    def test_preset_snapshot_means_one_recompute_per_epoch(self, monkeypatch):
+    @pytest.mark.parametrize("preset", [True, False], ids=["preset", "unset"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_means_and_penalties_computed_once_per_update(self, monkeypatch, lam, preset):
         state = _state()
-        state.local_protos = compute_local_prototypes(state)
-        calls = []
+        if preset:
+            state.local_protos = compute_local_prototypes(state)
+        calls = {"means": 0, "penalties": 0}
+        real_means, real_penalties = compute_local_prototypes, class_penalties
 
-        def counting(st):
-            calls.append(st.client_id)
-            return compute_local_prototypes(st)
+        def counting_means(st):
+            calls["means"] += 1
+            return real_means(st)
 
-        monkeypatch.setattr(client_mod, "compute_local_prototypes", counting)
-        local_update(
-            state, _globals(), _CFG, rng=np.random.default_rng(0)
-        )
-        assert _CFG.local_epochs == 2
-        assert len(calls) == 2
+        def counting_penalties(*args, **kwargs):
+            calls["penalties"] += 1
+            return real_penalties(*args, **kwargs)
+
+        monkeypatch.setattr(client_mod, "compute_local_prototypes", counting_means)
+        monkeypatch.setattr(client_mod, "class_penalties", counting_penalties)
+        cfg = TrainConfig(lam=lam, mu=0.5, lr=0.05, batch_size=4, local_epochs=3)
+        local_update(state, _globals(), cfg, rng=np.random.default_rng(0))
+        # after training, plus the starting means only when the penalty reads them
+        assert calls == {
+            "means": 1 + (lam > 0 and not preset),
+            "penalties": int(lam > 0),
+        }
 
     def test_preset_snapshot_trains_like_a_fresh_one(self):
         fresh = _state()
@@ -541,7 +549,7 @@ class TestDenseTargets:
         assert target_ids.tolist() == [0, 1]
         seen = _capture_targets(monkeypatch)
         local_update(state, values, _CFG, rng=np.random.default_rng(0))
-        assert [ids.tolist() for ids, _ in seen] == [[0, 1]] * _CFG.local_epochs
+        assert [ids.tolist() for ids, _ in seen] == [[0, 1]]
 
     def test_no_live_payload_gives_no_targets(self):
         state = _state()
@@ -682,7 +690,7 @@ def _reference_targets(state, values, cps):
     return targets
 
 
-def _reference_penalties(local_protos, targets, mu, rho):
+def _reference_penalties(local_protos, targets, mu):
     """{class id: term} over the local classes; 0.0 for one without a target."""
     penalties = {}
     for cls, local in local_protos.items():
@@ -691,10 +699,7 @@ def _reference_penalties(local_protos, targets, mu, rho):
             penalties[cls] = 0.0
             continue
         diff = np.asarray(local, dtype=np.float64) - mu * np.asarray(target, dtype=np.float64)
-        if rho == "squared_l2":
-            penalties[cls] = float(diff @ diff)
-        else:
-            penalties[cls] = float(np.sqrt(diff @ diff + 1e-8))
+        penalties[cls] = float(diff @ diff)
     return penalties
 
 
@@ -724,7 +729,6 @@ class TestArrayPathMatchesDictReference:
             lr=0.05,
             batch_size=int(rng.integers(1, 6)),
             local_epochs=2,
-            rho=("squared_l2", "l2_eps")[case // 2 % 2],  # with cps: all four pairs
         )
         masks = generate_masks(k, d, s, seed=case)
         state = ClientState(
@@ -756,12 +760,10 @@ class TestArrayPathMatchesDictReference:
             assert local[0].tolist() == list(local_ref)
             assert all(np.array_equal(row, local_ref[c]) for c, row in zip(*local))
 
-            penalty = class_penalties(
-                local, (target_ids, target_block), cfg.mu, cfg.rho, n_classes=k
-            )
-            expected = _reference_penalties(local_ref, targets, cfg.mu, cfg.rho)
+            penalty = class_penalties(local, (target_ids, target_block), cfg.mu, n_classes=k)
+            expected = _reference_penalties(local_ref, targets, cfg.mu)
             for cls in range(k):
-                assert penalty[cls] == expected.get(cls, NO_LOCAL_PROTOTYPE)
+                assert penalty[cls] == expected.get(cls, 0.0)
             # the batch sum of the terms, classes ascending, as loss_and_grad adds it
             xs, ys = state.shard.x, state.shard.y
             ce, _ = loss_and_grad(state.params, xs, ys, None, 0.0)

@@ -75,8 +75,20 @@ def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
             dict(aggregator="scaled", cps=True, comp_dim=9, lam=0.3),
             "0ff690c7166f64e73623cfed55420c19ff8f26641838c23f89639ccde9a5f633",
         ),
+        (
+            # two epochs per update: the penalty terms come from the update's
+            # starting means and the loss is the last epoch's
+            dict(aggregator="scaled", cps=True, local_epochs=2, lam=0.3),
+            "4df70bda00890dabe0db90eddbd98cc69601fe0a6bd0a2a7531f9c3f3a79c9c6",
+        ),
     ],
-    ids=["simple-cps-on", "scaled-cps-off", "weighted-cps-off", "scaled-cps-on-overlap-lam"],
+    ids=[
+        "simple-cps-on",
+        "scaled-cps-off",
+        "weighted-cps-off",
+        "scaled-cps-on-overlap-lam",
+        "scaled-cps-on-two-epochs-lam",
+    ],
 )
 def test_desk_rounds_csv_every_other_exchange_path(overrides, recorded):
     # with the cases above and the benchmark's, every aggregator is pinned

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tinyproto.numerics import (
-    NO_LOCAL_PROTOTYPE,
     Gradients,
     ModelParams,
     ShapeError,
@@ -51,11 +50,9 @@ def _pair(by_class, width):
     return np.array(ids, dtype=np.int64), block
 
 
-def _penalties(locals_, globals_, width, n_classes, mu, rho="squared_l2"):
+def _penalties(locals_, globals_, width, n_classes, mu):
     """``class_penalties`` of two {class id: row} dicts."""
-    return class_penalties(
-        _pair(locals_, width), _pair(globals_, width), mu, rho, n_classes=n_classes
-    )
+    return class_penalties(_pair(locals_, width), _pair(globals_, width), mu, n_classes=n_classes)
 
 
 def _straight_line_features(params, x):
@@ -160,14 +157,6 @@ class TestLossAndGrad:
         loss_plain, _ = loss_and_grad(params, xs, ys, None, 0.0)
         assert loss_missing == loss_plain
 
-    def test_missing_local_prototype_rejected(self):
-        rng = np.random.default_rng(7)
-        params, xs, ys, feat, ncls = _random_instance(rng)
-        penalty = _penalties({}, {}, feat, ncls, 1.0)
-        assert (penalty == NO_LOCAL_PROTOTYPE).all()
-        with pytest.raises(ValueError, match=f"no local prototype for batch class {min(ys)}"):
-            loss_and_grad(params, xs, ys, penalty, 1.0)
-
     @pytest.mark.parametrize(
         "penalty", [None, np.zeros(1), np.zeros(3)], ids=["none", "short", "long"]
     )
@@ -233,7 +222,7 @@ class TestLossAndGrad:
             loss, _ = loss_and_grad(params, xs, ys, penalty, lam)
             assert loss == _reference_cross_entropy(params, xs, ys) + lam * expected
 
-    def test_penalty_value_both_rho_variants(self):
+    def test_penalty_value_is_squared_l2(self):
         rng = np.random.default_rng(8)
         params, xs, ys, feat, ncls = _random_instance(rng)
         classes = sorted(set(ys.tolist()))
@@ -244,16 +233,9 @@ class TestLossAndGrad:
         sq = sum(
             float(np.sum((locals_[c] - mu * globals_[c]) ** 2)) for c in classes
         )
-        penalty = _penalties(locals_, globals_, feat, ncls, mu, rho="squared_l2")
+        penalty = _penalties(locals_, globals_, feat, ncls, mu)
         loss_sq, _ = loss_and_grad(params, xs, ys, penalty, lam)
         assert loss_sq == pytest.approx(base + lam * sq, rel=1e-12)
-        smooth = sum(
-            float(np.sqrt(np.sum((locals_[c] - mu * globals_[c]) ** 2) + 1e-8))
-            for c in classes
-        )
-        penalty = _penalties(locals_, globals_, feat, ncls, mu, rho="l2_eps")
-        loss_l2, _ = loss_and_grad(params, xs, ys, penalty, lam)
-        assert loss_l2 == pytest.approx(base + lam * smooth, rel=1e-12)
 
     def test_gradients_match_central_finite_differences(self):
         """100 seeded instances, dims <= 8, batch <= 4, rtol 1e-4, atol 1e-7."""
@@ -308,25 +290,17 @@ class TestClassPenalties:
         mu = 0.6
         penalty = _penalties(locals_, globals_, 4, 7, mu)
         assert penalty.shape == (7,)
-        assert np.flatnonzero(penalty != NO_LOCAL_PROTOTYPE).tolist() == [0, 2, 5]
-        assert penalty[0] == 0.0  # no global prototype: adds nothing
+        # 0.0 adds nothing: class 0 has no global prototype, class 3 no local
+        # one, and classes 1, 4 and 6 have neither
+        assert np.flatnonzero(penalty).tolist() == [2, 5]
         for cls in (2, 5):
             diff = locals_[cls] - mu * globals_[cls]
             assert penalty[cls] == float(diff @ diff)
-
-    def test_smoothed_l2_variant(self):
-        local, target = np.array([3.0, 0.0]), np.array([0.0, 4.0])
-        penalty = _penalties({1: local}, {1: target}, 2, 2, 1.0, rho="l2_eps")
-        assert penalty[1] == float(np.sqrt(25.0 + 1e-8))
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_non_positive_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="mu"):
             _penalties({0: np.ones(2)}, {0: np.ones(2)}, 2, 1, mu)
-
-    def test_unknown_rho_rejected(self):
-        with pytest.raises(ValueError, match="unknown rho"):
-            _penalties({0: np.ones(2)}, {0: np.ones(2)}, 2, 1, 1.0, rho="l1")
 
 
 class TestSgdStep:

@@ -8,7 +8,7 @@ import pytest
 
 import tinyproto.protocol as protocol
 from tinyproto.client import ClientState, MaskMissingError, TrainConfig, evaluate_accuracy
-from tinyproto.config import ConfigError, ExperimentConfig, parse_config_text
+from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
 from tinyproto.numerics import init_params
@@ -543,16 +543,18 @@ class TestConfig:
         participation = 0.5
         aggregator = simple
         cps = off
-        rho = l2_eps
         """
         cfg = parse_config_text(text)
         assert cfg.n_clients == 5 and cfg.n_classes == 4
         assert cfg.lam == 0.5 and cfg.aggregator == "simple"
-        assert cfg.cps is False and cfg.rho == "l2_eps"
+        assert cfg.cps is False and cfg.local_epochs == 2
 
     def test_unknown_key_listed(self):
-        with pytest.raises(ConfigError, match="bogus: unknown key"):
-            parse_config_text("bogus = 1")
+        # rho too: the penalty is squared L2, with no key to choose another distance
+        for key, value in [("bogus", "1"), ("rho", "squared_l2")]:
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(f"{key} = {value}")
+            assert err.value.problems == [f"{key}: unknown key"]
 
     def test_all_problems_reported_with_field_paths(self):
         cfg = ExperimentConfig(comp_dim=50, proto_dim=16, alpha=-1, participation=2.0)
@@ -584,6 +586,15 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_text("lr = 0.5\n# a comment\nlr = 0.02\n")
         assert err.value.problems == ["lr: set more than once (lines 1 and 3)"]
+
+    def test_load_config_reads_utf8_and_names_a_file_that_is_not(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# café\nseed = 3\n", encoding="utf-8")
+        assert load_config(path).seed == 3
+        path.write_bytes(b"# caf\xe9\nseed = 3\n")
+        with pytest.raises(OSError, match="not UTF-8 text") as err:
+            load_config(path)
+        assert err.value.filename == str(path)
 
 
 _SMALL = dict(
