@@ -9,10 +9,11 @@ caller builds the upload from them, count scaling included.  Prediction is
 nearest-local-prototype in feature space, restricted to classes the client
 actually holds.
 
-The penalty terms are fixed for the whole update: when ``lam > 0``, each
-held class's term is computed once, before the first epoch, from the
-per-class feature means the update starts with.  Those are
-``state.local_protos`` when it is set (it always describes
+The penalty terms are fixed for the whole update: when ``lam > 0`` and
+some held class has a target, each held class's term is computed once,
+before the first epoch, from the per-class feature means the update starts
+with (otherwise every term is 0.0 and no starting means are read).  Those
+are ``state.local_protos`` when it is set (it always describes
 ``state.params``), else one full-shard pass under ``state.params``.  The
 means are computed once more after the last epoch, for the upload and
 evaluation.  An update copies the parameters once and every SGD step changes
@@ -28,7 +29,8 @@ and the update's result is :func:`~tinyproto.prototypes.compress` of the
 means (``scaled`` rounds then multiply it by ``class_counts[ids, None]``).
 The received block must be ``(K, s)`` when the client holds masks and
 ``(K, d)`` when not.  In the first round every global row is zero,
-so no class has a target and every penalty term is 0.0.
+so no class has a target, every penalty term is 0.0, and the update skips
+the starting means.
 
 Inference screens all test rows with one GEMM, ``|p|^2 - 2 f.p``.  Where
 the best score beats the second by more than a rounding bound,
@@ -59,7 +61,6 @@ __all__ = [
     "TrainConfig",
     "ClientState",
     "InferenceError",
-    "MaskMissingError",
     "compute_local_prototypes",
     "local_update",
     "evaluate_accuracy",
@@ -71,10 +72,6 @@ _F64 = np.finfo(np.float64)
 
 class InferenceError(RuntimeError):
     """Prediction was requested before any local prototype existed."""
-
-
-class MaskMissingError(RuntimeError):
-    """A compressed exchange was attempted before masks were delivered."""
 
 
 @dataclass
@@ -212,8 +209,9 @@ def local_update(
     xs, ys = state.shard.x, state.shard.y
     # one copy per update, which every batch's step then changes in place
     params = ModelParams(*(a.copy() for a in state.params.arrays()))
-    penalty = None
-    if cfg.lam > 0:
+    # with no target every term is 0.0, so the starting means are not needed
+    penalty = np.zeros(state.params.dims[3])
+    if cfg.lam > 0 and len(targets[0]):
         # the update's starting means and the targets fix each class's term
         # for every epoch; local_protos, when set, describes state.params
         # (set by the previous local_update or by run_round's evaluation)

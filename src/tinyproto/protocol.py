@@ -4,23 +4,27 @@ The simulator is in-process, but every exchange still passes through the
 binary frame codec so traffic numbers measure real serialized payloads.  Per
 round: sample clients, deliver masks to first-time participants, send every
 sampled client the full set of global payloads, run the local updates one
-client after another (one loop decodes a client's frames, runs its update,
-builds and checks its upload), fold all uploads in one aggregator call, then
+client after another (one loop receives a client's frames, runs its update,
+builds and receives its upload), fold all uploads in one aggregator call, then
 report every client's accuracy on its own test split.  ``cps`` and the
 aggregator are set once, by :func:`initial_server`; a client compresses when
 it holds masks (only ``cps`` rounds deliver them), and ``scaled``'s count
 scaling is applied where the upload frame is built.  Every frame is one
-block, a class-id vector plus one value row per class; each side checks each
-frame it decodes once, all three kinds with :func:`_check_frame`.  A bad
-frame, or a local update that overflows, raises :class:`RoundError` naming
-the client, the class where one applies, and the round.  The first round's
-globals are all zero, so no class has a target and that round trains as
-with lam = 0.  A client is evaluated again only when it has never been
-evaluated or has trained since; an unsampled client keeps its stored
-accuracy, which is exact because evaluation reads only the client's params,
-local prototypes and test split, and none of them changed.  Parameter counts
-(values on the wire, not bytes) are the headline traffic metric; mask
-delivery is tracked separately from prototype traffic.
+block, a class-id vector plus one value row per class.  All three kinds
+pass through one receive step, which decodes the frame once, checks it with
+:func:`_check_frame` (``weighted``'s upload counts included), adds its
+values to the round's tally for that kind and logs it; the client's
+``MaskSet`` checks the mask values when it is built.  A bad frame, a
+``cps`` round that meets a client without masks, or a local update that
+overflows raises :class:`RoundError` naming the client, the class where one
+applies, and the round.  The first round's globals are all zero, so no
+class has a target and that round trains as with lam = 0.  A client is
+evaluated again only when it has never been evaluated or has trained since;
+an unsampled client keeps its stored accuracy, which is exact because
+evaluation reads only the client's params, local prototypes and test split,
+and none of them changed.  Parameter counts (values on the wire, not
+bytes) are the headline traffic metric; mask delivery is tracked separately
+from prototype traffic.
 
 ``rounds.csv`` intentionally omits wall time so that identical config+seed
 runs produce byte-identical files.
@@ -40,7 +44,6 @@ import numpy as np
 from .aggregation import AGGREGATORS as _AGGREGATORS
 from .client import (
     ClientState,
-    MaskMissingError,
     TrainConfig,
     compute_local_prototypes,
     evaluate_accuracy,
@@ -77,7 +80,8 @@ _TAG_SHUFFLE = 16
 
 
 class RoundError(RuntimeError):
-    """A round could not be executed (nobody to sample, or a bad frame)."""
+    """A round could not be executed (nobody to sample, a bad frame, a client
+    without masks in a ``cps`` round, or a diverging update)."""
 
 
 def _child_seed(base: int, *tags: int) -> int:
@@ -140,13 +144,15 @@ def _check_frame(
     n_classes: int,
     width: int,
     *,
-    every_class: bool,
+    counted: bool,
 ) -> None:
     """Reject a frame that is not this round's ``frame_type``, or whose block
     is malformed: rows must have ``width`` values, there must be at least
     one row, all finite, and ids must ascend strictly (so none repeats)
-    inside [0, K).  With ``every_class`` (masks, globals) the ids must be exactly
-    0..K-1, which implies both, and makes row c class c's."""
+    inside [0, K).  A downlink frame (masks, globals) carries every class:
+    its ids must be exactly 0..K-1, which implies both, and makes row c
+    class c's.  With ``counted`` (``weighted`` uploads) each row's leading
+    value is its class's sample count, which must be a whole number >= 1."""
     if frame.frame_type != frame_type or frame.round != round_no:
         raise RoundError(
             f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
@@ -161,33 +167,27 @@ def _check_frame(
         )
     if not len(ids):
         raise RoundError(f"client {client_id}, round {round_no}: {kind} frame has no records")
-    if every_class and not np.array_equal(ids, np.arange(n_classes)):
+    downlink = frame_type != FrameType.UPLOAD
+    if downlink and not np.array_equal(ids, np.arange(n_classes)):
         raise RoundError(
             f"client {client_id}, round {round_no}: {kind} frame class ids are not "
             f"0..K-1 in order for K={n_classes}"
         )
-    problems = [] if every_class else [
+    problems = [] if downlink else [
         (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
         (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
     ]
     problems.append((~np.isfinite(values).all(axis=1), "has non-finite values"))
+    if counted:
+        counts = values[:, 0]
+        problems.append(
+            ((counts < 1) | (counts != np.floor(counts)), "count is not a whole number >= 1")
+        )
     for bad, what in problems:
         if bad.any():
             raise RoundError(
                 f"client {client_id}, class {int(ids[bad][0])}, round {round_no}: {kind} {what}"
             )
-
-
-def _mask_set_from_frame(
-    frame: Frame, client_id: int, round_no: int, n_classes: int, dim: int
-) -> MaskSet:
-    """A client's masks: one row of ``dim`` bits for each class 0..K-1 of its
-    model, in order, every value 0 or 1 and every row with row 0's popcount."""
-    _check_frame(frame, FrameType.MASKS, round_no, client_id, n_classes, dim, every_class=True)
-    try:
-        return MaskSet(frame.values, s=np.count_nonzero(frame.values[0]))
-    except ValueError as err:
-        raise RoundError(f"client {client_id}, round {round_no}: {err}") from None
 
 
 def run_round(
@@ -234,37 +234,41 @@ def run_round(
         Frame(FrameType.GLOBALS, round_no, np.arange(n_classes), server.global_comp)
     )
 
-    uplink = downlink = mask_params = 0
+    tally = dict.fromkeys(FrameType, 0)  # values on the wire, per frame kind
+
+    def receive(data, frame_type, cid, n_classes, width, counted=False):
+        """Decode, check, count and log one delivered frame."""
+        frame = decode_frame(data)
+        _check_frame(frame, frame_type, round_no, cid, n_classes, width, counted=counted)
+        tally[frame_type] += frame_param_count(frame)
+        if frame_log is not None:
+            way = "up" if frame_type == FrameType.UPLOAD else "down"
+            frame_log.add(round_no, way, cid, data)
+        return frame
+
     uploads = []
     for state in sampled:
         cid = state.client_id
         feat_dim, n_model_classes = state.params.dims[2:]
         if cid in needs_masks:
-            masks_frame = decode_frame(masks_bytes)
-            state.mask_set = _mask_set_from_frame(
-                masks_frame, cid, round_no, n_model_classes, feat_dim
-            )
-            mask_params += frame_param_count(masks_frame)
-            if frame_log is not None:
-                frame_log.add(round_no, "down", cid, masks_bytes)
+            bits = receive(masks_bytes, FrameType.MASKS, cid, n_model_classes, feat_dim).values
+            try:  # MaskSet checks the values are 0/1 and the rows' popcounts agree
+                state.mask_set = MaskSet(bits, s=np.count_nonzero(bits[0]))
+            except ValueError as err:
+                raise RoundError(f"client {cid}, round {round_no}: {err}") from None
         if cps and state.mask_set is None:
-            raise MaskMissingError(f"client {cid} has no masks yet")
-        globals_frame = decode_frame(globals_bytes)
+            raise RoundError(f"client {cid}, round {round_no}: no masks were delivered to it")
         width = state.mask_set.s if cps else feat_dim
-        _check_frame(
-            globals_frame, FrameType.GLOBALS, round_no, cid, n_model_classes, width,
-            every_class=True,
-        )
-        downlink += frame_param_count(globals_frame)
-        if frame_log is not None:
-            frame_log.add(round_no, "down", cid, globals_bytes)
+        global_values = receive(
+            globals_bytes, FrameType.GLOBALS, cid, n_model_classes, width
+        ).values
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_SHUFFLE, cid, round_no])
         )
         try:
             # stop at the first overflow instead of training on inf and NaN
             with np.errstate(over="raise", invalid="raise"):
-                ids, block = local_update(state, globals_frame.values, cfg, shuffle_rng)
+                ids, block = local_update(state, global_values, cfg, shuffle_rng)
         except FloatingPointError as err:
             raise RoundError(f"client {cid}, round {round_no}: training diverged: {err}") from None
         if aggregator == "scaled":
@@ -273,22 +277,9 @@ def run_round(
             # the weighted variant ships the raw count as column 0
             block = np.hstack((state.class_counts[ids, None], block))
         upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
-        upload_frame = decode_frame(upload)
-        _check_frame(
-            upload_frame, FrameType.UPLOAD, round_no, cid, n_classes, up_width, every_class=False
+        uploads.append(
+            receive(upload, FrameType.UPLOAD, cid, n_classes, up_width, counted=weighted)
         )
-        if weighted:
-            counts = upload_frame.values[:, 0]
-            bad = (counts < 1) | (counts != np.floor(counts))
-            if bad.any():
-                raise RoundError(
-                    f"client {cid}, class {int(upload_frame.class_ids[bad][0])}, "
-                    f"round {round_no}: upload count is not a whole number >= 1"
-                )
-        uplink += frame_param_count(upload_frame)
-        if frame_log is not None:
-            frame_log.add(round_no, "up", cid, upload)
-        uploads.append(upload_frame)
 
     # uploads in ascending client order give every class its rows in
     # ascending client order: the summation order
@@ -308,16 +299,16 @@ def run_round(
                 state.local_protos = compute_local_prototypes(state)
             state.test_accuracy = evaluate_accuracy(state)
         accuracies.append(state.test_accuracy)
-    losses = [st.last_train_loss for st in sampled if st.last_train_loss is not None]
 
     return RoundReport(
         round=round_no,
         mean_test_accuracy=float(np.mean(accuracies)),
         per_client_accuracy=accuracies,
-        mean_train_loss=float(np.mean(losses)) if losses else float("nan"),
-        uplink_params=uplink,
-        downlink_params=downlink,
-        mask_params=mask_params,
+        # every sampled client trained, or the round raised
+        mean_train_loss=float(np.mean([st.last_train_loss for st in sampled])),
+        uplink_params=tally[FrameType.UPLOAD],
+        downlink_params=tally[FrameType.GLOBALS],
+        mask_params=tally[FrameType.MASKS],
     )
 
 

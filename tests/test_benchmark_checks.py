@@ -24,8 +24,17 @@ import numpy as np
 import pytest
 
 import tinyproto.protocol as protocol
-from tinyproto import ExperimentConfig, generate_masks, run_experiment
-from tinyproto.wire import Frame, FrameType, decode_frame, encode_frame
+from tinyproto import (
+    ClientState,
+    Dataset,
+    ExperimentConfig,
+    TrainConfig,
+    generate_masks,
+    init_params,
+    initial_server,
+    run_experiment,
+    run_round,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,10 +60,15 @@ def test_generated_masks_pass_the_mask_checks(k, d, s):
 
 @pytest.mark.parametrize("k, d, s", [(4, 16, 4), (30, 24, 6)], ids=["disjoint", "overlap"])
 def test_masks_rebuilt_from_a_frame_pass_the_mask_checks(k, d, s):
-    bits = generate_masks(k, d, s, seed=7).bits.astype(np.float64)
-    frame = decode_frame(encode_frame(Frame(FrameType.MASKS, 1, np.arange(k), bits)))
-    mask_set = protocol._mask_set_from_frame(frame, client_id=0, round_no=1, n_classes=k, dim=d)
-    assert checks.mask_problems(mask_set, k, d, s) == []
+    # a client's first cps round delivers the masks frame; the client's set
+    # is rebuilt from the decoded frame
+    rng = np.random.default_rng(0)
+    shard = Dataset(rng.normal(size=(8, 3)), np.arange(8) % 2, k)
+    client = ClientState(0, init_params(3, 5, d, k, seed=1), shard, test_shard=shard)
+    server = initial_server(generate_masks(k, d, s, seed=7), cps=True)
+    run_round(server, [client], 1.0, TrainConfig(), seed=7)
+    assert checks.mask_problems(client.mask_set, k, d, s) == []
+    assert (client.mask_set.bits == server.mask_set.bits).all()
 
 
 def test_desk_run_passes_the_experiment_checks(tmp_path):

@@ -320,12 +320,22 @@ class TestLocalUpdate:
         assert state_a.last_train_loss == state_b.last_train_loss
 
     def test_zero_global_payloads_are_skipped_as_targets(self, monkeypatch):
+        # no held class has a target, so every term is 0.0: the update
+        # computes neither the penalties nor its starting means
         state = _state()
+        assert _CFG.lam > 0 and state.local_protos is None
         seen = _capture_targets(monkeypatch)
+        means = []
+        real_means = compute_local_prototypes
+
+        def counting_means(st):
+            means.append(st.client_id)
+            return real_means(st)
+
+        monkeypatch.setattr(client_mod, "compute_local_prototypes", counting_means)
         local_update(state, np.zeros((3, 2)), _CFG, rng=np.random.default_rng(2))
-        assert len(seen) == 1
-        for ids, block in seen:
-            assert ids.shape == (0,) and block.shape == (0, 8)
+        assert seen == []
+        assert len(means) == 1  # the means after training, for the upload
 
     @pytest.mark.parametrize("preset", [True, False], ids=["preset", "unset"])
     @pytest.mark.parametrize("lam", [0.0, 1.0])

@@ -71,7 +71,8 @@ def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
             "7f990d8a2b1eab27ce34357feb46ad0e23b98955b50afcb627a56b9922e77a64",
         ),
         (
-            # K*s = 36 > d = 16: overlapping masks, and a penalty that trains
+            # K*s = 36 > d = 16: overlapping masks, and a penalty that moves the
+            # loss only (a per-class constant: the params train as with lam = 0)
             dict(aggregator="scaled", cps=True, comp_dim=9, lam=0.3),
             "0ff690c7166f64e73623cfed55420c19ff8f26641838c23f89639ccde9a5f633",
         ),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tinyproto.protocol as protocol
-from tinyproto.client import ClientState, MaskMissingError, TrainConfig, evaluate_accuracy
+from tinyproto.client import ClientState, TrainConfig, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
@@ -129,27 +129,32 @@ class TestRunRound:
         with pytest.raises(RoundError):
             run_round(server, [], 1.0, _CFG, seed=1)
 
-    def test_accounting_matches_frame_recount(self):
+    @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
+    @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
+    def test_accounting_matches_frame_recount(self, aggregator, cps):
+        # round 1 delivers masks (cps) to both clients, round 2 to nobody
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
-        log = FrameLog()
-        report = run_round(server, clients, 1.0, _CFG, seed=5, frame_log=log)
-        up = down = masks = 0
-        for round_no, direction, cid, data in log.entries:
-            frame = decode_frame(data)
-            count = frame_param_count(frame)
-            if frame.frame_type == FrameType.UPLOAD:
-                up += count
-            elif frame.frame_type == FrameType.GLOBALS:
-                down += count
-            else:
-                masks += count
-        assert (up, down, masks) == (
-            report.uplink_params,
-            report.downlink_params,
-            report.mask_params,
-        )
+        server = initial_server(mask_set, cps=cps, aggregator=aggregator)
+        for round_no in (1, 2):
+            log = FrameLog()
+            report = run_round(server, clients, 1.0, _CFG, seed=5, frame_log=log)
+            recount = dict.fromkeys(FrameType, 0)
+            for _, direction, _, data in log.entries:
+                frame = decode_frame(data)
+                assert direction == ("up" if frame.frame_type == FrameType.UPLOAD else "down")
+                recount[frame.frame_type] += frame_param_count(frame)
+            assert (
+                report.uplink_params,
+                report.downlink_params,
+                report.mask_params,
+            ) == (
+                recount[FrameType.UPLOAD],
+                recount[FrameType.GLOBALS],
+                recount[FrameType.MASKS],
+            )
+            assert (report.mask_params > 0) == (cps and round_no == 1)
+            assert report.uplink_params > 0 and report.downlink_params > 0
 
     def test_scaled_uploads_have_no_count_field(self):
         clients = [_make_client(0, [0, 1])]
@@ -259,7 +264,7 @@ class TestRunRound:
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
         server.selected_ever = {0, 1}
-        with pytest.raises(MaskMissingError, match="client 0 has no masks yet"):
+        with pytest.raises(RoundError, match=r"client 0, round 1: no masks were delivered"):
             run_round(server, clients, 1.0, _CFG, seed=1)
 
     @pytest.mark.parametrize("workers", [0, 2, 4])
