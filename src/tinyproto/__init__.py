@@ -31,7 +31,6 @@ from .aggregation import (
 from .client import (
     ClientState,
     InferenceError,
-    TrainConfig,
     compute_local_prototypes,
     evaluate_accuracy,
     local_update,

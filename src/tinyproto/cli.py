@@ -3,8 +3,8 @@
 A file that cannot be read or written, the config or query file or the
 ``--out`` directory, ends any subcommand with one ``error:`` line naming the
 path and exit status 2.  ``run`` creates ``--out`` before it trains, so a
-bad output path fails at once; a run that then fails leaves that directory
-empty.
+bad output path fails at once; a run that then fails removes the
+directories it created for ``--out`` and keeps any that already existed.
 """
 
 from __future__ import annotations
@@ -44,11 +44,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
+    made = []  # directories this run creates for --out, leaf first
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out = Path(args.out).resolve()
+        made = [p for p in (out, *out.parents) if not p.exists()]
+        out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_experiment(config, out_dir=args.out)
     except RoundError as exc:
+        for path in made:
+            path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

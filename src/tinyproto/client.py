@@ -5,9 +5,10 @@ During a round it rebuilds the dense global targets of the classes it holds,
 runs E epochs of minibatch SGD on the combined loss, recomputes its
 per-class feature means, and returns their masked entries when it holds
 masks (only compressed rounds deliver them), else the full means.  The
-caller builds the upload from them, count scaling included.  Prediction is
-nearest-local-prototype in feature space, restricted to classes the client
-actually holds.
+caller builds the upload from them, count scaling included.  The training
+settings are read from the run's :class:`~tinyproto.config.ExperimentConfig`,
+which checked them when it was made.  Prediction is nearest-local-prototype
+in feature space, restricted to classes the client actually holds.
 
 The penalty terms are fixed for the whole update: when ``lam > 0`` and
 some held class has a target, each held class's term is computed once,
@@ -41,11 +42,11 @@ fall back to the exact (n, c, d) distances, so every prediction is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .datagen import Dataset
 from .masking import MaskSet
 from .numerics import (
@@ -58,7 +59,6 @@ from .numerics import (
 from .prototypes import compress, reconstruct
 
 __all__ = [
-    "TrainConfig",
     "ClientState",
     "InferenceError",
     "compute_local_prototypes",
@@ -72,33 +72,6 @@ _F64 = np.finfo(np.float64)
 
 class InferenceError(RuntimeError):
     """Prediction was requested before any local prototype existed."""
-
-
-@dataclass
-class TrainConfig:
-    """Local-training hyperparameters shared by all clients."""
-
-    lam: float = 1.0
-    mu: float = 1.0
-    lr: float = 0.01
-    batch_size: int = 32
-    local_epochs: int = 1
-
-    def __post_init__(self):
-        for name in ("lam", "mu", "lr"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
 
 
 @dataclass
@@ -175,7 +148,7 @@ def _dense_targets(state: ClientState, global_values: np.ndarray) -> tuple[np.nd
 def local_update(
     state: ClientState,
     global_values: np.ndarray,
-    cfg: TrainConfig,
+    cfg: ExperimentConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train locally and return this client's class means as ``(ids, block)``.
@@ -187,8 +160,9 @@ def local_update(
     masks (only compressed rounds deliver them), so rows of s values then
     and of d otherwise.  Only locally present classes are returned, ids
     ascending, one unscaled block row each; the caller applies any count
-    scaling.  ``rng`` drives the per-epoch shuffles; the caller
-    derives it from (experiment seed, client id, round).
+    scaling.  Of ``cfg`` only ``lam``, ``mu``, ``lr``, ``batch_size`` and
+    ``local_epochs`` are read.  ``rng`` drives the per-epoch shuffles; the
+    caller derives it from (experiment seed, client id, round).
     """
     n = len(state.shard)
     if n == 0:

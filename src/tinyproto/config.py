@@ -20,9 +20,12 @@ Files look like:
     aggregator = scaled
     cps = on
 
-Optional extras: per_class, sigma, hidden, train_fraction, workers.  Client
-updates run serially, so ``workers`` accepts only 1; the key stays so that
-existing configs that set it to 1 still load.
+Optional extras: per_class, sigma, hidden, workers.  Client updates run
+serially, so ``workers`` accepts only 1; the key stays so that existing
+configs that set it to 1 still load.  No key sets the train/test split:
+each client trains on 75% of its shard.
+An :class:`ExperimentConfig` holds every setting of a run, the five that
+``client.local_update`` reads included, and checks itself when it is made.
 Validation collects every problem and reports them together, each prefixed
 with the offending key: a key set twice, a value that does not parse, a
 float that is NaN or infinite, or a value out of range.
@@ -86,7 +89,6 @@ _KEYS: dict[str, tuple[str, type | object]] = {
     "per_class": ("per_class", int),
     "sigma": ("sigma", float),
     "hidden": ("hidden_dim", int),
-    "train_fraction": ("train_fraction", float),
     "workers": ("workers", int),
 }
 
@@ -114,8 +116,10 @@ class ExperimentConfig:
     per_class: int = 100
     sigma: float = 0.35
     hidden_dim: int = 32
-    train_fraction: float = 0.75
     workers: int = 1  # only 1: client updates run serially
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def problems(self) -> list[str]:
         """Every validation failure, named by the config-file key; a
@@ -162,8 +166,6 @@ class ExperimentConfig:
             bad("sigma", "must be > 0")
         if not 0 < self.participation <= 1:
             bad("participation", "must lie in (0, 1]")
-        if not 0 < self.train_fraction < 1:
-            bad("train_fraction", "must lie in (0, 1)")
         if self.workers != 1:
             bad("workers", "must be 1 (client updates run serially)")
         if self.aggregator not in AGGREGATOR_CHOICES:
@@ -171,6 +173,9 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> "ExperimentConfig":
+        """Raise :class:`ConfigError` listing every problem, else return self;
+        runs when the config is made, and again wherever a field may have
+        changed since."""
         problems = self.problems()
         if problems:
             raise ConfigError(problems)
@@ -230,7 +235,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             problems.append(f"{key}: {exc}")
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
 def read_utf8_text(path) -> str:

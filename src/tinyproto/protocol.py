@@ -7,11 +7,13 @@ sampled client the full set of global payloads, run the local updates one
 client after another (one loop receives a client's frames, runs its update,
 builds and receives its upload), fold all uploads in one aggregator call, then
 report every client's accuracy on its own test split.  ``cps`` and the
-aggregator are set once, by :func:`initial_server`; a client compresses when
-it holds masks (only ``cps`` rounds deliver them), and ``scaled``'s count
-scaling is applied where the upload frame is built.  Every frame is one
-block, a class-id vector plus one value row per class.  All three kinds
-pass through one receive step, which decodes the frame once, checks it with
+aggregator are set once, by :func:`initial_server`; the training settings
+come from the run's :class:`~tinyproto.config.ExperimentConfig`.  A client
+compresses when it holds masks (only ``cps`` rounds deliver them), and
+``scaled``'s count scaling is applied where the upload frame is built.
+Every frame is one block, a class-id vector plus one value row per class.
+All three kinds pass through one receive step, which decodes the frame once
+(a frame that does not decode is a bad frame), checks it with
 :func:`_check_frame` (``weighted``'s upload counts included), adds its
 values to the round's tally for that kind and logs it; the client's
 ``MaskSet`` checks the mask values when it is built.  A bad frame, a
@@ -44,7 +46,6 @@ import numpy as np
 from .aggregation import AGGREGATORS as _AGGREGATORS
 from .client import (
     ClientState,
-    TrainConfig,
     compute_local_prototypes,
     evaluate_accuracy,
     local_update,
@@ -53,7 +54,7 @@ from .config import ExperimentConfig
 from .datagen import dirichlet_partition, make_blobs, split_train_test
 from .masking import MaskSet, format_mask_rows, generate_masks
 from .numerics import init_params
-from .wire import Frame, FrameType, decode_frame, encode_frame, frame_param_count
+from .wire import Frame, FrameError, FrameType, decode_frame, encode_frame, frame_param_count
 
 __all__ = [
     "RoundError",
@@ -78,10 +79,13 @@ _TAG_INIT = 14
 _TAG_SAMPLE = 15
 _TAG_SHUFFLE = 16
 
+# share of each client's shard it trains on; the rest is its test split
+_TRAIN_FRACTION = 0.75
+
 
 class RoundError(RuntimeError):
-    """A round could not be executed (nobody to sample, a bad frame, a client
-    without masks in a ``cps`` round, or a diverging update)."""
+    """A round could not be executed (nobody to sample, a bad or undecodable
+    frame, a client without masks in a ``cps`` round, or a diverging update)."""
 
 
 def _child_seed(base: int, *tags: int) -> int:
@@ -194,7 +198,7 @@ def run_round(
     server: ServerState,
     clients: list[ClientState],
     participation: float,
-    cfg: TrainConfig,
+    cfg: ExperimentConfig,
     seed: int,
     *,
     frame_log: FrameLog | None = None,
@@ -203,7 +207,9 @@ def run_round(
 
     ``seed`` is the experiment seed; the round's sampling and each client's
     minibatch shuffles derive their own streams from (seed, client, round).
-    ``server.cps`` and ``server.aggregator`` say how prototypes travel.
+    The exchange settings come from the server (``server.cps`` and
+    ``server.aggregator`` say how prototypes travel), the training settings
+    from ``cfg``, which each :func:`local_update` reads.
     """
     if not 0 < participation <= 1:
         raise ValueError("participation must lie in (0, 1]")
@@ -238,7 +244,12 @@ def run_round(
 
     def receive(data, frame_type, cid, n_classes, width, counted=False):
         """Decode, check, count and log one delivered frame."""
-        frame = decode_frame(data)
+        try:
+            frame = decode_frame(data)
+        except FrameError as err:
+            raise RoundError(
+                f"client {cid}, round {round_no}: {frame_type.name.lower()} frame: {err}"
+            ) from None
         _check_frame(frame, frame_type, round_no, cid, n_classes, width, counted=counted)
         tally[frame_type] += frame_param_count(frame)
         if frame_log is not None:
@@ -343,7 +354,7 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
             dropped.append(cid)
             continue
         train, test = split_train_test(
-            shard, config.train_fraction, seed=_child_seed(config.seed, _TAG_SPLIT, cid)
+            shard, _TRAIN_FRACTION, seed=_child_seed(config.seed, _TAG_SPLIT, cid)
         )
         params = init_params(
             config.input_dim,
@@ -362,7 +373,7 @@ def run_experiment(
     frame_log: FrameLog | None = None,
 ) -> ExperimentResult:
     """Run the configured number of rounds and summarize the best round."""
-    config.validate()
+    config.validate()  # again: a field may have changed since it was made
     started = time.perf_counter()
     clients, dropped = _build_clients(config)
     if not clients:
@@ -372,13 +383,6 @@ def run_experiment(
         config.n_classes, config.proto_dim, config.comp_dim, seed=config.seed
     )
     server = initial_server(mask_set, cps=config.cps, aggregator=config.aggregator)
-    cfg = TrainConfig(
-        lam=config.lam,
-        mu=config.mu,
-        lr=config.lr,
-        batch_size=config.batch_size,
-        local_epochs=config.local_epochs,
-    )
 
     reports = []
     for _ in range(config.rounds):
@@ -386,7 +390,7 @@ def run_experiment(
             server,
             clients,
             config.participation,
-            cfg,
+            config,
             config.seed,
             frame_log=frame_log,
         )

@@ -28,7 +28,6 @@ from tinyproto import (
     ClientState,
     Dataset,
     ExperimentConfig,
-    TrainConfig,
     generate_masks,
     init_params,
     initial_server,
@@ -66,7 +65,7 @@ def test_masks_rebuilt_from_a_frame_pass_the_mask_checks(k, d, s):
     shard = Dataset(rng.normal(size=(8, 3)), np.arange(8) % 2, k)
     client = ClientState(0, init_params(3, 5, d, k, seed=1), shard, test_shard=shard)
     server = initial_server(generate_masks(k, d, s, seed=7), cps=True)
-    run_round(server, [client], 1.0, TrainConfig(), seed=7)
+    run_round(server, [client], 1.0, ExperimentConfig(), seed=7)
     assert checks.mask_problems(client.mask_set, k, d, s) == []
     assert (client.mask_set.bits == server.mask_set.bits).all()
 

@@ -61,13 +61,20 @@ class TestRun:
             "seed = 7\nM = 6\nK = 4\nD = 8\nd = 16\ns = 4\nalpha = 0.5\n"
             "per_class = 400\nsigma = 0.35\nrounds = 5\nlr = 1e9\n"
         )
+        error = r"error: client \d+, round \d+: training diverged: overflow encountered in \w+\n"
         assert main(["run", str(config)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(
-            r"error: client \d+, round \d+: training diverged: overflow encountered in \w+\n",
-            captured.err,
-        )
+        assert re.fullmatch(error, captured.err)
+        # the directories made for --out are removed, leaf first
+        assert main(["run", str(config), "--out", str(tmp_path / "a" / "b")]) == 1
+        assert re.fullmatch(error, capsys.readouterr().err)
+        assert not (tmp_path / "a").exists()
+        # one that already existed is kept
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["run", str(config), "--out", str(kept)]) == 1
+        assert kept.is_dir() and not any(kept.iterdir())
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -7,11 +7,11 @@ import tinyproto.client as client_mod
 from tinyproto.client import (
     ClientState,
     InferenceError,
-    TrainConfig,
     compute_local_prototypes,
     evaluate_accuracy,
     local_update,
 )
+from tinyproto.config import ExperimentConfig
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
 from tinyproto.numerics import (
@@ -71,7 +71,7 @@ def _count_scaled(state, pair):
     return ids, block * state.class_counts[ids, None]
 
 
-_CFG = TrainConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
+_CFG = ExperimentConfig(lam=1.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
 
 
 def _scripted_run(state, cfg, global_values):
@@ -200,15 +200,6 @@ class TestComputeLocalPrototypes:
             ids[0] = 2
 
 
-class TestTrainConfig:
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["lam", "mu", "lr"])
-    def test_non_finite_float_rejected(self, field, value):
-        # refused when the config is made, not as a nan or inf training loss
-        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
-            TrainConfig(**{field: value})
-
-
 class TestLocalUpdate:
     def test_returns_exactly_local_classes(self):
         state = _state()
@@ -306,7 +297,7 @@ class TestLocalUpdate:
             rng=np.random.default_rng(np.random.SeedSequence([5])),
         )
         state_b = _state()
-        cfg_zero = TrainConfig(lam=0.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
+        cfg_zero = ExperimentConfig(lam=0.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
         out_b = local_update(
             state_b,
             _globals(),
@@ -356,7 +347,7 @@ class TestLocalUpdate:
 
         monkeypatch.setattr(client_mod, "compute_local_prototypes", counting_means)
         monkeypatch.setattr(client_mod, "class_penalties", counting_penalties)
-        cfg = TrainConfig(lam=lam, mu=0.5, lr=0.05, batch_size=4, local_epochs=3)
+        cfg = ExperimentConfig(lam=lam, mu=0.5, lr=0.05, batch_size=4, local_epochs=3)
         local_update(state, _globals(), cfg, rng=np.random.default_rng(0))
         # after training, plus the starting means only when the penalty reads them
         assert calls == {
@@ -733,7 +724,7 @@ class TestArrayPathMatchesDictReference:
         drawn[~np.isin(ids, live)] = 0.0
         values = np.empty_like(drawn)
         values[ids] = drawn  # the (K, w) block: row c is class c's
-        cfg = TrainConfig(
+        cfg = ExperimentConfig(
             lam=float(rng.uniform(0.1, 2.0)),
             mu=float(rng.uniform(0.1, 2.0)),
             lr=0.05,

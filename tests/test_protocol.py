@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tinyproto.protocol as protocol
-from tinyproto.client import ClientState, TrainConfig, evaluate_accuracy
+from tinyproto.client import ClientState, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from tinyproto.datagen import Dataset
 from tinyproto.masking import generate_masks
@@ -41,7 +41,7 @@ def _make_client(client_id, classes, n_classes=4, input_dim=3, feat=12, seed=Non
     )
 
 
-_CFG = TrainConfig(lam=1.0, mu=1.0, lr=0.01, batch_size=4, local_epochs=1)
+_CFG = ExperimentConfig(lam=1.0, mu=1.0, lr=0.01, batch_size=4, local_epochs=1)
 
 
 class TestRunRound:
@@ -274,7 +274,7 @@ class TestRunRound:
         with pytest.raises(ConfigError, match="workers: must be 1"):
             parse_config_text(f"workers = {workers}")
         with pytest.raises(ConfigError, match="workers: must be 1"):
-            run_experiment(ExperimentConfig(**{**_SMALL, "workers": workers}))
+            ExperimentConfig(**{**_SMALL, "workers": workers})
 
     @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
     def test_globals_sum_rows_in_ascending_client_order(self, aggregator):
@@ -312,18 +312,30 @@ def _two_client_round(aggregator="scaled"):
     return run_round(server, clients, 1.0, _CFG, seed=1)
 
 
-def _fault_frames(monkeypatch, frame_type, fault, only_class=None):
-    """Let ``fault`` rewrite each frame of ``frame_type`` before it is encoded
-    (only those that carry ``only_class``, when it is given)."""
+def _fault_encoding(monkeypatch, frame_type, encode, only_class=None):
+    """Encode each frame of ``frame_type`` (only those that carry
+    ``only_class``, when it is given) as ``encode(real_encode, frame)``."""
     real = protocol.encode_frame
 
     def faulty(frame):
         hit = frame.frame_type == frame_type
         if only_class is not None:
             hit = hit and only_class in frame.class_ids.tolist()
-        return real(fault(frame) if hit else frame)
+        return encode(real, frame) if hit else real(frame)
 
     monkeypatch.setattr(protocol, "encode_frame", faulty)
+
+
+def _fault_frames(monkeypatch, frame_type, fault, only_class=None):
+    """Let ``fault`` rewrite each frame of ``frame_type`` before it is encoded
+    (only those that carry ``only_class``, when it is given)."""
+    _fault_encoding(monkeypatch, frame_type, lambda real, f: real(fault(f)), only_class)
+
+
+def _fault_bytes(monkeypatch, frame_type, fault, only_class=None):
+    """Let ``fault`` rewrite the bytes of each frame of ``frame_type`` after it
+    is encoded (only those that carry ``only_class``, when it is given)."""
+    _fault_encoding(monkeypatch, frame_type, lambda real, f: fault(real(f)), only_class)
 
 
 def _fault_upload_block(monkeypatch, fault):
@@ -527,6 +539,23 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=r"client 0, round 1: expected a GLOBALS .*got UPLOAD"):
             _two_client_round()
 
+    def test_upload_with_flipped_crc_byte_rejected(self, monkeypatch):
+        _fault_bytes(
+            monkeypatch,
+            FrameType.UPLOAD,
+            lambda data: data[:-1] + bytes([data[-1] ^ 0xFF]),
+            only_class=3,
+        )
+        with pytest.raises(RoundError, match=r"^client 1, round 1: upload frame: crc mismatch$"):
+            _two_client_round()
+
+    def test_truncated_globals_frame_rejected(self, monkeypatch):
+        _fault_bytes(monkeypatch, FrameType.GLOBALS, lambda data: data[:10])
+        with pytest.raises(
+            RoundError, match=r"^client 0, round 1: globals frame: frame truncated: "
+        ):
+            _two_client_round()
+
 
 class TestConfig:
     def test_parse_round_trip(self):
@@ -556,15 +585,15 @@ class TestConfig:
 
     def test_unknown_key_listed(self):
         # rho too: the penalty is squared L2, with no key to choose another distance
-        for key, value in [("bogus", "1"), ("rho", "squared_l2")]:
+        # and train_fraction: every client trains on 75% of its shard
+        for key, value in [("bogus", "1"), ("rho", "squared_l2"), ("train_fraction", "0.75")]:
             with pytest.raises(ConfigError) as err:
                 parse_config_text(f"{key} = {value}")
             assert err.value.problems == [f"{key}: unknown key"]
 
     def test_all_problems_reported_with_field_paths(self):
-        cfg = ExperimentConfig(comp_dim=50, proto_dim=16, alpha=-1, participation=2.0)
         with pytest.raises(ConfigError) as err:
-            cfg.validate()
+            ExperimentConfig(comp_dim=50, proto_dim=16, alpha=-1, participation=2.0)
         message = str(err.value)
         assert "s: " in message
         assert "alpha: " in message
@@ -580,12 +609,21 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "key", ["alpha", "lambda", "mu", "lr", "participation", "sigma", "train_fraction"]
+        "key", ["alpha", "lambda", "mu", "lr", "participation", "sigma"]
     )
     def test_non_finite_float_named_alone(self, key, text):
         with pytest.raises(ConfigError) as err:
             parse_config_text(f"{key} = {text}")
         assert err.value.problems == [f"{key}: must be finite, got {float(text)}"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("attr", ["lam", "mu", "lr"])
+    def test_non_finite_float_refused_when_made(self, attr, value):
+        # refused when the config is made, not as a nan or inf training loss
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{attr: value})
+        key = "lambda" if attr == "lam" else attr
+        assert err.value.problems == [f"{key}: must be finite, got {value}"]
 
     def test_repeated_key_named_with_both_lines(self):
         with pytest.raises(ConfigError) as err:
@@ -652,7 +690,9 @@ class TestRunExperiment:
         assert len(masks) == 3 and all(len(row) == 12 for row in masks)
 
     def test_invalid_config_rejected_before_running(self):
-        cfg = ExperimentConfig(**{**_SMALL, "comp_dim": 99})
+        # valid when made, then changed: run_experiment checks it again
+        cfg = ExperimentConfig(**_SMALL)
+        cfg.comp_dim = 99
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
