@@ -21,11 +21,17 @@ labels, checked with a few cheap tests per call.  :func:`sgd_step` updates a
 parameter block in place and consumes the gradient block it is given: each
 gradient is scaled by the learning rate in place, so a caller that needs the
 raw gradients afterwards passes a copy.  Inference and training share one
-definition of the feature layers.
+definition of the feature layers.  A minibatch step costs more in numpy
+calls and temporaries than in arithmetic, so each layer, the logits and
+the softmax terms are built in the output of the call that makes them and
+changed in place from there; every result keeps the bits of the form with
+a temporary per operation.  A non-finite ``lam`` or ``lr`` is refused, as
+nan would otherwise pass a ``< 0`` test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +139,19 @@ def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def _activations(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden and feature activations; the one definition of the feature net."""
-    hidden = np.maximum(x @ params.w1 + params.b1, 0.0)
-    return hidden, np.maximum(hidden @ params.w2 + params.b2, 0.0)
+    """Hidden and feature activations; the one definition of the feature net.
+
+    Each layer is built in its matmul's output: the bias is added and the
+    ReLU applied in place, which gives the same bits as
+    ``np.maximum(x @ w + b, 0.0)`` without its two temporaries.
+    """
+    hidden = x @ params.w1
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    feats = hidden @ params.w2
+    feats += params.b2
+    np.maximum(feats, 0.0, out=feats)
+    return hidden, feats
 
 
 def class_penalties(
@@ -189,8 +205,8 @@ def loss_and_grad(
     n = xs.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     din, n_classes = params.w1.shape[0], params.wc.shape[1]
     if xs.shape[1] != din:
         raise ShapeError(f"batch input dim {xs.shape[1]} != model input dim {din}")
@@ -202,15 +218,24 @@ def loss_and_grad(
         raise ValueError("label outside [0, K)")
 
     a1, a2 = _activations(params, xs)
-    z3 = a2 @ params.wc + params.bc
+    z3 = a2 @ params.wc
+    z3 += params.bc
 
-    # stable log-softmax cross-entropy, mean over the batch
+    # stable log-softmax cross-entropy, mean over the batch; each array is
+    # made once and changed in place, and the negated terms are summed and
+    # divided by n just as np.mean(-(z3[rows, ys] - log_norm[:, 0])) does, so
+    # the loss keeps its bits, the sign of an exact zero included
     rows = np.arange(n)
     zmax = z3.max(axis=1, keepdims=True)
-    ez = np.exp(z3 - zmax)
+    ez = z3 - zmax
+    np.exp(ez, out=ez)
     ez_sum = ez.sum(axis=1, keepdims=True)
-    log_norm = np.log(ez_sum) + zmax
-    loss = float(np.mean(-(z3[rows, ys] - log_norm[:, 0])))
+    log_norm = np.log(ez_sum)
+    log_norm += zmax
+    terms = z3[rows, ys]
+    terms -= log_norm[:, 0]
+    np.negative(terms, out=terms)
+    loss = float(terms.sum()) / n
 
     if lam > 0:
         if np.shape(class_penalty) != (n_classes,):
@@ -254,8 +279,8 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
     with ``params``.  Every shape is checked before any array of either
     block changes.
     """
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
     pairs = list(zip(params.arrays(), grads.arrays()))
     for p, g in pairs:
         if p.shape != g.shape:

@@ -14,9 +14,11 @@ compresses when it holds masks (only ``cps`` rounds deliver them), and
 Every frame is one block, a class-id vector plus one value row per class.
 All three kinds pass through one receive step, which decodes the frame once
 (a frame that does not decode is a bad frame), checks it with
-:func:`_check_frame` (``weighted``'s upload counts included), adds its
-values to the round's tally for that kind and logs it; the client's
-``MaskSet`` checks the mask values when it is built.  A bad frame, a
+:func:`_check_frame` (``weighted``'s upload counts included; one
+vectorized pass over the block, and a per-row scan only to name the fault
+of a block it refuses), adds its values to the round's tally for that kind
+and logs it; the client's ``MaskSet`` checks the mask values when it is
+built.  A bad frame, a
 ``cps`` round that meets a client without masks, or a local update that
 overflows raises :class:`RoundError` naming the client, the class where one
 applies, and the round.  The first round's globals are all zero, so no
@@ -156,7 +158,12 @@ def _check_frame(
     inside [0, K).  A downlink frame (masks, globals) carries every class:
     its ids must be exactly 0..K-1, which implies both, and makes row c
     class c's.  With ``counted`` (``weighted`` uploads) each row's leading
-    value is its class's sample count, which must be a whole number >= 1."""
+    value is its class's sample count, which must be a whole number >= 1.
+
+    The row checks run as one vectorized pass over the whole block, which
+    accepts exactly the blocks the per-row scan accepts; only a block it
+    refuses is scanned row by row, to name the first faulty class for the
+    first failed check in the order: order, range, non-finite, count."""
     if frame.frame_type != frame_type or frame.round != round_no:
         raise RoundError(
             f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
@@ -177,6 +184,14 @@ def _check_frame(
             f"client {client_id}, round {round_no}: {kind} frame class ids are not "
             f"0..K-1 in order for K={n_classes}"
         )
+    ok = np.isfinite(values).all()
+    if ok and not downlink:
+        ok = ids[0] >= 0 and ids[-1] < n_classes and (ids[1:] > ids[:-1]).all()
+    if ok and counted:
+        counts = values[:, 0]
+        ok = (counts >= 1).all() and (counts == np.floor(counts)).all()
+    if ok:
+        return
     problems = [] if downlink else [
         (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
         (ids >= n_classes, f"outside [0, K) for K={n_classes}"),

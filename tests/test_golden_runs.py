@@ -1,5 +1,5 @@
 """Whole runs of the benchmark's desk, fleet and wide configs reproduce their
-recorded ``rounds.csv`` byte for byte.
+recorded ``rounds.csv`` byte for byte, at seeds 7 and 3.
 
 The configs come from ``perfbench/workloads.py`` and the sha256 digests from
 ``perfbench/digests.json``; both are read, never written.  A change that
@@ -20,6 +20,9 @@ from tinyproto import ExperimentConfig, rounds_csv_text, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 7
+# a second recorded seed, so a change that happens to keep seed 7's bytes
+# is still caught
+OTHER_SEED = 3
 
 
 def _workloads():
@@ -32,10 +35,17 @@ def _workloads():
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("workload", ["desk", "fleet", "wide"])
-def test_rounds_csv_matches_recorded_digest(workload):
-    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(SEED)]
-    config = ExperimentConfig(seed=SEED, **_workloads()[workload].config).validate()
+@pytest.mark.parametrize(
+    "workload, seed",
+    [
+        pytest.param(workload, seed, id=workload if seed == SEED else f"{workload}-seed{seed}")
+        for seed in (SEED, OTHER_SEED)
+        for workload in ("desk", "fleet", "wide")
+    ],
+)
+def test_rounds_csv_matches_recorded_digest(workload, seed):
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload][str(seed)]
+    config = ExperimentConfig(seed=seed, **_workloads()[workload].config).validate()
     text = rounds_csv_text(run_experiment(config))
     assert hashlib.sha256(text.encode()).hexdigest() == recorded
 

@@ -1,7 +1,11 @@
 """Model forward passes, loss, exact gradients, and SGD."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tinyproto.numerics import (
     Gradients,
@@ -205,6 +209,15 @@ class TestLossAndGrad:
         with pytest.raises(ValueError, match="lam"):
             loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), None, -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_lambda_rejected(self, lam):
+        # nan would pass a plain lam < 0 test and silently drop the penalty
+        params = _identity_params(2)
+        penalty = np.ones(2)
+        want = re.escape(f"lam must be finite and >= 0, got {lam!r}")
+        with pytest.raises(ValueError, match=want):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), penalty, lam)
+
     def test_penalty_adds_batch_classes_in_ascending_order(self):
         """The per-batch sum the penalty used to be recomputed with, bit for bit."""
         rng = np.random.default_rng(12)
@@ -282,6 +295,132 @@ class TestLossAndGrad:
             np.testing.assert_array_equal(a, b)
 
 
+def _reference_activations(params, x):
+    """The feature net written with a temporary per operation: the reference
+    that the in-place layers of ``_activations`` must match bit for bit."""
+    hidden = np.maximum(x @ params.w1 + params.b1, 0.0)
+    return hidden, np.maximum(hidden @ params.w2 + params.b2, 0.0)
+
+
+def _reference_loss_and_grad(params, xs, ys, class_penalty, lam):
+    """``loss_and_grad`` below its argument checks, written with a temporary
+    per operation: the reference that the in-place kernel must match bit for
+    bit."""
+    n = xs.shape[0]
+    n_classes = params.wc.shape[1]
+    classes = sorted(set(ys.tolist()))
+
+    a1, a2 = _reference_activations(params, xs)
+    z3 = a2 @ params.wc + params.bc
+
+    # stable log-softmax cross-entropy, mean over the batch
+    rows = np.arange(n)
+    zmax = z3.max(axis=1, keepdims=True)
+    ez = np.exp(z3 - zmax)
+    ez_sum = ez.sum(axis=1, keepdims=True)
+    log_norm = np.log(ez_sum) + zmax
+    loss = float(np.mean(-(z3[rows, ys] - log_norm[:, 0])))
+
+    if lam > 0:
+        if np.shape(class_penalty) != (n_classes,):
+            raise ShapeError(
+                f"class penalty shape {np.shape(class_penalty)}, expected (K,) for K={n_classes}"
+            )
+        penalty = 0.0
+        for cls in classes:
+            penalty += class_penalty[cls]
+        loss = loss + lam * float(penalty)
+
+    # backprop of the cross-entropy term (the penalty is constant in params);
+    # relu'(z) is 1 exactly where relu(z) > 0
+    g3 = ez
+    g3 /= ez_sum
+    g3[rows, ys] -= 1.0
+    g3 /= n
+    grad_wc = a2.T @ g3
+    grad_bc = g3.sum(axis=0)
+    g2 = g3 @ params.wc.T
+    g2 *= a2 > 0
+    grad_w2 = a1.T @ g2
+    grad_b2 = g2.sum(axis=0)
+    g1 = g2 @ params.w2.T
+    g1 *= a1 > 0
+    grad_w1 = xs.T @ g1
+    grad_b1 = g1.sum(axis=0)
+
+    grads = Gradients(
+        w1=grad_w1, b1=grad_b1, w2=grad_w2, b2=grad_b2, wc=grad_wc, bc=grad_bc
+    )
+    return loss, grads
+
+
+def _assert_same_bits(got, want):
+    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestKernelBits:
+    """The in-place kernel gives the reference's bits: loss, every gradient
+    and the feature layer."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 6),
+        n_classes=st.integers(2, 5),
+        lam=st.sampled_from([0.0, 0.7]),
+        # 1e4 spreads the logits far enough apart that exp underflows to 0
+        logit_scale=st.sampled_from([1.0, 1e4]),
+        labels_at_argmax=st.booleans(),
+    )
+    @example(
+        seed=0, n_rows=1, n_classes=2, lam=0.0, logit_scale=1e4, labels_at_argmax=True
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, seed, n_rows, n_classes, lam, logit_scale, labels_at_argmax):
+        rng = np.random.default_rng(seed)
+        din, hid, feat = (int(v) for v in rng.integers(1, 7, size=3))
+        params = ModelParams(
+            rng.normal(size=(din, hid)),
+            rng.normal(size=hid),
+            rng.normal(size=(hid, feat)),
+            rng.normal(size=feat),
+            logit_scale * rng.normal(size=(feat, n_classes)),
+            logit_scale * rng.normal(size=n_classes),
+        )
+        xs = rng.normal(size=(n_rows, din))
+        ys = rng.integers(0, n_classes, size=n_rows)
+        if labels_at_argmax:  # with a large scale, CE terms of exactly 0
+            _, a2 = _reference_activations(params, xs)
+            ys = np.argmax(a2 @ params.wc + params.bc, axis=1)
+        penalty = rng.uniform(0.0, 2.0, size=n_classes)
+
+        loss, grads = loss_and_grad(params, xs, ys, penalty, lam)
+        want_loss, want_grads = _reference_loss_and_grad(params, xs, ys, penalty, lam)
+        _assert_same_bits(loss, want_loss)
+        for got, want in zip(grads.arrays(), want_grads.arrays()):
+            _assert_same_bits(got, want)
+        _assert_same_bits(forward_features(params, xs), _reference_activations(params, xs)[1])
+        _assert_same_bits(
+            forward_features(params, xs[0]), _reference_activations(params, xs[0])[1]
+        )
+
+    def test_exact_zero_cross_entropy_keeps_its_sign(self):
+        # every label is its row's argmax and every other logit is 1000 below,
+        # so exp underflows and every cross-entropy term is exactly 0; the
+        # loss keeps the sign np.mean gives that zero (numpy 2 sums the
+        # negated terms to +0.0, where -sum(terms) / n would be -0.0)
+        params = _identity_params(2)
+        xs = np.array([[1000.0, 0.0], [0.0, 1000.0], [1000.0, 0.0]])
+        ys = np.array([0, 1, 0])
+        loss, _ = loss_and_grad(params, xs, ys, None, 0.0)
+        want, _ = _reference_loss_and_grad(params, xs, ys, None, 0.0)
+        _assert_same_bits(loss, want)
+        assert want == 0.0
+
+
 class TestClassPenalties:
     def test_one_term_per_local_class(self):
         rng = np.random.default_rng(13)
@@ -339,6 +478,17 @@ class TestSgdStep:
             for before, after, want in zip(arrays, params.arrays(), expected):
                 assert after is before  # updated in place, not replaced
                 np.testing.assert_array_equal(after, want)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_lr_rejected_before_any_change(self, lr):
+        # nan would pass a plain lr < 0 test and turn every parameter into nan
+        params = _identity_params(2)
+        grads = Gradients(*(np.ones_like(a) for a in params.arrays()))
+        before = [a.copy() for a in params.arrays() + grads.arrays()]
+        with pytest.raises(ValueError, match=re.escape(f"lr must be finite and >= 0, got {lr!r}")):
+            sgd_step(params, grads, lr)
+        for a, b in zip(params.arrays() + grads.arrays(), before):
+            np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_raises(self):
         params = _identity_params(2)

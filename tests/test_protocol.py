@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tinyproto.protocol as protocol
 from tinyproto.client import ClientState, evaluate_accuracy
@@ -20,7 +23,7 @@ from tinyproto.protocol import (
     run_experiment,
     run_round,
 )
-from tinyproto.wire import FrameType, decode_frame, encode_frame, frame_param_count
+from tinyproto.wire import Frame, FrameType, decode_frame, encode_frame, frame_param_count
 
 
 def _make_client(client_id, classes, n_classes=4, input_dim=3, feat=12, seed=None):
@@ -348,6 +351,67 @@ def _fault_upload_block(monkeypatch, fault):
     _fault_frames(monkeypatch, FrameType.UPLOAD, rewrite, only_class=3)
 
 
+def _faults(ids=None, nan_row=None, count_row=None):
+    """A block fault for ``_fault_upload_block``: new class ids, a NaN in the
+    last value of one row, a count of 0.5 in one row (the leading value,
+    which ``weighted`` uploads carry)."""
+
+    def fault(old_ids, block):
+        if nan_row is not None:
+            block[nan_row, -1] = np.nan
+        if count_row is not None:
+            block[count_row, 0] = 0.5
+        return (old_ids if ids is None else np.array(ids)), block
+
+    return fault
+
+
+def _reference_row_scan(frame, n_classes, counted):
+    """The per-row checks of an upload as one scan: the message of the first
+    failed check in the order order, range, non-finite, count, naming the
+    first faulty class, or None when the block is sound."""
+    ids, values = frame.class_ids, frame.values
+    problems = [
+        (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
+        (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
+        (~np.isfinite(values).all(axis=1), "has non-finite values"),
+    ]
+    if counted:
+        counts = values[:, 0]
+        problems.append(
+            ((counts < 1) | (counts != np.floor(counts)), "count is not a whole number >= 1")
+        )
+    for bad, what in problems:
+        if bad.any():
+            return f"client 0, class {int(ids[bad][0])}, round 1: upload {what}"
+    return None
+
+
+_ODD_VALUES = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+@given(
+    ids=st.lists(st.integers(-1, 5), min_size=1, max_size=5),
+    counted=st.booleans(),
+    cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), _ODD_VALUES), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_upload_check_refuses_what_the_row_scan_refuses(ids, counted, cells):
+    """The vectorized pass accepts exactly the sound blocks, and a refused
+    block gets the row scan's message."""
+    n_classes = 4
+    values = np.full((len(ids), 3), 2.0)  # sound everywhere, counts included
+    for row, col, value in cells:
+        values[row % len(ids), col] = value
+    frame = Frame(FrameType.UPLOAD, 1, np.array(ids), values)
+    want = _reference_row_scan(frame, n_classes, counted)
+    if want is None:
+        protocol._check_frame(frame, FrameType.UPLOAD, 1, 0, n_classes, 3, counted=counted)
+    else:
+        with pytest.raises(RoundError, match=f"^{re.escape(want)}$"):
+            protocol._check_frame(frame, FrameType.UPLOAD, 1, 0, n_classes, 3, counted=counted)
+
+
 class TestFrameChecks:
     """Each side checks each frame it decodes; a bad one names client, class, round."""
 
@@ -403,7 +467,7 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*non-finite"):
             _two_client_round()
 
-    @pytest.mark.parametrize("count", [2.5, -4.0, 0.0])
+    @pytest.mark.parametrize("count", [2.5, -4.0, 0.0, 0.5])
     def test_weighted_count_not_whole_and_non_negative_rejected(self, monkeypatch, count):
         def fault(frame):
             values = frame.values.copy()
@@ -413,6 +477,40 @@ class TestFrameChecks:
         _fault_frames(monkeypatch, FrameType.UPLOAD, fault, only_class=3)
         with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*whole number >= 1"):
             _two_client_round(aggregator="weighted")
+
+    def test_weighted_count_of_one_accepted(self, monkeypatch):
+        def fault(ids, block):
+            block[:, 0] = 1.0
+            return ids, block
+
+        _fault_upload_block(monkeypatch, fault)
+        # 2 + 3 rows of 3 values plus the count: the round ran to its end
+        assert _two_client_round(aggregator="weighted").uplink_params == 5 * 4
+
+    @pytest.mark.parametrize(
+        "aggregator, fault, want",
+        [
+            ("scaled", _faults(ids=[1, 2, 2], nan_row=0), "class 2: upload repeated or out of order"),
+            ("scaled", _faults(ids=[1, 5, 3]), "class 3: upload repeated or out of order"),
+            ("scaled", _faults(ids=[1, 2, 4], nan_row=0), "class 4: upload outside [0, K) for K=4"),
+            ("weighted", _faults(ids=[1, 2, 4], count_row=0), "class 4: upload outside [0, K) for K=4"),
+            ("weighted", _faults(nan_row=2, count_row=0), "class 3: upload has non-finite values"),
+        ],
+        ids=[
+            "repeated-nan",
+            "descending-out-of-range",
+            "out-of-range-nan",
+            "out-of-range-count",
+            "nan-count",
+        ],
+    )
+    def test_two_faults_name_the_first_failed_check(self, monkeypatch, aggregator, fault, want):
+        # checks run in the order: order, range, non-finite, count, whatever
+        # rows the faults sit in
+        _fault_upload_block(monkeypatch, fault)
+        cls, what = want.split(": ")
+        with pytest.raises(RoundError, match=f"^client 1, {cls}, round 1: {re.escape(what)}$"):
+            _two_client_round(aggregator=aggregator)
 
     @pytest.mark.parametrize("frame_type", [FrameType.GLOBALS, FrameType.MASKS])
     def test_downlink_of_wrong_round_rejected(self, monkeypatch, frame_type):
