@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, read_utf8_text, split_key_value_lines
-from .costmodel import ALGORITHMS, CostQuery, cost
+from .costmodel import ALGORITHMS, QUERY_KEYS, CostQuery, cost
 from .masking import format_mask_rows, generate_masks
 from .protocol import RoundError, run_experiment
 
@@ -71,26 +71,11 @@ def _cmd_masks(args: argparse.Namespace) -> int:
     return 0
 
 
-# query-file key -> CostQuery field
-_COST_QUERY_FIELDS = {
-    "M": "n_clients",
-    "K": "n_classes",
-    "K_i": "classes_per_client",
-    "d": "proto_dim",
-    "s": "comp_dim",
-    "classifier_params": "classifier_params",
-    "aux_extractor_params": "aux_extractor_params",
-    "aux_classifier_params": "aux_classifier_params",
-    "r": "reduction_factor",
-    "full_model_params": "full_model_params",
-}
-
-
 def _parse_cost_query_file(path: str) -> list[CostQuery]:
     """Flat key-value query file; `algorithm` and `K_i` may list several,
     comma-separated.  Every bad line or value (one that does not parse, is
     not finite or is negative) is reported, named by its key."""
-    pairs, problems = split_key_value_lines(read_utf8_text(path), {"algorithm", *_COST_QUERY_FIELDS})
+    pairs, problems = split_key_value_lines(read_utf8_text(path), {"algorithm", *QUERY_KEYS})
     values = dict(pairs)
 
     def number(key: str, text: str) -> int | float | None:
@@ -111,9 +96,9 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
     for key, text in values.items():
         if key == "K_i":
             counts = [number(key, p) for p in text.split(",") if p.strip()]
-            fields[_COST_QUERY_FIELDS[key]] = counts[0] if len(counts) == 1 else counts
+            fields[QUERY_KEYS[key]] = counts[0] if len(counts) == 1 else counts
         elif key != "algorithm":
-            fields[_COST_QUERY_FIELDS[key]] = number(key, text)
+            fields[QUERY_KEYS[key]] = number(key, text)
     if problems:
         raise ValueError("invalid query file:\n" + "\n".join(f"  {p}" for p in problems))
     if "algorithm" not in values:

@@ -25,19 +25,25 @@ serially, so ``workers`` accepts only 1; the key stays so that existing
 configs that set it to 1 still load.  No key sets the train/test split:
 each client trains on 75% of its shard.
 An :class:`ExperimentConfig` holds every setting of a run, the five that
-``client.local_update`` reads included, and checks itself when it is made.
+``client.local_update`` reads included.  It checks itself when it is made
+and is frozen, so a run executes exactly the settings that were checked;
+``dataclasses.replace`` makes a changed copy, which is checked in turn.
 Validation collects every problem and reports them together, each prefixed
 with the offending key: a key set twice, a value that does not parse, a
-float that is NaN or infinite, or a value out of range.
+value of the wrong type (a bool where a number belongs, say), a float that
+is NaN or infinite, or a value out of range.
 """
 
 from __future__ import annotations
 
 import errno
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Container
+
+import numpy as np
 
 from .aggregation import AGGREGATOR_CHOICES
 
@@ -95,7 +101,42 @@ _KEYS: dict[str, tuple[str, type | object]] = {
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
-@dataclass
+def _is_int(value) -> bool:
+    """An integer other than a bool, as ``masking._as_int`` accepts."""
+    return not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__")
+
+
+# parser -> (does a value have the type the parser makes, that type's name)
+_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    _parse_bool: (lambda v: isinstance(v, bool), "a bool"),
+}
+
+# attribute -> (test a value of the right type must pass, message if it fails)
+_RANGES = {
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+    **dict.fromkeys(
+        ("n_clients", "n_classes", "input_dim", "proto_dim", "comp_dim",
+         "batch_size", "local_epochs", "rounds", "per_class", "hidden_dim"),
+        (lambda v: v >= 1, "must be >= 1"),
+    ),
+    "alpha": (lambda v: v > 0, "must be > 0"),
+    "lam": (lambda v: v >= 0, "must be >= 0"),
+    "mu": (lambda v: v > 0, "must be > 0"),
+    "lr": (lambda v: v > 0, "must be > 0"),
+    "sigma": (lambda v: v > 0, "must be > 0"),
+    "participation": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "workers": (lambda v: v == 1, "must be 1 (client updates run serially)"),
+    "aggregator": (
+        lambda v: v in AGGREGATOR_CHOICES,
+        f"must be one of {', '.join(AGGREGATOR_CHOICES)}",
+    ),
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     n_clients: int = 4
@@ -122,60 +163,28 @@ class ExperimentConfig:
         self.validate()
 
     def problems(self) -> list[str]:
-        """Every validation failure, named by the config-file key; a
-        non-finite float is reported alone, not also as out of range."""
-        non_finite = [
-            attr
-            for attr, parser in _KEYS.values()
-            if parser is float and not math.isfinite(getattr(self, attr))
-        ]
-        out = [f"{_ATTR_TO_KEY[a]}: must be finite, got {getattr(self, a)}" for a in non_finite]
-
-        def bad(attr: str, message: str) -> None:
-            if attr not in non_finite:
-                out.append(f"{_ATTR_TO_KEY[attr]}: {message}")
-
-        positive_ints = [
-            "n_clients",
-            "n_classes",
-            "input_dim",
-            "proto_dim",
-            "comp_dim",
-            "batch_size",
-            "local_epochs",
-            "rounds",
-            "per_class",
-            "hidden_dim",
-        ]
-        if self.seed < 0:
-            bad("seed", "must be >= 0")
-        for attr in positive_ints:
-            if getattr(self, attr) < 1:
-                bad(attr, "must be >= 1")
-        if self.comp_dim > self.proto_dim:
-            bad("comp_dim", f"must be <= d (got s={self.comp_dim}, d={self.proto_dim})")
-        if self.alpha <= 0:
-            bad("alpha", "must be > 0")
-        if self.lam < 0:
-            bad("lam", "must be >= 0")
-        if self.mu <= 0:
-            bad("mu", "must be > 0")
-        if self.lr <= 0:
-            bad("lr", "must be > 0")
-        if self.sigma <= 0:
-            bad("sigma", "must be > 0")
-        if not 0 < self.participation <= 1:
-            bad("participation", "must lie in (0, 1]")
-        if self.workers != 1:
-            bad("workers", "must be 1 (client updates run serially)")
-        if self.aggregator not in AGGREGATOR_CHOICES:
-            bad("aggregator", f"must be one of {', '.join(AGGREGATOR_CHOICES)}")
+        """Every validation failure, named by the config-file key; a value
+        of the wrong type, or a non-finite float, is reported alone, not
+        also as out of range."""
+        out = []
+        for key, (attr, parser) in _KEYS.items():
+            value = getattr(self, attr)
+            has_type, type_name = _TYPES[parser]
+            if not has_type(value):
+                out.append(f"{key}: must be {type_name}, got {value!r}")
+            elif parser is float and not math.isfinite(value):
+                out.append(f"{key}: must be finite, got {value}")
+            elif attr in _RANGES and not _RANGES[attr][0](value):
+                out.append(f"{key}: {_RANGES[attr][1]}")
+        s, d = self.comp_dim, self.proto_dim
+        if _is_int(s) and _is_int(d) and s > d:
+            out.append(f"s: must be <= d (got s={s}, d={d})")
         return out
 
     def validate(self) -> "ExperimentConfig":
         """Raise :class:`ConfigError` listing every problem, else return self;
-        runs when the config is made, and again wherever a field may have
-        changed since."""
+        runs when the config is made, and a frozen config cannot change
+        afterwards."""
         problems = self.problems()
         if problems:
             raise ConfigError(problems)

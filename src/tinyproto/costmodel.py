@@ -18,6 +18,9 @@ class also carries its count, so the simulator's TinyProto uplink is
 sum_i K_i * (s + 1), one value per class more than billed here.  The
 FedAvg convention (full model up and down per client) is stated here
 because the comparison figure leaves it implicit.
+
+Every message about a missing or bad field leads with its query-file key
+(``QUERY_KEYS``), as the config file's messages do.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["ALGORITHMS", "CostQuery", "cost", "cost_millions", "figure1_table"]
+__all__ = ["ALGORITHMS", "QUERY_KEYS", "CostQuery", "cost", "cost_millions", "figure1_table"]
 
 ALGORITHMS = (
     "LG-FedAvg",
@@ -38,6 +41,21 @@ ALGORITHMS = (
     "TinyProto",
     "FedAvg",
 )
+
+# query-file key -> CostQuery field
+QUERY_KEYS = {
+    "M": "n_clients",
+    "K": "n_classes",
+    "K_i": "classes_per_client",
+    "d": "proto_dim",
+    "s": "comp_dim",
+    "classifier_params": "classifier_params",
+    "aux_extractor_params": "aux_extractor_params",
+    "aux_classifier_params": "aux_classifier_params",
+    "r": "reduction_factor",
+    "full_model_params": "full_model_params",
+}
+_FIELD_KEYS = {name: key for key, name in QUERY_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -70,10 +88,11 @@ class CostQuery:
 
 def _require(query: CostQuery, name: str):
     value = getattr(query, name)
+    key = _FIELD_KEYS[name]
     if value is None:
-        raise ValueError(f"{query.algorithm} cost requires field {name!r}")
+        raise ValueError(f"{key}: {query.algorithm} cost requires field {name!r}")
     if isinstance(value, (int, float)) and not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"field {name!r} must be finite and >= 0, got {value!r}")
+        raise ValueError(f"{key}: field {name!r} must be finite and >= 0, got {value!r}")
     return value
 
 
@@ -84,12 +103,13 @@ def _per_client_classes(query: CostQuery) -> list[int]:
         return [raw] * m
     counts = [int(k) for k in raw]
     if not counts:
-        raise ValueError("classes_per_client must not be empty")
+        raise ValueError("K_i: classes_per_client must not be empty")
     if any(k < 0 for k in counts):
-        raise ValueError("classes_per_client entries must be >= 0")
+        raise ValueError("K_i: classes_per_client entries must be >= 0")
     if query.n_clients is not None and query.n_clients != len(counts):
         raise ValueError(
-            f"classes_per_client has {len(counts)} entries but n_clients={query.n_clients}"
+            f"K_i, M: classes_per_client has {len(counts)} entries "
+            f"but n_clients={query.n_clients}"
         )
     return counts
 

@@ -4,7 +4,8 @@ Class clusters are isotropic Gaussians around seeded random centers on a
 radius-4 sphere, which keeps classes well separated at small noise levels.
 Partitioning draws, per class, client proportions from a Dirichlet
 distribution and assigns that class's samples by largest-remainder rounding,
-so label skew grows as the concentration alpha shrinks.
+so label skew grows as the concentration alpha shrinks.  A client's shard
+splits by a seeded shuffle: ``TRAIN_FRACTION`` (75%) trains, the rest tests.
 
 Per-class counts are never stored beside a dataset: ``class_histogram()``
 derives the one ``(K,)`` count vector from the labels whenever it is asked,
@@ -13,7 +14,6 @@ so no copy of the counts can disagree with the shard.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +23,11 @@ __all__ = [
     "make_blobs",
     "dirichlet_partition",
     "split_train_test",
+    "TRAIN_FRACTION",
 ]
 
-log = logging.getLogger(__name__)
+# share of each client's shard it trains on; the rest is its test split
+TRAIN_FRACTION = 0.75
 
 
 @dataclass
@@ -99,9 +101,9 @@ def dirichlet_partition(
 
     Per class, client proportions are drawn from Dir(alpha * ones(M)) and the
     class's samples are dealt out by largest-remainder rounding, so every
-    sample lands on exactly one client.  Clients that receive nothing get a
-    None shard (and a logged warning).  A shard's per-class counts are its
-    :meth:`Dataset.class_histogram`.
+    sample lands on exactly one client.  A client that receives nothing gets
+    a None shard, and the caller reports it.  A shard's per-class counts are
+    its :meth:`Dataset.class_histogram`.
     """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
@@ -123,7 +125,6 @@ def dirichlet_partition(
     shards: list[Dataset | None] = []
     for client in range(n_clients):
         if not assigned[client]:
-            log.warning("client %d received no samples; shard is empty", client)
             shards.append(None)
             continue
         idx = np.sort(np.concatenate(assigned[client]))
@@ -131,16 +132,15 @@ def dirichlet_partition(
     return shards
 
 
-def split_train_test(shard: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle then split; both sides stay non-empty."""
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must lie in (0, 1)")
+def split_train_test(shard: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle, then ``TRAIN_FRACTION`` of the shard (rounded) to
+    train and the rest to test; both sides stay non-empty."""
     n = len(shard)
     if n < 2:
         raise ValueError(f"cannot split a shard of {n} samples")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_train = int(round(n * fraction))
+    n_train = int(round(n * TRAIN_FRACTION))
     n_train = min(max(n_train, 1), n - 1)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])

@@ -8,7 +8,8 @@ client after another (one loop receives a client's frames, runs its update,
 builds and receives its upload), fold all uploads in one aggregator call, then
 report every client's accuracy on its own test split.  ``cps`` and the
 aggregator are set once, by :func:`initial_server`; the training settings
-come from the run's :class:`~tinyproto.config.ExperimentConfig`.  A client
+and the seed come from the run's :class:`~tinyproto.config.ExperimentConfig`,
+which is frozen, so every round runs the settings that were checked.  A client
 compresses when it holds masks (only ``cps`` rounds deliver them), and
 ``scaled``'s count scaling is applied where the upload frame is built.
 Every frame is one block, a class-id vector plus one value row per class.
@@ -41,6 +42,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +82,6 @@ _TAG_SPLIT = 13
 _TAG_INIT = 14
 _TAG_SAMPLE = 15
 _TAG_SHUFFLE = 16
-
-# share of each client's shard it trains on; the rest is its test split
-_TRAIN_FRACTION = 0.75
 
 
 class RoundError(RuntimeError):
@@ -214,17 +213,20 @@ def run_round(
     clients: list[ClientState],
     participation: float,
     cfg: ExperimentConfig,
-    seed: int,
     *,
     frame_log: FrameLog | None = None,
 ) -> RoundReport:
     """Execute one full round and report accuracy and exact traffic.
 
-    ``seed`` is the experiment seed; the round's sampling and each client's
-    minibatch shuffles derive their own streams from (seed, client, round).
+    The round samples ``ceil(participation * len(clients))`` clients, the
+    product taken of the decimal as written (0.28 of 25 clients is 7), so
+    at least one.  The round's sampling and each client's minibatch
+    shuffles derive their own streams from (``cfg.seed``, client, round).
     The exchange settings come from the server (``server.cps`` and
     ``server.aggregator`` say how prototypes travel), the training settings
-    from ``cfg``, which each :func:`local_update` reads.
+    from ``cfg``, which each :func:`local_update` reads.  ``participation``
+    stays a parameter beside ``cfg.participation`` because callers that
+    wrap a round (a benchmark's round timer, say) read it by name.
     """
     if not 0 < participation <= 1:
         raise ValueError("participation must lie in (0, 1]")
@@ -234,9 +236,10 @@ def run_round(
     cps, aggregator = server.cps, server.aggregator
 
     sample_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _TAG_SAMPLE, round_no])
+        np.random.SeedSequence([cfg.seed, _TAG_SAMPLE, round_no])
     )
-    n_sampled = math.ceil(participation * len(clients))
+    # in binary, 0.28 * 25 is 7.000000000000001, which would sample 8
+    n_sampled = math.ceil(Fraction(str(participation)) * len(clients))
     picked = sorted(sample_rng.choice(len(clients), size=n_sampled, replace=False))
     sampled = [clients[i] for i in picked]
 
@@ -289,7 +292,7 @@ def run_round(
             globals_bytes, FrameType.GLOBALS, cid, n_model_classes, width
         ).values
         shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _TAG_SHUFFLE, cid, round_no])
+            np.random.SeedSequence([cfg.seed, _TAG_SHUFFLE, cid, round_no])
         )
         try:
             # stop at the first overflow instead of training on inf and NaN
@@ -364,13 +367,12 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
     dropped: list[int] = []
     for cid in range(config.n_clients):
         shard = shards[cid]
-        if shard is None or len(shard) < 2:
-            log.warning("dropping client %d: shard too small to split", cid)
+        n_samples = 0 if shard is None else len(shard)
+        if n_samples < 2:
+            log.warning("dropping client %d: %d sample(s), too few to split", cid, n_samples)
             dropped.append(cid)
             continue
-        train, test = split_train_test(
-            shard, _TRAIN_FRACTION, seed=_child_seed(config.seed, _TAG_SPLIT, cid)
-        )
+        train, test = split_train_test(shard, seed=_child_seed(config.seed, _TAG_SPLIT, cid))
         params = init_params(
             config.input_dim,
             config.hidden_dim,
@@ -388,7 +390,6 @@ def run_experiment(
     frame_log: FrameLog | None = None,
 ) -> ExperimentResult:
     """Run the configured number of rounds and summarize the best round."""
-    config.validate()  # again: a field may have changed since it was made
     started = time.perf_counter()
     clients, dropped = _build_clients(config)
     if not clients:
@@ -401,14 +402,7 @@ def run_experiment(
 
     reports = []
     for _ in range(config.rounds):
-        report = run_round(
-            server,
-            clients,
-            config.participation,
-            config,
-            config.seed,
-            frame_log=frame_log,
-        )
+        report = run_round(server, clients, config.participation, config, frame_log=frame_log)
         reports.append(report)
         log.info(
             "round %d: mean_test_accuracy=%.4f loss=%.4f up=%d down=%d masks=%d",

@@ -195,6 +195,26 @@ class TestCost:
         assert err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("algorithm = FedProto\nM = 2\nK = 3\nK_i = 2\n",
+             "d: FedProto cost requires field 'proto_dim'"),
+            ("algorithm = TinyProto\nK = 3\nK_i = 2\ns = 2\n",
+             "M: TinyProto cost requires field 'n_clients'"),
+            ("algorithm = TinyProto\nM = 3\nK = 3\nK_i = 2,3\ns = 2\n",
+             "K_i, M: classes_per_client has 2 entries but n_clients=3"),
+        ],
+        ids=["missing-d", "missing-M", "K_i-against-M"],
+    )
+    def test_missing_or_inconsistent_value_is_named_by_its_key(
+        self, tmp_path, capsys, lines, message
+    ):
+        query = tmp_path / "query.cfg"
+        query.write_text(lines)
+        assert main(["cost", str(query)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_repeated_key_is_an_error(self, tmp_path, capsys):
         query = tmp_path / "query.cfg"
         query.write_text("algorithm = TinyProto\nM = 4\nK = 4\nK_i = 2\nd = 8\ns = 2\nK = 400\n")

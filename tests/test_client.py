@@ -1,5 +1,7 @@
 """Local training, prototype generation, and nearest-prototype inference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ class TestLocalUpdate:
                 generate_masks(3, 8, 2, seed=9), cps=True, aggregator=aggregator
             )
             log = FrameLog()
-            run_round(server, [state], 1.0, _CFG, seed=1, frame_log=log)
+            run_round(server, [state], 1.0, dataclasses.replace(_CFG, seed=1), frame_log=log)
             uploads += [data for _, way, _, data in log.entries if way == "up"]
         assert len(uploads) == 2
         assert uploads[0] == uploads[1]

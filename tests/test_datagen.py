@@ -95,31 +95,31 @@ class TestDirichletPartition:
 class TestSplitTrainTest:
     def test_four_samples_three_one(self):
         ds = make_blobs(2, 3, per_class=2, sigma=0.2, seed=0)
-        train, test = split_train_test(ds, 0.75, seed=1)
+        train, test = split_train_test(ds, seed=1)
         assert (len(train), len(test)) == (3, 1)
 
     def test_union_is_input_multiset(self):
         ds = make_blobs(3, 2, per_class=9, sigma=0.2, seed=0)
-        train, test = split_train_test(ds, 0.6, seed=2)
+        train, test = split_train_test(ds, seed=2)
         merged = np.sort(np.concatenate([train.x[:, 0], test.x[:, 0]]))
         np.testing.assert_array_equal(merged, np.sort(ds.x[:, 0]))
         assert len(train) + len(test) == len(ds)
 
     def test_seed_reproducibility(self):
         ds = make_blobs(3, 2, per_class=9, sigma=0.2, seed=0)
-        a_train, a_test = split_train_test(ds, 0.75, seed=3)
-        b_train, b_test = split_train_test(ds, 0.75, seed=3)
+        a_train, a_test = split_train_test(ds, seed=3)
+        b_train, b_test = split_train_test(ds, seed=3)
         np.testing.assert_array_equal(a_train.x, b_train.x)
         np.testing.assert_array_equal(a_test.x, b_test.x)
 
     def test_degenerate_shard_rejected(self):
         ds = make_blobs(1, 2, per_class=1, sigma=0.2, seed=0)
         with pytest.raises(ValueError, match="split"):
-            split_train_test(ds, 0.75, seed=0)
+            split_train_test(ds, seed=0)
 
     def test_both_sides_stay_non_empty(self):
         ds = make_blobs(1, 2, per_class=2, sigma=0.2, seed=0)
-        train, test = split_train_test(ds, 0.99, seed=0)
+        train, test = split_train_test(ds, seed=0)
         assert len(train) == 1 and len(test) == 1
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import re
 
 import numpy as np
@@ -53,7 +54,7 @@ class TestRunRound:
         clients = [_make_client(0, [0, 1]), _make_client(1, [2, 3])]
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
-        report = run_round(server, clients, 1.0, _CFG, seed=1)
+        report = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
         assert report.uplink_params == 12
         assert report.downlink_params == 2 * 4 * 3  # all K classes down, both clients
 
@@ -62,9 +63,9 @@ class TestRunRound:
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
         log = FrameLog()
-        r1 = run_round(server, clients, 1.0, _CFG, seed=1, frame_log=log)
+        r1 = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1), frame_log=log)
         assert r1.mask_params == 2 * 4 * 12  # K*d per first-time client
-        r2 = run_round(server, clients, 1.0, _CFG, seed=1, frame_log=log)
+        r2 = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1), frame_log=log)
         assert r2.mask_params == 0
         per_client_mask_frames = {}
         for round_no, direction, cid, data in log.entries:
@@ -84,7 +85,8 @@ class TestRunRound:
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
         server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
         log = FrameLog()
-        reports = [run_round(server, clients, 1.0, _CFG, seed=1, frame_log=log) for _ in range(3)]
+        cfg = dataclasses.replace(_CFG, seed=1)
+        reports = [run_round(server, clients, 1.0, cfg, frame_log=log) for _ in range(3)]
         masks_encoded = [r for r, kind in encoded if kind == FrameType.MASKS]
         assert masks_encoded == [1]  # rounds 2 and 3 have no newcomer
         assert [r.mask_params for r in reports] == [4 * 4 * 12, 0, 0]
@@ -97,7 +99,7 @@ class TestRunRound:
         clients = [_make_client(i, [i % 4]) for i in range(20)]
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
-        report = run_round(server, clients, 1.0, _CFG, seed=2)
+        report = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=2))
         assert server.selected_ever == set(range(20))
         assert report.uplink_params == 20 * 1 * 3  # one class per client
         assert all(st.last_train_loss is not None for st in clients)
@@ -109,7 +111,7 @@ class TestRunRound:
         seen = set()
         for _ in range(4):
             before = set(server.selected_ever)
-            run_round(server, clients, 0.5, _CFG, seed=3)
+            run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=3))
             assert before <= server.selected_ever
             seen |= server.selected_ever
         assert server.selected_ever <= set(range(8))
@@ -123,14 +125,28 @@ class TestRunRound:
         clients = [_make_client(i, [i % 4]) for i in range(5)]
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
-        run_round(server, clients, 0.5, _CFG, seed=4)
+        run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=4))
         assert len(server.selected_ever) == 3  # ceil(0.5 * 5)
+
+    @pytest.mark.parametrize(
+        "participation, n_clients, sampled",
+        [
+            (0.28, 25, 7), (0.55, 100, 55), (0.07, 100, 7),
+            (0.5, 37, 19), (1e-12, 10, 1), (1.0, 6, 6),
+        ],
+    )
+    def test_sampling_count_takes_the_decimal_as_written(self, participation, n_clients, sampled):
+        # in binary 0.28 * 25 is 7.000000000000001, whose ceiling is 8
+        clients = [_make_client(i, [i % 4]) for i in range(n_clients)]
+        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
+        run_round(server, clients, participation, _CFG)
+        assert len(server.selected_ever) == sampled
 
     def test_no_clients_is_round_error(self):
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
         with pytest.raises(RoundError):
-            run_round(server, [], 1.0, _CFG, seed=1)
+            run_round(server, [], 1.0, dataclasses.replace(_CFG, seed=1))
 
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
     @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
@@ -139,9 +155,10 @@ class TestRunRound:
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=cps, aggregator=aggregator)
+        cfg = dataclasses.replace(_CFG, seed=5)
         for round_no in (1, 2):
             log = FrameLog()
-            report = run_round(server, clients, 1.0, _CFG, seed=5, frame_log=log)
+            report = run_round(server, clients, 1.0, cfg, frame_log=log)
             recount = dict.fromkeys(FrameType, 0)
             for _, direction, _, data in log.entries:
                 frame = decode_frame(data)
@@ -164,7 +181,7 @@ class TestRunRound:
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
         log = FrameLog()
-        run_round(server, clients, 1.0, _CFG, seed=6, frame_log=log)
+        run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=6), frame_log=log)
         for _, _, _, data in log.entries:
             frame = decode_frame(data)
             if frame.frame_type == FrameType.UPLOAD:
@@ -175,7 +192,7 @@ class TestRunRound:
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True, aggregator="weighted")
         log = FrameLog()
-        run_round(server, clients, 1.0, _CFG, seed=6, frame_log=log)
+        run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=6), frame_log=log)
         uploads = [
             decode_frame(d)
             for _, _, _, d in log.entries
@@ -197,7 +214,8 @@ class TestRunRound:
             server = initial_server(
                 generate_masks(4, 12, 3, seed=0), cps=True, aggregator=aggregator
             )
-            uplinks[aggregator] = run_round(server, clients, 1.0, _CFG, seed=1).uplink_params
+            cfg = dataclasses.replace(_CFG, seed=1)
+            uplinks[aggregator] = run_round(server, clients, 1.0, cfg).uplink_params
         assert [st.n_local_classes for st in clients] == k_i
         assert uplinks["scaled"] == sum(k * 3 for k in k_i) == 27
         assert uplinks["weighted"] == sum(k * (3 + 1) for k in k_i) == 36
@@ -215,7 +233,7 @@ class TestRunRound:
         server = initial_server(mask_set, cps=True)
         log = FrameLog()
         for _ in range(2):
-            run_round(server, clients, 0.5, _CFG, seed=8, frame_log=log)
+            run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=8), frame_log=log)
         kinds = [decode_frame(data).frame_type for _, _, _, data in log.entries]
         mask_deliveries = kinds.count(FrameType.MASKS)
         globals_deliveries = kinds.count(FrameType.GLOBALS)
@@ -235,10 +253,11 @@ class TestRunRound:
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
         mask_set = generate_masks(4, 12, 3, seed=0)
         server = initial_server(mask_set, cps=True)
+        cfg = dataclasses.replace(_CFG, seed=8)
         for round_no in (1, 2):
             evaluated.clear()
             log = FrameLog()
-            report = run_round(server, clients, 0.5, _CFG, seed=8, frame_log=log)
+            report = run_round(server, clients, 0.5, cfg, frame_log=log)
             trained = {cid for _, direction, cid, _ in log.entries if direction == "up"}
             assert len(trained) == 2
             expected = set(range(4)) if round_no == 1 else trained
@@ -252,7 +271,8 @@ class TestRunRound:
         for cfg in (_CFG, dataclasses.replace(_CFG, lam=0.0)):
             clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
             server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
-            runs.append((run_round(server, clients, 1.0, cfg, seed=1), server, clients))
+            report = run_round(server, clients, 1.0, dataclasses.replace(cfg, seed=1))
+            runs.append((report, server, clients))
         (report_a, server_a, clients_a), (report_b, server_b, clients_b) = runs
         assert _CFG.lam > 0
         assert report_a == report_b
@@ -268,7 +288,7 @@ class TestRunRound:
         server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
         server.selected_ever = {0, 1}
         with pytest.raises(RoundError, match=r"client 0, round 1: no masks were delivered"):
-            run_round(server, clients, 1.0, _CFG, seed=1)
+            run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
 
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_refused(self, workers):
@@ -287,7 +307,7 @@ class TestRunRound:
         expected = np.zeros((4, 3))
         for _ in range(2):
             log = FrameLog()
-            run_round(server, clients, 0.5, _CFG, seed=9, frame_log=log)
+            run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=9), frame_log=log)
             uploads = [(cid, decode_frame(data)) for _, way, cid, data in log.entries if way == "up"]
             by_class: dict[int, list[np.ndarray]] = {}
             for _, frame in sorted(uploads, key=lambda entry: entry[0]):
@@ -312,7 +332,7 @@ def _two_client_round(aggregator="scaled"):
     """Client 1 alone holds class 3, so a fault keyed on it hits client 1."""
     clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
     server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True, aggregator=aggregator)
-    return run_round(server, clients, 1.0, _CFG, seed=1)
+    return run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
 
 
 def _fault_encoding(monkeypatch, frame_type, encode, only_class=None):
@@ -601,13 +621,13 @@ class TestFrameChecks:
         # a live round: round 1 aggregates every class, then row 1 goes bad
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         server = initial_server(generate_masks(4, 12, 3, seed=0), cps=cps)
-        run_round(server, clients, 1.0, _CFG, seed=1)
+        run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
         assert server.global_comp.any(axis=1).all()
         server.global_comp[1, 0] = bad
         with pytest.raises(
             RoundError, match=r"client 0, class 1, round 2: globals has non-finite values"
         ):
-            run_round(server, clients, 1.0, _CFG, seed=1)
+            run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
 
     @pytest.mark.parametrize("live", [False, True], ids=["zero", "live"])
     @pytest.mark.parametrize(
@@ -626,7 +646,7 @@ class TestFrameChecks:
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         server = initial_server(generate_masks(4, 12, 3, seed=0), cps=server_cps)
         with pytest.raises(RoundError, match=rf"client 0, round 1: globals rows have {want}"):
-            run_round(server, clients, 1.0, _CFG, seed=1)
+            run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
 
     def test_globals_of_wrong_type_rejected(self, monkeypatch):
         _fault_frames(
@@ -700,6 +720,35 @@ class TestConfig:
     def test_bad_value_type_named(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config_text("seed = abc")
+
+    @pytest.mark.parametrize(
+        "attr, value, problem",
+        [
+            ("cps", "off", "cps: must be a bool, got 'off'"),
+            ("cps", 1, "cps: must be a bool, got 1"),
+            ("rounds", True, "rounds: must be an integer, got True"),
+            ("n_clients", 2.5, "M: must be an integer, got 2.5"),
+            ("seed", np.True_, "seed: must be an integer, got np.True_"),
+            ("proto_dim", "16", "d: must be an integer, got '16'"),
+            ("lam", "1", "lambda: must be a real number, got '1'"),
+            ("alpha", False, "alpha: must be a real number, got False"),
+            ("aggregator", 1, "aggregator: must be a string, got 1"),
+        ],
+        ids=[
+            "cps-str", "cps-int", "rounds-bool", "M-float", "seed-numpy-bool",
+            "d-str", "lambda-str", "alpha-bool", "aggregator-int",
+        ],
+    )
+    def test_wrong_type_named_alone(self, attr, value, problem):
+        # a value of the wrong type would run settings other than the ones
+        # the summary reports, or fail deep inside the run
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{attr: value})
+        assert err.value.problems == [problem]
+
+    def test_any_integer_or_real_number_accepted(self):
+        cfg = ExperimentConfig(n_clients=np.int64(5), lam=1, mu=np.float64(0.5))
+        assert (cfg.n_clients, cfg.lam, cfg.mu) == (5, 1, 0.5)
 
     def test_bool_spellings(self):
         assert parse_config_text("cps = on").cps is True
@@ -787,12 +836,26 @@ class TestRunExperiment:
         masks = (tmp_path / "masks.txt").read_text().strip().split("\n")
         assert len(masks) == 3 and all(len(row) == 12 for row in masks)
 
-    def test_invalid_config_rejected_before_running(self):
-        # valid when made, then changed: run_experiment checks it again
+    def test_config_cannot_change_after_it_is_checked(self):
+        # a run executes exactly the settings that were checked
         cfg = ExperimentConfig(**_SMALL)
-        cfg.comp_dim = 99
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.comp_dim = 99
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, comp_dim=99)
+        assert err.value.problems == ["s: must be <= d (got s=99, d=12)"]
+
+    def test_dropped_client_reported_once_with_its_sample_count(self, caplog):
+        cfg = ExperimentConfig(seed=7, n_clients=12, alpha=0.05, per_class=5, rounds=1)
+        with caplog.at_level(logging.WARNING):
+            dropped = run_experiment(cfg).summary["clients_dropped"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        counts = []
+        for cid in dropped:
+            (message,) = [m for m in warnings if re.search(rf"\bclient {cid}\b", m)]
+            counts.append(int(re.search(r": (\d+) sample", message).group(1)))
+        assert len(warnings) == len(dropped)
+        assert set(counts) == {0, 1}  # an empty shard, and one too small to split
 
     def test_simple_aggregator_and_dense_mode(self):
         cfg = ExperimentConfig(**{**_SMALL, "aggregator": "simple", "cps": False})
