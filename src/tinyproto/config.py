@@ -31,7 +31,11 @@ and is frozen, so a run executes exactly the settings that were checked;
 Validation collects every problem and reports them together, each prefixed
 with the offending key: a key set twice, a value that does not parse, a
 value of the wrong type (a bool where a number belongs, say), a float that
-is NaN or infinite, or a value out of range.
+is NaN or infinite, or a value out of range.  A value that passes is kept
+as a plain Python ``int`` or ``float`` (a numpy scalar included), so a run
+summary can be written as JSON.  A ``float`` is the value's float64: a
+``np.float32(0.28)`` participation is 0.2800000011920929, which samples 8
+of 25 clients where 0.28 samples 7.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import errno
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Container
@@ -114,6 +119,9 @@ _TYPES = {
     _parse_bool: (lambda v: isinstance(v, bool), "a bool"),
 }
 
+# parser -> how a value that has its type is stored
+_PLAIN = {int: operator.index, float: float}
+
 # attribute -> (test a value of the right type must pass, message if it fails)
 _RANGES = {
     "seed": (lambda v: v >= 0, "must be >= 0"),
@@ -161,6 +169,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.validate()
+        for attr, parser in _KEYS.values():
+            if parser in _PLAIN:
+                object.__setattr__(self, attr, _PLAIN[parser](getattr(self, attr)))
 
     def problems(self) -> list[str]:
         """Every validation failure, named by the config-file key; a value

@@ -26,8 +26,11 @@ Every message about a missing or bad field leads with its query-file key
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
+
+from .masking import _as_int
 
 __all__ = ["ALGORITHMS", "QUERY_KEYS", "CostQuery", "cost", "cost_millions", "figure1_table"]
 
@@ -64,7 +67,9 @@ class CostQuery:
 
     Only the fields an algorithm actually uses must be present;
     ``classes_per_client`` accepts a single count (applied to all M clients)
-    or an explicit per-client list.
+    or an explicit per-client list.  Every count, each list entry included,
+    must be an integer >= 0 (numpy's integers count, a bool does not);
+    ``reduction_factor`` may be any finite real number >= 0 but a bool.
     """
 
     algorithm: str
@@ -86,27 +91,37 @@ class CostQuery:
             )
 
 
+def _count(key: str, name: str, value) -> int:
+    """``value`` as a Python int >= 0; refuse bools and anything not an integer."""
+    value = _as_int(f"{key}: field {name!r}", value)
+    if value < 0:
+        raise ValueError(f"{key}: field {name!r} must be >= 0, got {value}")
+    return value
+
+
 def _require(query: CostQuery, name: str):
     value = getattr(query, name)
     key = _FIELD_KEYS[name]
     if value is None:
         raise ValueError(f"{key}: {query.algorithm} cost requires field {name!r}")
-    if isinstance(value, (int, float)) and not (math.isfinite(value) and value >= 0):
+    if name == "classes_per_client" and hasattr(value, "__iter__"):
+        return [_count(key, name, k) for k in value]
+    if name != "reduction_factor":
+        return _count(key, name, value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key}: field {name!r} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{key}: field {name!r} must be finite and >= 0, got {value!r}")
     return value
 
 
 def _per_client_classes(query: CostQuery) -> list[int]:
-    raw = _require(query, "classes_per_client")
-    if isinstance(raw, int):
-        m = _require(query, "n_clients")
-        return [raw] * m
-    counts = [int(k) for k in raw]
+    counts = _require(query, "classes_per_client")
+    if isinstance(counts, int):
+        return [counts] * _require(query, "n_clients")
     if not counts:
         raise ValueError("K_i: classes_per_client must not be empty")
-    if any(k < 0 for k in counts):
-        raise ValueError("K_i: classes_per_client entries must be >= 0")
-    if query.n_clients is not None and query.n_clients != len(counts):
+    if query.n_clients is not None and _require(query, "n_clients") != len(counts):
         raise ValueError(
             f"K_i, M: classes_per_client has {len(counts)} entries "
             f"but n_clients={query.n_clients}"

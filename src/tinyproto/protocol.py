@@ -6,10 +6,10 @@ round: sample clients, deliver masks to first-time participants, send every
 sampled client the full set of global payloads, run the local updates one
 client after another (one loop receives a client's frames, runs its update,
 builds and receives its upload), fold all uploads in one aggregator call, then
-report every client's accuracy on its own test split.  ``cps`` and the
-aggregator are set once, by :func:`initial_server`; the training settings
-and the seed come from the run's :class:`~tinyproto.config.ExperimentConfig`,
-which is frozen, so every round runs the settings that were checked.  A client
+report every client's accuracy on its own test split.  Every setting,
+``cps`` and the aggregator included, comes from the run's frozen
+:class:`~tinyproto.config.ExperimentConfig`; :func:`initial_server` builds
+the server's masks and zero globals from the same config.  A client
 compresses when it holds masks (only ``cps`` rounds deliver them), and
 ``scaled``'s count scaling is applied where the upload frame is built.
 Every frame is one block, a class-id vector plus one value row per class.
@@ -95,15 +95,13 @@ def _child_seed(base: int, *tags: int) -> int:
 
 @dataclass
 class ServerState:
-    """Masks, exchange settings, latest global payloads, and the ever-selected
-    client set.
+    """Masks, latest global payloads, the ever-selected client set, and the
+    last round's number.
 
     ``global_comp`` is a (K, w) array whose row c is class c's payload.
     """
 
     mask_set: MaskSet
-    cps: bool
-    aggregator: str
     global_comp: np.ndarray
     selected_ever: set[int] = field(default_factory=set)
     round: int = 0
@@ -132,13 +130,13 @@ class FrameLog:
         self.entries.append((round_no, direction, client_id, data))
 
 
-def initial_server(mask_set: MaskSet, *, cps: bool, aggregator: str = "scaled") -> ServerState:
-    """Server with all-zero global payloads (length s compressed, d dense);
-    every round reads ``cps`` and ``aggregator`` from it."""
-    if aggregator not in _AGGREGATORS:
-        raise ValueError(f"aggregator must be one of {', '.join(_AGGREGATORS)}")
-    dim = mask_set.s if cps else mask_set.d
-    return ServerState(mask_set, cps, aggregator, np.zeros((mask_set.n_classes, dim)))
+def initial_server(cfg: ExperimentConfig) -> ServerState:
+    """Server for the run ``cfg`` configures: its (K, d, s) masks, drawn
+    from ``cfg.seed``, and all-zero global payloads, s long for a ``cps``
+    run and d long for a dense one."""
+    mask_set = generate_masks(cfg.n_classes, cfg.proto_dim, cfg.comp_dim, seed=cfg.seed)
+    dim = cfg.comp_dim if cfg.cps else cfg.proto_dim
+    return ServerState(mask_set, np.zeros((cfg.n_classes, dim)))
 
 
 def _check_frame(
@@ -222,18 +220,18 @@ def run_round(
     product taken of the decimal as written (0.28 of 25 clients is 7), so
     at least one.  The round's sampling and each client's minibatch
     shuffles derive their own streams from (``cfg.seed``, client, round).
-    The exchange settings come from the server (``server.cps`` and
-    ``server.aggregator`` say how prototypes travel), the training settings
-    from ``cfg``, which each :func:`local_update` reads.  ``participation``
-    stays a parameter beside ``cfg.participation`` because callers that
-    wrap a round (a benchmark's round timer, say) read it by name.
+    Every setting comes from ``cfg``: ``cps`` and ``aggregator`` say how
+    prototypes travel, and a server built with the other ``cps`` holds
+    globals of a width the clients refuse.  ``participation`` stays a
+    parameter beside ``cfg.participation`` because callers that wrap a
+    round (a benchmark's round timer, say) read it by name.
     """
     if not 0 < participation <= 1:
         raise ValueError("participation must lie in (0, 1]")
     if not clients:
         raise RoundError("no clients available to sample")
     round_no = server.round + 1
-    cps, aggregator = server.cps, server.aggregator
+    cps, aggregator = cfg.cps, cfg.aggregator
 
     sample_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _TAG_SAMPLE, round_no])
@@ -395,10 +393,7 @@ def run_experiment(
     if not clients:
         raise RoundError("every client was dropped; nothing to train")
 
-    mask_set = generate_masks(
-        config.n_classes, config.proto_dim, config.comp_dim, seed=config.seed
-    )
-    server = initial_server(mask_set, cps=config.cps, aggregator=config.aggregator)
+    server = initial_server(config)
 
     reports = []
     for _ in range(config.rounds):

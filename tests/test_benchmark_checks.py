@@ -15,7 +15,6 @@ Each workload's traced benchmark experiment must also reproduce the
 flips one prediction fails here, not only in the benchmark's report.
 """
 
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -65,8 +64,9 @@ def test_masks_rebuilt_from_a_frame_pass_the_mask_checks(k, d, s):
     rng = np.random.default_rng(0)
     shard = Dataset(rng.normal(size=(8, 3)), np.arange(8) % 2, k)
     client = ClientState(0, init_params(3, 5, d, k, seed=1), shard, test_shard=shard)
-    server = initial_server(generate_masks(k, d, s, seed=7), cps=True)
-    run_round(server, [client], 1.0, dataclasses.replace(ExperimentConfig(), seed=7))
+    cfg = ExperimentConfig(seed=7, n_classes=k, proto_dim=d, comp_dim=s)
+    server = initial_server(cfg)
+    run_round(server, [client], 1.0, cfg)
     assert checks.mask_problems(client.mask_set, k, d, s) == []
     assert (client.mask_set.bits == server.mask_set.bits).all()
 

@@ -1,12 +1,19 @@
 """Command-line entry points: run, masks, cost."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tinyproto import cli
 from tinyproto.cli import main
+from tinyproto.masking import format_mask_rows, generate_masks
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 _CONFIG = """
 seed = 7
@@ -94,6 +101,16 @@ class TestMasks:
         assert main(["masks", "5", "5", "1", "0"]) == 0
         out = capsys.readouterr().out
         assert out == "10000\n01000\n00100\n00010\n00001\n"
+
+    def test_module_entry_point_prints_rows(self):
+        # ``python -m tinyproto`` reaches the same main() the tests call
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tinyproto", "masks", "5", "5", "1", "0"],
+            cwd=_ROOT, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == format_mask_rows(generate_masks(5, 5, 1, 0))
 
     def test_writes_file(self, tmp_path, capsys):
         assert main(["masks", "3", "8", "2", "1", "--out", str(tmp_path), "--quiet"]) == 0

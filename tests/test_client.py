@@ -225,11 +225,11 @@ class TestLocalUpdate:
             state = _state(with_masks=False)  # the round delivers them
             state.shard = Dataset(state.shard.x[:2], np.array([0, 1]), 3)
             state.test_shard = state.shard
-            server = initial_server(
-                generate_masks(3, 8, 2, seed=9), cps=True, aggregator=aggregator
+            cfg = dataclasses.replace(
+                _CFG, seed=1, n_classes=3, proto_dim=8, comp_dim=2, aggregator=aggregator
             )
             log = FrameLog()
-            run_round(server, [state], 1.0, dataclasses.replace(_CFG, seed=1), frame_log=log)
+            run_round(initial_server(cfg), [state], 1.0, cfg, frame_log=log)
             uploads += [data for _, way, _, data in log.entries if way == "up"]
         assert len(uploads) == 2
         assert uploads[0] == uploads[1]

@@ -1,7 +1,9 @@
 """Closed-form cost formulas and their table/figure helpers."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from tinyproto.costmodel import CostQuery, cost, cost_millions, figure1_table
@@ -82,6 +84,57 @@ class TestCostFormulas:
         )
         with pytest.raises(ValueError, match="'reduction_factor' must be finite and >= 0"):
             cost(query)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(n_classes=2.5), "K: field 'n_classes' must be an integer, got 2.5"),
+            (dict(n_classes=True), "K: field 'n_classes' must be an integer, got the bool True"),
+            (
+                dict(classes_per_client=[2, 1.5, 2]),
+                "K_i: field 'classes_per_client' must be an integer, got 1.5",
+            ),
+            (
+                dict(classes_per_client=2.0),
+                "K_i: field 'classes_per_client' must be an integer, got 2.0",
+            ),
+            (dict(n_clients=2.5), "M: field 'n_clients' must be an integer, got 2.5"),
+        ],
+        ids=["K-float", "K-bool", "K_i-list-float", "K_i-float", "M-float"],
+    )
+    def test_count_that_is_not_an_integer_named_by_its_key(self, change, message):
+        # counted as a number, each would return a wrong "exact" count
+        query = CostQuery(
+            **{"algorithm": "TinyProto", "n_clients": 3, "n_classes": 4,
+               "classes_per_client": 2, "comp_dim": 4, **change}
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cost(query)
+
+    def test_bool_reduction_factor_named(self):
+        query = CostQuery(
+            algorithm="FedKD",
+            n_clients=2,
+            aux_extractor_params=5,
+            aux_classifier_params=3,
+            reduction_factor=True,
+        )
+        with pytest.raises(
+            ValueError, match=r"^r: field 'reduction_factor' must be a real number, got True$"
+        ):
+            cost(query)
+
+    def test_numpy_counts_give_an_exact_int(self):
+        query = CostQuery(
+            algorithm="TinyProto",
+            n_clients=np.int64(3),
+            n_classes=np.int32(4),
+            classes_per_client=np.array([2, 1, 2]),
+            comp_dim=np.uint8(4),
+        )
+        total = cost(query)
+        assert total == (2 + 4) * 4 + (1 + 4) * 4 + (2 + 4) * 4 == 68
+        assert type(total) is int
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -14,7 +14,6 @@ import tinyproto.protocol as protocol
 from tinyproto.client import ClientState, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from tinyproto.datagen import Dataset
-from tinyproto.masking import generate_masks
 from tinyproto.numerics import init_params
 from tinyproto.protocol import (
     FrameLog,
@@ -45,27 +44,30 @@ def _make_client(client_id, classes, n_classes=4, input_dim=3, feat=12, seed=Non
     )
 
 
-_CFG = ExperimentConfig(lam=1.0, mu=1.0, lr=0.01, batch_size=4, local_epochs=1)
+# the shape of the clients that _make_client builds: K = 4, d = 12, and s = 3
+_CFG = ExperimentConfig(
+    n_classes=4, proto_dim=12, comp_dim=3, lam=1.0, mu=1.0, lr=0.01, batch_size=4, local_epochs=1
+)
 
 
 class TestRunRound:
     def test_two_clients_two_classes_uplink(self):
         # two clients, two classes each, s=3: uplink must be 2 * 2 * 3
         clients = [_make_client(0, [0, 1]), _make_client(1, [2, 3])]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
-        report = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
+        cfg = dataclasses.replace(_CFG, seed=1)
+        server = initial_server(cfg)
+        report = run_round(server, clients, 1.0, cfg)
         assert report.uplink_params == 12
         assert report.downlink_params == 2 * 4 * 3  # all K classes down, both clients
 
     def test_masks_delivered_once(self):
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2])]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
+        cfg = dataclasses.replace(_CFG, seed=1)
+        server = initial_server(cfg)
         log = FrameLog()
-        r1 = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1), frame_log=log)
+        r1 = run_round(server, clients, 1.0, cfg, frame_log=log)
         assert r1.mask_params == 2 * 4 * 12  # K*d per first-time client
-        r2 = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1), frame_log=log)
+        r2 = run_round(server, clients, 1.0, cfg, frame_log=log)
         assert r2.mask_params == 0
         per_client_mask_frames = {}
         for round_no, direction, cid, data in log.entries:
@@ -83,9 +85,9 @@ class TestRunRound:
 
         monkeypatch.setattr(protocol, "encode_frame", counting_encode)
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
-        log = FrameLog()
         cfg = dataclasses.replace(_CFG, seed=1)
+        server = initial_server(cfg)
+        log = FrameLog()
         reports = [run_round(server, clients, 1.0, cfg, frame_log=log) for _ in range(3)]
         masks_encoded = [r for r, kind in encoded if kind == FrameType.MASKS]
         assert masks_encoded == [1]  # rounds 2 and 3 have no newcomer
@@ -97,35 +99,51 @@ class TestRunRound:
 
     def test_full_participation_runs_everyone(self):
         clients = [_make_client(i, [i % 4]) for i in range(20)]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
-        report = run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=2))
+        cfg = dataclasses.replace(_CFG, seed=2)
+        server = initial_server(cfg)
+        report = run_round(server, clients, 1.0, cfg)
         assert server.selected_ever == set(range(20))
         assert report.uplink_params == 20 * 1 * 3  # one class per client
         assert all(st.last_train_loss is not None for st in clients)
 
     def test_selected_set_grows_monotonically(self):
         clients = [_make_client(i, [i % 4]) for i in range(8)]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
+        cfg = dataclasses.replace(_CFG, seed=3)
+        server = initial_server(cfg)
         seen = set()
         for _ in range(4):
             before = set(server.selected_ever)
-            run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=3))
+            run_round(server, clients, 0.5, cfg)
             assert before <= server.selected_ever
             seen |= server.selected_ever
         assert server.selected_ever <= set(range(8))
 
-    def test_unknown_aggregator_rejected_before_training(self):
-        # the server is refused, so no round can start, let alone train
-        with pytest.raises(ValueError, match="aggregator must be one of weighted, simple, scaled"):
-            initial_server(generate_masks(4, 12, 3, seed=0), cps=True, aggregator="bogus")
+    def test_round_runs_the_exchange_its_config_names(self):
+        # the server holds the exchange's state, not its settings: a round
+        # runs its own config's aggregator, and a config whose cps differs
+        # from the server's is refused at the globals width
+        cfg = dataclasses.replace(_CFG, seed=1)
+        simple = dataclasses.replace(cfg, aggregator="simple")
+
+        def uploads(server_cfg, round_cfg):
+            clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+            log = FrameLog()
+            run_round(initial_server(server_cfg), clients, 1.0, round_cfg, frame_log=log)
+            return [data for _, way, _, data in log.entries if way == "up"]
+
+        assert uploads(cfg, simple) == uploads(simple, simple) != uploads(cfg, cfg)
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        dense = dataclasses.replace(cfg, cps=not cfg.cps)
+        with pytest.raises(
+            RoundError, match=r"^client 0, round 1: globals rows have 3 values, expected 12$"
+        ):
+            run_round(initial_server(cfg), clients, 1.0, dense)
 
     def test_sampling_count_is_ceiling(self):
         clients = [_make_client(i, [i % 4]) for i in range(5)]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
-        run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=4))
+        cfg = dataclasses.replace(_CFG, seed=4)
+        server = initial_server(cfg)
+        run_round(server, clients, 0.5, cfg)
         assert len(server.selected_ever) == 3  # ceil(0.5 * 5)
 
     @pytest.mark.parametrize(
@@ -138,24 +156,23 @@ class TestRunRound:
     def test_sampling_count_takes_the_decimal_as_written(self, participation, n_clients, sampled):
         # in binary 0.28 * 25 is 7.000000000000001, whose ceiling is 8
         clients = [_make_client(i, [i % 4]) for i in range(n_clients)]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
+        server = initial_server(_CFG)
         run_round(server, clients, participation, _CFG)
         assert len(server.selected_ever) == sampled
 
     def test_no_clients_is_round_error(self):
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
+        cfg = dataclasses.replace(_CFG, seed=1)
+        server = initial_server(cfg)
         with pytest.raises(RoundError):
-            run_round(server, [], 1.0, dataclasses.replace(_CFG, seed=1))
+            run_round(server, [], 1.0, cfg)
 
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
     @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
     def test_accounting_matches_frame_recount(self, aggregator, cps):
         # round 1 delivers masks (cps) to both clients, round 2 to nobody
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=cps, aggregator=aggregator)
-        cfg = dataclasses.replace(_CFG, seed=5)
+        cfg = dataclasses.replace(_CFG, seed=5, cps=cps, aggregator=aggregator)
+        server = initial_server(cfg)
         for round_no in (1, 2):
             log = FrameLog()
             report = run_round(server, clients, 1.0, cfg, frame_log=log)
@@ -178,10 +195,10 @@ class TestRunRound:
 
     def test_scaled_uploads_have_no_count_field(self):
         clients = [_make_client(0, [0, 1])]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
+        cfg = dataclasses.replace(_CFG, seed=6)
+        server = initial_server(cfg)
         log = FrameLog()
-        run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=6), frame_log=log)
+        run_round(server, clients, 1.0, cfg, frame_log=log)
         for _, _, _, data in log.entries:
             frame = decode_frame(data)
             if frame.frame_type == FrameType.UPLOAD:
@@ -189,10 +206,10 @@ class TestRunRound:
 
     def test_weighted_uploads_carry_leading_count(self):
         clients = [_make_client(0, [0, 1])]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True, aggregator="weighted")
+        cfg = dataclasses.replace(_CFG, seed=6, aggregator="weighted")
+        server = initial_server(cfg)
         log = FrameLog()
-        run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=6), frame_log=log)
+        run_round(server, clients, 1.0, cfg, frame_log=log)
         uploads = [
             decode_frame(d)
             for _, _, _, d in log.entries
@@ -211,10 +228,8 @@ class TestRunRound:
         for aggregator in ("scaled", "weighted"):
             clients = [_make_client(i, [i, i + 1]) for i in range(3)]
             clients.append(_make_client(3, [0, 1, 2]))
-            server = initial_server(
-                generate_masks(4, 12, 3, seed=0), cps=True, aggregator=aggregator
-            )
-            cfg = dataclasses.replace(_CFG, seed=1)
+            cfg = dataclasses.replace(_CFG, seed=1, aggregator=aggregator)
+            server = initial_server(cfg)
             uplinks[aggregator] = run_round(server, clients, 1.0, cfg).uplink_params
         assert [st.n_local_classes for st in clients] == k_i
         assert uplinks["scaled"] == sum(k * 3 for k in k_i) == 27
@@ -229,11 +244,11 @@ class TestRunRound:
 
         monkeypatch.setattr(protocol, "decode_frame", counting_decode)
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
+        cfg = dataclasses.replace(_CFG, seed=8)
+        server = initial_server(cfg)
         log = FrameLog()
         for _ in range(2):
-            run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=8), frame_log=log)
+            run_round(server, clients, 0.5, cfg, frame_log=log)
         kinds = [decode_frame(data).frame_type for _, _, _, data in log.entries]
         mask_deliveries = kinds.count(FrameType.MASKS)
         globals_deliveries = kinds.count(FrameType.GLOBALS)
@@ -251,9 +266,8 @@ class TestRunRound:
 
         monkeypatch.setattr(protocol, "evaluate_accuracy", counting_evaluate)
         clients = [_make_client(i, [i % 4, (i + 1) % 4]) for i in range(4)]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True)
         cfg = dataclasses.replace(_CFG, seed=8)
+        server = initial_server(cfg)
         for round_no in (1, 2):
             evaluated.clear()
             log = FrameLog()
@@ -268,10 +282,11 @@ class TestRunRound:
     def test_first_round_trains_as_with_lambda_zero(self):
         # the first round's globals are all zero, so the penalty adds nothing
         runs = []
-        for cfg in (_CFG, dataclasses.replace(_CFG, lam=0.0)):
+        for lam in (_CFG.lam, 0.0):
+            cfg = dataclasses.replace(_CFG, seed=1, lam=lam)
             clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-            server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
-            report = run_round(server, clients, 1.0, dataclasses.replace(cfg, seed=1))
+            server = initial_server(cfg)
+            report = run_round(server, clients, 1.0, cfg)
             runs.append((report, server, clients))
         (report_a, server_a, clients_a), (report_b, server_b, clients_b) = runs
         assert _CFG.lam > 0
@@ -285,10 +300,11 @@ class TestRunRound:
         # masks go to first-time participants of a cps round only, so a
         # client first sampled in a dense round never receives them
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True)
+        cfg = dataclasses.replace(_CFG, seed=1)
+        server = initial_server(cfg)
         server.selected_ever = {0, 1}
         with pytest.raises(RoundError, match=r"client 0, round 1: no masks were delivered"):
-            run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
+            run_round(server, clients, 1.0, cfg)
 
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_refused(self, workers):
@@ -302,12 +318,12 @@ class TestRunRound:
     @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
     def test_globals_sum_rows_in_ascending_client_order(self, aggregator):
         clients = [_make_client(i, [i % 4, (i + 1) % 4, (i + 2) % 4]) for i in range(12)]
-        mask_set = generate_masks(4, 12, 3, seed=0)
-        server = initial_server(mask_set, cps=True, aggregator=aggregator)
+        cfg = dataclasses.replace(_CFG, seed=9, aggregator=aggregator)
+        server = initial_server(cfg)
         expected = np.zeros((4, 3))
         for _ in range(2):
             log = FrameLog()
-            run_round(server, clients, 0.5, dataclasses.replace(_CFG, seed=9), frame_log=log)
+            run_round(server, clients, 0.5, cfg, frame_log=log)
             uploads = [(cid, decode_frame(data)) for _, way, cid, data in log.entries if way == "up"]
             by_class: dict[int, list[np.ndarray]] = {}
             for _, frame in sorted(uploads, key=lambda entry: entry[0]):
@@ -331,8 +347,8 @@ class TestRunRound:
 def _two_client_round(aggregator="scaled"):
     """Client 1 alone holds class 3, so a fault keyed on it hits client 1."""
     clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-    server = initial_server(generate_masks(4, 12, 3, seed=0), cps=True, aggregator=aggregator)
-    return run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
+    cfg = dataclasses.replace(_CFG, seed=1, aggregator=aggregator)
+    return run_round(initial_server(cfg), clients, 1.0, cfg)
 
 
 def _fault_encoding(monkeypatch, frame_type, encode, only_class=None):
@@ -620,22 +636,23 @@ class TestFrameChecks:
     def test_globals_with_non_finite_value_rejected(self, bad, cps):
         # a live round: round 1 aggregates every class, then row 1 goes bad
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=cps)
-        run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
+        cfg = dataclasses.replace(_CFG, seed=1, cps=cps)
+        server = initial_server(cfg)
+        run_round(server, clients, 1.0, cfg)
         assert server.global_comp.any(axis=1).all()
         server.global_comp[1, 0] = bad
         with pytest.raises(
             RoundError, match=r"client 0, class 1, round 2: globals has non-finite values"
         ):
-            run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
+            run_round(server, clients, 1.0, cfg)
 
     @pytest.mark.parametrize("live", [False, True], ids=["zero", "live"])
     @pytest.mark.parametrize(
-        "server_cps, width, want",
+        "cps, width, want",
         [(False, 3, "3 values, expected 12"), (True, 12, "12 values, expected 3")],
         ids=["dense-server-cps-round", "cps-server-dense-round"],
     )
-    def test_globals_of_wrong_width_rejected(self, monkeypatch, server_cps, width, want, live):
+    def test_globals_of_wrong_width_rejected(self, monkeypatch, cps, width, want, live):
         # a block as wide as the other mode's, all zero or live: every row of
         # a block has one width, so the whole block is refused
         def fault(frame):
@@ -644,9 +661,9 @@ class TestFrameChecks:
 
         _fault_frames(monkeypatch, FrameType.GLOBALS, fault)
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-        server = initial_server(generate_masks(4, 12, 3, seed=0), cps=server_cps)
+        cfg = dataclasses.replace(_CFG, seed=1, cps=cps)
         with pytest.raises(RoundError, match=rf"client 0, round 1: globals rows have {want}"):
-            run_round(server, clients, 1.0, dataclasses.replace(_CFG, seed=1))
+            run_round(initial_server(cfg), clients, 1.0, cfg)
 
     def test_globals_of_wrong_type_rejected(self, monkeypatch):
         _fault_frames(
@@ -747,8 +764,17 @@ class TestConfig:
         assert err.value.problems == [problem]
 
     def test_any_integer_or_real_number_accepted(self):
+        # and kept as the plain Python value, which a summary can hold
         cfg = ExperimentConfig(n_clients=np.int64(5), lam=1, mu=np.float64(0.5))
         assert (cfg.n_clients, cfg.lam, cfg.mu) == (5, 1, 0.5)
+        assert type(cfg.n_clients) is int and type(cfg.lam) is float
+        assert type(cfg.mu) is float
+
+    def test_unknown_aggregator_rejected_before_training(self):
+        # refused when the config is made, so no server or round can use it
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(aggregator="bogus")
+        assert err.value.problems == ["aggregator: must be one of weighted, simple, scaled"]
 
     def test_bool_spellings(self):
         assert parse_config_text("cps = on").cps is True
@@ -835,6 +861,12 @@ class TestRunExperiment:
         assert summary["rounds"] == 3
         masks = (tmp_path / "masks.txt").read_text().strip().split("\n")
         assert len(masks) == 3 and all(len(row) == 12 for row in masks)
+
+    def test_numpy_scalar_setting_runs_to_a_written_summary(self, tmp_path):
+        cfg = ExperimentConfig(seed=7, n_clients=3, rounds=np.int64(1), per_class=20)
+        run_experiment(cfg, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["rounds"] == summary["config"]["rounds"] == 1
 
     def test_config_cannot_change_after_it_is_checked(self):
         # a run executes exactly the settings that were checked
