@@ -9,8 +9,8 @@ Library layout:
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
   Hamming-distance hill climbing), stored as one ``(K, d)`` bit matrix
 * :mod:`tinyproto.aggregation` -- one fold of a round's ``(ids, rows)``
-  uploads into each class's combined row: the count-weighted variant, and
-  the mean that ``simple`` and ``scaled`` share on the server
+  uploads into each class's combined row: the mean that ``simple`` and
+  ``scaled`` share on the server
 * :mod:`tinyproto.client` -- local training, prototype generation, and
   nearest-prototype inference
 * :mod:`tinyproto.datagen` -- synthetic blobs, Dirichlet label-skew
@@ -26,7 +26,6 @@ from .aggregation import (
     AGGREGATOR_CHOICES,
     AggregationError,
     aggregate_mean,
-    aggregate_weighted,
 )
 from .client import (
     ClientState,

@@ -1,11 +1,7 @@
 """Server-side combination of a round's client prototype payloads.
 
-Three variants, selectable per experiment:
+Two variants, selectable per experiment:
 
-* ``weighted``: each client's vector is weighted by its share of the class's
-  samples, and the weighted sum is divided by the number of contributing
-  clients.  Requires the raw per-client sample counts, so it leaks class
-  distributions to the server; kept for A/B comparison only.
 * ``simple``: plain unweighted mean over contributing clients.
 * ``scaled``: clients pre-multiply their vectors by their own sample count
   before upload; the server just averages the received vectors and never
@@ -28,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "AggregationError",
-    "aggregate_weighted",
     "aggregate_mean",
     "AGGREGATORS",
     "AGGREGATOR_CHOICES",
@@ -46,25 +41,6 @@ def _block(ids, rows) -> tuple[np.ndarray, np.ndarray]:
     return ids, rows
 
 
-def aggregate_weighted(ids, rows, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Count-weighted combination, normalized by the number of contributors.
-
-    With counts n_i and vectors v_i (the rows of one class) this returns
-    (1/N) * sum_i (n_i / sum_j n_j) * v_i  where N is the number of clients
-    contributing the class.  Note this is not a convex combination of the
-    v_i: the output carries an extra 1/N factor relative to the simple mean.
-    """
-    ids, rows = _block(ids, rows)
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != ids.shape:
-        raise AggregationError(f"{counts.shape} counts for {len(rows)} rows")
-    # whole counts (the server checks uploads) sum exactly in any order
-    totals = np.bincount(ids, weights=counts)[ids]
-    if (totals <= 0).any():
-        raise AggregationError(f"class {ids[totals <= 0].min()} has no positive total count")
-    return aggregate_mean(ids, (counts / totals)[:, None] * rows)
-
-
 def aggregate_mean(ids, rows) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted mean of each class's rows over its contributing clients.
 
@@ -80,7 +56,6 @@ def aggregate_mean(ids, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 AGGREGATORS = {
-    "weighted": aggregate_weighted,
     "simple": aggregate_mean,
     "scaled": aggregate_mean,
 }

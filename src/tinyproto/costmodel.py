@@ -1,8 +1,7 @@
 """Closed-form per-round communication costs for the compared algorithms.
 
 Costs are raw parameter counts per federation round (uplink plus downlink),
-matching the traffic the simulator measures for its own exchanges under the
-``simple`` and ``scaled`` aggregators:
+matching the traffic the simulator measures for its own exchanges:
 
     LG-FedAvg   sum_i |phi_i| * 2
     FML         M * (|theta_aux| + |phi_aux|) * 2
@@ -13,11 +12,9 @@ matching the traffic the simulator measures for its own exchanges under the
     FedAvg      2 * M * full_model_params
 
 K_i is the number of classes present on client i (only those travel uplink;
-the server always answers with all K).  Under ``weighted`` every uploaded
-class also carries its count, so the simulator's TinyProto uplink is
-sum_i K_i * (s + 1), one value per class more than billed here.  The
-FedAvg convention (full model up and down per client) is stated here
-because the comparison figure leaves it implicit.
+the server always answers with all K).  The FedAvg convention (full model
+up and down per client) is stated here because the comparison figure
+leaves it implicit.
 
 Every message about a missing or bad field leads with its query-file key
 (``QUERY_KEYS``), as the config file's messages do.
@@ -172,16 +169,14 @@ def figure1_table(
     model_penultimate_params: int,
     k_range: Sequence[int],
     d_range: Sequence[int],
-    near_parity_ratio: float = 0.5,
 ) -> list[dict]:
     """Per-client, per-direction cost grid: full model vs prototype exchange.
 
     For each (K, d) cell the full-model cost is the trunk parameters plus the
     d*K classifier, while the prototype cost is K*d alone, so the prototype
     route is always cheaper but its advantage shrinks as K*d grows.  Rows
-    where the prototype cost reaches ``near_parity_ratio`` of the full-model
-    cost are flagged as near-parity (the advantage has dropped below
-    1/near_parity_ratio).
+    where the prototype cost reaches half the full-model cost are flagged as
+    near-parity (the advantage has dropped below 2x).
     """
     if not k_range or not d_range:
         raise ValueError("k_range and d_range must be non-empty")
@@ -199,7 +194,7 @@ def figure1_table(
                     "fedavg_params": int(fedavg),
                     "pbfl_params": int(pbfl),
                     "ratio": pbfl / fedavg,
-                    "near_parity": pbfl >= near_parity_ratio * fedavg,
+                    "near_parity": pbfl >= 0.5 * fedavg,
                 }
             )
     return rows

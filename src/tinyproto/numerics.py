@@ -25,8 +25,8 @@ definition of the feature layers.  A minibatch step costs more in numpy
 calls and temporaries than in arithmetic, so each layer, the logits and
 the softmax terms are built in the output of the call that makes them and
 changed in place from there; every result keeps the bits of the form with
-a temporary per operation.  A non-finite ``lam`` or ``lr`` is refused, as
-nan would otherwise pass a ``< 0`` test.
+a temporary per operation.  A non-finite ``lam``, ``lr`` or ``mu`` is
+refused, as nan would otherwise pass a ``< 0`` test.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def class_penalties(
     nothing to a batch's penalty.  Both sets are fixed for an update, so a
     client computes this once per update and every batch reads it.
     """
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and > 0, got {mu!r}")
     (local_ids, local_rows), (target_ids, target_rows) = local_protos, targets
     penalties = np.zeros(n_classes)
     target_row = np.full(n_classes, -1)  # -1: no target

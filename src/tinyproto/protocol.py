@@ -15,11 +15,10 @@ compresses when it holds masks (only ``cps`` rounds deliver them), and
 Every frame is one block, a class-id vector plus one value row per class.
 All three kinds pass through one receive step, which decodes the frame once
 (a frame that does not decode is a bad frame), checks it with
-:func:`_check_frame` (``weighted``'s upload counts included; one
-vectorized pass over the block, and a per-row scan only to name the fault
-of a block it refuses), adds its values to the round's tally for that kind
-and logs it; the client's ``MaskSet`` checks the mask values when it is
-built.  A bad frame, a
+:func:`_check_frame` (one vectorized pass over the block, and a per-row
+scan only to name the fault of a block it refuses), adds its values to
+the round's tally for that kind and logs it; the client's ``MaskSet``
+checks the mask values when it is built.  A bad frame, a
 ``cps`` round that meets a client without masks, or a local update that
 overflows raises :class:`RoundError` naming the client, the class where one
 applies, and the round.  The first round's globals are all zero, so no
@@ -146,21 +145,18 @@ def _check_frame(
     client_id: int,
     n_classes: int,
     width: int,
-    *,
-    counted: bool,
 ) -> None:
     """Reject a frame that is not this round's ``frame_type``, or whose block
     is malformed: rows must have ``width`` values, there must be at least
     one row, all finite, and ids must ascend strictly (so none repeats)
     inside [0, K).  A downlink frame (masks, globals) carries every class:
     its ids must be exactly 0..K-1, which implies both, and makes row c
-    class c's.  With ``counted`` (``weighted`` uploads) each row's leading
-    value is its class's sample count, which must be a whole number >= 1.
+    class c's.
 
     The row checks run as one vectorized pass over the whole block, which
     accepts exactly the blocks the per-row scan accepts; only a block it
     refuses is scanned row by row, to name the first faulty class for the
-    first failed check in the order: order, range, non-finite, count."""
+    first failed check in the order: order, range, non-finite."""
     if frame.frame_type != frame_type or frame.round != round_no:
         raise RoundError(
             f"client {client_id}, round {round_no}: expected a {frame_type.name} frame "
@@ -184,9 +180,6 @@ def _check_frame(
     ok = np.isfinite(values).all()
     if ok and not downlink:
         ok = ids[0] >= 0 and ids[-1] < n_classes and (ids[1:] > ids[:-1]).all()
-    if ok and counted:
-        counts = values[:, 0]
-        ok = (counts >= 1).all() and (counts == np.floor(counts)).all()
     if ok:
         return
     problems = [] if downlink else [
@@ -194,11 +187,6 @@ def _check_frame(
         (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
     ]
     problems.append((~np.isfinite(values).all(axis=1), "has non-finite values"))
-    if counted:
-        counts = values[:, 0]
-        problems.append(
-            ((counts < 1) | (counts != np.floor(counts)), "count is not a whole number >= 1")
-        )
     for bad, what in problems:
         if bad.any():
             raise RoundError(
@@ -242,8 +230,6 @@ def run_round(
     sampled = [clients[i] for i in picked]
 
     n_classes, dim = server.global_comp.shape
-    weighted = aggregator == "weighted"
-    up_width = dim + weighted  # the weighted count leads an upload row
     # only first-time participants get the masks frame: build it only for them
     needs_masks = {
         st.client_id for st in sampled if cps and st.client_id not in server.selected_ever
@@ -258,7 +244,7 @@ def run_round(
 
     tally = dict.fromkeys(FrameType, 0)  # values on the wire, per frame kind
 
-    def receive(data, frame_type, cid, n_classes, width, counted=False):
+    def receive(data, frame_type, cid, n_classes, width):
         """Decode, check, count and log one delivered frame."""
         try:
             frame = decode_frame(data)
@@ -266,7 +252,7 @@ def run_round(
             raise RoundError(
                 f"client {cid}, round {round_no}: {frame_type.name.lower()} frame: {err}"
             ) from None
-        _check_frame(frame, frame_type, round_no, cid, n_classes, width, counted=counted)
+        _check_frame(frame, frame_type, round_no, cid, n_classes, width)
         tally[frame_type] += frame_param_count(frame)
         if frame_log is not None:
             way = "up" if frame_type == FrameType.UPLOAD else "down"
@@ -300,20 +286,16 @@ def run_round(
             raise RoundError(f"client {cid}, round {round_no}: training diverged: {err}") from None
         if aggregator == "scaled":
             block = block * state.class_counts[ids, None]
-        elif weighted:
-            # the weighted variant ships the raw count as column 0
-            block = np.hstack((state.class_counts[ids, None], block))
         upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
-        uploads.append(
-            receive(upload, FrameType.UPLOAD, cid, n_classes, up_width, counted=weighted)
-        )
+        uploads.append(receive(upload, FrameType.UPLOAD, cid, n_classes, dim))
 
     # uploads in ascending client order give every class its rows in
     # ascending client order: the summation order
     ids = np.concatenate([f.class_ids for f in uploads])
     rows = np.concatenate([f.values for f in uploads])
-    args = (rows[:, 1:], rows[:, 0]) if weighted else (rows,)
-    classes, combined = _AGGREGATORS[aggregator](ids, *args)
+    # both aggregators fold with aggregate_mean, but the call goes through
+    # the table: a benchmark tracer times aggregation by wrapping its entries
+    classes, combined = _AGGREGATORS[aggregator](ids, rows)
     server.global_comp[classes] = combined
 
     server.selected_ever.update(st.client_id for st in sampled)

@@ -81,15 +81,12 @@ def reconstruct(comp, bits) -> np.ndarray:
     return full
 
 
-def dead_unit_fraction(values, tol: float = 0.0):
-    """Fraction of prototype entries with magnitude <= tol, per row of a block.
+def dead_unit_fraction(values):
+    """Fraction of prototype entries that are exactly zero, per row of a block.
 
     With the ReLU feature layer, an entry is exactly zero when the unit never
-    fired on any sample of the class, so tol=0 counts truly dead units;
-    raise tol to absorb float drift.  A row gives a float, an ``(n, d)``
-    block an ``(n,)`` array.
+    fired on any sample of the class, so this counts truly dead units.  A
+    row gives a float, an ``(n, d)`` block an ``(n,)`` array.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    fractions = np.mean(np.abs(np.asarray(values, dtype=np.float64)) <= tol, axis=-1)
+    fractions = np.mean(np.asarray(values, dtype=np.float64) == 0, axis=-1)
     return fractions if fractions.ndim else float(fractions)

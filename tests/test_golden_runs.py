@@ -53,10 +53,9 @@ def test_rounds_csv_matches_recorded_digest(workload, seed):
 @pytest.mark.parametrize(
     "aggregator, cps, recorded",
     [
-        ("weighted", True, "2c4e7b110101e7dbd314a35ecc2cd954e6a87500fa24550e0db0b17bccad0d28"),
         ("simple", False, "b7e6a06ad9426a86a5b1e5d6912398e6a2f89e5dfd8739f4da263428d576cf63"),
     ],
-    ids=["weighted-cps-on", "simple-cps-off"],
+    ids=["simple-cps-off"],
 )
 def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
     desk = {**_workloads()["desk"].config, "aggregator": aggregator, "cps": cps}
@@ -77,10 +76,6 @@ def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
             "14da601e05c9ad44cd989fb3857c23f1e50e194c16c0f863cb1dba6c0f87273b",
         ),
         (
-            dict(aggregator="weighted", cps=False),
-            "7f990d8a2b1eab27ce34357feb46ad0e23b98955b50afcb627a56b9922e77a64",
-        ),
-        (
             # K*s = 36 > d = 16: overlapping masks, and a penalty that moves the
             # loss only (a per-class constant: the params train as with lam = 0)
             dict(aggregator="scaled", cps=True, comp_dim=9, lam=0.3),
@@ -96,14 +91,13 @@ def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
     ids=[
         "simple-cps-on",
         "scaled-cps-off",
-        "weighted-cps-off",
         "scaled-cps-on-overlap-lam",
         "scaled-cps-on-two-epochs-lam",
     ],
 )
 def test_desk_rounds_csv_every_other_exchange_path(overrides, recorded):
-    # with the cases above and the benchmark's, every aggregator is pinned
-    # with cps on and with cps off
+    # with the cases above and the benchmark's, both aggregators (simple and
+    # scaled) are pinned with cps on and with cps off
     desk = {**_workloads()["desk"].config, **overrides}
     config = ExperimentConfig(seed=SEED, **desk).validate()
     text = rounds_csv_text(run_experiment(config))

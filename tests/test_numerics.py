@@ -441,6 +441,12 @@ class TestClassPenalties:
         with pytest.raises(ValueError, match="mu"):
             _penalties({0: np.ones(2)}, {0: np.ones(2)}, 2, 1, mu)
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_mu_rejected(self, mu):
+        # nan would pass a plain mu <= 0 test and make every penalty nan
+        with pytest.raises(ValueError, match=re.escape(f"mu must be finite and > 0, got {mu!r}")):
+            _penalties({0: np.ones(2)}, {0: np.ones(2)}, 2, 1, mu)
+
 
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import tinyproto.protocol as protocol
 from tinyproto.client import ClientState, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from tinyproto.costmodel import CostQuery, cost
 from tinyproto.datagen import Dataset
 from tinyproto.numerics import init_params
 from tinyproto.protocol import (
@@ -167,11 +168,20 @@ class TestRunRound:
             run_round(server, [], 1.0, cfg)
 
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
-    @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
+    @pytest.mark.parametrize("aggregator", ["scaled", "simple"])
     def test_accounting_matches_frame_recount(self, aggregator, cps):
         # round 1 delivers masks (cps) to both clients, round 2 to nobody
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         cfg = dataclasses.replace(_CFG, seed=5, cps=cps, aggregator=aggregator)
+        # participation 1.0 samples both clients; the cost model bills the
+        # compressed exchange as TinyProto and the dense one as FedProto
+        shape = dict(
+            n_classes=cfg.n_classes, classes_per_client=[st.n_local_classes for st in clients]
+        )
+        if cps:
+            query = CostQuery(algorithm="TinyProto", comp_dim=cfg.comp_dim, **shape)
+        else:
+            query = CostQuery(algorithm="FedProto", proto_dim=cfg.proto_dim, **shape)
         server = initial_server(cfg)
         for round_no in (1, 2):
             log = FrameLog()
@@ -192,6 +202,7 @@ class TestRunRound:
             )
             assert (report.mask_params > 0) == (cps and round_no == 1)
             assert report.uplink_params > 0 and report.downlink_params > 0
+            assert report.uplink_params + report.downlink_params == cost(query)
 
     def test_scaled_uploads_have_no_count_field(self):
         clients = [_make_client(0, [0, 1])]
@@ -203,37 +214,6 @@ class TestRunRound:
             frame = decode_frame(data)
             if frame.frame_type == FrameType.UPLOAD:
                 assert frame.values.shape[1] == 3
-
-    def test_weighted_uploads_carry_leading_count(self):
-        clients = [_make_client(0, [0, 1])]
-        cfg = dataclasses.replace(_CFG, seed=6, aggregator="weighted")
-        server = initial_server(cfg)
-        log = FrameLog()
-        run_round(server, clients, 1.0, cfg, frame_log=log)
-        uploads = [
-            decode_frame(d)
-            for _, _, _, d in log.entries
-            if decode_frame(d).frame_type == FrameType.UPLOAD
-        ]
-        assert uploads, "expected an upload frame"
-        for row in uploads[0].values:
-            assert len(row) == 4  # count + s values
-            assert row[0] == 4.0  # four samples per class in the fixture
-
-    def test_weighted_uplink_carries_one_count_per_class(self):
-        # under weighted every uploaded class also carries its count, so the
-        # uplink is sum_i K_i * (s + 1), not the sum_i K_i * s of scaled
-        k_i = [2, 2, 2, 3]
-        uplinks = {}
-        for aggregator in ("scaled", "weighted"):
-            clients = [_make_client(i, [i, i + 1]) for i in range(3)]
-            clients.append(_make_client(3, [0, 1, 2]))
-            cfg = dataclasses.replace(_CFG, seed=1, aggregator=aggregator)
-            server = initial_server(cfg)
-            uplinks[aggregator] = run_round(server, clients, 1.0, cfg).uplink_params
-        assert [st.n_local_classes for st in clients] == k_i
-        assert uplinks["scaled"] == sum(k * 3 for k in k_i) == 27
-        assert uplinks["weighted"] == sum(k * (3 + 1) for k in k_i) == 36
 
     def test_each_delivered_frame_decoded_once(self, monkeypatch):
         decodes = []
@@ -315,7 +295,7 @@ class TestRunRound:
         with pytest.raises(ConfigError, match="workers: must be 1"):
             ExperimentConfig(**{**_SMALL, "workers": workers})
 
-    @pytest.mark.parametrize("aggregator", ["scaled", "simple", "weighted"])
+    @pytest.mark.parametrize("aggregator", ["scaled", "simple"])
     def test_globals_sum_rows_in_ascending_client_order(self, aggregator):
         clients = [_make_client(i, [i % 4, (i + 1) % 4, (i + 2) % 4]) for i in range(12)]
         cfg = dataclasses.replace(_CFG, seed=9, aggregator=aggregator)
@@ -332,22 +312,17 @@ class TestRunRound:
             assert max(len(rows) for rows in by_class.values()) > 1
             for cls, rows in by_class.items():
                 acc = np.zeros(3)
-                if aggregator == "weighted":
-                    total = sum(row[0] for row in rows)
-                    for row in rows:
-                        acc += (row[0] / total) * row[1:]
-                else:
-                    for row in rows:
-                        acc += row
+                for row in rows:
+                    acc += row
                 acc /= len(rows)
                 expected[cls] = acc
             assert (server.global_comp == expected).all()
 
 
-def _two_client_round(aggregator="scaled"):
+def _two_client_round():
     """Client 1 alone holds class 3, so a fault keyed on it hits client 1."""
     clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
-    cfg = dataclasses.replace(_CFG, seed=1, aggregator=aggregator)
+    cfg = dataclasses.replace(_CFG, seed=1)
     return run_round(initial_server(cfg), clients, 1.0, cfg)
 
 
@@ -387,36 +362,28 @@ def _fault_upload_block(monkeypatch, fault):
     _fault_frames(monkeypatch, FrameType.UPLOAD, rewrite, only_class=3)
 
 
-def _faults(ids=None, nan_row=None, count_row=None):
+def _faults(ids=None, nan_row=None):
     """A block fault for ``_fault_upload_block``: new class ids, a NaN in the
-    last value of one row, a count of 0.5 in one row (the leading value,
-    which ``weighted`` uploads carry)."""
+    last value of one row."""
 
     def fault(old_ids, block):
         if nan_row is not None:
             block[nan_row, -1] = np.nan
-        if count_row is not None:
-            block[count_row, 0] = 0.5
         return (old_ids if ids is None else np.array(ids)), block
 
     return fault
 
 
-def _reference_row_scan(frame, n_classes, counted):
+def _reference_row_scan(frame, n_classes):
     """The per-row checks of an upload as one scan: the message of the first
-    failed check in the order order, range, non-finite, count, naming the
-    first faulty class, or None when the block is sound."""
+    failed check in the order order, range, non-finite, naming the first
+    faulty class, or None when the block is sound."""
     ids, values = frame.class_ids, frame.values
     problems = [
         (np.diff(ids, prepend=-1) <= 0, "repeated or out of order"),
         (ids >= n_classes, f"outside [0, K) for K={n_classes}"),
         (~np.isfinite(values).all(axis=1), "has non-finite values"),
     ]
-    if counted:
-        counts = values[:, 0]
-        problems.append(
-            ((counts < 1) | (counts != np.floor(counts)), "count is not a whole number >= 1")
-        )
     for bad, what in problems:
         if bad.any():
             return f"client 0, class {int(ids[bad][0])}, round 1: upload {what}"
@@ -428,24 +395,23 @@ _ODD_VALUES = st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, np.nan, np.inf, -np.inf
 
 @given(
     ids=st.lists(st.integers(-1, 5), min_size=1, max_size=5),
-    counted=st.booleans(),
     cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), _ODD_VALUES), max_size=3),
 )
 @settings(max_examples=300, deadline=None)
-def test_upload_check_refuses_what_the_row_scan_refuses(ids, counted, cells):
+def test_upload_check_refuses_what_the_row_scan_refuses(ids, cells):
     """The vectorized pass accepts exactly the sound blocks, and a refused
     block gets the row scan's message."""
     n_classes = 4
-    values = np.full((len(ids), 3), 2.0)  # sound everywhere, counts included
+    values = np.full((len(ids), 3), 2.0)  # sound everywhere
     for row, col, value in cells:
         values[row % len(ids), col] = value
     frame = Frame(FrameType.UPLOAD, 1, np.array(ids), values)
-    want = _reference_row_scan(frame, n_classes, counted)
+    want = _reference_row_scan(frame, n_classes)
     if want is None:
-        protocol._check_frame(frame, FrameType.UPLOAD, 1, 0, n_classes, 3, counted=counted)
+        protocol._check_frame(frame, FrameType.UPLOAD, 1, 0, n_classes, 3)
     else:
         with pytest.raises(RoundError, match=f"^{re.escape(want)}$"):
-            protocol._check_frame(frame, FrameType.UPLOAD, 1, 0, n_classes, 3, counted=counted)
+            protocol._check_frame(frame, FrameType.UPLOAD, 1, 0, n_classes, 3)
 
 
 class TestFrameChecks:
@@ -503,50 +469,22 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*non-finite"):
             _two_client_round()
 
-    @pytest.mark.parametrize("count", [2.5, -4.0, 0.0, 0.5])
-    def test_weighted_count_not_whole_and_non_negative_rejected(self, monkeypatch, count):
-        def fault(frame):
-            values = frame.values.copy()
-            values[1, 0] = count  # class 2
-            return dataclasses.replace(frame, values=values)
-
-        _fault_frames(monkeypatch, FrameType.UPLOAD, fault, only_class=3)
-        with pytest.raises(RoundError, match=r"client 1, class 2, round 1: .*whole number >= 1"):
-            _two_client_round(aggregator="weighted")
-
-    def test_weighted_count_of_one_accepted(self, monkeypatch):
-        def fault(ids, block):
-            block[:, 0] = 1.0
-            return ids, block
-
-        _fault_upload_block(monkeypatch, fault)
-        # 2 + 3 rows of 3 values plus the count: the round ran to its end
-        assert _two_client_round(aggregator="weighted").uplink_params == 5 * 4
-
     @pytest.mark.parametrize(
-        "aggregator, fault, want",
+        "fault, want",
         [
-            ("scaled", _faults(ids=[1, 2, 2], nan_row=0), "class 2: upload repeated or out of order"),
-            ("scaled", _faults(ids=[1, 5, 3]), "class 3: upload repeated or out of order"),
-            ("scaled", _faults(ids=[1, 2, 4], nan_row=0), "class 4: upload outside [0, K) for K=4"),
-            ("weighted", _faults(ids=[1, 2, 4], count_row=0), "class 4: upload outside [0, K) for K=4"),
-            ("weighted", _faults(nan_row=2, count_row=0), "class 3: upload has non-finite values"),
+            (_faults(ids=[1, 2, 2], nan_row=0), "class 2: upload repeated or out of order"),
+            (_faults(ids=[1, 5, 3]), "class 3: upload repeated or out of order"),
+            (_faults(ids=[1, 2, 4], nan_row=0), "class 4: upload outside [0, K) for K=4"),
         ],
-        ids=[
-            "repeated-nan",
-            "descending-out-of-range",
-            "out-of-range-nan",
-            "out-of-range-count",
-            "nan-count",
-        ],
+        ids=["repeated-nan", "descending-out-of-range", "out-of-range-nan"],
     )
-    def test_two_faults_name_the_first_failed_check(self, monkeypatch, aggregator, fault, want):
-        # checks run in the order: order, range, non-finite, count, whatever
-        # rows the faults sit in
+    def test_two_faults_name_the_first_failed_check(self, monkeypatch, fault, want):
+        # checks run in the order: order, range, non-finite, whatever rows
+        # the faults sit in
         _fault_upload_block(monkeypatch, fault)
         cls, what = want.split(": ")
         with pytest.raises(RoundError, match=f"^client 1, {cls}, round 1: {re.escape(what)}$"):
-            _two_client_round(aggregator=aggregator)
+            _two_client_round()
 
     @pytest.mark.parametrize("frame_type", [FrameType.GLOBALS, FrameType.MASKS])
     def test_downlink_of_wrong_round_rejected(self, monkeypatch, frame_type):
@@ -772,9 +710,10 @@ class TestConfig:
 
     def test_unknown_aggregator_rejected_before_training(self):
         # refused when the config is made, so no server or round can use it
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig(aggregator="bogus")
-        assert err.value.problems == ["aggregator: must be one of weighted, simple, scaled"]
+        for name in ("bogus", "weighted"):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(aggregator=name)
+            assert err.value.problems == ["aggregator: must be one of simple, scaled"]
 
     def test_bool_spellings(self):
         assert parse_config_text("cps = on").cps is True
@@ -908,8 +847,3 @@ class TestRunExperiment:
             RoundError, match=r"client \d+, round \d+: training diverged: overflow encountered"
         ):
             run_experiment(ExperimentConfig(**desk))
-
-    def test_weighted_aggregator_runs(self):
-        cfg = ExperimentConfig(**{**_SMALL, "aggregator": "weighted"})
-        result = run_experiment(cfg)
-        assert result.reports[-1].uplink_params > 0

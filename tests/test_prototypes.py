@@ -198,19 +198,10 @@ class TestOperatorProperties:
 
 class TestDeadUnitFraction:
     def test_half_dead_example(self):
-        assert dead_unit_fraction([0.0, 0.5, 0.0, 1.2], tol=0.0) == 0.5
+        assert dead_unit_fraction([0.0, 0.5, 0.0, 1.2]) == 0.5
 
     def test_all_zero_prototype(self):
         assert dead_unit_fraction(np.zeros(8)) == 1.0
-
-    def test_tolerance_absorbs_drift(self):
-        values = [1e-9, 0.5]
-        assert dead_unit_fraction(values, tol=0.0) == 0.0
-        assert dead_unit_fraction(values, tol=1e-8) == 0.5
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            dead_unit_fraction([1.0], tol=-1.0)
 
 
 class TestValueTypes:
