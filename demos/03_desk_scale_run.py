@@ -9,6 +9,8 @@ held-out split.
 """
 import logging
 
+import numpy as np
+
 from tinyproto import ExperimentConfig, dead_unit_fraction, reconstruct, run_experiment
 
 logging.basicConfig(level=logging.WARNING)
@@ -53,8 +55,9 @@ for state in result.clients:
     print(f"  client {state.client_id}: " + "  ".join(fractions))
 
 # global prototypes live entirely inside their class masks
-# (row c of global_comp is class c, row c of the bit matrix its mask)
-dense = reconstruct(result.server.global_comp, result.server.mask_set.bits)
+# (row c of global_comp is class c's, so the rows' class ids are 0..K-1)
+server = result.server
+dense = reconstruct(server.mask_set, np.arange(config.n_classes), server.global_comp)
 print("\nglobal prototype support (columns = feature dims, x = nonzero):")
 for cls, full in enumerate(dense):
     print(f"  class {cls}: " + "".join("x" if v != 0 else "." for v in full))

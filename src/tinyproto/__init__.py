@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`tinyproto.numerics` -- small ReLU models, exact gradients, SGD
 * :mod:`tinyproto.prototypes` -- the sparsify / compress / reconstruct
-  operators and dead-unit diagnostics; a prototype is a plain float array,
-  one ``(d,)`` row or an ``(n, d)`` block with one mask row per row
+  operators and dead-unit diagnostics; prototypes are plain float blocks,
+  passed with the mask set and one class id per row
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
   Hamming-distance hill climbing), stored as one ``(K, d)`` bit matrix
 * :mod:`tinyproto.aggregation` -- one fold of a round's ``(ids, rows)``

@@ -141,7 +141,7 @@ def _dense_targets(state: ClientState, global_values: np.ndarray) -> tuple[np.nd
     ids = np.flatnonzero(global_values.any(axis=1) & (state.class_counts > 0))
     values = global_values[ids]
     if state.mask_set is not None:
-        values = reconstruct(values, state.mask_set.bits[ids])
+        values = reconstruct(state.mask_set, ids, values)
     return ids, values
 
 
@@ -208,7 +208,7 @@ def local_update(
 
     ids, block = state.local_protos
     if masks is not None:
-        block = compress(block, masks.bits[ids])
+        block = compress(masks, ids, block)
     return ids, block
 
 

@@ -88,11 +88,11 @@ class CostQuery:
             )
 
 
-def _count(key: str, name: str, value) -> int:
+def _count(what: str, value) -> int:
     """``value`` as a Python int >= 0; refuse bools and anything not an integer."""
-    value = _as_int(f"{key}: field {name!r}", value)
+    value = _as_int(what, value)
     if value < 0:
-        raise ValueError(f"{key}: field {name!r} must be >= 0, got {value}")
+        raise ValueError(f"{what} must be >= 0, got {value}")
     return value
 
 
@@ -101,10 +101,11 @@ def _require(query: CostQuery, name: str):
     key = _FIELD_KEYS[name]
     if value is None:
         raise ValueError(f"{key}: {query.algorithm} cost requires field {name!r}")
+    what = f"{key}: field {name!r}"
     if name == "classes_per_client" and hasattr(value, "__iter__"):
-        return [_count(key, name, k) for k in value]
+        return [_count(what, k) for k in value]
     if name != "reduction_factor":
-        return _count(key, name, value)
+        return _count(what, value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key}: field {name!r} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value >= 0):
@@ -176,23 +177,25 @@ def figure1_table(
     d*K classifier, while the prototype cost is K*d alone, so the prototype
     route is always cheaper but its advantage shrinks as K*d grows.  Rows
     where the prototype cost reaches half the full-model cost are flagged as
-    near-parity (the advantage has dropped below 2x).
+    near-parity (the advantage has dropped below 2x).  Every count must be an
+    integer >= 0 (numpy's integers count, a bool does not).
     """
     if not k_range or not d_range:
         raise ValueError("k_range and d_range must be non-empty")
-    if model_penultimate_params < 0:
-        raise ValueError("model_penultimate_params must be >= 0")
+    trunk = _count("model_penultimate_params", model_penultimate_params)
+    ks = [_count("k_range entry", k) for k in k_range]
+    ds = [_count("d_range entry", d) for d in d_range]
     rows = []
-    for k in k_range:
-        for d in d_range:
-            fedavg = model_penultimate_params + k * d
+    for k in ks:
+        for d in ds:
+            fedavg = trunk + k * d
             pbfl = k * d
             rows.append(
                 {
-                    "n_classes": int(k),
-                    "proto_dim": int(d),
-                    "fedavg_params": int(fedavg),
-                    "pbfl_params": int(pbfl),
+                    "n_classes": k,
+                    "proto_dim": d,
+                    "fedavg_params": fedavg,
+                    "pbfl_params": pbfl,
                     "ratio": pbfl / fedavg,
                     "near_parity": pbfl >= 0.5 * fedavg,
                 }

@@ -42,7 +42,7 @@ local search is recorded so callers can verify the search never hurt.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,32 +73,36 @@ class Mask:
 
 @dataclass(frozen=True)
 class MaskSet:
-    """One mask per class, each with popcount exactly s: row c of ``bits``.
+    """One mask per class, each with the popcount s of row 0: row c of ``bits``.
 
-    ``bits`` is checked once and kept as a read-only ``(K, d)`` uint8 copy.
-    ``presearch_min_hamming`` is the minimum pairwise Hamming distance of the
-    seeded starting point, before any local search (None when there are
-    fewer than two classes, or for a set rebuilt from the wire).
+    ``bits`` is checked once and kept as a read-only ``(K, d)`` uint8 copy,
+    and ``s`` is read from it.  ``presearch_min_hamming`` is the minimum
+    pairwise Hamming distance of the seeded starting point, before any local
+    search (None when there are fewer than two classes, or for a set rebuilt
+    from the wire).
     """
 
     bits: np.ndarray
-    s: int
-    presearch_min_hamming: int | None = None
+    s: int = field(init=False)
+    presearch_min_hamming: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         raw = np.asarray(self.bits)
         if raw.ndim != 2 or raw.shape[0] < 1:
             raise ValueError(f"expected a (K, d) bit matrix with K >= 1, got shape {raw.shape}")
         # checked before the uint8 cast, which would truncate 0.5 to 0
+        counts = np.count_nonzero(raw, axis=1)
+        s = int(counts[0])
         for bad, what in (
             (((raw != 0) & (raw != 1)).any(axis=1), "has values other than 0 and 1"),
-            (np.count_nonzero(raw, axis=1) != self.s, f"does not have popcount {self.s}"),
+            (counts != s, f"does not have popcount {s}"),
         ):
             if bad.any():
                 raise ValueError(f"mask for class {int(np.flatnonzero(bad)[0])} {what}")
         bits = raw.astype(np.uint8)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "s", s)
 
     @property
     def n_classes(self) -> int:
@@ -317,7 +321,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
         for cls in range(n_classes):
             bits[cls, cls * s : (cls + 1) * s] = 1
         pre = 2 * s if n_classes >= 2 else None
-        return MaskSet(bits, s=s, presearch_min_hamming=pre)
+        return MaskSet(bits, presearch_min_hamming=pre)
 
     # overlap regime (so n_classes >= 2): the seeded start, then the climb
     rng = np.random.default_rng(seed)
@@ -343,7 +347,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
             if budget <= 0:
                 break
 
-    return MaskSet(climb.matrix(), s=s, presearch_min_hamming=presearch)
+    return MaskSet(climb.matrix(), presearch_min_hamming=presearch)
 
 
 def format_mask_rows(mask_set: MaskSet) -> str:

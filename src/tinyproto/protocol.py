@@ -266,7 +266,7 @@ def run_round(
         if cid in needs_masks:
             bits = receive(masks_bytes, FrameType.MASKS, cid, n_model_classes, feat_dim).values
             try:  # MaskSet checks the values are 0/1 and the rows' popcounts agree
-                state.mask_set = MaskSet(bits, s=np.count_nonzero(bits[0]))
+                state.mask_set = MaskSet(bits)
             except ValueError as err:
                 raise RoundError(f"client {cid}, round {round_no}: {err}") from None
         if cps and state.mask_set is None:

@@ -1,18 +1,22 @@
-"""The sparsify / compress / reconstruct operators on prototype arrays.
+"""The sparsify / compress / reconstruct operators on prototype blocks.
 
 A prototype is a class's mean feature vector, a float row of length d.  Each
-class owns a fixed binary mask: zeroing a prototype outside it gives the
-sparse form (length d), and keeping only the masked entries, in ascending
-index order, gives the compressed form (length s) that travels between
-client and server.  These operators are the only code that knows that
-layout.  Each takes one row ``(d,)`` with its mask bits ``(d,)``, or an
-``(n, d)`` block with one mask row per row, compressed to ``(n, s)`` in
-row-major masked order.  A shape or length mismatch raises ``ValueError``.
+class owns a fixed binary mask, its row of a :class:`~tinyproto.masking.MaskSet`:
+zeroing a prototype outside it gives the sparse form (length d), and keeping
+only the masked entries, in ascending index order, gives the compressed form
+(length s) that travels between client and server.  These operators are the
+only code that knows that layout.  Each takes the mask set, the class ids of
+an ``(n, d)`` block's rows, and the block; the compressed form is ``(n, s)``
+in row-major masked order.  Every mask of a set has popcount s, so the
+operators check only that the ids are integers in ``[0, K)`` and the block's
+shape; a mismatch raises ``ValueError``.  One vector is a one-row block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .masking import MaskSet
 
 __all__ = [
     "sparsify",
@@ -22,61 +26,41 @@ __all__ = [
 ]
 
 
-def _checked(values, bits, what: str, dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as float64, one row or a block with one ``bits`` row per row."""
-    values, bits = np.asarray(values, dtype=np.float64), np.asarray(bits)
-    if values.ndim not in (1, 2) or bits.ndim != values.ndim:
+def _keep(mask_set: MaskSet, ids, block, width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``block`` as float64 and the boolean ``(n, d)`` selection of classes ``ids``."""
+    ids, block = np.asarray(ids), np.asarray(block, dtype=np.float64)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu" or block.shape != (len(ids), width):
         raise ValueError(
-            f"expected a row (d,) or a block (n, d) with one mask row each, "
-            f"got {what} {values.shape} and mask bits {bits.shape}"
+            f"expected n integer class ids (1-D) and an (n, {width}) {what} block, "
+            f"got ids {ids.dtype} {ids.shape} and {what} {block.shape}"
         )
-    if values.shape[:-1] != bits.shape[:-1]:
-        raise ValueError(f"class mismatch: {what} {values.shape}, mask bits {bits.shape}")
-    if dense and values.shape != bits.shape:
-        raise ValueError(f"dimension mismatch: {what} {values.shape}, mask bits {bits.shape}")
-    return values, bits
+    k = mask_set.n_classes
+    if len(ids) and not 0 <= ids.min() <= ids.max() < k:
+        bad = ids[(ids < 0) | (ids >= k)]
+        raise ValueError(f"class id {bad[0]} outside [0, K) for K={k}")
+    return block, mask_set.bits[ids].view(bool)
 
 
-def _selection(bits: np.ndarray, width: int, what: str) -> np.ndarray:
-    """``bits == 1``, once every row is checked to select ``width`` entries."""
-    keep = bits == 1
-    counts = np.count_nonzero(keep.reshape(-1, bits.shape[-1]), axis=1)
-    bad = np.flatnonzero(counts != width)
-    if len(bad):
-        raise ValueError(
-            f"length mismatch in row {bad[0]}: mask selects {counts[bad[0]]} entries, "
-            f"{what} {width}"
-        )
-    return keep
+def sparsify(mask_set: MaskSet, ids, block) -> np.ndarray:
+    """Hadamard product with each row's mask: entries outside it become zero."""
+    block, keep = _keep(mask_set, ids, block, mask_set.d, "values")
+    return block * keep
 
 
-def sparsify(values, bits) -> np.ndarray:
-    """Hadamard product with the mask: entries outside the mask become zero."""
-    values, bits = _checked(values, bits, "values", dense=True)
-    return values * bits
+def compress(mask_set: MaskSet, ids, block) -> np.ndarray:
+    """Keep only each row's masked entries: ``(n, d)`` becomes ``(n, s)``."""
+    block, keep = _keep(mask_set, ids, block, mask_set.d, "values")
+    return np.extract(keep, block).reshape(len(block), mask_set.s)
 
 
-def compress(values, bits) -> np.ndarray:
-    """Keep only the masked entries: ``(s,)`` for a row, ``(n, s)`` for a block.
-
-    Every row of a block must select as many entries as row 0; an empty
-    block gives ``(0, 0)``.
-    """
-    values, bits = _checked(values, bits, "values", dense=True)
-    s = np.count_nonzero(np.atleast_2d(bits)[:1] == 1)
-    keep = _selection(bits, s, "row 0 selects")
-    return values[keep].reshape(*values.shape[:-1], s)
-
-
-def reconstruct(comp, bits) -> np.ndarray:
-    """Scatter compressed values back to the mask positions, zeros elsewhere.
+def reconstruct(mask_set: MaskSet, ids, comp) -> np.ndarray:
+    """Scatter each compressed row back to its mask positions, zeros elsewhere.
 
     Inverse of :func:`compress` up to the off-mask entries:
-    reconstruct(compress(v, b), b) == sparsify(v, b).
+    reconstruct(m, ids, compress(m, ids, v)) == sparsify(m, ids, v).
     """
-    comp, bits = _checked(comp, bits, "payload", dense=False)
-    keep = _selection(bits, comp.shape[-1], "payload has")
-    full = np.zeros(bits.shape)
+    comp, keep = _keep(mask_set, ids, comp, mask_set.s, "payload")
+    full = np.zeros(keep.shape)
     full[keep] = comp.ravel()
     return full
 

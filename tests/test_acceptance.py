@@ -96,25 +96,29 @@ def test_criterion_1_operator_algebra():
             bits = np.zeros(dim, dtype=np.uint8)
             ones = int(rng.integers(0, dim + 1))
             bits[rng.choice(dim, size=ones, replace=False)] = 1
-            a = rng.normal(size=dim)
-            b = rng.normal(size=dim)
+            # each vector is a one-row block of class 0 under a one-mask set
+            masks, row = tp.MaskSet(bits[None]), np.arange(1)
+            a = rng.normal(size=(1, dim))
+            b = rng.normal(size=(1, dim))
 
-            sa = sparsify(a, bits)
+            sa = sparsify(masks, row, a)
             # fixed support
-            assert np.all(sa[bits == 0] == 0)
+            assert np.all(sa[0, bits == 0] == 0)
             # non-expansiveness
-            lhs = np.linalg.norm(sa - sparsify(b, bits))
+            lhs = np.linalg.norm(sa - sparsify(masks, row, b))
             assert lhs <= np.linalg.norm(a - b) + 1e-12
             # linearity with a fixed mask
             qa, qb = rng.normal(), rng.normal()
-            mixed = sparsify(qa * a + qb * b, bits)
+            mixed = sparsify(masks, row, qa * a + qb * b)
             np.testing.assert_allclose(
-                mixed, qa * sa + qb * sparsify(b, bits), atol=1e-12
+                mixed, qa * sa + qb * sparsify(masks, row, b), atol=1e-12
             )
             # idempotence
-            np.testing.assert_array_equal(sparsify(sa, bits), sa)
+            np.testing.assert_array_equal(sparsify(masks, row, sa), sa)
             # compress / reconstruct round-trip
-            np.testing.assert_array_equal(reconstruct(compress(a, bits), bits), sa)
+            np.testing.assert_array_equal(
+                reconstruct(masks, row, compress(masks, row, a)), sa
+            )
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"operator algebra took {elapsed:.2f}s"
 
@@ -211,14 +215,17 @@ def test_criterion_3_aggregation_oracles():
             ones = int(rng.integers(1, dim + 1))
             bits = np.zeros(dim, dtype=np.uint8)
             bits[rng.choice(dim, size=ones, replace=False)] = 1
+            masks = tp.MaskSet(bits[None])
             n_clients = int(rng.integers(1, 6))
             protos = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 6)) for _ in range(n_clients)]
             dense_mean = sum(n * p for p, n in zip(protos, counts)) / n_clients
-            via_dense = compress(dense_mean, bits)
+            (via_dense,) = compress(masks, np.arange(1), dense_mean[None])
+            # every client's row is class 0: one block, one compress call
+            one_class = np.zeros(n_clients, dtype=np.int64)
             _, (via_wire,) = tp.aggregate_mean(
-                np.zeros(n_clients, dtype=np.int64),
-                np.array([n * compress(p, bits) for p, n in zip(protos, counts)]),
+                one_class,
+                compress(masks, one_class, np.array(protos)) * np.array(counts)[:, None],
             )
             np.testing.assert_allclose(via_wire, via_dense, atol=1e-10)
 
@@ -282,14 +289,17 @@ def test_criterion_4_cost_exactness(cost_runs):
 
 
 def test_criterion_5_desk_scale_learning(learning_runs):
-    with _criterion("criterion 5: best mean test accuracy >= 0.90 and >= ablation - 0.02"):
+    with _criterion(
+        "criterion 5: best and final mean test accuracy >= 0.90 and >= ablation - 0.02"
+    ):
         result, ablation, elapsed = learning_runs
-        best = result.summary["best_mean_test_accuracy"]
-        best_ablation = ablation.summary["best_mean_test_accuracy"]
-        assert best >= 0.90, f"best accuracy {best:.4f} below 0.90"
-        assert best >= best_ablation - 0.02, (
-            f"best {best:.4f} trails the no-penalty ablation {best_ablation:.4f}"
-        )
+        # the final round is checked too: a best round can hide a later collapse
+        for key in ("best_mean_test_accuracy", "final_mean_test_accuracy"):
+            got, got_ablation = result.summary[key], ablation.summary[key]
+            assert got >= 0.90, f"{key} {got:.4f} below 0.90"
+            assert got >= got_ablation - 0.02, (
+                f"{key} {got:.4f} trails the no-penalty ablation {got_ablation:.4f}"
+            )
         assert elapsed < 120.0, f"desk-scale runs took {elapsed:.1f}s"
 
 

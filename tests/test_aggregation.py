@@ -119,15 +119,13 @@ class TestCompressionCommutes:
             dim = int(rng.integers(2, 12))
             ones = int(rng.integers(1, dim + 1))
             mask_set = generate_masks(1, dim, ones, seed=int(rng.integers(0, 1000)))
-            bits = mask_set.bits[0]
             n_clients = int(rng.integers(1, 5))
             protos = [rng.normal(size=dim) for _ in range(n_clients)]
             counts = [int(rng.integers(1, 6)) for _ in range(n_clients)]
 
             dense_mean = sum(n * p for p, n in zip(protos, counts)) / n_clients
-            via_dense = compress(dense_mean, bits)
+            (via_dense,) = compress(mask_set, np.arange(1), dense_mean[None])
 
-            via_wire = _one_class(
-                aggregate_mean, _rows(*(n * compress(p, bits) for p, n in zip(protos, counts)))
-            )
+            rows = compress(mask_set, np.zeros(n_clients, dtype=np.int64), _rows(*protos))
+            via_wire = _one_class(aggregate_mean, rows * np.array(counts)[:, None])
             np.testing.assert_allclose(via_wire, via_dense, atol=1e-10)

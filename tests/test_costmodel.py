@@ -186,6 +186,30 @@ class TestFigureTable:
         assert not row["near_parity"]
         assert row["ratio"] < 0.01
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, [2.5], [4]), "k_range entry must be an integer, got 2.5"),
+            ((10.7, [2], [4]), "model_penultimate_params must be an integer, got 10.7"),
+            ((10, [True], [4]), "k_range entry must be an integer, got the bool True"),
+            ((10, [2], [4.0]), "d_range entry must be an integer, got 4.0"),
+            ((10, [2], [-4]), "d_range entry must be >= 0, got -4"),
+        ],
+        ids=["K-float", "trunk-float", "K-bool", "d-float", "d-negative"],
+    )
+    def test_non_integer_counts_rejected(self, args, message):
+        # a truncated count would make a row contradict itself (2 * 4 != 10)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            figure1_table(*args)
+
+    def test_numpy_integers_accepted(self):
+        (row,) = figure1_table(np.int64(10), [np.int32(2)], [np.uint8(4)])
+        assert row == {
+            "n_classes": 2, "proto_dim": 4, "fedavg_params": 18, "pbfl_params": 8,
+            "ratio": 8 / 18, "near_parity": False,
+        }
+        assert all(type(row[key]) is int for key in ("n_classes", "proto_dim", "fedavg_params"))
+
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):
             figure1_table(1000, k_range=[], d_range=[10])

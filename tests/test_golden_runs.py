@@ -5,7 +5,8 @@ The configs come from ``perfbench/workloads.py`` and the sha256 digests from
 ``perfbench/digests.json``; both are read, never written.  A change that
 alters any training, wire or aggregation result fails here.  The benchmark
 runs only ``scaled`` with ``cps`` on, so the desk config is also pinned under
-two paths it never takes, with digests recorded in this file.
+the other aggregator and ``cps`` pairs and two penalty settings, with digests
+recorded in this file.
 """
 
 import hashlib
@@ -51,25 +52,15 @@ def test_rounds_csv_matches_recorded_digest(workload, seed):
 
 
 @pytest.mark.parametrize(
-    "aggregator, cps, recorded",
-    [
-        ("simple", False, "b7e6a06ad9426a86a5b1e5d6912398e6a2f89e5dfd8739f4da263428d576cf63"),
-    ],
-    ids=["simple-cps-off"],
-)
-def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
-    desk = {**_workloads()["desk"].config, "aggregator": aggregator, "cps": cps}
-    config = ExperimentConfig(seed=SEED, **desk).validate()
-    text = rounds_csv_text(run_experiment(config))
-    assert hashlib.sha256(text.encode()).hexdigest() == recorded
-
-
-@pytest.mark.parametrize(
     "overrides, recorded",
     [
         (
             dict(aggregator="simple", cps=True),
             "888c08b7414f1dc3b0cd5bb2be456bc37e4ec033e6c175b2308e37f0dcc81f11",
+        ),
+        (
+            dict(aggregator="simple", cps=False),
+            "b7e6a06ad9426a86a5b1e5d6912398e6a2f89e5dfd8739f4da263428d576cf63",
         ),
         (
             dict(aggregator="scaled", cps=False),
@@ -90,6 +81,7 @@ def test_desk_rounds_csv_off_benchmark_paths(aggregator, cps, recorded):
     ],
     ids=[
         "simple-cps-on",
+        "simple-cps-off",
         "scaled-cps-off",
         "scaled-cps-on-overlap-lam",
         "scaled-cps-on-two-epochs-lam",

@@ -235,19 +235,35 @@ class TestMaskSet:
         bits = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         bits[1, 0] = bad
         with pytest.raises(ValueError, match="class 1 has values other than 0 and 1"):
-            MaskSet(bits, s=2)
+            MaskSet(bits)
 
     def test_wrong_popcount_row_names_its_class(self):
         bits = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 1]])
         with pytest.raises(ValueError, match="class 2 does not have popcount 2"):
-            MaskSet(bits, s=2)
+            MaskSet(bits)
 
     @pytest.mark.parametrize(
         "shape", [(4,), (2, 2, 2), (0, 4)], ids=["one-dimensional", "three-dimensional", "no-rows"]
     )
     def test_not_a_matrix_with_rows_rejected(self, shape):
         with pytest.raises(ValueError, match=r"expected a \(K, d\) bit matrix"):
-            MaskSet(np.ones(shape), s=2)
+            MaskSet(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "bits, s", [([[1, 1, 0], [0, 1, 1]], 2), ([[0, 0, 0]], 0), ([[1, 1, 1]], 3)],
+        ids=["two-of-three", "empty", "full"],
+    )
+    def test_s_is_row_zeros_popcount(self, bits, s):
+        mask_set = MaskSet(np.array(bits))
+        assert mask_set.s == s and type(mask_set.s) is int
+        assert mask_set.presearch_min_hamming is None
+
+    def test_only_the_bits_are_positional(self):
+        bits = np.array([[1, 0], [0, 1]])
+        assert MaskSet(bits, presearch_min_hamming=2).presearch_min_hamming == 2
+        for call in (lambda: MaskSet(bits, 2), lambda: MaskSet(bits, s=1)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_bits_is_the_stored_read_only_matrix(self):
         bits = generate_masks(6, 12, 4, seed=0).bits
@@ -265,7 +281,7 @@ class TestMaskSet:
 
     def test_input_is_copied(self):
         bits = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        mask_set = MaskSet(bits, s=1)
+        mask_set = MaskSet(bits)
         bits[0] = [0, 1]
         assert mask_set.bits[0].tolist() == [1, 0]
         assert bits.flags.writeable
@@ -273,11 +289,11 @@ class TestMaskSet:
 
 class TestMinPairwiseHamming:
     def test_identical_masks_give_zero(self):
-        mask_set = MaskSet(np.array([[1, 0, 1], [1, 0, 1]]), s=2)
+        mask_set = MaskSet(np.array([[1, 0, 1], [1, 0, 1]]))
         assert min_pairwise_hamming(mask_set) == 0
 
     def test_disjoint_masks_give_two_s(self):
-        mask_set = MaskSet(np.array([[1, 1, 0, 0], [0, 0, 1, 1]]), s=2)
+        mask_set = MaskSet(np.array([[1, 1, 0, 0], [0, 0, 1, 1]]))
         assert min_pairwise_hamming(mask_set) == 4
 
     def test_matches_brute_force_recount(self):

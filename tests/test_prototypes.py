@@ -1,11 +1,15 @@
-"""Sparsify / compress / reconstruct operator algebra and dead-unit stats."""
+"""Sparsify / compress / reconstruct operator algebra and dead-unit stats.
+
+The operators take a mask set, one class id per block row, and the block; a
+single vector is a one-row block of class 0 under a one-mask set.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyproto.masking import MaskSet
+from tinyproto.masking import MaskSet, generate_masks
 from tinyproto.prototypes import (
     compress,
     dead_unit_fraction,
@@ -14,72 +18,81 @@ from tinyproto.prototypes import (
 )
 
 
+ROW = np.arange(1)  # the class id of a one-row block under a one-mask set
+
+
+def _one(bits) -> MaskSet:
+    """A set of one mask, class 0."""
+    return MaskSet(np.array([bits]))
+
+
 def _random_case(rng, max_dim=64):
+    """A one-row block and a one-mask set; the mask may be empty."""
     dim = int(rng.integers(1, max_dim + 1))
     ones = int(rng.integers(0, dim + 1))
     bits = np.zeros(dim, dtype=np.uint8)
     bits[rng.choice(dim, size=ones, replace=False)] = 1
-    return rng.normal(size=dim), bits
+    return rng.normal(size=(1, dim)), _one(bits)
 
 
 class TestSparsify:
     def test_hadamard_example(self):
-        out = sparsify([3.0, -1.0, 2.0], [1, 0, 1])
+        out = sparsify(_one([1, 0, 1]), ROW, [[3.0, -1.0, 2.0]])
         assert isinstance(out, np.ndarray)
-        np.testing.assert_array_equal(out, [3.0, 0.0, 2.0])
+        np.testing.assert_array_equal(out, [[3.0, 0.0, 2.0]])
 
     def test_all_ones_mask_is_identity(self):
-        values = np.array([0.5, -2.0, 7.0])
-        out = sparsify(values, [1, 1, 1])
+        values = np.array([[0.5, -2.0, 7.0]])
+        out = sparsify(_one([1, 1, 1]), ROW, values)
         np.testing.assert_array_equal(out, values)
 
     def test_single_leading_bit_zeroes_the_rest(self):
-        out = sparsify([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 0, 0, 0])
-        np.testing.assert_array_equal(out, [1.0, 0.0, 0.0, 0.0, 0.0])
+        out = sparsify(_one([1, 0, 0, 0, 0]), ROW, [[1.0, 2.0, 3.0, 4.0, 5.0]])
+        np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0, 0.0, 0.0]])
 
     def test_class_mismatch_rejected(self):
-        # a block needs one mask row per class row
-        with pytest.raises(ValueError, match="class"):
-            sparsify(np.ones((1, 1)), np.ones((2, 1)))
+        # a block needs one class id per row
+        with pytest.raises(ValueError, match=r"ids int64 \(2,\) and values \(1, 1\)"):
+            sparsify(_one([1]), np.zeros(2, dtype=np.int64), np.ones((1, 1)))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            sparsify([1.0, 2.0], [1])
+        with pytest.raises(ValueError, match=r"an \(n, 1\) values block"):
+            sparsify(_one([1]), ROW, [[1.0, 2.0]])
 
 
 class TestCompress:
     def test_basic_example(self):
-        out = compress([3.0, -1.0, 2.0], [1, 0, 1])
-        np.testing.assert_array_equal(out, [3.0, 2.0])
+        out = compress(_one([1, 0, 1]), ROW, [[3.0, -1.0, 2.0]])
+        np.testing.assert_array_equal(out, [[3.0, 2.0]])
 
     def test_all_ones_mask_keeps_everything(self):
-        out = compress([1.0, 2.0, 3.0], [1, 1, 1])
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+        out = compress(_one([1, 1, 1]), ROW, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
 
     def test_interior_bits_in_ascending_order(self):
-        out = compress([7.0, 8.0, 9.0, 10.0], [0, 1, 1, 0])
-        np.testing.assert_array_equal(out, [8.0, 9.0])
+        out = compress(_one([0, 1, 1, 0]), ROW, [[7.0, 8.0, 9.0, 10.0]])
+        np.testing.assert_array_equal(out, [[8.0, 9.0]])
 
 
 class TestReconstruct:
     def test_inverse_of_compress_example(self):
-        out = reconstruct([3.0, 2.0], [1, 0, 1])
-        np.testing.assert_array_equal(out, [3.0, 0.0, 2.0])
+        out = reconstruct(_one([1, 0, 1]), ROW, [[3.0, 2.0]])
+        np.testing.assert_array_equal(out, [[3.0, 0.0, 2.0]])
 
     def test_empty_mask_gives_zero_vector(self):
-        out = reconstruct([], [0, 0, 0])
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out = reconstruct(_one([0, 0, 0]), ROW, np.empty((1, 0)))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            reconstruct([1.0], [1, 1, 0])
+        with pytest.raises(ValueError, match=r"an \(n, 2\) payload block"):
+            reconstruct(_one([1, 1, 0]), ROW, [[1.0]])
 
     def test_roundtrip_equals_sparsify_1000_cases(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
-            values, bits = _random_case(rng)
-            via_wire = reconstruct(compress(values, bits), bits)
-            direct = sparsify(values, bits)
+            values, masks = _random_case(rng)
+            via_wire = reconstruct(masks, ROW, compress(masks, ROW, values))
+            direct = sparsify(masks, ROW, values)
             np.testing.assert_array_equal(via_wire, direct)
 
 
@@ -99,18 +112,20 @@ def _reference_reconstruct(comp, bits):
 
 
 def _random_block(rng, n, d, s, overlap):
-    """``n`` rows with ``s`` set bits each, disjoint blocks unless ``overlap``."""
-    bits = np.zeros((n, d), dtype=np.uint8)
-    for i in range(n):
+    """A set of ``max(n, 1)`` masks with ``s`` set bits each, disjoint blocks
+    unless ``overlap``, and ``n`` rows of random classes of it, repeats allowed."""
+    k = max(n, 1)
+    bits = np.zeros((k, d), dtype=np.uint8)
+    for i in range(k):
         if overlap:
             bits[i, rng.choice(d, size=s, replace=False)] = 1
         else:
             bits[i, (i * s) % d : (i * s) % d + s] = 1
-    return rng.normal(size=(n, d)), bits
+    return MaskSet(bits), rng.integers(0, k, size=n), rng.normal(size=(n, d))
 
 
 class TestBlocks:
-    """An (n, d) block with one mask row per row equals a per-row loop."""
+    """An (n, d) block with one class id per row equals a per-row loop."""
 
     @pytest.mark.parametrize(
         "n, d, s, overlap",
@@ -121,30 +136,44 @@ class TestBlocks:
     def test_block_operators_match_per_row_loop(self, n, d, s, overlap):
         rng = np.random.default_rng(16)
         for _ in range(20):
-            block, bits = _random_block(rng, n, d, s, overlap)
-            comp = compress(block, bits)
-            assert comp.shape == (n, s if n else 0)
+            masks, ids, block = _random_block(rng, n, d, s, overlap)
+            bits = masks.bits[ids]
+            comp = compress(masks, ids, block)
+            assert comp.shape == (n, s)  # empty ids give (0, s)
             np.testing.assert_array_equal(comp, np.reshape(_reference_compress(block, bits), comp.shape))
             np.testing.assert_array_equal(
-                reconstruct(comp, bits), _reference_reconstruct(comp, bits)
+                reconstruct(masks, ids, comp), _reference_reconstruct(comp, bits)
             )
-            np.testing.assert_array_equal(sparsify(block, bits), np.where(bits == 1, block, 0.0))
-            np.testing.assert_array_equal(reconstruct(comp, bits), sparsify(block, bits))
-
-    def test_uneven_rows_rejected(self):
-        bits = np.array([[1, 1, 0], [0, 0, 1]])
-        with pytest.raises(ValueError, match="length mismatch in row 1: mask selects 1 entries, row 0 selects 2"):
-            compress(np.ones((2, 3)), bits)
-
-    def test_reconstruct_length_mismatch_names_the_row(self):
-        bits = np.array([[1, 1, 0], [0, 1, 1]])
-        with pytest.raises(ValueError, match="length mismatch in row 0: mask selects 2 entries, payload has 3"):
-            reconstruct(np.ones((2, 3)), bits)
+            np.testing.assert_array_equal(
+                sparsify(masks, ids, block), np.where(bits == 1, block, 0.0)
+            )
+            np.testing.assert_array_equal(
+                reconstruct(masks, ids, comp), sparsify(masks, ids, block)
+            )
 
     @pytest.mark.parametrize("op", [sparsify, compress, reconstruct])
     def test_row_against_block_rejected(self, op):
-        with pytest.raises(ValueError, match="expected a row"):
-            op(np.ones(3), np.ones((1, 3)))
+        # one vector is passed as a one-row block
+        with pytest.raises(ValueError, match=r"expected n integer class ids"):
+            op(_one([1, 1, 1]), ROW, np.ones(3))
+
+    @pytest.mark.parametrize("op", [sparsify, compress, reconstruct])
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "K"])
+    def test_class_id_outside_range_rejected(self, op, bad):
+        # a negative id would otherwise wrap to the last class
+        masks = generate_masks(3, 6, 2, seed=0)
+        width = 6 if op is not reconstruct else 2
+        with pytest.raises(ValueError, match=rf"class id {bad} outside \[0, K\) for K=3"):
+            op(masks, np.array([0, bad]), np.ones((2, width)))
+
+    @pytest.mark.parametrize(
+        "ids", [np.array([True, False]), np.array([0.0, 1.0]), np.zeros((2, 1), dtype=np.int64)],
+        ids=["bool", "float", "two-dimensional"],
+    )
+    def test_ids_not_integer_vector_rejected(self, ids):
+        # a bool array would select rows by mask, not by class id
+        with pytest.raises(ValueError, match=r"expected n integer class ids \(1-D\)"):
+            compress(generate_masks(2, 4, 2, seed=0), ids, np.ones((2, 4)))
 
     def test_dead_unit_fraction_per_row(self):
         block = np.array([[0.0, 0.5, 0.0, 1.2], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
@@ -164,15 +193,15 @@ class TestOperatorProperties:
                 )
             )
         )
-        out = sparsify(vals, bits)
+        (out,) = sparsify(_one(bits), ROW, vals[None])
         assert np.all(out[bits == 0] == 0)
 
     def test_non_expansive(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
-            a, bits = _random_case(rng, max_dim=32)
-            b = rng.normal(size=len(a))
-            lhs = np.linalg.norm(sparsify(a, bits) - sparsify(b, bits))
+            a, masks = _random_case(rng, max_dim=32)
+            b = rng.normal(size=a.shape)
+            lhs = np.linalg.norm(sparsify(masks, ROW, a) - sparsify(masks, ROW, b))
             rhs = np.linalg.norm(a - b)
             assert lhs <= rhs + 1e-12
 
@@ -180,19 +209,19 @@ class TestOperatorProperties:
         rng = np.random.default_rng(14)
         for _ in range(300):
             dim = int(rng.integers(1, 33))
-            bits = (rng.random(dim) < 0.5).astype(np.uint8)
+            masks = _one((rng.random(dim) < 0.5).astype(np.uint8))
             weights = rng.normal(size=3)
-            protos = [rng.normal(size=dim) for _ in range(3)]
-            mixed = sparsify(sum(w * p for w, p in zip(weights, protos)), bits)
-            parts = sum(w * sparsify(p, bits) for w, p in zip(weights, protos))
+            protos = [rng.normal(size=(1, dim)) for _ in range(3)]
+            mixed = sparsify(masks, ROW, sum(w * p for w, p in zip(weights, protos)))
+            parts = sum(w * sparsify(masks, ROW, p) for w, p in zip(weights, protos))
             np.testing.assert_allclose(mixed, parts, atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(15)
         for _ in range(300):
-            values, bits = _random_case(rng, max_dim=32)
-            once = sparsify(values, bits)
-            twice = sparsify(once, bits)
+            values, masks = _random_case(rng, max_dim=32)
+            once = sparsify(masks, ROW, values)
+            twice = sparsify(masks, ROW, once)
             np.testing.assert_array_equal(once, twice)
 
 
@@ -207,4 +236,4 @@ class TestDeadUnitFraction:
 class TestValueTypes:
     def test_mask_bits_must_be_binary(self):
         with pytest.raises(ValueError):
-            MaskSet(np.array([[0, 2]]), s=1)
+            MaskSet(np.array([[0, 2]]))
