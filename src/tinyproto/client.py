@@ -17,8 +17,9 @@ with (otherwise every term is 0.0 and no starting means are read).  Those
 are ``state.local_protos`` when it is set (it always describes
 ``state.params``), else one full-shard pass under ``state.params``.  The
 means are computed once more after the last epoch, for the upload and
-evaluation.  An update copies the parameters once and every SGD step changes
-that copy in place; the caller's arrays are never written.
+evaluation.  An update copies the parameters once and makes one gradient
+block: every batch fills that block, and its SGD step consumes it to change
+the copy in place; the caller's arrays are never written.
 
 Every per-class quantity is a ``(K,)`` array indexed by class id or an
 ``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
@@ -50,6 +51,7 @@ from .config import ExperimentConfig
 from .datagen import Dataset
 from .masking import MaskSet
 from .numerics import (
+    Gradients,
     ModelParams,
     class_penalties,
     forward_features,
@@ -74,9 +76,12 @@ class InferenceError(RuntimeError):
     """Prediction was requested before any local prototype existed."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ClientState:
-    """Everything one client owns: model, data, masks, and latest means."""
+    """Everything one client owns: model, data, masks, and latest means.
+
+    Equality is identity.
+    """
 
     client_id: int
     params: ModelParams
@@ -181,8 +186,10 @@ def local_update(
     state.test_accuracy = None
 
     xs, ys = state.shard.x, state.shard.y
-    # one copy per update, which every batch's step then changes in place
+    # one copy and one gradient block per update: every batch fills the
+    # block, and its step consumes it to change the copy in place
     params = ModelParams(*(a.copy() for a in state.params.arrays()))
+    grads = Gradients(*(np.empty_like(a) for a in params.arrays()))
     # with no target every term is 0.0, so the starting means are not needed
     penalty = np.zeros(state.params.dims[3])
     if cfg.lam > 0 and len(targets[0]):
@@ -198,7 +205,7 @@ def local_update(
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(params, xs[idx], ys[idx], penalty, cfg.lam)
+            loss, _ = loss_and_grad(params, xs[idx], ys[idx], penalty, cfg.lam, out=grads)
             sgd_step(params, grads, cfg.lr)
             batch_losses.append(loss)
 

@@ -30,9 +30,12 @@ __all__ = [
 TRAIN_FRACTION = 0.75
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Feature matrix x (N, D), integer labels y (N,), and the class count."""
+    """Feature matrix x (N, D), integer labels y (N,), and the class count.
+
+    Equality is identity.
+    """
 
     x: np.ndarray
     y: np.ndarray

@@ -55,9 +55,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
-    """Class ``class_id``'s row of a :class:`MaskSet`, as a read-only view."""
+    """Class ``class_id``'s row of a :class:`MaskSet`, as a read-only view.
+
+    Equality is identity, and the hash is the identity's.
+    """
 
     class_id: int
     bits: np.ndarray
@@ -71,7 +74,7 @@ class Mask:
         return int(np.count_nonzero(self.bits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskSet:
     """One mask per class, each with the popcount s of row 0: row c of ``bits``.
 
@@ -79,7 +82,8 @@ class MaskSet:
     and ``s`` is read from it.  ``presearch_min_hamming`` is the minimum
     pairwise Hamming distance of the seeded starting point, before any local
     search (None when there are fewer than two classes, or for a set rebuilt
-    from the wire).
+    from the wire).  Equality is identity, and the hash is the identity's:
+    two sets of equal bits are not ``==``.
     """
 
     bits: np.ndarray

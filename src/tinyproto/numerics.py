@@ -17,10 +17,14 @@ carried entirely by the cross-entropy term.  All reductions run in
 ascending index order, which makes repeated evaluations bit-identical.
 
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
-labels, checked with a few cheap tests per call.  :func:`sgd_step` updates a
-parameter block in place and consumes the gradient block it is given: each
-gradient is scaled by the learning rate in place, so a caller that needs the
-raw gradients afterwards passes a copy.  Inference and training share one
+labels, checked with a few cheap tests per call.  :func:`loss_and_grad`
+writes the gradients into a block the caller may pass in, and
+:func:`sgd_step` updates a parameter block in place and consumes the
+gradient block it is given: each gradient is scaled by the learning rate in
+place, so a caller that needs the raw gradients afterwards passes a copy.
+A training loop therefore holds one gradient block, which every batch
+fills, its step consumes and the next batch refills, and allocates no
+parameter-sized array per batch.  Inference and training share one
 definition of the feature layers.  A minibatch step costs more in numpy
 calls and temporaries than in arithmetic, so each layer, the logits and
 the softmax terms are built in the output of the call that makes them and
@@ -52,11 +56,12 @@ class ShapeError(ValueError):
     """An input's dimensions do not match the model's configuration."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """Weight block for input -> hidden (ReLU) -> feature (ReLU) -> logits.
 
     Shapes: w1 (D, h), b1 (h,), w2 (h, d), b2 (d,), wc (d, K), bc (K,).
+    Equality is identity: two blocks of equal arrays are not ``==``.
     """
 
     w1: np.ndarray
@@ -187,6 +192,8 @@ def loss_and_grad(
     ys: np.ndarray,
     class_penalty: np.ndarray | None,
     lam: float,
+    *,
+    out: Gradients | None = None,
 ) -> tuple[float, Gradients]:
     """Combined loss over a minibatch and its exact parameter gradient.
 
@@ -197,6 +204,13 @@ def loss_and_grad(
     :func:`class_penalties`, read only when lam > 0.  The penalty values are
     constants of the step, so the returned gradient is the cross-entropy
     gradient; it matches central finite differences of the returned loss.
+
+    The gradients are written into ``out``, which is returned: a block of
+    ``params``' shapes that shares no memory with it, as :func:`sgd_step`
+    asks of ``grads``.  A caller that steps on every batch fills one block,
+    lets :func:`sgd_step` consume it, and passes it in again.  With ``out``
+    None a new block is allocated.  Every shape is checked before any
+    array is written.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -216,6 +230,10 @@ def loss_and_grad(
     classes = sorted(set(ys.tolist()))
     if classes[0] < 0 or classes[-1] >= n_classes:
         raise ValueError("label outside [0, K)")
+    if out is None:
+        out = Gradients(*(np.empty_like(p) for p in params.arrays()))
+    else:
+        _check_gradient_shapes(params, out)
 
     a1, a2 = _activations(params, xs)
     z3 = a2 @ params.wc
@@ -253,21 +271,17 @@ def loss_and_grad(
     g3 /= ez_sum
     g3[rows, ys] -= 1.0
     g3 /= n
-    grad_wc = a2.T @ g3
-    grad_bc = g3.sum(axis=0)
+    np.matmul(a2.T, g3, out=out.wc)
+    g3.sum(axis=0, out=out.bc)
     g2 = g3 @ params.wc.T
     g2 *= a2 > 0
-    grad_w2 = a1.T @ g2
-    grad_b2 = g2.sum(axis=0)
+    np.matmul(a1.T, g2, out=out.w2)
+    g2.sum(axis=0, out=out.b2)
     g1 = g2 @ params.w2.T
     g1 *= a1 > 0
-    grad_w1 = xs.T @ g1
-    grad_b1 = g1.sum(axis=0)
-
-    grads = Gradients(
-        w1=grad_w1, b1=grad_b1, w2=grad_w2, b2=grad_b2, wc=grad_wc, bc=grad_bc
-    )
-    return loss, grads
+    np.matmul(xs.T, g1, out=out.w1)
+    g1.sum(axis=0, out=out.b1)
+    return loss, out
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
@@ -276,15 +290,19 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
     Consumes ``grads``: each gradient is scaled by ``lr`` in place, so no
     temporary is made, and then subtracted; the parameters come out
     bit-equal to ``p - lr * g``.  ``grads`` must therefore share no memory
-    with ``params``.  Every shape is checked before any array of either
-    block changes.
+    with ``params``.  The consumed block is fit to be refilled by the next
+    :func:`loss_and_grad` call's ``out``.  Every shape is checked before
+    any array of either block changes.
     """
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
-    pairs = list(zip(params.arrays(), grads.arrays()))
-    for p, g in pairs:
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    for p, g in pairs:
+    _check_gradient_shapes(params, grads)
+    for p, g in zip(params.arrays(), grads.arrays()):
         g *= lr
         p -= g
+
+
+def _check_gradient_shapes(params: ModelParams, grads: Gradients) -> None:
+    for p, g in zip(params.arrays(), grads.arrays()):
+        if p.shape != g.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")

@@ -92,12 +92,13 @@ def _child_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence([base, *tags]).generate_state(1)[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class ServerState:
     """Masks, latest global payloads, the ever-selected client set, and the
     last round's number.
 
     ``global_comp`` is a (K, w) array whose row c is class c's payload.
+    Equality is identity.
     """
 
     mask_set: MaskSet

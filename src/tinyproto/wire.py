@@ -52,9 +52,12 @@ class FrameType(IntEnum):
     GLOBALS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """One frame: ``values[i]`` is the record of class ``class_ids[i]``."""
+    """One frame: ``values[i]`` is the record of class ``class_ids[i]``.
+
+    Equality is identity, and the hash is the identity's.
+    """
 
     frame_type: FrameType
     round: int

@@ -22,6 +22,7 @@ from tinyproto.numerics import (
     forward_features,
     init_params,
     loss_and_grad,
+    sgd_step,
 )
 from tinyproto.protocol import FrameLog, initial_server, run_round
 
@@ -393,6 +394,38 @@ class TestLocalUpdate:
             np.testing.assert_array_equal(pa, pb)
         for cls in outs[0]:
             np.testing.assert_array_equal(outs[0][cls], outs[1][cls])
+
+    def test_every_batch_fills_one_gradient_block(self, monkeypatch):
+        seen = []
+
+        def spying(*args, **kwargs):
+            seen.append(kwargs["out"])
+            return loss_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr(client_mod, "loss_and_grad", spying)
+        state, cfg = _state(), _CFG
+        assert cfg.local_epochs == 2
+        assert len(state.shard) % cfg.batch_size != 0  # the last batch is partial
+        local_update(state, _globals(), cfg, rng=np.random.default_rng(8))
+        assert len(seen) == 4  # 2 epochs of a 4 + 2 batch split
+        assert isinstance(seen[0], ModelParams)
+        assert all(out is seen[0] for out in seen)
+
+        # the same update with a gradient block allocated on every batch
+        ref = _state()
+        params = ModelParams(*(a.copy() for a in ref.params.arrays()))
+        targets = client_mod._dense_targets(ref, _globals())
+        penalty = class_penalties(compute_local_prototypes(ref), targets, cfg.mu, n_classes=3)
+        x, y = ref.shard.x, ref.shard.y
+        rng = np.random.default_rng(8)
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grads = loss_and_grad(params, x[idx], y[idx], penalty, cfg.lam)
+                sgd_step(params, grads, cfg.lr)
+        for got, want in zip(state.params.arrays(), params.arrays()):
+            assert got.tobytes() == want.tobytes()
 
     def test_missing_masks_rejected(self):
         # a compressed (K, s) block cannot be read without masks

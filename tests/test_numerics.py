@@ -169,6 +169,17 @@ class TestLossAndGrad:
         with pytest.raises(ShapeError, match="class penalty"):
             loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), penalty, 1.0)
 
+    @pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2", "wc", "bc"])
+    def test_out_of_other_shapes_rejected_before_any_write(self, field):
+        params = _identity_params(2)
+        out = Gradients(*(np.full_like(a, np.nan) for a in params.arrays()))
+        setattr(out, field, np.full(3, np.nan))  # one array of the wrong shape
+        before = [a.copy() for a in params.arrays() + out.arrays()]
+        with pytest.raises(ShapeError, match="gradient shape"):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), None, 0.0, out=out)
+        for a, b in zip(params.arrays() + out.arrays(), before):
+            assert a.tobytes() == b.tobytes()  # nan included
+
     def test_empty_batch_rejected(self):
         params = _identity_params(2)
         with pytest.raises(ValueError, match="empty"):
@@ -406,6 +417,28 @@ class TestKernelBits:
         _assert_same_bits(
             forward_features(params, xs[0]), _reference_activations(params, xs[0])[1]
         )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_out_block_refilled_across_batches(self, seed):
+        # one block, filled with nan and -0.0 once, serves batches of 4, 4,
+        # the partial 2 and a single row; each call must write every entry
+        rng = np.random.default_rng(seed)
+        params, _, _, _, ncls = _random_instance(rng)
+        xs = rng.normal(size=(10, params.w1.shape[0]))
+        ys = rng.integers(0, ncls, size=10)
+        penalty = rng.uniform(0.0, 2.0, size=ncls)
+        out = Gradients(*(np.empty_like(a) for a in params.arrays()))
+        for a in out.arrays():
+            a.flat[0::2], a.flat[1::2] = np.nan, -0.0
+        for rows in (slice(0, 4), slice(4, 8), slice(8, 10), slice(3, 4)):
+            loss, grads = loss_and_grad(params, xs[rows], ys[rows], penalty, 0.7, out=out)
+            want_loss, want_grads = _reference_loss_and_grad(
+                params, xs[rows], ys[rows], penalty, 0.7
+            )
+            assert grads is out
+            _assert_same_bits(loss, want_loss)
+            for got, want in zip(out.arrays(), want_grads.arrays()):
+                _assert_same_bits(got, want)
 
     def test_exact_zero_cross_entropy_keeps_its_sign(self):
         # every label is its row's argmax and every other logit is 1000 below,

@@ -15,10 +15,12 @@ from tinyproto.client import ClientState, evaluate_accuracy
 from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from tinyproto.costmodel import CostQuery, cost
 from tinyproto.datagen import Dataset
-from tinyproto.numerics import init_params
+from tinyproto.masking import Mask, MaskSet
+from tinyproto.numerics import ModelParams, init_params
 from tinyproto.protocol import (
     FrameLog,
     RoundError,
+    ServerState,
     initial_server,
     rounds_csv_text,
     run_experiment,
@@ -49,6 +51,28 @@ def _make_client(client_id, classes, n_classes=4, input_dim=3, feat=12, seed=Non
 _CFG = ExperimentConfig(
     n_classes=4, proto_dim=12, comp_dim=3, lam=1.0, mu=1.0, lr=0.01, batch_size=4, local_epochs=1
 )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Mask(0, np.eye(2)[0]),
+        lambda: MaskSet(np.eye(2)),
+        lambda: Frame(FrameType.UPLOAD, 1, np.arange(2), np.eye(2)),
+        lambda: init_params(2, 3, 4, 2, seed=0),
+        lambda: Dataset(np.eye(2), np.arange(2), 2),
+        lambda: _make_client(0, [0, 1]),
+        lambda: ServerState(MaskSet(np.eye(2)), np.zeros((2, 1))),
+    ],
+    ids=["Mask", "MaskSet", "Frame", "ModelParams", "Dataset", "ClientState", "ServerState"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare the arrays and raise numpy's
+    # "truth value ... is ambiguous" error instead of answering
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
 
 
 class TestRunRound:
