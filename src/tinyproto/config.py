@@ -24,6 +24,12 @@ Optional extras: per_class, sigma, hidden, workers.  Client updates run
 serially, so ``workers`` accepts only 1; the key stays so that existing
 configs that set it to 1 still load.  No key sets the train/test split:
 each client trains on 75% of its shard.
+
+A setting is declared once, on its :class:`ExperimentConfig` field (file
+key, default, range test and message); its type picks its parser, type
+test and stored form from ``_KINDS``.  :func:`is_int` is the one integer
+rule, and :func:`as_int` its raising form, which the mask and cost modules use.
+
 An :class:`ExperimentConfig` holds every setting of a run, the five that
 ``client.local_update`` reads included.  It checks itself when it is made
 and is frozen, so a run executes exactly the settings that were checked;
@@ -38,13 +44,13 @@ summary can be written as JSON.  A ``float`` is the value's float64: a
 of 25 clients where 0.28 samples 7.
 """
 
-from __future__ import annotations
-
+# no ``from __future__ import annotations``: ``_KINDS`` is looked up by each
+# field's annotation, which must stay the type itself, not its name
 import errno
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Container
 
@@ -55,6 +61,8 @@ from .aggregation import AGGREGATOR_CHOICES
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "is_int",
+    "as_int",
     "split_key_value_lines",
     "read_utf8_text",
     "parse_config_text",
@@ -70,7 +78,19 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  {p}" for p in problems))
 
 
-# file key -> (attribute, parser)
+def is_int(value) -> bool:
+    """An integer other than a bool (numpy's integers count, ``np.True_`` does not)."""
+    return not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__")
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int; refuse bools and anything not an integer."""
+    if is_int(value):
+        return operator.index(value)
+    the_bool = "the bool " if isinstance(value, (bool, np.bool_)) else ""
+    raise ValueError(f"{name} must be an integer, got {the_bool}{value!r}")
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("on", "true", "1", "yes"):
@@ -80,115 +100,87 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
-_KEYS: dict[str, tuple[str, type | object]] = {
-    "seed": ("seed", int),
-    "M": ("n_clients", int),
-    "K": ("n_classes", int),
-    "D": ("input_dim", int),
-    "d": ("proto_dim", int),
-    "s": ("comp_dim", int),
-    "alpha": ("alpha", float),
-    "lambda": ("lam", float),
-    "mu": ("mu", float),
-    "lr": ("lr", float),
-    "batch_size": ("batch_size", int),
-    "local_epochs": ("local_epochs", int),
-    "rounds": ("rounds", int),
-    "participation": ("participation", float),
-    "aggregator": ("aggregator", str),
-    "cps": ("cps", _parse_bool),
-    "per_class": ("per_class", int),
-    "sigma": ("sigma", float),
-    "hidden": ("hidden_dim", int),
-    "workers": ("workers", int),
-}
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
-
-
-def _is_int(value) -> bool:
-    """An integer other than a bool, as ``masking._as_int`` accepts."""
-    return not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__")
-
-
-# parser -> (does a value have the type the parser makes, that type's name)
-_TYPES = {
-    int: (_is_int, "an integer"),
-    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    _parse_bool: (lambda v: isinstance(v, bool), "a bool"),
-}
-
-# parser -> how a value that has its type is stored
-_PLAIN = {int: operator.index, float: float}
-
-# attribute -> (test a value of the right type must pass, message if it fails)
-_RANGES = {
-    "seed": (lambda v: v >= 0, "must be >= 0"),
-    **dict.fromkeys(
-        ("n_clients", "n_classes", "input_dim", "proto_dim", "comp_dim",
-         "batch_size", "local_epochs", "rounds", "per_class", "hidden_dim"),
-        (lambda v: v >= 1, "must be >= 1"),
+# field annotation -> (text parser, type test, type name, how a value that
+# has the type is stored: as the plain Python value, so a summary can hold it)
+_KINDS = {
+    int: (int, is_int, "an integer", operator.index),
+    float: (
+        float,
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+        "a real number",
+        float,
     ),
-    "alpha": (lambda v: v > 0, "must be > 0"),
-    "lam": (lambda v: v >= 0, "must be >= 0"),
-    "mu": (lambda v: v > 0, "must be > 0"),
-    "lr": (lambda v: v > 0, "must be > 0"),
-    "sigma": (lambda v: v > 0, "must be > 0"),
-    "participation": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "workers": (lambda v: v == 1, "must be 1 (client updates run serially)"),
-    "aggregator": (
-        lambda v: v in AGGREGATOR_CHOICES,
-        f"must be one of {', '.join(AGGREGATOR_CHOICES)}",
-    ),
+    str: (str, lambda v: isinstance(v, str), "a string", str),
+    bool: (_parse_bool, lambda v: isinstance(v, bool), "a bool", bool),
 }
+
+
+def _setting(key: str, default, test=None, message: str = ""):
+    """A field read from file key ``key``; a value of the field's type that
+    fails ``test`` is reported as ``message``."""
+    return field(default=default, metadata={"key": key, "test": test, "message": message})
+
+
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 0
-    n_clients: int = 4
-    n_classes: int = 3
-    input_dim: int = 8
-    proto_dim: int = 16
-    comp_dim: int = 4
-    alpha: float = 0.5
-    lam: float = 1.0
-    mu: float = 1.0
-    lr: float = 0.01
-    batch_size: int = 32
-    local_epochs: int = 1
-    rounds: int = 10
-    participation: float = 1.0
-    aggregator: str = "scaled"
-    cps: bool = True
-    per_class: int = 100
-    sigma: float = 0.35
-    hidden_dim: int = 32
-    workers: int = 1  # only 1: client updates run serially
+    """Every setting of a run; each field declares its file key, default and range."""
+
+    seed: int = _setting("seed", 0, *_AT_LEAST_0)
+    n_clients: int = _setting("M", 4, *_AT_LEAST_1)
+    n_classes: int = _setting("K", 3, *_AT_LEAST_1)
+    input_dim: int = _setting("D", 8, *_AT_LEAST_1)
+    proto_dim: int = _setting("d", 16, *_AT_LEAST_1)
+    comp_dim: int = _setting("s", 4, *_AT_LEAST_1)
+    alpha: float = _setting("alpha", 0.5, *_POSITIVE)
+    lam: float = _setting("lambda", 1.0, *_AT_LEAST_0)
+    mu: float = _setting("mu", 1.0, *_POSITIVE)
+    lr: float = _setting("lr", 0.01, *_POSITIVE)
+    batch_size: int = _setting("batch_size", 32, *_AT_LEAST_1)
+    local_epochs: int = _setting("local_epochs", 1, *_AT_LEAST_1)
+    rounds: int = _setting("rounds", 10, *_AT_LEAST_1)
+    participation: float = _setting(
+        "participation", 1.0, lambda v: 0 < v <= 1, "must lie in (0, 1]"
+    )
+    aggregator: str = _setting(
+        "aggregator", "scaled", lambda v: v in AGGREGATOR_CHOICES,
+        f"must be one of {', '.join(AGGREGATOR_CHOICES)}",
+    )
+    cps: bool = _setting("cps", True)
+    per_class: int = _setting("per_class", 100, *_AT_LEAST_1)
+    sigma: float = _setting("sigma", 0.35, *_POSITIVE)
+    hidden_dim: int = _setting("hidden", 32, *_AT_LEAST_1)
+    workers: int = _setting(
+        "workers", 1, lambda v: v == 1, "must be 1 (client updates run serially)"
+    )
 
     def __post_init__(self) -> None:
         self.validate()
-        for attr, parser in _KEYS.values():
-            if parser in _PLAIN:
-                object.__setattr__(self, attr, _PLAIN[parser](getattr(self, attr)))
+        for f in fields(self):
+            store = _KINDS[f.type][3]
+            object.__setattr__(self, f.name, store(getattr(self, f.name)))
 
     def problems(self) -> list[str]:
         """Every validation failure, named by the config-file key; a value
         of the wrong type, or a non-finite float, is reported alone, not
         also as out of range."""
         out = []
-        for key, (attr, parser) in _KEYS.items():
-            value = getattr(self, attr)
-            has_type, type_name = _TYPES[parser]
+        for f in fields(self):
+            key, test = f.metadata["key"], f.metadata["test"]
+            _, has_type, type_name, _ = _KINDS[f.type]
+            value = getattr(self, f.name)
             if not has_type(value):
                 out.append(f"{key}: must be {type_name}, got {value!r}")
-            elif parser is float and not math.isfinite(value):
+            elif f.type is float and not math.isfinite(value):
                 out.append(f"{key}: must be finite, got {value}")
-            elif attr in _RANGES and not _RANGES[attr][0](value):
-                out.append(f"{key}: {_RANGES[attr][1]}")
+            elif test is not None and not test(value):
+                out.append(f"{key}: {f.metadata['message']}")
         s, d = self.comp_dim, self.proto_dim
-        if _is_int(s) and _is_int(d) and s > d:
+        if is_int(s) and is_int(d) and s > d:
             out.append(f"s: must be <= d (got s={s}, d={d})")
         return out
 
@@ -205,10 +197,13 @@ class ExperimentConfig:
         """File-key view of the config (for logs and summaries)."""
         values = {}
         for f in fields(self):
-            key = _ATTR_TO_KEY[f.name]
             value = getattr(self, f.name)
-            values[key] = ("on" if value else "off") if isinstance(value, bool) else value
+            values[f.metadata["key"]] = ("on" if value else "off") if f.type is bool else value
         return values
+
+
+# file key -> field
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def split_key_value_lines(
@@ -248,9 +243,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     pairs, problems = split_key_value_lines(text, _KEYS)
     values = {}
     for key, value in pairs:
-        attr, parser = _KEYS[key]
+        f = _KEYS[key]
         try:
-            values[attr] = parser(value)
+            values[f.name] = _KINDS[f.type][0](value)
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
     if problems:

@@ -16,18 +16,20 @@ the server always answers with all K).  The FedAvg convention (full model
 up and down per client) is stated here because the comparison figure
 leaves it implicit.
 
-Every message about a missing or bad field leads with its query-file key
-(``QUERY_KEYS``), as the config file's messages do.
+Each query-file key is declared once, on its :class:`CostQuery` field;
+``QUERY_KEYS`` (key -> field) is read from those declarations.  Every
+message about a missing or bad field leads with its query-file key, as the
+config file's messages do.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
-from .masking import _as_int
+from .config import as_int
 
 __all__ = ["ALGORITHMS", "QUERY_KEYS", "CostQuery", "cost", "cost_millions", "figure1_table"]
 
@@ -42,20 +44,9 @@ ALGORITHMS = (
     "FedAvg",
 )
 
-# query-file key -> CostQuery field
-QUERY_KEYS = {
-    "M": "n_clients",
-    "K": "n_classes",
-    "K_i": "classes_per_client",
-    "d": "proto_dim",
-    "s": "comp_dim",
-    "classifier_params": "classifier_params",
-    "aux_extractor_params": "aux_extractor_params",
-    "aux_classifier_params": "aux_classifier_params",
-    "r": "reduction_factor",
-    "full_model_params": "full_model_params",
-}
-_FIELD_KEYS = {name: key for key, name in QUERY_KEYS.items()}
+def _query_key(key: str):
+    """An optional field read from query-file key ``key``."""
+    return field(default=None, metadata={"key": key})
 
 
 @dataclass(frozen=True)
@@ -70,16 +61,16 @@ class CostQuery:
     """
 
     algorithm: str
-    n_clients: int | None = None
-    n_classes: int | None = None
-    classes_per_client: int | Sequence[int] | None = None
-    proto_dim: int | None = None
-    comp_dim: int | None = None
-    classifier_params: int | None = None
-    aux_extractor_params: int | None = None
-    aux_classifier_params: int | None = None
-    reduction_factor: float | None = None
-    full_model_params: int | None = None
+    n_clients: int | None = _query_key("M")
+    n_classes: int | None = _query_key("K")
+    classes_per_client: int | Sequence[int] | None = _query_key("K_i")
+    proto_dim: int | None = _query_key("d")
+    comp_dim: int | None = _query_key("s")
+    classifier_params: int | None = _query_key("classifier_params")
+    aux_extractor_params: int | None = _query_key("aux_extractor_params")
+    aux_classifier_params: int | None = _query_key("aux_classifier_params")
+    reduction_factor: float | None = _query_key("r")
+    full_model_params: int | None = _query_key("full_model_params")
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -88,9 +79,14 @@ class CostQuery:
             )
 
 
+# query-file key -> CostQuery field, and back
+QUERY_KEYS = {f.metadata["key"]: f.name for f in fields(CostQuery) if f.metadata}
+_FIELD_KEYS = {name: key for key, name in QUERY_KEYS.items()}
+
+
 def _count(what: str, value) -> int:
     """``value`` as a Python int >= 0; refuse bools and anything not an integer."""
-    value = _as_int(what, value)
+    value = as_int(what, value)
     if value < 0:
         raise ValueError(f"{what} must be >= 0, got {value}")
     return value

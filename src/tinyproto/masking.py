@@ -41,10 +41,11 @@ local search is recorded so callers can verify the search never hurt.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import as_int
 
 __all__ = [
     "Mask",
@@ -296,22 +297,12 @@ class _Climb:
         )
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int; refuse bools and anything not an integer."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got the bool {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
     """Build the per-class mask set for (n_classes, d, s), seeded."""
-    n_classes = _as_int("n_classes", n_classes)
-    d = _as_int("d", d)
-    s = _as_int("s", s)
-    seed = _as_int("seed", seed)
+    n_classes = as_int("n_classes", n_classes)
+    d = as_int("d", d)
+    s = as_int("s", s)
+    seed = as_int("seed", seed)
     if n_classes < 1:
         raise ValueError(f"need at least one class, got n_classes={n_classes}")
     if not 1 <= s <= d:

@@ -9,7 +9,8 @@ builds and receives its upload), fold all uploads in one aggregator call, then
 report every client's accuracy on its own test split.  Every setting,
 ``cps`` and the aggregator included, comes from the run's frozen
 :class:`~tinyproto.config.ExperimentConfig`; :func:`initial_server` builds
-the server's masks and zero globals from the same config.  A client
+the server's masks and zero globals from the same config (a dense run's
+masks are all ones, and no round sends them).  A client
 compresses when it holds masks (only ``cps`` rounds deliver them), and
 ``scaled``'s count scaling is applied where the upload frame is built.
 Every frame is one block, a class-id vector plus one value row per class.
@@ -18,7 +19,8 @@ All three kinds pass through one receive step, which decodes the frame once
 :func:`_check_frame` (one vectorized pass over the block, and a per-row
 scan only to name the fault of a block it refuses), adds its values to
 the round's tally for that kind and logs it; the client's ``MaskSet``
-checks the mask values when it is built.  A bad frame, a
+checks the mask values when it is built, and masks with no set bit are
+refused.  A bad frame, a
 ``cps`` round that meets a client without masks, or a local update that
 overflows raises :class:`RoundError` naming the client, the class where one
 applies, and the round.  The first round's globals are all zero, so no
@@ -131,12 +133,15 @@ class FrameLog:
 
 
 def initial_server(cfg: ExperimentConfig) -> ServerState:
-    """Server for the run ``cfg`` configures: its (K, d, s) masks, drawn
-    from ``cfg.seed``, and all-zero global payloads, s long for a ``cps``
-    run and d long for a dense one."""
-    mask_set = generate_masks(cfg.n_classes, cfg.proto_dim, cfg.comp_dim, seed=cfg.seed)
-    dim = cfg.comp_dim if cfg.cps else cfg.proto_dim
-    return ServerState(mask_set, np.zeros((cfg.n_classes, dim)))
+    """Server for the run ``cfg`` configures: its masks and all-zero global
+    payloads, ``mask_set.s`` long.  A ``cps`` run draws (K, d, s) masks from
+    ``cfg.seed``; a dense one holds the all-ones (K, d) set, CPS with s = d,
+    which is FedProto's exchange, and never sends it."""
+    if cfg.cps:
+        mask_set = generate_masks(cfg.n_classes, cfg.proto_dim, cfg.comp_dim, seed=cfg.seed)
+    else:
+        mask_set = MaskSet(np.ones((cfg.n_classes, cfg.proto_dim)))
+    return ServerState(mask_set, np.zeros((cfg.n_classes, mask_set.s)))
 
 
 def _check_frame(
@@ -267,9 +272,12 @@ def run_round(
         if cid in needs_masks:
             bits = receive(masks_bytes, FrameType.MASKS, cid, n_model_classes, feat_dim).values
             try:  # MaskSet checks the values are 0/1 and the rows' popcounts agree
-                state.mask_set = MaskSet(bits)
+                mask_set = MaskSet(bits)
+                if not mask_set.s:  # a set of empty masks is valid, an exchange of none is not
+                    raise ValueError("mask for class 0 has no set bits")
             except ValueError as err:
                 raise RoundError(f"client {cid}, round {round_no}: {err}") from None
+            state.mask_set = mask_set
         if cps and state.mask_set is None:
             raise RoundError(f"client {cid}, round {round_no}: no masks were delivered to it")
         width = state.mask_set.s if cps else feat_dim

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tinyproto.protocol as protocol
 from tinyproto.client import ClientState, evaluate_accuracy
-from tinyproto.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from tinyproto.config import _KEYS, ConfigError, ExperimentConfig, load_config, parse_config_text
 from tinyproto.costmodel import CostQuery, cost
 from tinyproto.datagen import Dataset
 from tinyproto.masking import Mask, MaskSet
@@ -537,6 +537,16 @@ class TestFrameChecks:
         with pytest.raises(RoundError, match=r"client 0, round 1: mask for class 3 .*popcount 3"):
             _two_client_round()
 
+    def test_masks_of_zeros_rejected_as_masks(self, monkeypatch):
+        # blamed on the masks, not on the globals that follow them
+        _fault_frames(
+            monkeypatch, FrameType.MASKS, lambda f: dataclasses.replace(f, values=0 * f.values)
+        )
+        with pytest.raises(
+            RoundError, match=r"^client 0, round 1: mask for class 0 has no set bits$"
+        ):
+            _two_client_round()
+
     def test_masks_frame_without_records_rejected(self, monkeypatch):
         _fault_frames(
             monkeypatch,
@@ -654,7 +664,35 @@ class TestFrameChecks:
             _two_client_round()
 
 
+# every field away from its default but workers, which accepts only 1
+_NON_DEFAULT = ExperimentConfig(
+    seed=3, n_clients=5, n_classes=4, input_dim=5, proto_dim=12, comp_dim=3, alpha=0.2,
+    lam=0.5, mu=2.0, lr=0.05, batch_size=16, local_epochs=2, rounds=7, participation=0.5,
+    aggregator="simple", cps=False, per_class=40, sigma=0.5, hidden_dim=24, workers=1,
+)
+_FIELDS = dataclasses.fields(ExperimentConfig)
+
+
 class TestConfig:
+    @pytest.mark.parametrize("field", _FIELDS, ids=[f.name for f in _FIELDS])
+    def test_each_field_round_trips_through_its_file_key(self, field):
+        text = "".join(f"{key} = {value}\n" for key, value in _NON_DEFAULT.to_dict().items())
+        value = getattr(parse_config_text(text), field.name)
+        assert value == getattr(_NON_DEFAULT, field.name) and type(value) is field.type
+        assert value != field.default or field.name == "workers"
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=[f.name for f in _FIELDS])
+    def test_each_field_names_a_value_of_the_wrong_type(self, field):
+        kind = {int: "an integer", float: "a real number", str: "a string", bool: "a bool"}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{field.name: None})
+        key = field.metadata["key"]
+        assert err.value.problems == [f"{key}: must be {kind[field.type]}, got None"]
+
+    def test_every_file_key_is_unique(self):
+        keys = [f.metadata["key"] for f in _FIELDS]
+        assert len(set(keys)) == len(keys) == len(_KEYS)
+
     def test_parse_round_trip(self):
         text = """
         # comment
@@ -858,6 +896,26 @@ class TestRunExperiment:
         assert result.reports[0].mask_params == 0
         globals_ = result.server.global_comp
         assert all(len(g) == cfg.proto_dim for g in globals_)
+
+    def test_dense_run_sends_and_writes_all_ones_masks_without_a_search(
+        self, monkeypatch, tmp_path
+    ):
+        calls = []
+        real = protocol.generate_masks
+        monkeypatch.setattr(
+            protocol, "generate_masks", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        cfg = ExperimentConfig(
+            seed=7, n_clients=4, n_classes=10, proto_dim=32, comp_dim=8, rounds=2,
+            per_class=30, cps=False,
+        )
+        result = run_experiment(cfg, out_dir=tmp_path)
+        assert calls == []
+        assert (tmp_path / "masks.txt").read_text() == ("1" * 32 + "\n") * 10
+        assert result.server.mask_set.s == 32
+        assert result.summary["total_mask_params"] == 0
+        run_experiment(dataclasses.replace(cfg, cps=True))
+        assert len(calls) == 1  # the spy sees a cps run's search
 
     def test_diverging_client_ends_the_round_with_a_named_error(self):
         # the desk config of demos/03 with a learning rate that overflows the
