@@ -71,20 +71,22 @@ def _cmd_masks(args: argparse.Namespace) -> int:
     return 0
 
 
+# a query field's kind -> its noun, and the noun with its article
+_KIND_NOUNS = {int: ("integer", "an integer"), float: ("number", "a number")}
+
+
 def _parse_cost_query_file(path: str) -> list[CostQuery]:
-    """Flat key-value query file; `algorithm` and `K_i` may list several,
-    comma-separated.  Every bad line or value (one that does not parse, is
-    not finite or is negative) is reported, named by its key."""
+    """Flat key-value query file; `algorithm` and every listed field (`K_i`)
+    may hold several values, comma-separated.  Each value parses as its
+    field's kind.  Every bad line or value (one that does not parse, is not
+    finite or is negative) is reported, named by its key."""
     pairs, problems = split_key_value_lines(read_utf8_text(path), {"algorithm", *QUERY_KEYS})
     values = dict(pairs)
 
-    def number(key: str, text: str) -> int | float | None:
-        if key == "r":
-            parse, noun, what = float, "number", "a number"
-        else:
-            parse, noun, what = int, "integer", "an integer"
+    def number(key: str, kind: type, text: str) -> int | float | None:
+        noun, what = _KIND_NOUNS[kind]
         try:
-            value = parse(text)
+            value = kind(text)
             if math.isfinite(value) and value >= 0:
                 return value
             what = f"a non-negative {noun}" if math.isfinite(value) else "a finite number"
@@ -94,11 +96,15 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
 
     fields = {}
     for key, text in values.items():
-        if key == "K_i":
-            counts = [number(key, p) for p in text.split(",") if p.strip()]
-            fields[QUERY_KEYS[key]] = counts[0] if len(counts) == 1 else counts
-        elif key != "algorithm":
-            fields[QUERY_KEYS[key]] = number(key, text)
+        if key == "algorithm":
+            continue
+        f = QUERY_KEYS[key]
+        kind = f.metadata["kind"]
+        if f.metadata["listed"]:
+            parsed = [number(key, kind, p) for p in text.split(",") if p.strip()]
+            fields[f.name] = parsed[0] if len(parsed) == 1 else parsed
+        else:
+            fields[f.name] = number(key, kind, text)
     if problems:
         raise ValueError("invalid query file:\n" + "\n".join(f"  {p}" for p in problems))
     if "algorithm" not in values:

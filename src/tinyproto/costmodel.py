@@ -16,10 +16,12 @@ the server always answers with all K).  The FedAvg convention (full model
 up and down per client) is stated here because the comparison figure
 leaves it implicit.
 
-Each query-file key is declared once, on its :class:`CostQuery` field;
-``QUERY_KEYS`` (key -> field) is read from those declarations.  Every
-message about a missing or bad field leads with its query-file key, as the
-config file's messages do.
+Each query-file key is declared once, on its :class:`CostQuery` field,
+with the kind of value it takes: a count, a real number, or a
+comma-separated list of counts.  ``QUERY_KEYS`` (key -> field) is read from
+those declarations, and both the query file's parser and :func:`cost`'s
+checks go by the field's kind.  Every message about a missing or bad field
+leads with its query-file key, as the config file's messages do.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ ALGORITHMS = (
     "FedAvg",
 )
 
-def _query_key(key: str):
-    """An optional field read from query-file key ``key``."""
-    return field(default=None, metadata={"key": key})
+def _query_key(key: str, kind: type = int, *, listed: bool = False):
+    """An optional field read from query-file key ``key``: a value of
+    ``kind`` (``int`` for a count, ``float`` for a real number), or with
+    ``listed`` one or more of them, comma-separated in the file."""
+    return field(default=None, metadata={"key": key, "kind": kind, "listed": listed})
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,13 @@ class CostQuery:
     algorithm: str
     n_clients: int | None = _query_key("M")
     n_classes: int | None = _query_key("K")
-    classes_per_client: int | Sequence[int] | None = _query_key("K_i")
+    classes_per_client: int | Sequence[int] | None = _query_key("K_i", listed=True)
     proto_dim: int | None = _query_key("d")
     comp_dim: int | None = _query_key("s")
     classifier_params: int | None = _query_key("classifier_params")
     aux_extractor_params: int | None = _query_key("aux_extractor_params")
     aux_classifier_params: int | None = _query_key("aux_classifier_params")
-    reduction_factor: float | None = _query_key("r")
+    reduction_factor: float | None = _query_key("r", float)
     full_model_params: int | None = _query_key("full_model_params")
 
     def __post_init__(self):
@@ -79,9 +83,9 @@ class CostQuery:
             )
 
 
-# query-file key -> CostQuery field, and back
-QUERY_KEYS = {f.metadata["key"]: f.name for f in fields(CostQuery) if f.metadata}
-_FIELD_KEYS = {name: key for key, name in QUERY_KEYS.items()}
+# query-file key -> CostQuery field (a ``dataclasses.Field``), and field name -> field
+QUERY_KEYS = {f.metadata["key"]: f for f in fields(CostQuery) if f.metadata}
+_QUERY_FIELDS = {f.name: f for f in QUERY_KEYS.values()}
 
 
 def _count(what: str, value) -> int:
@@ -94,13 +98,14 @@ def _count(what: str, value) -> int:
 
 def _require(query: CostQuery, name: str):
     value = getattr(query, name)
-    key = _FIELD_KEYS[name]
+    meta = _QUERY_FIELDS[name].metadata
+    key = meta["key"]
     if value is None:
         raise ValueError(f"{key}: {query.algorithm} cost requires field {name!r}")
     what = f"{key}: field {name!r}"
-    if name == "classes_per_client" and hasattr(value, "__iter__"):
+    if meta["listed"] and hasattr(value, "__iter__"):
         return [_count(what, k) for k in value]
-    if name != "reduction_factor":
+    if meta["kind"] is int:
         return _count(what, value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key}: field {name!r} must be a real number, got {value!r}")

@@ -7,6 +7,21 @@ distribution and assigns that class's samples by largest-remainder rounding,
 so label skew grows as the concentration alpha shrinks.  A client's shard
 splits by a seeded shuffle: ``TRAIN_FRACTION`` (75%) trains, the rest tests.
 
+Each sample is copied and checked as few times as the API allows:
+
+* ``make_blobs`` writes every class's rows into one preallocated block,
+  which ``Dataset(...)`` checks once.
+* ``dirichlet_partition`` records each sample's client in one owner
+  vector; one stable sort by owner then gives every client its rows, in
+  ascending order.
+* ``Dataset.subset`` trusts its parent's check: the rows of a checked
+  dataset are finite and in range, and no dataset's arrays are edited in
+  place, so a subset checks only its shape and that it is non-empty.
+
+Shards are class-sorted: the blobs come in class order, and every shard and
+every train or test split keeps its parent's rows in ascending order, so
+each one's labels are non-decreasing.
+
 Per-class counts are never stored beside a dataset: ``class_histogram()``
 derives the one ``(K,)`` count vector from the labels whenever it is asked,
 so no copy of the counts can disagree with the shard.
@@ -44,22 +59,34 @@ class Dataset:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
+        self._check_shape()
+        if np.any(self.y < 0) or np.any(self.y >= self.n_classes):
+            raise ValueError(f"labels must lie in [0, {self.n_classes})")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("features contain non-finite entries")
+
+    def _check_shape(self) -> None:
         if self.x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {self.x.shape}")
         if self.y.shape != (self.x.shape[0],):
             raise ValueError("y must have one label per row of x")
         if len(self.y) == 0:
             raise ValueError("dataset must be non-empty")
-        if np.any(self.y < 0) or np.any(self.y >= self.n_classes):
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("features contain non-finite entries")
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.x[indices], self.y[indices], self.n_classes)
+        """The selected rows, as a dataset of the same classes.
+
+        Only the shape checks run again: the rows already passed this
+        dataset's label and finiteness checks, and no dataset's arrays are
+        edited in place.
+        """
+        sub = object.__new__(Dataset)
+        sub.x, sub.y, sub.n_classes = self.x[indices], self.y[indices], self.n_classes
+        sub._check_shape()
+        return sub
 
     def class_histogram(self) -> np.ndarray:
         """(K,) samples per class, 0 for a class the dataset lacks."""
@@ -77,13 +104,11 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_classes, input_dim))
     centers = 4.0 * centers / np.linalg.norm(centers, axis=1, keepdims=True)
-    xs = []
-    ys = []
-    for cls in range(n_classes):
-        noise = rng.normal(scale=sigma, size=(per_class, input_dim))
-        xs.append(centers[cls] + noise)
-        ys.append(np.full(per_class, cls, dtype=np.int64))
-    return Dataset(np.concatenate(xs), np.concatenate(ys), n_classes)
+    x = np.empty((n_classes * per_class, input_dim))
+    for cls, rows in enumerate(x.reshape(n_classes, per_class, input_dim)):
+        np.add(centers[cls], rng.normal(scale=sigma, size=(per_class, input_dim)), out=rows)
+    y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+    return Dataset(x, y, n_classes)
 
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
@@ -113,26 +138,19 @@ def dirichlet_partition(
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     rng = np.random.default_rng(seed)
-    assigned: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
-    for cls in range(ds.n_classes):
-        cls_idx = np.flatnonzero(ds.y == cls)
-        if len(cls_idx) == 0:
-            continue
+    class_sizes = ds.class_histogram()
+    # counts[c, i]: how many of class c's samples client i gets
+    counts = np.zeros((ds.n_classes, n_clients), dtype=np.int64)
+    for cls in np.flatnonzero(class_sizes):
         props = rng.dirichlet(np.full(n_clients, alpha))
-        per_client = _largest_remainder(props * len(cls_idx), len(cls_idx))
-        start = 0
-        for client, n in enumerate(per_client):
-            if n > 0:
-                assigned[client].append(cls_idx[start : start + n])
-            start += n
-    shards: list[Dataset | None] = []
-    for client in range(n_clients):
-        if not assigned[client]:
-            shards.append(None)
-            continue
-        idx = np.sort(np.concatenate(assigned[client]))
-        shards.append(ds.subset(idx))
-    return shards
+        counts[cls] = _largest_remainder(props * class_sizes[cls], class_sizes[cls])
+    # each class's rows, ascending, go to client 0 first, then client 1, ...
+    by_class = np.argsort(ds.y, kind="stable")
+    owner = np.empty(len(ds), dtype=np.int64)
+    owner[by_class] = np.repeat(np.tile(np.arange(n_clients), ds.n_classes), counts.ravel())
+    # stable, so each client's rows stay ascending
+    rows = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts.sum(axis=0))[:-1])
+    return [ds.subset(idx) if len(idx) else None for idx in rows]
 
 
 def split_train_test(shard: Dataset, seed: int) -> tuple[Dataset, Dataset]:

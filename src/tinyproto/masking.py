@@ -347,4 +347,6 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
 
 def format_mask_rows(mask_set: MaskSet) -> str:
     """Human-readable dump: one row of d 0/1 characters per class."""
-    return "".join("".join(map(str, row)) + "\n" for row in mask_set.bits.tolist())
+    bits = mask_set.bits
+    newlines = np.full((bits.shape[0], 1), ord("\n"), dtype=np.uint8)
+    return np.hstack([bits + ord("0"), newlines]).tobytes().decode("ascii")

@@ -1,5 +1,6 @@
 """Command-line entry points: run, masks, cost."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from tinyproto import cli
 from tinyproto.cli import main
+from tinyproto.costmodel import CostQuery
 from tinyproto.masking import format_mask_rows, generate_masks
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -239,6 +241,40 @@ class TestCost:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "K: set more than once (lines 3 and 7)" in captured.err
+
+    # the message for a bad value, by the field's kind and the value
+    _QUERY_FIELDS = [f for f in dataclasses.fields(CostQuery) if f.metadata]
+    _EXPECTED = {
+        int: {"abc": "an integer", "-7": "a non-negative integer"},
+        float: {"abc": "a number", "-7": "a non-negative number"},
+    }
+
+    @staticmethod
+    def _query(tmp_path, f, text):
+        """A query setting field ``f`` to ``text``, twice over when it is listed."""
+        query = tmp_path / "query.cfg"
+        value = f"{text}, {text}" if f.metadata["listed"] else text
+        query.write_text(f"algorithm = FedAvg\n{f.metadata['key']} = {value}\n")
+        return str(query)
+
+    @pytest.mark.parametrize("f", _QUERY_FIELDS, ids=lambda f: f.metadata["key"])
+    def test_each_field_parses_its_value_as_its_kind(self, tmp_path, f):
+        kind, listed = f.metadata["kind"], f.metadata["listed"]
+        (parsed,) = cli._parse_cost_query_file(self._query(tmp_path, f, "7"))
+        value = getattr(parsed, f.name)
+        assert value == ([kind(7)] * 2 if listed else kind(7))
+        assert all(type(item) is kind for item in (value if listed else [value]))
+        others = [g.name for g in self._QUERY_FIELDS if g is not f]
+        assert all(getattr(parsed, name) is None for name in others)
+
+    @pytest.mark.parametrize("f", _QUERY_FIELDS, ids=lambda f: f.metadata["key"])
+    @pytest.mark.parametrize("text", ["abc", "-7"], ids=["unparsable", "negative"])
+    def test_each_field_names_a_bad_value_by_its_kind(self, tmp_path, capsys, f, text):
+        assert main(["cost", self._query(tmp_path, f, text)]) == 2
+        what = self._EXPECTED[f.metadata["kind"]][text]
+        line = f"  {f.metadata['key']}: expected {what}, got {text!r}\n"
+        times = 2 if f.metadata["listed"] else 1
+        assert capsys.readouterr().err == "error: invalid query file:\n" + line * times
 
     @pytest.mark.parametrize("r", ["inf", "nan"])
     def test_non_finite_r_is_named(self, tmp_path, capsys, r):

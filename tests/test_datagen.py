@@ -3,7 +3,45 @@
 import numpy as np
 import pytest
 
-from tinyproto.datagen import Dataset, dirichlet_partition, make_blobs, split_train_test
+from tinyproto.datagen import (
+    Dataset,
+    _largest_remainder,
+    dirichlet_partition,
+    make_blobs,
+    split_train_test,
+)
+
+
+def _blobs_by_concatenation(n_classes, input_dim, per_class, sigma, seed):
+    """make_blobs as per-class pieces joined at the end: the reference form."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_classes, input_dim))
+    centers = 4.0 * centers / np.linalg.norm(centers, axis=1, keepdims=True)
+    xs, ys = [], []
+    for cls in range(n_classes):
+        xs.append(centers[cls] + rng.normal(scale=sigma, size=(per_class, input_dim)))
+        ys.append(np.full(per_class, cls, dtype=np.int64))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _partition_by_client_lists(ds, n_clients, alpha, seed):
+    """dirichlet_partition as one list of row pieces per client, each
+    concatenated and sorted at the end: the reference form.  Returns each
+    client's parent rows, or None."""
+    rng = np.random.default_rng(seed)
+    assigned = [[] for _ in range(n_clients)]
+    for cls in range(ds.n_classes):
+        cls_idx = np.flatnonzero(ds.y == cls)
+        if len(cls_idx) == 0:
+            continue
+        props = rng.dirichlet(np.full(n_clients, alpha))
+        per_client = _largest_remainder(props * len(cls_idx), len(cls_idx))
+        start = 0
+        for client, n in enumerate(per_client):
+            if n > 0:
+                assigned[client].append(cls_idx[start : start + n])
+            start += n
+    return [np.sort(np.concatenate(a)) if a else None for a in assigned]
 
 
 class TestMakeBlobs:
@@ -38,8 +76,59 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             make_blobs(3, 4, 10, 0.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_equals_per_class_concatenation_bit_for_bit(self, seed):
+        ds = make_blobs(5, 6, per_class=11, sigma=0.4, seed=seed)
+        x, y = _blobs_by_concatenation(5, 6, 11, 0.4, seed)
+        assert ds.x.tobytes() == x.tobytes() and ds.x.shape == x.shape
+        assert ds.y.dtype == y.dtype and np.array_equal(ds.y, y)
+
 
 class TestDirichletPartition:
+    @pytest.mark.parametrize(
+        "n_classes, n_clients, alpha, seed",
+        [(3, 4, 0.1, 5), (10, 30, 0.5, 1), (6, 12, 0.01, 2), (4, 3, 100.0, 9), (1, 5, 0.3, 4)],
+        ids=["golden-shape", "many-clients", "tiny-alpha", "huge-alpha", "one-class"],
+    )
+    @pytest.mark.parametrize("empty_class", [False, True], ids=["full", "class-1-empty"])
+    def test_equals_per_client_reference(self, n_classes, n_clients, alpha, seed, empty_class):
+        ds = make_blobs(n_classes, 3, per_class=13, sigma=0.3, seed=seed)
+        if empty_class:
+            # relabel class 1 as class 0, so class 1 has no samples
+            ds = Dataset(ds.x, np.where(ds.y == 1, 0, ds.y), n_classes)
+        expected = _partition_by_client_lists(ds, n_clients, alpha, seed)
+        shards = dirichlet_partition(ds, n_clients, alpha, seed)
+        assert len(shards) == n_clients
+        for shard, rows in zip(shards, expected):
+            assert (shard is None) == (rows is None)
+            if rows is not None:
+                assert shard.x.tobytes() == ds.x[rows].tobytes()
+                np.testing.assert_array_equal(shard.y, ds.y[rows])
+
+    def test_tiny_alpha_leaves_some_client_empty(self):
+        """So the tiny-alpha reference comparison above includes a None shard."""
+        ds = make_blobs(6, 3, per_class=13, sigma=0.3, seed=2)
+        assert None in dirichlet_partition(ds, 12, 0.01, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shards_and_splits_are_class_sorted(self, seed):
+        """The invariant behind class-sorted shards: each shard holds its
+        parent's rows in ascending order, and so does each train and test
+        split; since make_blobs emits rows in class order, every shard's
+        labels are non-decreasing."""
+        ds = make_blobs(6, 4, per_class=20, sigma=0.3, seed=seed)
+        assert np.all(np.diff(ds.y) >= 0)
+        for shard in dirichlet_partition(ds, 7, alpha=0.5, seed=seed):
+            if shard is None:
+                continue
+            # rows are distinct, so each shard row names its parent row
+            rows = [int(np.flatnonzero((ds.x == row).all(axis=1))[0]) for row in shard.x]
+            assert rows == sorted(rows)
+            assert np.all(np.diff(shard.y) >= 0)
+            if len(shard) >= 2:
+                for side in split_train_test(shard, seed=seed):
+                    assert np.all(np.diff(side.y) >= 0)
+
     def test_huge_alpha_is_nearly_uniform(self):
         ds = make_blobs(3, 4, per_class=40, sigma=0.2, seed=0)
         shards = dirichlet_partition(ds, 4, alpha=1e6, seed=1)
@@ -131,3 +220,32 @@ class TestDatasetInvariants:
     def test_non_empty_required(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]], ids=["too-high", "negative"])
+    def test_out_of_range_labels_refused(self, labels):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            Dataset(np.zeros((2, 2)), np.array(labels), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, bad):
+        x = np.zeros((2, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(x, np.array([0, 1]), 3)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([], dtype=np.int64), np.zeros(4, dtype=bool), slice(2, 2)],
+        ids=["no-indices", "all-false", "empty-slice"],
+    )
+    def test_subset_refuses_an_empty_selection(self, indices):
+        ds = make_blobs(2, 3, per_class=2, sigma=0.2, seed=0)
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            ds.subset(indices)
+
+    def test_subset_keeps_the_selected_rows_and_classes(self):
+        ds = make_blobs(3, 2, per_class=4, sigma=0.2, seed=0)
+        sub = ds.subset(np.array([1, 5, 10]))
+        np.testing.assert_array_equal(sub.x, ds.x[[1, 5, 10]])
+        np.testing.assert_array_equal(sub.y, [0, 1, 2])
+        assert sub.n_classes == 3

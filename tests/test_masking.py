@@ -318,3 +318,24 @@ class TestTextDump:
         assert len(lines) == 4
         assert all(len(line) == 10 for line in lines)
         assert all(set(line) <= {"0", "1"} for line in lines)
+
+    @staticmethod
+    def _per_row_join(mask_set):
+        """The dump built one ``str()`` per bit: the plain-Python form."""
+        return "".join("".join(map(str, row)) + "\n" for row in mask_set.bits.tolist())
+
+    @pytest.mark.parametrize(
+        "mask_set",
+        [
+            *(generate_masks(k, d, s, seed=seed) for k, d, s, seed in
+              [(6, 10, 3, 0), (9, 12, 4, 1), (20, 40, 7, 2)]),
+            MaskSet(np.ones((7, 9))),
+            generate_masks(1, 5, 3, seed=4),
+            MaskSet(np.ones((5, 1))),
+            MaskSet(np.zeros((4, 0))),
+        ],
+        ids=["random-6x10", "random-9x12", "random-20x40", "all-ones",
+             "K=1", "d=1", "d=0"],
+    )
+    def test_matches_per_row_join(self, mask_set):
+        assert format_mask_rows(mask_set) == self._per_row_join(mask_set)
