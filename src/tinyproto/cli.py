@@ -39,23 +39,20 @@ def _emit(args: argparse.Namespace, name: str, text: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    made = []  # directories this run creates for --out, leaf first
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    made = []  # directories this run creates for --out, leaf first
-    if args.out:
-        out = Path(args.out).resolve()
-        made = [p for p in (out, *out.parents) if not p.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-    try:
+        if args.out:
+            out = Path(args.out).resolve()
+            made = [p for p in (out, *out.parents) if not p.exists()]
+            out.mkdir(parents=True, exist_ok=True)
         result = run_experiment(config, out_dir=args.out)
-    except RoundError as exc:
+    except (ConfigError, RoundError) as exc:  # a too-large sigma shows only in the data
         for path in made:
             path.rmdir()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        bad_config = isinstance(exc, ConfigError)
+        print(exc if bad_config else f"error: {exc}", file=sys.stderr)
+        return 2 if bad_config else 1
     if not args.quiet:
         print(json.dumps(result.summary, indent=2, sort_keys=True))
     return 0

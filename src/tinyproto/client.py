@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import aggregate_mean
 from .config import ExperimentConfig
 from .datagen import Dataset
 from .masking import MaskSet
@@ -109,24 +110,10 @@ class ClientState:
 def compute_local_prototypes(state: ClientState) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean feature vectors over the client's shard, read-only:
     ascending ``ids`` of the classes with samples, and row i is ``ids[i]``'s.
-
-    One stable sort puts the features in class order, each class's rows in
-    shard order; each class's contiguous slice is summed with
-    ``sum(axis=0)``, which adds its rows in that order just as a masked
-    ``mean(axis=0)`` does, then divided by the class count.  The result is
-    bit-identical to the per-class masked mean.  (``np.add.reduceat`` is not.)
+    They are the server's fold, :func:`~tinyproto.aggregation.aggregate_mean`,
+    of the shard's labels and features, under its one summation rule.
     """
-    feats = forward_features(state.params, state.shard.x)
-    feats = feats[np.argsort(state.shard.y, kind="stable")]
-    counts = state.class_counts
-    ids = np.flatnonzero(counts)
-    held = counts[ids]
-    ends = np.cumsum(held)
-    starts = ends - held
-    block = feats[starts]  # the sum of a one-sample class is its row
-    for i in np.flatnonzero(held > 1).tolist():
-        feats[starts[i] : ends[i]].sum(axis=0, out=block[i])
-    block /= held[:, None]
+    ids, block = aggregate_mean(state.shard.y, forward_features(state.params, state.shard.x))
     ids.flags.writeable = block.flags.writeable = False
     return ids, block
 

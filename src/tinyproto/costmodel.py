@@ -143,7 +143,10 @@ def cost(query: CostQuery) -> int:
         if algo == "FML":
             return base
         r = _require(query, "reduction_factor")
-        return int(round(base * r))
+        try:  # past the float range the product is inf, or base cannot convert
+            return int(round(base * r))
+        except OverflowError:
+            raise ValueError(f"r: {algo} cost M * (theta + phi) * 2 * r is not finite") from None
     if algo == "FedDistill":
         k = _require(query, "n_classes")
         return sum((ki + k) * k for ki in _per_client_classes(query))

@@ -108,7 +108,10 @@ def make_blobs(
     for cls, rows in enumerate(x.reshape(n_classes, per_class, input_dim)):
         np.add(centers[cls], rng.normal(scale=sigma, size=(per_class, input_dim)), out=rows)
     y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
-    return Dataset(x, y, n_classes)
+    try:
+        return Dataset(x, y, n_classes)
+    except ValueError:  # the labels and shape are right: the features overflowed
+        raise ValueError(f"sigma={sigma!r} draws samples that overflow to inf") from None
 
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:

@@ -55,7 +55,7 @@ from .client import (
     evaluate_accuracy,
     local_update,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .datagen import dirichlet_partition, make_blobs, split_train_test
 from .masking import MaskSet, format_mask_rows, generate_masks
 from .numerics import init_params
@@ -342,13 +342,16 @@ class ExperimentResult:
 
 
 def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[int]]:
-    data = make_blobs(
-        config.n_classes,
-        config.input_dim,
-        config.per_class,
-        config.sigma,
-        seed=_child_seed(config.seed, _TAG_DATA),
-    )
+    try:
+        data = make_blobs(
+            config.n_classes,
+            config.input_dim,
+            config.per_class,
+            config.sigma,
+            seed=_child_seed(config.seed, _TAG_DATA),
+        )
+    except ValueError as err:  # the config's ranges leave only sigma's overflow
+        raise ConfigError([f"sigma: {err}"]) from None
     shards = dirichlet_partition(
         data, config.n_clients, config.alpha, seed=_child_seed(config.seed, _TAG_PARTITION)
     )

@@ -21,18 +21,10 @@ def _one_class(aggregate, rows):
 
 
 def _per_class_loop(ids, rows):
-    """The per-class reference: each class's rows in the order given, summed
-    onto zeros one at a time, then divided by the number of rows."""
+    """The per-class reference: each class's rows in the order given,
+    reduced by numpy's ``mean(axis=0)``."""
     classes = sorted(set(ids.tolist()))
-    combined = []
-    for cls in classes:
-        group = rows[ids == cls]
-        acc = np.zeros(rows.shape[1])
-        for row in group:
-            acc += row
-        acc /= len(group)
-        combined.append(acc)
-    return classes, np.array(combined)
+    return classes, np.array([rows[ids == cls].mean(axis=0) for cls in classes])
 
 
 class TestSimple:
@@ -79,6 +71,31 @@ class TestRoundFold:
     def test_mismatched_shapes_rejected(self, ids, rows):
         with pytest.raises(AggregationError, match="need n >= 1 ids"):
             aggregate_mean(ids, rows)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (np.array([True, True]), "got bool .first id True"),
+            (np.array([0.0, 1.0]), "got float64 .first id 0.0"),
+            (np.array([0, -1]), "class id -1 is negative"),
+        ],
+        ids=["bool", "float", "negative"],
+    )
+    def test_ids_it_would_misread_rejected(self, ids, message):
+        with pytest.raises(AggregationError, match=message):
+            aggregate_mean(ids, np.ones((2, 2)))
+
+    def test_width_one_long_class_is_numpys_mean(self):
+        # numpy sums one contiguous column pairwise from 9 rows on; an
+        # in-order fold onto zeros differs from it in the last bit
+        rng = np.random.default_rng(23)
+        for n_rows in (9, 10, 17, 40, 300):
+            ids = rng.permutation(np.repeat([0, 2, 5], [n_rows, 1, 3]))
+            rows = rng.normal(size=(len(ids), 1))
+            classes, combined = aggregate_mean(ids, rows)
+            assert classes.tolist() == [0, 2, 5]
+            expect = np.array([rows[ids == c].mean(axis=0) for c in (0, 2, 5)])
+            assert combined.tobytes() == expect.tobytes()
 
 
 class TestOracleEquivalence:

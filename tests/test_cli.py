@@ -97,6 +97,20 @@ class TestRun:
         assert main(["run", str(config)]) == 2
         assert "lr: must be finite, got nan" in capsys.readouterr().err
 
+    def test_sigma_whose_samples_overflow_is_a_config_error(self, tmp_path, capsys):
+        # the config's ranges pass; only the drawn data shows the overflow
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "seed = 1\nM = 3\nK = 3\nrounds = 2\nper_class = 5\nsigma = 1e308\n"
+        )
+        message = "invalid config:\n  sigma: sigma=1e+308 draws samples that overflow to inf\n"
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == message
+        # the directories made for --out are removed
+        assert main(["run", str(config), "--out", str(tmp_path / "a" / "b")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "a").exists()
+
 
 class TestMasks:
     def test_prints_rows(self, capsys):
@@ -163,6 +177,16 @@ class TestCost:
         query.write_text("algorithm = TinyProto\nM = 2\nK = 3\nK_i = 2\n")
         assert main(["cost", str(query)]) == 2
         assert "comp_dim" in capsys.readouterr().err
+
+    def test_fedkd_product_past_the_float_range_is_an_error(self, tmp_path, capsys):
+        query = tmp_path / "query.cfg"
+        query.write_text(
+            "algorithm = FedKD\nM = 3\naux_extractor_params = 10\n"
+            "aux_classifier_params = 2\nr = 1e308\n"
+        )
+        assert main(["cost", str(query)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: r: FedKD cost") and err.count("\n") == 1
 
     def test_line_without_equals_is_an_error(self, tmp_path, capsys):
         query = tmp_path / "query.cfg"

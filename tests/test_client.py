@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tinyproto.client as client_mod
+from tinyproto.aggregation import aggregate_mean
 from tinyproto.client import (
     ClientState,
     InferenceError,
@@ -194,6 +195,20 @@ class TestComputeLocalPrototypes:
             assert ids.tolist() == np.flatnonzero(counts).tolist()
             reference = np.array([x[labels == c].mean(axis=0) for c in ids.tolist()])
             assert block.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_is_the_servers_fold_of_the_features(self, d):
+        # one rule for both sides: a one-sample class and a 40-sample class,
+        # whose width-1 sum numpy takes pairwise
+        rng = np.random.default_rng(d)
+        labels = rng.permutation(np.repeat(np.arange(4), [1, 40, 0, 3]))
+        x = rng.normal(size=(len(labels), 3))
+        params = init_params(3, 8, d, 4, seed=d)
+        state = ClientState(client_id=0, params=params, shard=Dataset(x, labels, 4))
+        ids, block = compute_local_prototypes(state)
+        classes, combined = aggregate_mean(state.shard.y, forward_features(params, state.shard.x))
+        assert ids.tolist() == classes.tolist() == [0, 1, 3]
+        assert block.tobytes() == combined.tobytes()
 
     def test_snapshot_is_read_only(self):
         ids, block = compute_local_prototypes(_state())

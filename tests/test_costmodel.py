@@ -124,6 +124,22 @@ class TestCostFormulas:
         ):
             cost(query)
 
+    @pytest.mark.parametrize(
+        "theta, r",
+        [(10, 1e308), (10**400, 0.5)],
+        ids=["product-is-inf", "base-too-large-for-a-float"],
+    )
+    def test_fedkd_product_past_the_float_range_named_by_r(self, theta, r):
+        query = CostQuery(
+            algorithm="FedKD",
+            n_clients=3,
+            aux_extractor_params=theta,
+            aux_classifier_params=2,
+            reduction_factor=r,
+        )
+        with pytest.raises(ValueError, match=r"^r: FedKD cost .* is not finite$"):
+            cost(query)
+
     def test_numpy_counts_give_an_exact_int(self):
         query = CostQuery(
             algorithm="TinyProto",
