@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, read_utf8_text, split_key_value_lines
-from .costmodel import ALGORITHMS, QUERY_KEYS, CostQuery, cost
+from .costmodel import ALGORITHMS, QUERY_KEYS, CostQuery, cost, cost_millions
 from .masking import format_mask_rows, generate_masks
 from .protocol import RoundError, run_experiment
 
@@ -84,9 +84,11 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
         noun, what = _KIND_NOUNS[kind]
         try:
             value = kind(text)
-            if math.isfinite(value) and value >= 0:
+            # a count is always finite, and may be too large to convert to a float
+            finite = kind is int or math.isfinite(value)
+            if finite and value >= 0:
                 return value
-            what = f"a non-negative {noun}" if math.isfinite(value) else "a finite number"
+            what = f"a non-negative {noun}" if finite else "a finite number"
         except ValueError:
             pass
         problems.append(f"{key}: expected {what}, got {text.strip()!r}")
@@ -112,12 +114,11 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
 def _cmd_cost(args: argparse.Namespace) -> int:
     try:
         queries = _parse_cost_query_file(args.query)
-        rows = [(q.algorithm, cost(q)) for q in queries]
+        lines = ["algorithm,params,params_millions"]
+        lines += [f"{q.algorithm},{cost(q)},{cost_millions(q):.2f}" for q in queries]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines = ["algorithm,params,params_millions"]
-    lines += [f"{algo},{n},{n / 1e6:.2f}" for algo, n in rows]
     _emit(args, "costs.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -166,8 +166,20 @@ def cost(query: CostQuery) -> int:
 
 
 def cost_millions(query: CostQuery) -> float:
-    """Cost in millions of parameters, the usual comparison unit."""
-    return cost(query) / 1e6
+    """Cost in millions of parameters, the usual comparison unit.
+
+    A cost too large to convert to a float is divided exactly; a quotient
+    past the float range raises ValueError naming the algorithm.
+    """
+    n = cost(query)
+    try:
+        return n / 1e6
+    except OverflowError:
+        pass
+    try:
+        return n / 10**6
+    except OverflowError:
+        raise ValueError(f"{query.algorithm} cost in millions is past the float range") from None
 
 
 def figure1_table(
@@ -201,7 +213,7 @@ def figure1_table(
                     "fedavg_params": fedavg,
                     "pbfl_params": pbfl,
                     "ratio": pbfl / fedavg,
-                    "near_parity": pbfl >= 0.5 * fedavg,
+                    "near_parity": 2 * pbfl >= fedavg,
                 }
             )
     return rows

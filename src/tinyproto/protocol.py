@@ -32,6 +32,9 @@ and none of them changed.  Parameter counts (values on the wire, not
 bytes) are the headline traffic metric; mask delivery is tracked separately
 from prototype traffic.
 
+Set-up holds each sample in at most two arrays at once, a shard and its
+split: see the lifetime rule in ``_build_clients``.
+
 ``rounds.csv`` intentionally omits wall time so that identical config+seed
 runs produce byte-identical files.
 """
@@ -355,10 +358,15 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
     shards = dirichlet_partition(
         data, config.n_clients, config.alpha, seed=_child_seed(config.seed, _TAG_PARTITION)
     )
+    # Lifetime rule: set-up holds each sample in at most two arrays.  The blob
+    # block goes once it is partitioned, and each shard leaves the list when
+    # its client is reached, so it is freed once it is split (or dropped);
+    # what stays is the train and test splits.
+    del data
     clients: list[ClientState] = []
     dropped: list[int] = []
     for cid in range(config.n_clients):
-        shard = shards[cid]
+        shard, shards[cid] = shards[cid], None
         n_samples = 0 if shard is None else len(shard)
         if n_samples < 2:
             log.warning("dropping client %d: %d sample(s), too few to split", cid, n_samples)

@@ -188,6 +188,29 @@ class TestCost:
         err = capsys.readouterr().err
         assert err.startswith("error: r: FedKD cost") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, algorithm",
+        [
+            ("algorithm = FedAvg\nM = 1\nfull_model_params = 1" + "0" * 400 + "\n", "FedAvg"),
+            ("algorithm = TinyProto\nM = 1\nK = 1" + "0" * 400 + "\nK_i = 1\ns = 1\n", "TinyProto"),
+        ],
+        ids=["FedAvg-400-digit-params", "TinyProto-401-digit-K"],
+    )
+    def test_millions_past_the_float_range_is_an_error(self, tmp_path, capsys, text, algorithm):
+        query = tmp_path / "query.cfg"
+        query.write_text(text)
+        assert main(["cost", str(query)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {algorithm} cost in millions is past the float range\n"
+        assert captured.out == ""
+
+    def test_count_past_the_float_range_with_millions_inside_it(self, tmp_path, capsys):
+        query = tmp_path / "query.cfg"
+        query.write_text("algorithm = FedAvg\nM = 1\nfull_model_params = 1" + "0" * 310 + "\n")
+        assert main(["cost", str(query)]) == 0
+        algo, params, millions = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert (algo, int(params), float(millions)) == ("FedAvg", 2 * 10**310, 2e304)
+
     def test_line_without_equals_is_an_error(self, tmp_path, capsys):
         query = tmp_path / "query.cfg"
         query.write_text("algorithm = TinyProto\nM 10\nK = 3\nK_i = 2\nd = 8\ns = 2\n")

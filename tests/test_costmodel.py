@@ -140,6 +140,22 @@ class TestCostFormulas:
         with pytest.raises(ValueError, match=r"^r: FedKD cost .* is not finite$"):
             cost(query)
 
+    def test_millions_past_the_float_range_named_by_algorithm(self):
+        query = CostQuery("FedAvg", n_clients=1, full_model_params=10**400)
+        assert cost(query) == 2 * 10**400
+        with pytest.raises(ValueError, match=r"^FedAvg cost in millions is past the float range$"):
+            cost_millions(query)
+
+    def test_count_past_the_float_range_with_millions_inside_it(self):
+        # 2e310 params has no float, but 2e304 millions does
+        query = CostQuery("FedAvg", n_clients=1, full_model_params=10**310)
+        assert cost_millions(query) == 2e304
+
+    def test_millions_below_two_to_the_53_is_n_over_1e6(self):
+        for n in (0, 1, 7, 999_999, 123_456_789, 2**53 - 1):
+            query = CostQuery("FedAvg", n_clients=1, full_model_params=n)
+            assert cost_millions(query) == 2 * n / 1e6
+
     def test_numpy_counts_give_an_exact_int(self):
         query = CostQuery(
             algorithm="TinyProto",
@@ -201,6 +217,15 @@ class TestFigureTable:
         assert row["pbfl_params"] == 1_000
         assert not row["near_parity"]
         assert row["ratio"] < 0.01
+
+    def test_counts_past_the_float_range(self):
+        (far,) = figure1_table(10**400, [1], [1])
+        assert far["fedavg_params"] == 10**400 + 1
+        assert far["ratio"] == 0.0 and not far["near_parity"]
+        (parity,) = figure1_table(10**400, [10**200], [10**200])
+        assert parity["ratio"] == 0.5 and parity["near_parity"]
+        (below,) = figure1_table(10**400 + 1, [10**200], [10**200])
+        assert not below["near_parity"]
 
     @pytest.mark.parametrize(
         "args, message",

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import logging
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -929,3 +931,58 @@ class TestRunExperiment:
             RoundError, match=r"client \d+, round \d+: training diverged: overflow encountered"
         ):
             run_experiment(ExperimentConfig(**desk))
+
+
+# fleet's shape (perfbench/workloads.py), scaled down to 20 clients of 500 samples
+# per class so that set-up takes a fraction of a second
+_FLEET_SHAPED = dict(
+    seed=7, n_clients=20, n_classes=10, input_dim=16, proto_dim=64, comp_dim=8,
+    alpha=0.5, per_class=500, participation=0.5, rounds=1,
+)
+
+
+class TestBuildClients:
+    def test_blob_block_and_split_shards_are_released_before_each_split(self, monkeypatch):
+        blobs, shards, seen = [], [], []
+        real_blobs = protocol.make_blobs
+        real_partition = protocol.dirichlet_partition
+        real_split = protocol.split_train_test
+
+        def make_blobs(*args, **kwargs):
+            data = real_blobs(*args, **kwargs)
+            blobs.append(weakref.ref(data.x))
+            return data
+
+        def dirichlet_partition(*args, **kwargs):
+            parts = real_partition(*args, **kwargs)
+            shards.extend(None if p is None else weakref.ref(p.x) for p in parts)
+            return parts
+
+        def split_train_test(shard, seed):
+            alive = [ref() is not None for ref in blobs]
+            cid = next(i for i, ref in enumerate(shards) if ref and ref() is shard.x)
+            earlier = [i for i, ref in enumerate(shards[:cid]) if ref and ref() is not None]
+            seen.append((cid, alive, earlier))
+            return real_split(shard, seed)
+
+        monkeypatch.setattr(protocol, "make_blobs", make_blobs)
+        monkeypatch.setattr(protocol, "dirichlet_partition", dirichlet_partition)
+        monkeypatch.setattr(protocol, "split_train_test", split_train_test)
+        clients, dropped = protocol._build_clients(ExperimentConfig(**_FLEET_SHAPED))
+        assert len(seen) == len(clients) >= 2
+        assert [cid for cid, _, _ in seen] == [st.client_id for st in clients]
+        for cid, alive, earlier in seen:
+            assert alive == [False], f"the blob block is alive at client {cid}'s split"
+            assert earlier == [], f"shards {earlier} are alive at client {cid}'s split"
+
+    def test_setup_peak_is_close_to_what_it_keeps(self):
+        config = ExperimentConfig(**_FLEET_SHAPED)
+        tracemalloc.start()
+        try:
+            clients, _ = protocol._build_clients(config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clients
+        # at most two arrays hold a sample at once: a shard and its split
+        assert peak <= 1.5 * kept, f"peak {peak} B against {kept} B kept"
