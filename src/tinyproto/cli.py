@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, read_utf8_text, split_key_value_lines
-from .costmodel import ALGORITHMS, QUERY_KEYS, CostQuery, cost, cost_millions
+from .costmodel import ALGORITHMS, QUERY_KEYS, CostQuery, cost, millions
 from .masking import format_mask_rows, generate_masks
 from .protocol import RoundError, run_experiment
 
@@ -114,8 +114,9 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
 def _cmd_cost(args: argparse.Namespace) -> int:
     try:
         queries = _parse_cost_query_file(args.query)
+        rows = [(q.algorithm, cost(q)) for q in queries]
         lines = ["algorithm,params,params_millions"]
-        lines += [f"{q.algorithm},{cost(q)},{cost_millions(q):.2f}" for q in queries]
+        lines += [f"{algo},{n},{millions(algo, n):.2f}" for algo, n in rows]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

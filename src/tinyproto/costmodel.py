@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .config import as_int
 
-__all__ = ["ALGORITHMS", "QUERY_KEYS", "CostQuery", "cost", "cost_millions", "figure1_table"]
+__all__ = ["ALGORITHMS", "QUERY_KEYS", "CostQuery", "cost", "cost_millions", "figure1_table", "millions"]
 
 ALGORITHMS = (
     "LG-FedAvg",
@@ -166,20 +166,19 @@ def cost(query: CostQuery) -> int:
 
 
 def cost_millions(query: CostQuery) -> float:
-    """Cost in millions of parameters, the usual comparison unit.
+    """Cost in millions of parameters, the usual comparison unit."""
+    return millions(query.algorithm, cost(query))
 
-    A cost too large to convert to a float is divided exactly; a quotient
-    past the float range raises ValueError naming the algorithm.
+
+def millions(algorithm: str, n: int) -> float:
+    """``n`` parameters of ``algorithm`` in millions, divided exactly.
+
+    A quotient past the float range raises ValueError naming the algorithm.
     """
-    n = cost(query)
-    try:
-        return n / 1e6
-    except OverflowError:
-        pass
     try:
         return n / 10**6
     except OverflowError:
-        raise ValueError(f"{query.algorithm} cost in millions is past the float range") from None
+        raise ValueError(f"{algorithm} cost in millions is past the float range") from None
 
 
 def figure1_table(

@@ -17,9 +17,6 @@ Each sample is copied and checked as few times as the API allows:
 * ``Dataset.subset`` trusts its parent's check: the rows of a checked
   dataset are finite and in range, and no dataset's arrays are edited in
   place, so a subset checks only its shape and that it is non-empty.
-* The run's set-up (``protocol._build_clients``) drops the blob block once
-  it is partitioned and each shard once it is split, so a sample lives in
-  at most two arrays at once: its shard and its split.
 
 Shards are class-sorted: the blobs come in class order, and every shard and
 every train or test split keeps its parent's rows in ascending order, so
