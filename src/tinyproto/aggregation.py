@@ -48,7 +48,12 @@ def aggregate_mean(ids, rows) -> tuple[np.ndarray, np.ndarray]:
         raise AggregationError(f"class ids must be integers, got {ids.dtype} (first id {ids[0]})")
     if ids.min() < 0:
         raise AggregationError(f"class id {ids[ids < 0][0]} is negative")
-    rows = rows[np.argsort(ids, kind="stable")]
+    if (ids[1:] < ids[:-1]).any():
+        rows = rows[np.argsort(ids, kind="stable")]
+    else:
+        # already in class order, as a client's class-sorted shard is: no
+        # gather, but a C-ordered block, which sums its rows as a gather's does
+        rows = np.ascontiguousarray(rows)
     held = np.bincount(ids)
     classes = np.flatnonzero(held)
     held = held[classes]

@@ -14,12 +14,14 @@ The penalty terms are fixed for the whole update: when ``lam > 0`` and
 some held class has a target, each held class's term is computed once,
 before the first epoch, from the per-class feature means the update starts
 with (otherwise every term is 0.0 and no starting means are read).  Those
-are ``state.local_protos`` when it is set (it always describes
+are ``state.local_protos`` when it is set (when set, it describes
 ``state.params``), else one full-shard pass under ``state.params``.  The
 means are computed once more after the last epoch, for the upload and
-evaluation.  An update copies the parameters once and makes one gradient
-block: every batch fills that block, and its SGD step consumes it to change
-the copy in place; the caller's arrays are never written.
+evaluation.  A client owns its parameter block, and an update trains it in
+place with one gradient block: every batch fills that block, and its SGD
+step consumes it to change ``state.params``.  Once the starting means are
+read, ``state.local_protos`` is cleared until the update's new means are
+set, so an update that fails mid-epoch leaves no means of older params.
 
 Every per-class quantity is a ``(K,)`` array indexed by class id or an
 ``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
@@ -81,7 +83,8 @@ class InferenceError(RuntimeError):
 class ClientState:
     """Everything one client owns: model, data, masks, and latest means.
 
-    Equality is identity.
+    :func:`local_update` trains ``params`` in place, so no two clients may
+    share a block.  Equality is identity.
     """
 
     client_id: int
@@ -147,14 +150,16 @@ def local_update(
 
     Steps: rebuild dense targets of the held classes from the received
     ``(K, w)`` global block (row c is class c's), run ``cfg.local_epochs``
-    epochs of minibatch SGD on a copy of the params, recompute the per-class
-    feature means, then keep each one's masked entries when the client holds
-    masks (only compressed rounds deliver them), so rows of s values then
-    and of d otherwise.  Only locally present classes are returned, ids
-    ascending, one unscaled block row each; the caller applies any count
-    scaling.  Of ``cfg`` only ``lam``, ``mu``, ``lr``, ``batch_size`` and
-    ``local_epochs`` are read.  ``rng`` drives the per-epoch shuffles; the
-    caller derives it from (experiment seed, client id, round).
+    epochs of minibatch SGD on ``state.params`` in place, recompute the
+    per-class feature means, then keep each one's masked entries when the
+    client holds masks (only compressed rounds deliver them), so rows of s
+    values then and of d otherwise.  Only locally present classes are
+    returned, ids ascending, one unscaled block row each; the caller applies
+    any count scaling.  Of ``cfg`` only ``lam``, ``mu``, ``lr``,
+    ``batch_size`` and ``local_epochs`` are read.  ``rng`` drives the
+    per-epoch shuffles; the caller derives it from (experiment seed, client
+    id, round).  An error raised mid-training, such as an overflow, leaves
+    ``state.params`` part-trained and ``state.local_protos`` None.
     """
     n = len(state.shard)
     if n == 0:
@@ -173,9 +178,9 @@ def local_update(
     state.test_accuracy = None
 
     xs, ys = state.shard.x, state.shard.y
-    # one copy and one gradient block per update: every batch fills the
-    # block, and its step consumes it to change the copy in place
-    params = ModelParams(*(a.copy() for a in state.params.arrays()))
+    # one gradient block per update: every batch fills it, and its step
+    # consumes it to change state.params in place
+    params = state.params
     grads = Gradients(*(np.empty_like(a) for a in params.arrays()))
     # with no target every term is 0.0, so the starting means are not needed
     penalty = np.zeros(state.params.dims[3])
@@ -187,6 +192,9 @@ def local_update(
         if protos is None:
             protos = compute_local_prototypes(state)
         penalty = class_penalties(protos, targets, cfg.mu, n_classes=state.params.dims[3])
+    # the first step changes the params, and a diverging one leaves them
+    # mid-step: from here the old means describe them no more
+    state.local_protos = None
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         batch_losses = []
@@ -196,7 +204,6 @@ def local_update(
             sgd_step(params, grads, cfg.lr)
             batch_losses.append(loss)
 
-    state.params = params
     state.local_protos = compute_local_prototypes(state)
     state.last_train_loss = float(np.mean(batch_losses))
 

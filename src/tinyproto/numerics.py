@@ -10,10 +10,11 @@ combined objective (cross-entropy plus a prototype-alignment penalty).  The
 penalty compares the client's per-class feature means against scaled global
 prototypes by squared L2 distance.  Both sets arrive as ``(ids, (n, d))``
 pairs and are fixed for a whole update, so :func:`class_penalties` computes
-each held class's term once per update into one ``(K,)`` vector indexed by
-class id, and every batch adds the entries of its classes in ascending class
-order.  The penalty therefore shifts the loss value while the gradient is
-carried entirely by the cross-entropy term.  All reductions run in
+every held class's term once per update, in one array pass over the classes
+with both a mean and a target, into one ``(K,)`` vector indexed by class id,
+and every batch adds the entries of its classes in ascending class order.
+The penalty therefore shifts the loss value while the gradient is carried
+entirely by the cross-entropy term.  All reductions run in
 ascending index order, which makes repeated evaluations bit-identical.
 
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
@@ -172,6 +173,10 @@ def class_penalties(
     A class that lacks a local prototype or a target gets 0.0, so it adds
     nothing to a batch's penalty.  Both sets are fixed for an update, so a
     client computes this once per update and every batch reads it.
+
+    The (local, target) row pairs are gathered once and every term is one
+    row of a stacked ``(1, d) @ (d, 1)`` product, which numpy computes as a
+    vector dot: each term has the bits of ``diff @ diff`` for its class.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and > 0, got {mu!r}")
@@ -179,10 +184,11 @@ def class_penalties(
     penalties = np.zeros(n_classes)
     target_row = np.full(n_classes, -1)  # -1: no target
     target_row[target_ids] = np.arange(len(target_ids))
-    for i, (cls, j) in enumerate(zip(local_ids.tolist(), target_row[local_ids].tolist())):
-        if j >= 0:
-            diff = local_rows[i] - mu * target_rows[j]
-            penalties[cls] = diff @ diff
+    target_of = target_row[local_ids]
+    paired = target_of >= 0
+    diff = local_rows[paired] - mu * target_rows[target_of[paired]]
+    # a vector dot per term; einsum or (diff * diff).sum(axis=1) would change its bits
+    penalties[local_ids[paired]] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
     return penalties
 
 

@@ -128,6 +128,22 @@ class TestOracleEquivalence:
             assert got[0].tolist() == expect[0]
             np.testing.assert_array_equal(got[1], expect[1])
 
+        # ids already in class order, as a client's class-sorted shard gives
+        # them, over C-ordered, Fortran-ordered and strided blocks; long
+        # enough for a width-1 class to be summed pairwise
+        rng = np.random.default_rng(23)
+        for case in range(300):
+            n_rows = int(rng.integers(1, 30))
+            ids = np.sort(rng.integers(0, int(rng.integers(1, 7)), size=n_rows))
+            block = rng.normal(size=(n_rows, 2 * int(rng.integers(1, 7))))
+            block *= 10.0 ** rng.integers(-3, 4, size=(n_rows, 1))
+            rows = [block, np.asfortranarray(block), block[:, ::2]][case % 3]
+            before = rows.copy()
+            got, expect = aggregate_mean(ids, rows), _per_class_loop(ids, rows)
+            assert got[0].tolist() == expect[0]
+            assert got[1].tobytes() == expect[1].tobytes()
+            np.testing.assert_array_equal(rows, before)  # the input is never written
+
 
 class TestCompressionCommutes:
     def test_compress_then_aggregate_equals_aggregate_then_compress(self):

@@ -389,26 +389,45 @@ class TestLocalUpdate:
         for pa, pb in zip(fresh.params.arrays(), preset.params.arrays()):
             np.testing.assert_array_equal(pa, pb)
 
-    def test_clients_sharing_one_params_block_train_independently(self):
-        shared = init_params(2, 3, 8, 3, seed=21)
-        original = [a.copy() for a in shared.arrays()]
-        a, b = _state(), _state()
-        a.params = b.params = shared
-        outs = [
-            _by_class(local_update(
-                st, _globals(), _CFG, rng=np.random.default_rng(6)
-            ))
-            for st in (a, b)
-        ]
-        # the caller's arrays are never written, so b starts where a started
-        for arr, before in zip(shared.arrays(), original):
-            np.testing.assert_array_equal(arr, before)
-        assert a.params is not shared and b.params is not shared
-        for pa, pb in zip(a.params.arrays(), b.params.arrays()):
-            assert pa is not pb
-            np.testing.assert_array_equal(pa, pb)
-        for cls in outs[0]:
-            np.testing.assert_array_equal(outs[0][cls], outs[1][cls])
+    def test_trains_the_state_params_in_place(self):
+        state, cfg = _state(), _CFG
+        arrays = state.params.arrays()
+        local_update(state, _globals(), cfg, rng=np.random.default_rng(6))
+        # the client's own block is written: the same six arrays, trained
+        assert all(got is before for got, before in zip(state.params.arrays(), arrays))
+
+        # the same update, step by step, on a separate block of the same start
+        ref = _state()
+        params = ref.params
+        targets = client_mod._dense_targets(ref, _globals())
+        penalty = class_penalties(compute_local_prototypes(ref), targets, cfg.mu, n_classes=3)
+        x, y = ref.shard.x, ref.shard.y
+        rng = np.random.default_rng(6)
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grads = loss_and_grad(params, x[idx], y[idx], penalty, cfg.lam)
+                sgd_step(params, grads, cfg.lr)
+        for got, want in zip(arrays, params.arrays()):
+            assert got.tobytes() == want.tobytes()
+
+    def test_failed_update_leaves_no_stale_means(self, monkeypatch):
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow encountered in matmul")
+            return loss_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr(client_mod, "loss_and_grad", failing_second)
+        state = _state()
+        state.local_protos = compute_local_prototypes(state)
+        with pytest.raises(FloatingPointError):
+            local_update(state, _globals(), _CFG, rng=np.random.default_rng(6))
+        # one step changed the params, so the starting means no longer describe them
+        assert state.local_protos is None
 
     def test_every_batch_fills_one_gradient_block(self, monkeypatch):
         seen = []

@@ -455,17 +455,29 @@ class TestKernelBits:
 
 
 class TestClassPenalties:
-    def test_one_term_per_local_class(self):
+    @pytest.mark.parametrize(
+        "width, n_classes, local_ids, target_ids",
+        [
+            # class 0 has no global prototype, class 3 no local one, and
+            # classes 1, 4 and 6 have neither
+            (4, 7, (0, 2, 5), (2, 3, 5)),
+            # wide's shape: d = 512 and 50 held classes of K = 200, the first
+            # 8 without a target, and a target for class 199, which none holds
+            (512, 200, tuple(range(0, 150, 3)), tuple(range(24, 150, 3)) + (199,)),
+        ],
+        ids=["small", "wide"],
+    )
+    def test_one_term_per_local_class(self, width, n_classes, local_ids, target_ids):
         rng = np.random.default_rng(13)
-        locals_ = {c: rng.normal(size=4) for c in (0, 2, 5)}
-        globals_ = {c: rng.normal(size=4) for c in (2, 3, 5)}
+        locals_ = {c: rng.normal(size=width) for c in local_ids}
+        globals_ = {c: rng.normal(size=width) for c in target_ids}
         mu = 0.6
-        penalty = _penalties(locals_, globals_, 4, 7, mu)
-        assert penalty.shape == (7,)
-        # 0.0 adds nothing: class 0 has no global prototype, class 3 no local
-        # one, and classes 1, 4 and 6 have neither
-        assert np.flatnonzero(penalty).tolist() == [2, 5]
-        for cls in (2, 5):
+        penalty = _penalties(locals_, globals_, width, n_classes, mu)
+        assert penalty.shape == (n_classes,)
+        # 0.0 adds nothing: only a class with both a local row and a target has a term
+        paired = sorted(set(local_ids) & set(target_ids))
+        assert np.flatnonzero(penalty).tolist() == paired
+        for cls in paired:
             diff = locals_[cls] - mu * globals_[cls]
             assert penalty[cls] == float(diff @ diff)
 
