@@ -74,9 +74,10 @@ _KIND_NOUNS = {int: ("integer", "an integer"), float: ("number", "a number")}
 
 def _parse_cost_query_file(path: str) -> list[CostQuery]:
     """Flat key-value query file; `algorithm` and every listed field (`K_i`)
-    may hold several values, comma-separated.  Each value parses as its
-    field's kind.  Every bad line or value (one that does not parse, is not
-    finite or is negative) is reported, named by its key."""
+    may hold several values, comma-separated, and an empty part is skipped.
+    Each value parses as its field's kind.  Every bad line or value (one that
+    does not parse, is not finite or is negative) is reported, named by its
+    key; an `algorithm` line that names none is refused as a missing one is."""
     pairs, problems = split_key_value_lines(read_utf8_text(path), {"algorithm", *QUERY_KEYS})
     values = dict(pairs)
 
@@ -106,9 +107,10 @@ def _parse_cost_query_file(path: str) -> list[CostQuery]:
             fields[f.name] = number(key, kind, text)
     if problems:
         raise ValueError("invalid query file:\n" + "\n".join(f"  {p}" for p in problems))
-    if "algorithm" not in values:
+    algorithms = [a.strip() for a in values.get("algorithm", "").split(",") if a.strip()]
+    if not algorithms:
         raise ValueError("query file must set 'algorithm'")
-    return [CostQuery(algorithm=a.strip(), **fields) for a in values["algorithm"].split(",")]
+    return [CostQuery(algorithm=a, **fields) for a in algorithms]
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:

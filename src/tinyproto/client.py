@@ -263,15 +263,8 @@ def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
 
 
 def _l2_distances(feats: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """(n, c) Euclidean distances between the rows of two arrays.
-
-    Bit-identical to ``np.linalg.norm(feats[:, None] - stack[None], axis=2)``,
-    with one (n, c, d) temporary instead of three: the difference is squared
-    in place, then summed along the same axis.
-    """
-    diff = feats[:, None, :] - stack[None, :, :]
-    diff *= diff
-    return np.sqrt(np.add.reduce(diff, axis=2))
+    """(n, c) Euclidean distances between the rows of two arrays."""
+    return np.linalg.norm(feats[:, None, :] - stack[None, :, :], axis=2)
 
 
 def evaluate_accuracy(state: ClientState) -> float:

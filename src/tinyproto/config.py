@@ -254,10 +254,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def read_utf8_text(path) -> str:
-    """The file's text, read as UTF-8; a file that is not UTF-8 raises an
-    ``OSError`` naming it, like every other unreadable file."""
+    """The file's text, read as UTF-8 less one leading byte-order mark; a
+    file that is not UTF-8 raises an ``OSError`` naming it, like every other
+    unreadable file.  The mark is dropped after decoding, not by the
+    ``utf-8-sig`` codec, which would count the byte of a decoding error from
+    the end of the mark rather than from the start of the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(
             errno.EILSEQ, f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)

@@ -6,15 +6,15 @@ matching the traffic the simulator measures for its own exchanges:
     LG-FedAvg   sum_i |phi_i| * 2
     FML         M * (|theta_aux| + |phi_aux|) * 2
     FedKD       M * (|theta_aux| + |phi_aux|) * 2 * r
-    FedDistill  sum_i (K_i + K) * K
-    FedProto    sum_i (K_i + K) * d        (FedTGP identical)
-    TinyProto   sum_i (K_i + K) * s
+    class-wise  sum_i (K_i + K) * w
     FedAvg      2 * M * full_model_params
 
-K_i is the number of classes present on client i (only those travel uplink;
-the server always answers with all K).  The FedAvg convention (full model
-up and down per client) is stated here because the comparison figure
-leaves it implicit.
+The class-wise exchanges send one record of w values per class: w = K for
+FedDistill (logits), d for FedProto and FedTGP, and s for TinyProto, so
+TinyProto's cost is FedProto's times s/d.  K_i is the number of classes
+present on client i (only those travel uplink; the server always answers
+with all K).  The FedAvg convention (full model up and down per client) is
+stated here because the comparison figure leaves it implicit.
 
 Each query-file key is declared once, on its :class:`CostQuery` field,
 with the kind of value it takes: a count, a real number, or a
@@ -128,6 +128,15 @@ def _per_client_classes(query: CostQuery) -> list[int]:
     return counts
 
 
+# class-wise exchange -> the CostQuery field holding w, its values per class
+_RECORD_WIDTH = {
+    "FedDistill": "n_classes",
+    "FedProto": "proto_dim",
+    "FedTGP": "proto_dim",
+    "TinyProto": "comp_dim",
+}
+
+
 def cost(query: CostQuery) -> int:
     """Exact per-round parameter count for the queried algorithm."""
     algo = query.algorithm
@@ -147,22 +156,13 @@ def cost(query: CostQuery) -> int:
             return int(round(base * r))
         except OverflowError:
             raise ValueError(f"r: {algo} cost M * (theta + phi) * 2 * r is not finite") from None
-    if algo == "FedDistill":
+    if algo in _RECORD_WIDTH:
         k = _require(query, "n_classes")
-        return sum((ki + k) * k for ki in _per_client_classes(query))
-    if algo in ("FedProto", "FedTGP"):
-        k = _require(query, "n_classes")
-        d = _require(query, "proto_dim")
-        return sum((ki + k) * d for ki in _per_client_classes(query))
-    if algo == "TinyProto":
-        k = _require(query, "n_classes")
-        s = _require(query, "comp_dim")
-        return sum((ki + k) * s for ki in _per_client_classes(query))
-    if algo == "FedAvg":
-        m = _require(query, "n_clients")
-        full = _require(query, "full_model_params")
-        return 2 * m * full
-    raise ValueError(f"unknown algorithm {algo!r}")
+        w = _require(query, _RECORD_WIDTH[algo])
+        return sum((ki + k) * w for ki in _per_client_classes(query))
+    m = _require(query, "n_clients")
+    full = _require(query, "full_model_params")
+    return 2 * m * full
 
 
 def cost_millions(query: CostQuery) -> float:

@@ -85,22 +85,6 @@ class ModelParams:
             self.wc.shape[1],
         )
 
-    def validate(self) -> None:
-        din, hid, feat, ncls = self.dims
-        expected = [
-            (self.w1, (din, hid)),
-            (self.b1, (hid,)),
-            (self.w2, (hid, feat)),
-            (self.b2, (feat,)),
-            (self.wc, (feat, ncls)),
-            (self.bc, (ncls,)),
-        ]
-        for arr, shape in expected:
-            if arr.shape != shape:
-                raise ShapeError(f"parameter shape {arr.shape} != expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("parameters contain non-finite entries")
-
 
 # Gradients share the parameter block layout exactly.
 Gradients = ModelParams
@@ -118,7 +102,7 @@ def init_params(
     w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), size=(input_dim, hidden_dim))
     w2 = rng.normal(0.0, np.sqrt(2.0 / hidden_dim), size=(hidden_dim, feature_dim))
     wc = rng.normal(0.0, np.sqrt(2.0 / feature_dim), size=(feature_dim, n_classes))
-    params = ModelParams(
+    return ModelParams(
         w1=w1,
         b1=np.zeros(hidden_dim),
         w2=w2,
@@ -126,8 +110,6 @@ def init_params(
         wc=wc,
         bc=np.zeros(n_classes),
     )
-    params.validate()
-    return params
 
 
 def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -79,15 +79,16 @@ def encode_frame(frame: Frame) -> bytes:
         raise FrameError(f"need {n} integer class ids, got {ids.dtype} of shape {ids.shape}")
     if n and (ids.min() < 0 or ids.max() > _U32_MAX):
         raise FrameError("class id does not fit u32")
-    # one buffer filled in place: joining per-field bytes costs an allocation
-    # per field, which dominates the many small upload frames
-    values_at = _HEADER.size + 4 * n
-    buf = bytearray(values_at + 8 * values.size + _CRC.size)
-    _HEADER.pack_into(buf, 0, int(frame.frame_type), frame.round, n, width)
-    np.frombuffer(buf, "<u4", n, _HEADER.size)[:] = ids
-    np.frombuffer(buf, "<f8", values.size, values_at).reshape(n, width)[:] = values
-    _CRC.pack_into(buf, len(buf) - _CRC.size, zlib.crc32(memoryview(buf)[: -_CRC.size]))
-    return bytes(buf)
+    parts = [
+        _HEADER.pack(int(frame.frame_type), frame.round, n, width),
+        ids.astype("<u4").tobytes(),
+        values.astype("<f8", copy=False).tobytes(),
+    ]
+    # the CRC is taken part by part, so the joined frame is the one copy of the body
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, _CRC.pack(crc)])
 
 
 def decode_frame(data: bytes) -> Frame:

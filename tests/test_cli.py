@@ -85,6 +85,20 @@ class TestRun:
         assert main(["run", str(config), "--out", str(kept)]) == 1
         assert kept.is_dir() and not any(kept.iterdir())
 
+    def test_every_client_dropped_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 1\nM = 50\nK = 2\nper_class = 1\n")
+        assert main(["run", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: every client was dropped; nothing to train\n"
+
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xef\xbb\xbfseed = 7\nM = 3\nK = 3\nrounds = 1\nper_class = 20\n")
+        assert main(["run", str(config), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(_CONFIG.replace("seed = 7", "seed = -1"))
@@ -165,6 +179,35 @@ class TestCost:
         assert lines[0] == "algorithm,params,params_millions"
         assert lines[1] == "FedProto,2000000,2.00"
         assert lines[2] == "TinyProto,200000,0.20"
+
+    def test_query_with_byte_order_mark(self, tmp_path, capsys):
+        query = tmp_path / "query.cfg"
+        query.write_bytes(b"\xef\xbb\xbfalgorithm = FedAvg\nM = 2\nfull_model_params = 10\n")
+        assert main(["cost", str(query)]) == 0
+        assert capsys.readouterr().out.split("\n")[1] == "FedAvg,40,0.00"
+
+    @pytest.mark.parametrize(
+        "algorithms, names",
+        [
+            ("FedProto,", ["FedProto"]),
+            ("FedProto, ,TinyProto,", ["FedProto", "TinyProto"]),
+            (",FedProto,,TinyProto", ["FedProto", "TinyProto"]),
+        ],
+    )
+    def test_empty_algorithm_names_are_skipped(self, tmp_path, capsys, algorithms, names):
+        # as an empty K_i entry is
+        query = tmp_path / "query.cfg"
+        query.write_text(f"algorithm = {algorithms}\nM = 2\nK = 3\nK_i = 2,\nd = 16\ns = 4\n")
+        assert main(["cost", str(query)]) == 0
+        rows = {"FedProto": "FedProto,160,0.00", "TinyProto": "TinyProto,40,0.00"}
+        assert capsys.readouterr().out.split("\n")[1:-1] == [rows[n] for n in names]
+
+    @pytest.mark.parametrize("line", ["algorithm = ,", "algorithm =", "M = 2"])
+    def test_query_naming_no_algorithm_is_an_error(self, tmp_path, capsys, line):
+        query = tmp_path / "query.cfg"
+        query.write_text(f"{line}\nfull_model_params = 10\n")
+        assert main(["cost", str(query)]) == 2
+        assert capsys.readouterr().err == "error: query file must set 'algorithm'\n"
 
     def test_writes_csv_file(self, tmp_path):
         query = tmp_path / "query.cfg"
@@ -363,6 +406,13 @@ class TestFileErrors:
         path.write_bytes(_CONFIG.encode() + b"# caf\xe9\n")
         assert main(["run", str(path)]) == 2
         assert "not UTF-8 text" in _assert_file_error(capsys, path)
+
+    def test_config_not_utf8_after_byte_order_mark(self, tmp_path, capsys):
+        # the byte is counted from the start of the file, the mark included
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 7\n# caf\xe9\n")
+        assert main(["run", str(path)]) == 2
+        assert "invalid continuation byte at byte 17" in _assert_file_error(capsys, path)
 
     def test_masks_out_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -583,6 +583,13 @@ class TestEvaluateAccuracy:
         )
         assert acc == manual
 
+    def test_client_without_test_split_is_refused(self):
+        state = _state()
+        state.local_protos = compute_local_prototypes(state)
+        assert state.test_shard is None
+        with pytest.raises(ValueError, match="^client 0 has no test data$"):
+            evaluate_accuracy(state)
+
 
 class TestDenseTargets:
     def test_matches_per_class_reconstruct(self):

@@ -569,4 +569,7 @@ class TestInitParams:
     def test_shapes_validate(self):
         params = init_params(4, 5, 3, 2, seed=0)
         assert params.dims == (4, 5, 3, 2)
-        params.validate()
+        shapes = [(4, 5), (5,), (5, 3), (3,), (3, 2), (2,)]
+        for arr, shape in zip(params.arrays(), shapes, strict=True):
+            assert arr.shape == shape
+            assert np.isfinite(arr).all()

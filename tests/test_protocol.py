@@ -193,6 +193,12 @@ class TestRunRound:
         with pytest.raises(RoundError):
             run_round(server, [], 1.0, cfg)
 
+    @pytest.mark.parametrize("participation", [0, 1.5])
+    def test_participation_outside_unit_interval_is_refused(self, participation):
+        clients = [_make_client(0, [0, 1])]
+        with pytest.raises(ValueError, match=r"^participation must lie in \(0, 1\]$"):
+            run_round(initial_server(_CFG), clients, participation, _CFG)
+
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
     @pytest.mark.parametrize("aggregator", ["scaled", "simple"])
     def test_accounting_matches_frame_recount(self, aggregator, cps):
@@ -831,6 +837,12 @@ _SMALL = dict(
 
 
 class TestRunExperiment:
+    def test_every_client_dropped_is_a_round_error(self):
+        # 2 samples shared by 50 clients: none holds the 2 a train/test split needs
+        cfg = ExperimentConfig(seed=1, n_clients=50, n_classes=2, per_class=1)
+        with pytest.raises(RoundError, match="^every client was dropped; nothing to train$"):
+            run_experiment(cfg)
+
     def test_first_round_exercises_lambda_zero(self):
         cfg = ExperimentConfig(**{**_SMALL, "rounds": 1})
         result = run_experiment(cfg)

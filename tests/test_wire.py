@@ -70,14 +70,20 @@ class TestRoundTrip:
 
     def test_random_frames_1000(self):
         rng = np.random.default_rng(40)
-        for _ in range(1000):
+        for i in range(1000):
             n_records = int(rng.integers(0, 6))
             width = int(rng.integers(0, 9))
+            values = rng.normal(size=(n_records, width))
+            if i % 3 == 1:
+                values = np.asfortranarray(values)
+            elif i % 3 == 2:  # every other column of a block twice as wide
+                values = np.repeat(values, 2, axis=1)[:, ::2]
+            id_type = (np.int64, np.int32, np.uint32)[i // 3 % 3]
             frame = Frame(
                 FrameType(int(rng.integers(1, 4))),
                 int(rng.integers(0, 10000)),
-                rng.integers(0, 1000, size=n_records),
-                rng.normal(size=(n_records, width)),
+                rng.integers(0, 1000, size=n_records).astype(id_type),
+                values,
             )
             _assert_frames_equal(decode_frame(encode_frame(frame)), frame)
             _assert_codec_matches_reference(frame)
@@ -159,6 +165,11 @@ class TestRejection:
         for bad in (-1, 2**32):
             with pytest.raises(FrameError, match="u32"):
                 encode_frame(Frame(FrameType.UPLOAD, bad, np.arange(1), np.zeros((1, 1))))
+
+    def test_encode_rejects_width_outside_u32(self):
+        values = np.empty((0, 2**32))  # no rows, so nothing is allocated
+        with pytest.raises(FrameError, match=f"^width {2**32} does not fit u32$"):
+            encode_frame(Frame(FrameType.UPLOAD, 0, np.arange(0), values))
 
     def test_encode_rejects_values_not_2d(self):
         for values in (np.zeros(3), np.zeros((1, 2, 3)), np.float64(1.0)):
