@@ -158,15 +158,21 @@ def local_update(
     any count scaling.  Of ``cfg`` only ``lam``, ``mu``, ``lr``,
     ``batch_size`` and ``local_epochs`` are read.  ``rng`` drives the
     per-epoch shuffles; the caller derives it from (experiment seed, client
-    id, round).  An error raised mid-training, such as an overflow, leaves
+    id, round).  K is the model's; a shard of another ``n_classes`` is refused
+    at once.  An error raised mid-training, such as an overflow, leaves
     ``state.params`` part-trained and ``state.local_protos`` None.
     """
     n = len(state.shard)
     if n == 0:
         raise ValueError(f"client {state.client_id} has an empty shard")
 
+    n_classes = state.params.dims[3]
+    if state.shard.n_classes != n_classes:
+        raise ValueError(
+            f"client {state.client_id}: shard has n_classes={state.shard.n_classes}, "
+            f"model has K={n_classes}"
+        )
     masks = state.mask_set
-    n_classes = len(state.class_counts)
     width = state.params.dims[2] if masks is None else masks.s
     if global_values.shape != (n_classes, width):
         raise ValueError(
@@ -183,7 +189,7 @@ def local_update(
     params = state.params
     grads = Gradients(*(np.empty_like(a) for a in params.arrays()))
     # with no target every term is 0.0, so the starting means are not needed
-    penalty = np.zeros(state.params.dims[3])
+    penalty = np.zeros(n_classes)
     if cfg.lam > 0 and len(targets[0]):
         # the update's starting means and the targets fix each class's term
         # for every epoch; local_protos, when set, describes state.params
@@ -191,7 +197,7 @@ def local_update(
         protos = state.local_protos
         if protos is None:
             protos = compute_local_prototypes(state)
-        penalty = class_penalties(protos, targets, cfg.mu, n_classes=state.params.dims[3])
+        penalty = class_penalties(protos, targets, cfg.mu, n_classes=n_classes)
     # the first step changes the params, and a diverging one leaves them
     # mid-step: from here the old means describe them no more
     state.local_protos = None
@@ -243,18 +249,14 @@ def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:
     ids, block = state.local_protos
     feats = forward_features(state.params, x)
     sq_norms = np.einsum("kj,kj->k", block, block)
-    scores = feats @ block.T
-    scores *= -2.0
-    scores += sq_norms
+    scores = sq_norms - 2.0 * (feats @ block.T)
     picked = np.argmin(scores, axis=1)
     if block.shape[0] > 1:
         best_two = np.partition(scores, 1, axis=1)
         d = block.shape[1]
-        bound = np.einsum("ij,ij->i", feats, feats)
-        bound += sq_norms.max()
-        bound *= 4.0  # 2 M: infinite wherever a score could overflow
-        bound *= 2 * (d + 2) * _F64.eps
-        bound += 8 * (d + 2) * _F64.smallest_subnormal
+        two_m = (np.einsum("ij,ij->i", feats, feats) + sq_norms.max()) * 4.0
+        # from 2 M: infinite wherever a score could overflow
+        bound = two_m * (2 * (d + 2) * _F64.eps) + 8 * (d + 2) * _F64.smallest_subnormal
         settled = best_two[:, 1] - best_two[:, 0] > bound
         if not settled.all():
             near = np.flatnonzero(~settled)

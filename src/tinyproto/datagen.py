@@ -9,8 +9,8 @@ splits by a seeded shuffle: ``TRAIN_FRACTION`` (75%) trains, the rest tests.
 
 Each sample is copied and checked as few times as the API allows:
 
-* ``make_blobs`` writes every class's rows into one preallocated block,
-  which ``Dataset(...)`` checks once.
+* ``make_blobs`` draws every class's noise in one block and adds the
+  centers to it in place; ``Dataset(...)`` checks it once.
 * ``dirichlet_partition`` records each sample's client in one owner
   vector; one stable sort by owner then gives every client its rows, in
   ascending order.
@@ -104,25 +104,14 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_classes, input_dim))
     centers = 4.0 * centers / np.linalg.norm(centers, axis=1, keepdims=True)
-    x = np.empty((n_classes * per_class, input_dim))
-    for cls, rows in enumerate(x.reshape(n_classes, per_class, input_dim)):
-        np.add(centers[cls], rng.normal(scale=sigma, size=(per_class, input_dim)), out=rows)
+    # one draw, class 0's rows first: the stream order of one draw per class
+    x = rng.normal(scale=sigma, size=(n_classes, per_class, input_dim))
+    x += centers[:, None, :]
     y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     try:
-        return Dataset(x, y, n_classes)
+        return Dataset(x.reshape(-1, input_dim), y, n_classes)
     except ValueError:  # the labels and shape are right: the features overflowed
         raise ValueError(f"sigma={sigma!r} draws samples that overflow to inf") from None
-
-
-def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to total, closest to the fractional quotas."""
-    base = np.floor(quotas).astype(np.int64)
-    remainder = total - int(base.sum())
-    if remainder > 0:
-        # stable sort keeps the lowest client index first among ties
-        order = np.argsort(-(quotas - base), kind="stable")
-        base[order[:remainder]] += 1
-    return base
 
 
 def dirichlet_partition(
@@ -132,9 +121,9 @@ def dirichlet_partition(
 
     Per class, client proportions are drawn from Dir(alpha * ones(M)) and the
     class's samples are dealt out by largest-remainder rounding, so every
-    sample lands on exactly one client.  A client that receives nothing gets
-    a None shard, and the caller reports it.  A shard's per-class counts are
-    its :meth:`Dataset.class_histogram`.
+    sample lands on exactly one client (an alpha whose draw has no shares is
+    refused).  A client that receives nothing gets a None shard, and the
+    caller reports it.  A shard's per-class counts are its :meth:`Dataset.class_histogram`.
     """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
@@ -142,11 +131,19 @@ def dirichlet_partition(
         raise ValueError("alpha must be > 0")
     rng = np.random.default_rng(seed)
     class_sizes = ds.class_histogram()
+    held = np.flatnonzero(class_sizes)
+    # one row of shares per held class, in class order, as one draw per class
+    shares = rng.dirichlet(np.full(n_clients, alpha), size=len(held))
+    if not np.all(shares.sum(axis=1) > 0):  # all zero where alpha * M overflows
+        raise ValueError(f"alpha={alpha!r} draws no client shares (alpha * n_clients overflows)")
+    quotas = shares * class_sizes[held, None]
+    floors = np.floor(quotas)
+    # largest remainder: the shortfall goes to the largest fractions, ties to the lowest client
+    rank = np.argsort(np.argsort(floors - quotas, axis=1, kind="stable"), axis=1)
+    shortfall = class_sizes[held] - floors.sum(axis=1)
     # counts[c, i]: how many of class c's samples client i gets
     counts = np.zeros((ds.n_classes, n_clients), dtype=np.int64)
-    for cls in np.flatnonzero(class_sizes):
-        props = rng.dirichlet(np.full(n_clients, alpha))
-        counts[cls] = _largest_remainder(props * class_sizes[cls], class_sizes[cls])
+    counts[held] = floors + (rank < shortfall[:, None])
     # each class's rows, ascending, go to client 0 first, then client 1, ...
     by_class = np.argsort(ds.y, kind="stable")
     owner = np.empty(len(ds), dtype=np.int64)

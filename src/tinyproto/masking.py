@@ -313,8 +313,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
     if n_classes * s <= d:
         # disjoint regime: contiguous block per class, maximal distances 2s
         bits = np.zeros((n_classes, d), dtype=np.uint8)
-        for cls in range(n_classes):
-            bits[cls, cls * s : (cls + 1) * s] = 1
+        bits[:, : n_classes * s] = np.repeat(np.eye(n_classes, dtype=np.uint8), s, axis=1)
         pre = 2 * s if n_classes >= 2 else None
         return MaskSet(bits, presearch_min_hamming=pre)
 
@@ -322,7 +321,7 @@ def generate_masks(n_classes: int, d: int, s: int, seed: int) -> MaskSet:
     rng = np.random.default_rng(seed)
     bits = np.zeros((n_classes, d), dtype=np.uint8)
     for cls in range(n_classes):
-        bits[cls, np.sort(rng.choice(d, size=s, replace=False))] = 1
+        bits[cls, rng.choice(d, size=s, replace=False)] = 1
     dist = _pairwise_hamming(bits)
     np.fill_diagonal(dist, 2 * s + 2)  # above any distance, so min() skips it
     climb = _Climb(bits, dist)

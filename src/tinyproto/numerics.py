@@ -241,17 +241,14 @@ def loss_and_grad(
     terms = z3[rows, ys]
     terms -= log_norm[:, 0]
     np.negative(terms, out=terms)
-    loss = float(terms.sum()) / n
+    loss = terms.sum() / n  # an np.float64 until the return: np.errstate sees an overflow
 
     if lam > 0:
         if np.shape(class_penalty) != (n_classes,):
             raise ShapeError(
                 f"class penalty shape {np.shape(class_penalty)}, expected (K,) for K={n_classes}"
             )
-        penalty = 0.0
-        for cls in classes:
-            penalty += class_penalty[cls]
-        loss = loss + lam * float(penalty)
+        loss = loss + lam * sum(class_penalty[cls] for cls in classes)
 
     # backprop of the cross-entropy term (the penalty is constant in params);
     # relu'(z) is 1 exactly where relu(z) > 0
@@ -269,7 +266,7 @@ def loss_and_grad(
     g1 *= a1 > 0
     np.matmul(xs.T, g1, out=out.w1)
     g1.sum(axis=0, out=out.b1)
-    return loss, out
+    return float(loss), out
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:

@@ -355,9 +355,12 @@ def _build_clients(config: ExperimentConfig) -> tuple[list[ClientState], list[in
         )
     except ValueError as err:  # the config's ranges leave only sigma's overflow
         raise ConfigError([f"sigma: {err}"]) from None
-    shards = dirichlet_partition(
-        data, config.n_clients, config.alpha, seed=_child_seed(config.seed, _TAG_PARTITION)
-    )
+    try:
+        shards = dirichlet_partition(
+            data, config.n_clients, config.alpha, seed=_child_seed(config.seed, _TAG_PARTITION)
+        )
+    except ValueError as err:  # and only alpha's overflow here
+        raise ConfigError([f"alpha: {err}"]) from None
     # Lifetime rule: set-up holds each sample in at most two arrays.  The blob
     # block goes once it is partitioned, and each shard leaves the list when
     # its client is reached, so it is freed once it is split (or dropped);

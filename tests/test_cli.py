@@ -125,6 +125,25 @@ class TestRun:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("n_clients", [3, 40])
+    def test_alpha_whose_shares_overflow_is_a_config_error(self, tmp_path, capsys, n_clients):
+        # alpha * M overflows, so the Dirichlet draw has no shares: with 3
+        # clients the deal cannot place every sample, and with 40 it would
+        # hand every sample to the first 20 clients
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"seed = 7\nM = {n_clients}\nK = 3\nalpha = 1e308\nrounds = 1\nper_class = 20\n"
+        )
+        message = (
+            "invalid config:\n"
+            "  alpha: alpha=1e+308 draws no client shares (alpha * n_clients overflows)\n"
+        )
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["run", str(config), "--out", str(tmp_path / "a" / "b")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "a").exists()
+
 
 class TestMasks:
     def test_prints_rows(self, capsys):

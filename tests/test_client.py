@@ -479,6 +479,23 @@ class TestLocalUpdate:
                 state, _globals(feat_ones=8), _CFG, rng=np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("n_rows", [3, 4])
+    def test_shard_classes_other_than_the_models_rejected(self, n_rows):
+        # one K per update: the model's four classes against a shard of three
+        # is refused whichever K the block has, before anything changes
+        state = _state()
+        state.params = init_params(2, 3, 8, 4, seed=21)
+        state.local_protos = compute_local_prototypes(state)
+        state.test_accuracy = 0.5
+        before = [a.copy() for a in state.params.arrays()]
+        want = r"client 0: shard has n_classes=3, model has K=4"
+        with pytest.raises(ValueError, match=want):
+            local_update(
+                state, _globals(n_classes=n_rows), _CFG, rng=np.random.default_rng(0)
+            )
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.params.arrays(), before))
+        assert state.local_protos is not None and state.test_accuracy == 0.5
+
     def test_out_of_range_global_class_rejected(self):
         # row c is class c's, so an eighth row would be class 7 with K=3
         state = _state()

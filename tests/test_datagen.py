@@ -5,7 +5,6 @@ import pytest
 
 from tinyproto.datagen import (
     Dataset,
-    _largest_remainder,
     dirichlet_partition,
     make_blobs,
     split_train_test,
@@ -24,9 +23,22 @@ def _blobs_by_concatenation(n_classes, input_dim, per_class, sigma, seed):
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def _largest_remainder(quotas, total):
+    """One class's deal: the floors of its quotas, then one more sample each
+    to the clients with the largest fractional parts, lowest client first
+    among ties, until the counts sum to total."""
+    base = np.floor(quotas).astype(np.int64)
+    remainder = total - int(base.sum())
+    if remainder > 0:
+        order = np.argsort(-(quotas - base), kind="stable")
+        base[order[:remainder]] += 1
+    return base
+
+
 def _partition_by_client_lists(ds, n_clients, alpha, seed):
     """dirichlet_partition as one list of row pieces per client, each
-    concatenated and sorted at the end: the reference form.  Returns each
+    concatenated and sorted at the end, with one Dirichlet draw and one
+    largest-remainder deal per class: the reference form.  Returns each
     client's parent rows, or None."""
     rng = np.random.default_rng(seed)
     assigned = [[] for _ in range(n_clients)]

@@ -944,6 +944,17 @@ class TestRunExperiment:
         ):
             run_experiment(ExperimentConfig(**desk))
 
+    def test_overflowing_loss_ends_the_round_with_a_named_error(self):
+        # the features stay finite, but lam times the round-2 penalty
+        # overflows the loss: it must not be reported as an inf train loss
+        cfg = ExperimentConfig(
+            seed=7, n_clients=3, n_classes=3, rounds=3, per_class=20, lam=1e308
+        )
+        with pytest.raises(
+            RoundError, match=r"client \d+, round 2: training diverged: overflow encountered"
+        ):
+            run_experiment(cfg)
+
 
 # fleet's shape (perfbench/workloads.py), scaled down to 20 clients of 500 samples
 # per class so that set-up takes a fraction of a second
