@@ -3,8 +3,8 @@
 Each client owns an independently initialized model and a private shard.
 During a round it rebuilds the dense global targets of the classes it holds,
 runs E epochs of minibatch SGD on the combined loss, recomputes its
-per-class feature means, and returns their masked entries when it holds
-masks (only compressed rounds deliver them), else the full means.  The
+per-class feature means, and returns their masked entries: one path for
+every client, as a dense client holds the all-ones ``(K, d)`` mask set.  The
 caller builds the upload from them, count scaling included.  The training
 settings are read from the run's :class:`~tinyproto.config.ExperimentConfig`,
 which checked them when it was made.  Prediction is nearest-local-prototype
@@ -26,15 +26,13 @@ set, so an update that fails mid-epoch leaves no means of older params.
 Every per-class quantity is a ``(K,)`` array indexed by class id or an
 ``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
 the shard's histogram, read fresh each time.  The received globals are one
-``(K, w)`` block, row c for class c.  The means are a read-only pair; the
-dense targets (``reconstruct`` of the live received rows of held classes)
-are a pair that lives only for one update, the penalty terms one vector,
-and the update's result is :func:`~tinyproto.prototypes.compress` of the
-means (``scaled`` rounds then multiply it by ``class_counts[ids, None]``).
-The received block must be ``(K, s)`` when the client holds masks and
-``(K, d)`` when not.  In the first round every global row is zero,
-so no class has a target, every penalty term is 0.0, and the update skips
-the starting means.
+``(K, s)`` block, row c for class c, s its mask set's popcount (all zero in
+the first round, so no class has a target).  The means are a read-only
+pair; the dense targets (``reconstruct`` of the live received rows of held
+classes) are a pair that lives only for one update, the penalty terms one
+vector, and the update's result is :func:`~tinyproto.prototypes.compress`
+of the means (``scaled`` rounds then multiply it by
+``class_counts[ids, None]``).
 
 Inference screens all test rows with one GEMM, ``|p|^2 - 2 f.p``.  Where
 the best score beats the second by more than a rounding bound,
@@ -91,6 +89,7 @@ class ClientState:
     params: ModelParams
     shard: Dataset
     test_shard: Dataset | None = None
+    # set when first sampled: the delivered masks under cps, all ones (K, d) if dense
     mask_set: MaskSet | None = None
     # (ids, block): ascending ids of the classes with samples, their means
     local_protos: tuple[np.ndarray, np.ndarray] | None = None
@@ -125,19 +124,15 @@ def _dense_targets(state: ClientState, global_values: np.ndarray) -> tuple[np.nd
     """Full-length regularization targets for the classes the client holds,
     as an ``(ids, (n, d))`` pair, ids ascending.
 
-    Row c of the ``(K, w)`` block ``global_values`` is class c's payload, as
+    Row c of the ``(K, s)`` block ``global_values`` is class c's payload, as
     the caller has checked (rows of one width, finite values).  All-zero
     rows mean the server has not aggregated that class yet, as in the first
     round; they are dropped so the class contributes nothing to the penalty.
     Rows of classes with no samples are dropped too: the penalty reads only
-    the classes of the client's shard.  A client that holds masks gets
-    compressed rows, and the kept rows are reconstructed.
+    the classes of the client's shard.  The kept rows are reconstructed.
     """
     ids = np.flatnonzero(global_values.any(axis=1) & (state.class_counts > 0))
-    values = global_values[ids]
-    if state.mask_set is not None:
-        values = reconstruct(state.mask_set, ids, values)
-    return ids, values
+    return ids, reconstruct(state.mask_set, ids, global_values[ids])
 
 
 def local_update(
@@ -149,16 +144,15 @@ def local_update(
     """Train locally and return this client's class means as ``(ids, block)``.
 
     Steps: rebuild dense targets of the held classes from the received
-    ``(K, w)`` global block (row c is class c's), run ``cfg.local_epochs``
+    ``(K, s)`` global block (row c is class c's), run ``cfg.local_epochs``
     epochs of minibatch SGD on ``state.params`` in place, recompute the
-    per-class feature means, then keep each one's masked entries when the
-    client holds masks (only compressed rounds deliver them), so rows of s
-    values then and of d otherwise.  Only locally present classes are
-    returned, ids ascending, one unscaled block row each; the caller applies
-    any count scaling.  Of ``cfg`` only ``lam``, ``mu``, ``lr``,
-    ``batch_size`` and ``local_epochs`` are read.  ``rng`` drives the
-    per-epoch shuffles; the caller derives it from (experiment seed, client
-    id, round).  K is the model's; a shard of another ``n_classes`` is refused
+    per-class feature means, then keep each one's s masked entries.  Only
+    locally present classes are returned, ids ascending, one unscaled block
+    row each; the caller applies any count scaling.  Of ``cfg`` only
+    ``lam``, ``mu``, ``lr``, ``batch_size`` and ``local_epochs`` are read.
+    ``rng`` drives the per-epoch shuffles; the caller derives it from
+    (experiment seed, client id, round).  K is the model's; a shard of
+    another ``n_classes``, or a client that holds no mask set, is refused
     at once.  An error raised mid-training, such as an overflow, leaves
     ``state.params`` part-trained and ``state.local_protos`` None.
     """
@@ -173,11 +167,12 @@ def local_update(
             f"model has K={n_classes}"
         )
     masks = state.mask_set
-    width = state.params.dims[2] if masks is None else masks.s
-    if global_values.shape != (n_classes, width):
+    if masks is None:
+        raise ValueError(f"client {state.client_id} holds no mask set")
+    if global_values.shape != (n_classes, masks.s):
         raise ValueError(
             f"client {state.client_id}: globals block has shape {global_values.shape}, "
-            f"expected (K, {'d' if masks is None else 's'}) = ({n_classes}, {width})"
+            f"expected (K, s) = ({n_classes}, {masks.s})"
         )
 
     targets = _dense_targets(state, global_values)
@@ -214,9 +209,7 @@ def local_update(
     state.last_train_loss = float(np.mean(batch_losses))
 
     ids, block = state.local_protos
-    if masks is not None:
-        block = compress(masks, ids, block)
-    return ids, block
+    return ids, compress(masks, ids, block)
 
 
 def _nearest_local_class(state: ClientState, x: np.ndarray) -> np.ndarray:

@@ -205,6 +205,8 @@ def figure1_table(
         for d in ds:
             fedavg = trunk + k * d
             pbfl = k * d
+            if not fedavg:
+                raise ValueError(f"cell K={k}, d={d}: the full-model cost is 0, so no ratio")
             rows.append(
                 {
                     "n_classes": k,

@@ -58,8 +58,12 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = np.asarray(self.y)
         self._check_shape()
+        # an int64 cast would truncate 0.5 to 0 and True to 1
+        if self.y.dtype.kind not in "iu" or not np.can_cast(self.y.dtype, np.int64):
+            raise ValueError(f"labels must be integers, got {self.y.dtype}")
+        self.y = self.y.astype(np.int64, copy=False)
         if np.any(self.y < 0) or np.any(self.y >= self.n_classes):
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
         if not np.all(np.isfinite(self.x)):

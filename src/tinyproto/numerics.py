@@ -98,6 +98,10 @@ def init_params(
     seed: int,
 ) -> ModelParams:
     """He-style Gaussian init, deterministic per seed; biases start at zero."""
+    dims = (input_dim, hidden_dim, feature_dim, n_classes)
+    for name, dim in zip(("input_dim", "hidden_dim", "feature_dim", "n_classes"), dims):
+        if dim < 1:  # He scaling divides by the fan-ins; no layer may be empty
+            raise ValueError(f"{name} must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), size=(input_dim, hidden_dim))
     w2 = rng.normal(0.0, np.sqrt(2.0 / hidden_dim), size=(hidden_dim, feature_dim))

@@ -2,35 +2,32 @@
 
 The simulator is in-process, but every exchange still passes through the
 binary frame codec so traffic numbers measure real serialized payloads.  Per
-round: sample clients, deliver masks to first-time participants, send every
+round: sample clients, give first-time participants their masks, send every
 sampled client the full set of global payloads, run the local updates one
 client after another (one loop receives a client's frames, runs its update,
 builds and receives its upload), fold all uploads in one aggregator call, then
 report every client's accuracy on its own test split.  Every setting,
 ``cps`` and the aggregator included, comes from the run's frozen
 :class:`~tinyproto.config.ExperimentConfig`; :func:`initial_server` builds
-the server's masks and zero globals from the same config (a dense run's
-masks are all ones, and no round sends them).  A client
-compresses when it holds masks (only ``cps`` rounds deliver them), and
-``scaled``'s count scaling is applied where the upload frame is built.
+the server's masks and zero globals from the same config.  There is one
+client path: every client compresses under the mask set it holds, the
+server's in a ``cps`` run, delivered in a masks frame, and its model's
+all-ones ``(K, d)`` set in a dense one, never sent.  ``scaled``'s count
+scaling is applied where the upload frame is built.
 Every frame is one block, a class-id vector plus one value row per class.
-All three kinds pass through one receive step, which decodes the frame once
-(a frame that does not decode is a bad frame), checks it with
-:func:`_check_frame` (one vectorized pass over the block, and a per-row
-scan only to name the fault of a block it refuses), adds its values to
-the round's tally for that kind and logs it; the client's ``MaskSet``
-checks the mask values when it is built, and masks with no set bit are
-refused.  A bad frame, a
-``cps`` round that meets a client without masks, or a local update that
-overflows raises :class:`RoundError` naming the client, the class where one
-applies, and the round.  The first round's globals are all zero, so no
-class has a target and that round trains as with lam = 0.  A client is
-evaluated again only when it has never been evaluated or has trained since;
-an unsampled client keeps its stored accuracy, which is exact because
-evaluation reads only the client's params, local prototypes and test split,
-and none of them changed.  Parameter counts (values on the wire, not
-bytes) are the headline traffic metric; mask delivery is tracked separately
-from prototype traffic.
+All three kinds pass through one receive step, which decodes the frame once,
+checks it with :func:`_check_frame`, adds its values to the round's tally
+for that kind and logs it; the client's ``MaskSet`` checks the mask values
+when it is built.  A frame that does not decode or pass the checks, a
+client without masks, or a local update that overflows raises
+:class:`RoundError` naming the client, the class where one applies, and the
+round.  The first round's globals are all zero, so no class has a target
+and that round trains as with lam = 0.  A client is evaluated again only
+when it has never been evaluated or has trained since; an unsampled client
+keeps its stored accuracy, which is exact because evaluation reads only the
+client's params, local prototypes and test split, and none of them changed.
+Parameter counts (values on the wire, not bytes) are the headline traffic
+metric; mask delivery is tracked separately from prototype traffic.
 
 Set-up holds each sample in at most two arrays at once, a shard and its
 split: see the lifetime rule in ``_build_clients``.
@@ -90,7 +87,7 @@ _TAG_SHUFFLE = 16
 
 class RoundError(RuntimeError):
     """A round could not be executed (nobody to sample, a bad or undecodable
-    frame, a client without masks in a ``cps`` round, or a diverging update)."""
+    frame, a client without masks, or a diverging update)."""
 
 
 def _child_seed(base: int, *tags: int) -> int:
@@ -102,7 +99,7 @@ class ServerState:
     """Masks, latest global payloads, the ever-selected client set, and the
     last round's number.
 
-    ``global_comp`` is a (K, w) array whose row c is class c's payload.
+    ``global_comp`` is a (K, s) array whose row c is class c's payload.
     Equality is identity.
     """
 
@@ -228,7 +225,6 @@ def run_round(
     if not clients:
         raise RoundError("no clients available to sample")
     round_no = server.round + 1
-    cps, aggregator = cfg.cps, cfg.aggregator
 
     sample_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _TAG_SAMPLE, round_no])
@@ -239,12 +235,10 @@ def run_round(
     sampled = [clients[i] for i in picked]
 
     n_classes, dim = server.global_comp.shape
-    # only first-time participants get the masks frame: build it only for them
-    needs_masks = {
-        st.client_id for st in sampled if cps and st.client_id not in server.selected_ever
-    }
+    # only first-time participants get masks: build the frame only for them
+    needs_masks = {st.client_id for st in sampled if st.client_id not in server.selected_ever}
     masks_bytes = b""
-    if needs_masks:
+    if cfg.cps and needs_masks:
         bits = server.mask_set.bits.astype(np.float64)
         masks_bytes = encode_frame(Frame(FrameType.MASKS, round_no, np.arange(len(bits)), bits))
     globals_bytes = encode_frame(
@@ -271,9 +265,12 @@ def run_round(
     uploads = []
     for state in sampled:
         cid = state.client_id
-        feat_dim, n_model_classes = state.params.dims[2:]
+        model_d, model_k = state.params.dims[2:]
         if cid in needs_masks:
-            bits = receive(masks_bytes, FrameType.MASKS, cid, n_model_classes, feat_dim).values
+            if cfg.cps:
+                bits = receive(masks_bytes, FrameType.MASKS, cid, model_k, model_d).values
+            else:  # a dense client builds its model's all-ones set: s = d, never sent
+                bits = np.ones((model_k, model_d))
             try:  # MaskSet checks the values are 0/1 and the rows' popcounts agree
                 mask_set = MaskSet(bits)
                 if not mask_set.s:  # a set of empty masks is valid, an exchange of none is not
@@ -281,12 +278,10 @@ def run_round(
             except ValueError as err:
                 raise RoundError(f"client {cid}, round {round_no}: {err}") from None
             state.mask_set = mask_set
-        if cps and state.mask_set is None:
+        if state.mask_set is None:
             raise RoundError(f"client {cid}, round {round_no}: no masks were delivered to it")
-        width = state.mask_set.s if cps else feat_dim
-        global_values = receive(
-            globals_bytes, FrameType.GLOBALS, cid, n_model_classes, width
-        ).values
+        width = state.mask_set.s
+        global_values = receive(globals_bytes, FrameType.GLOBALS, cid, model_k, width).values
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_SHUFFLE, cid, round_no])
         )
@@ -296,7 +291,7 @@ def run_round(
                 ids, block = local_update(state, global_values, cfg, shuffle_rng)
         except FloatingPointError as err:
             raise RoundError(f"client {cid}, round {round_no}: training diverged: {err}") from None
-        if aggregator == "scaled":
+        if cfg.aggregator == "scaled":
             block = block * state.class_counts[ids, None]
         upload = encode_frame(Frame(FrameType.UPLOAD, round_no, ids, block))
         uploads.append(receive(upload, FrameType.UPLOAD, cid, n_classes, dim))
@@ -307,7 +302,7 @@ def run_round(
     rows = np.concatenate([f.values for f in uploads])
     # both aggregators fold with aggregate_mean, but the call goes through
     # the table: a benchmark tracer times aggregation by wrapping its entries
-    classes, combined = _AGGREGATORS[aggregator](ids, rows)
+    classes, combined = _AGGREGATORS[cfg.aggregator](ids, rows)
     server.global_comp[classes] = combined
 
     server.selected_ever.update(st.client_id for st in sampled)

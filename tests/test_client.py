@@ -16,7 +16,7 @@ from tinyproto.client import (
 )
 from tinyproto.config import ExperimentConfig
 from tinyproto.datagen import Dataset
-from tinyproto.masking import generate_masks
+from tinyproto.masking import MaskSet, generate_masks
 from tinyproto.numerics import (
     ModelParams,
     class_penalties,
@@ -28,7 +28,9 @@ from tinyproto.numerics import (
 from tinyproto.protocol import FrameLog, initial_server, run_round
 
 
-def _state(seed=21, with_masks=True):
+def _state(seed=21, with_masks=True, dense=False):
+    """A client of K=3, d=8 holding classes 0 and 1: under s=2 masks, or
+    under the all-ones set of a dense exchange, or under none."""
     n_classes, din, hid, feat, ones = 3, 2, 3, 8, 2
     params = init_params(din, hid, feat, n_classes, seed=seed)
     x = np.array(
@@ -36,11 +38,15 @@ def _state(seed=21, with_masks=True):
     )
     y = np.array([0, 1, 1, 0, 0, 1])
     shard = Dataset(x, y, n_classes)
+    if dense:
+        masks = MaskSet(np.ones((n_classes, feat)))
+    else:
+        masks = generate_masks(n_classes, feat, ones, seed=9)
     return ClientState(
         client_id=0,
         params=params,
         shard=shard,
-        mask_set=generate_masks(n_classes, feat, ones, seed=9) if with_masks else None,
+        mask_set=masks if with_masks else None,
     )
 
 
@@ -462,9 +468,20 @@ class TestLocalUpdate:
             assert got.tobytes() == want.tobytes()
 
     def test_missing_masks_rejected(self):
-        # a compressed (K, s) block cannot be read without masks
+        # a compressed (K, s) block cannot be read without masks: a client
+        # that holds none is refused by name before anything changes
         state = _state(with_masks=False)
-        want = r"client 0: globals block has shape \(3, 2\), expected \(K, d\) = \(3, 8\)"
+        state.local_protos = compute_local_prototypes(state)
+        before = [a.copy() for a in state.params.arrays()]
+        with pytest.raises(ValueError, match=r"^client 0 holds no mask set$"):
+            local_update(
+                state, _globals(), _CFG, rng=np.random.default_rng(0)
+            )
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.params.arrays(), before))
+        assert state.local_protos is not None
+        # and a dense client, whose all-ones set reads (K, d) rows, refuses it
+        state = _state(dense=True)
+        want = r"client 0: globals block has shape \(3, 2\), expected \(K, s\) = \(3, 8\)"
         with pytest.raises(ValueError, match=want):
             local_update(
                 state, _globals(), _CFG, rng=np.random.default_rng(0)
@@ -513,7 +530,7 @@ class TestLocalUpdate:
             )
 
     def test_dense_mode_returns_full_length(self):
-        state = _state(with_masks=False)
+        state = _state(dense=True)
         rng = np.random.default_rng(41)
         dense_globals = np.array([rng.normal(size=8) for _ in range(3)])
         _, block = local_update(
@@ -636,7 +653,7 @@ class TestDenseTargets:
 
     @pytest.mark.parametrize("cps", [True, False], ids=["cps", "dense"])
     def test_live_class_not_held_gets_no_target(self, cps, monkeypatch):
-        state = _state(with_masks=cps)  # holds classes 0 and 1 of K=3
+        state = _state(dense=not cps)  # holds classes 0 and 1 of K=3
         values = _globals(feat_ones=2 if cps else 8)
         assert values.all()  # every row is live, class 2's too
         target_ids, _ = client_mod._dense_targets(state, values)
@@ -829,7 +846,8 @@ class TestArrayPathMatchesDictReference:
             client_id=case,
             params=init_params(3, 4, d, k, seed=case),
             shard=shard,
-            mask_set=masks if cps else None,  # only compressed rounds deliver masks
+            # a dense client holds the all-ones set, CPS with s = d
+            mask_set=masks if cps else MaskSet(np.ones((k, d))),
         )
         return state, masks, values, cps, cfg
 

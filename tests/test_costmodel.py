@@ -243,6 +243,17 @@ class TestFigureTable:
         with pytest.raises(ValueError, match=re.escape(message)):
             figure1_table(*args)
 
+    @pytest.mark.parametrize("k, d", [(0, 4), (3, 0), (0, 0)])
+    def test_cell_of_zero_full_model_cost_rejected(self, k, d):
+        # with no trunk, K * d = 0 leaves the ratio 0 / 0
+        with pytest.raises(ValueError, match=rf"^cell K={k}, d={d}: the full-model cost is 0"):
+            figure1_table(0, [k], [d])
+        # a trunk gives the cell a cost, and the other cells keep theirs
+        (row,) = figure1_table(5, [k], [d])
+        assert row["fedavg_params"] == 5 and row["ratio"] == 0.0
+        rows = figure1_table(0, [2], [4, 8])
+        assert [r["ratio"] for r in rows] == [1.0, 1.0]
+
     def test_numpy_integers_accepted(self):
         (row,) = figure1_table(np.int64(10), [np.int32(2)], [np.uint8(4)])
         assert row == {

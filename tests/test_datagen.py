@@ -238,6 +238,27 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             Dataset(np.zeros((2, 2)), np.array(labels), 3)
 
+    @pytest.mark.parametrize(
+        "labels, dtype",
+        [([0.5, 1.7, 2.9], "float64"), ([0.0, 1.0, 2.0], "float64"),
+         ([True, False, True], "bool"), (np.array([0, 1, 2], dtype=np.uint64), "uint64")],
+        ids=["fractional", "whole-floats", "bool", "uint64"],
+    )
+    def test_non_integer_labels_refused(self, labels, dtype):
+        # an int64 cast would truncate them: [0.5, 1.7, 2.9] read as [0, 1, 2]
+        with pytest.raises(ValueError, match=rf"^labels must be integers, got {dtype}$"):
+            Dataset(np.zeros((3, 2)), labels, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint32, np.int64])
+    def test_integer_labels_of_any_width_accepted(self, dtype):
+        ds = Dataset(np.zeros((3, 2)), np.array([2, 0, 1], dtype=dtype), 3)
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("labels", [[], np.zeros(0)], ids=["list", "float-array"])
+    def test_no_labels_reported_as_empty(self, labels):
+        with pytest.raises(ValueError, match="^dataset must be non-empty$"):
+            Dataset(np.zeros((0, 2)), labels, 3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_refused(self, bad):
         x = np.zeros((2, 2))

@@ -573,3 +573,15 @@ class TestInitParams:
         for arr, shape in zip(params.arrays(), shapes, strict=True):
             assert arr.shape == shape
             assert np.isfinite(arr).all()
+
+    @pytest.mark.parametrize(
+        "dims, name",
+        [((0, 5, 3, 2), "input_dim"), ((4, 0, 3, 2), "hidden_dim"),
+         ((4, 5, 0, 2), "feature_dim"), ((4, 5, 3, 0), "n_classes"),
+         ((4, -1, 3, 2), "hidden_dim")],
+        ids=["input", "hidden", "feature", "classes", "negative"],
+    )
+    def test_dimension_below_one_refused(self, dims, name):
+        # He scaling divides by each fan-in: 0 would raise ZeroDivisionError
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {min(dims)}$"):
+            init_params(*dims, seed=0)

@@ -166,6 +166,20 @@ class TestRunRound:
         ):
             run_round(initial_server(cfg), clients, 1.0, dense)
 
+    def test_dense_client_holds_its_own_all_ones_set_and_is_sent_none(self):
+        # one client path: a dense round gives each newcomer its model's
+        # all-ones (K, d) set in place of the masks frame
+        cfg = dataclasses.replace(_CFG, seed=1, cps=False)
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        server, log = initial_server(cfg), FrameLog()
+        report = run_round(server, clients, 1.0, cfg, frame_log=log)
+        for st in clients:
+            assert st.mask_set is not server.mask_set
+            assert st.mask_set.bits.shape == (4, 12) and st.mask_set.bits.all()
+        assert report.mask_params == 0
+        assert all(data[0] != FrameType.MASKS for _, _, _, data in log.entries)
+        assert report.uplink_params == (2 + 3) * 12
+
     def test_sampling_count_is_ceiling(self):
         clients = [_make_client(i, [i % 4]) for i in range(5)]
         cfg = dataclasses.replace(_CFG, seed=4)
@@ -313,6 +327,16 @@ class TestRunRound:
         # client first sampled in a dense round never receives them
         clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
         cfg = dataclasses.replace(_CFG, seed=1)
+        server = initial_server(cfg)
+        server.selected_ever = {0, 1}
+        with pytest.raises(RoundError, match=r"client 0, round 1: no masks were delivered"):
+            run_round(server, clients, 1.0, cfg)
+
+    def test_dense_round_for_a_client_without_masks_is_refused(self):
+        # a dense client builds its set when first sampled; one marked as
+        # sampled before, but holding none, is refused as in a cps round
+        clients = [_make_client(0, [0, 1]), _make_client(1, [1, 2, 3])]
+        cfg = dataclasses.replace(_CFG, seed=1, cps=False)
         server = initial_server(cfg)
         server.selected_ever = {0, 1}
         with pytest.raises(RoundError, match=r"client 0, round 1: no masks were delivered"):
@@ -930,6 +954,35 @@ class TestRunExperiment:
         assert result.summary["total_mask_params"] == 0
         run_experiment(dataclasses.replace(cfg, cps=True))
         assert len(calls) == 1  # the spy sees a cps run's search
+
+    @pytest.mark.parametrize("aggregator", ["scaled", "simple"])
+    def test_dense_run_is_a_cps_run_with_s_equal_d(self, aggregator, tmp_path):
+        # FedProto's dense exchange is CPS with every mask all ones: the run
+        # trains, uploads and evaluates alike, and differs only in sending
+        # no masks
+        cfg = ExperimentConfig(
+            seed=7, n_clients=6, n_classes=4, input_dim=8, proto_dim=16, comp_dim=16,
+            alpha=0.5, per_class=60, participation=0.5, rounds=4, aggregator=aggregator,
+        )
+        dense = run_experiment(dataclasses.replace(cfg, cps=False), out_dir=tmp_path / "off")
+        cps = run_experiment(cfg, out_dir=tmp_path / "on")
+
+        def table(run):
+            text = (tmp_path / run / "rounds.csv").read_text()
+            rows = [line.split(",") for line in text.splitlines()]
+            column = rows[0].index("mask_params")
+            return [row[:column] + row[column + 1 :] for row in rows], [r[column] for r in rows]
+
+        (off_rest, off_masks), (on_rest, on_masks) = table("off"), table("on")
+        assert off_rest == on_rest
+        masks = (tmp_path / "off" / "masks.txt").read_text()
+        assert masks == (tmp_path / "on" / "masks.txt").read_text() == ("1" * 16 + "\n") * 4
+        assert off_masks[1:] == ["0"] * 4
+        assert dense.summary["total_mask_params"] == 0
+        sampled = len(cps.server.selected_ever)
+        assert sampled == len(dense.server.selected_ever) > 1
+        assert cps.summary["total_mask_params"] == sampled * 4 * 16
+        assert sum(map(int, on_masks[1:])) == sampled * 4 * 16
 
     def test_diverging_client_ends_the_round_with_a_named_error(self):
         # the desk config of demos/03 with a learning rate that overflows the
