@@ -182,7 +182,7 @@ def local_update(
     # one gradient block per update: every batch fills it, and its step
     # consumes it to change state.params in place
     params = state.params
-    grads = Gradients(*(np.empty_like(a) for a in params.arrays()))
+    grads = Gradients.empty(params.shapes)
     # with no target every term is 0.0, so the starting means are not needed
     penalty = np.zeros(n_classes)
     if cfg.lam > 0 and len(targets[0]):

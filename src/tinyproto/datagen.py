@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import as_int
+
 __all__ = [
     "Dataset",
     "make_blobs",
@@ -57,6 +59,9 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
+        self.n_classes = as_int("n_classes", self.n_classes)
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y)
         self._check_shape()

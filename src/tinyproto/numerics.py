@@ -17,11 +17,17 @@ The penalty therefore shifts the loss value while the gradient is carried
 entirely by the cross-entropy term.  All reductions run in
 ascending index order, which makes repeated evaluations bit-identical.
 
+A parameter block, and a gradient block alike, is one contiguous float64
+vector with six fixed views of it: the weights first, then the biases.
+:func:`init_params` therefore fills every weight with one draw, and
+:func:`sgd_step` updates the whole model in two ufunc calls over the
+vector.  A block cannot be its own gradient block: that is refused by name.
+
 A minibatch is passed as arrays: an (n, D) input block and its (n,) integer
 labels, checked with a few cheap tests per call.  :func:`loss_and_grad`
 writes the gradients into a block the caller may pass in, and
 :func:`sgd_step` updates a parameter block in place and consumes the
-gradient block it is given: each gradient is scaled by the learning rate in
+gradient block it is given: the gradients are scaled by the learning rate in
 place, so a caller that needs the raw gradients afterwards passes a copy.
 A training loop therefore holds one gradient block, which every batch
 fills, its step consumes and the next batch refills, and allocates no
@@ -29,17 +35,20 @@ parameter-sized array per batch.  Inference and training share one
 definition of the feature layers.  A minibatch step costs more in numpy
 calls and temporaries than in arithmetic, so each layer, the logits and
 the softmax terms are built in the output of the call that makes them and
-changed in place from there; every result keeps the bits of the form with
-a temporary per operation.  A non-finite ``lam``, ``lr`` or ``mu`` is
-refused, as nan would otherwise pass a ``< 0`` test.
+changed in place from there, and the reductions are called as ufunc
+reductions; every result keeps the bits of the form with a temporary per
+operation.  A non-finite ``lam``, ``lr`` or ``mu`` is refused, as nan
+would otherwise pass a ``< 0`` test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .config import as_int
 
 __all__ = [
     "ShapeError",
@@ -57,20 +66,66 @@ class ShapeError(ValueError):
     """An input's dimensions do not match the model's configuration."""
 
 
-@dataclass(eq=False)
+# A block stores its weights first, then its biases, so that init_params
+# draws the three weights in one call and zeroes the three biases in one.
+_FIELDS = ("w1", "b1", "w2", "b2", "wc", "bc")
+_STORAGE_ORDER = (0, 2, 4, 1, 3, 5)  # field indices, in storage order
+_set = object.__setattr__
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, tuple]:
+    """A block's size and, per field, the ``(start, stop, shape)`` of its view."""
+    spans = [None] * len(_FIELDS)
+    stop = 0
+    for i in _STORAGE_ORDER:
+        start, stop = stop, stop + math.prod(shapes[i])
+        spans[i] = (start, stop, shapes[i])
+    return stop, tuple(spans)
+
+
 class ModelParams:
     """Weight block for input -> hidden (ReLU) -> feature (ReLU) -> logits.
 
     Shapes: w1 (D, h), b1 (h,), w2 (h, d), b2 (d,), wc (d, K), bc (K,).
-    Equality is identity: two blocks of equal arrays are not ``==``.
+    The block owns one contiguous float64 vector, ``flat``, and the six
+    arrays are fixed views of it, weights first: each is written in place
+    and none can be rebound, so two blocks never share memory and a
+    whole-block update is one ufunc call on ``flat``.  ``shapes`` holds the
+    six shapes in field order, fixed with the views.  Building a block
+    from six arrays copies them in as float64; :meth:`empty` allocates one
+    of given shapes without filling it.  A copy or an unpickled block is
+    built from its arrays.  Equality is identity: two blocks of equal
+    arrays are not ``==``.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    wc: np.ndarray
-    bc: np.ndarray
+    __slots__ = ("flat", *_FIELDS, "shapes")
+
+    def __init__(self, w1, b1, w2, b2, wc, bc):
+        arrays = (w1, b1, w2, b2, wc, bc)
+        _bind(self, tuple(np.shape(a) for a in arrays))
+        for view, a in zip(self.arrays(), arrays):
+            np.copyto(view, a)
+
+    @classmethod
+    def empty(cls, shapes: tuple[tuple[int, ...], ...]) -> ModelParams:
+        """An unfilled block of the six given shapes, in field order."""
+        block = object.__new__(cls)
+        _bind(block, shapes)
+        return block
+
+    def __setattr__(self, name, value):
+        # ``params.w1 -= g`` writes into the view and then rebinds it to itself
+        if name not in self.__slots__ or getattr(self, name) is not value:
+            raise AttributeError(
+                f"cannot rebind {type(self).__name__}.{name}: write into the block in place"
+            )
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __reduce__(self):
+        return type(self), self.arrays()
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.wc, self.bc)
@@ -86,8 +141,21 @@ class ModelParams:
         )
 
 
+def _bind(block: ModelParams, shapes: tuple[tuple[int, ...], ...]) -> None:
+    """Give ``block`` one new vector for ``shapes`` and its six views of it."""
+    size, spans = _layout(shapes)
+    flat = np.empty(size)
+    _set(block, "flat", flat)
+    _set(block, "shapes", shapes)
+    for name, (start, stop, shape) in zip(_FIELDS, spans):
+        view = flat[start:stop]  # a bias needs no reshape
+        _set(block, name, view if len(shape) == 1 else view.reshape(shape))
+
+
 # Gradients share the parameter block layout exactly.
 Gradients = ModelParams
+
+_DIM_NAMES = ("input_dim", "hidden_dim", "feature_dim", "n_classes")
 
 
 def init_params(
@@ -97,23 +165,29 @@ def init_params(
     n_classes: int,
     seed: int,
 ) -> ModelParams:
-    """He-style Gaussian init, deterministic per seed; biases start at zero."""
+    """He-style Gaussian init, deterministic per seed; biases start at zero.
+
+    The weights are the draws of ``rng.normal(0.0, sqrt(2 / fan_in))`` for
+    w1, w2 and wc in turn, bit for bit: one standard-normal draw fills all
+    three, and each is scaled in place and has 0.0 added, as ``normal``
+    computes ``0.0 + sd * z`` (so even a zero's sign matches).
+    """
     dims = (input_dim, hidden_dim, feature_dim, n_classes)
-    for name, dim in zip(("input_dim", "hidden_dim", "feature_dim", "n_classes"), dims):
+    d, h, f, k = dims = [as_int(name, dim) for name, dim in zip(_DIM_NAMES, dims)]
+    for name, dim in zip(_DIM_NAMES, dims):
         if dim < 1:  # He scaling divides by the fan-ins; no layer may be empty
             raise ValueError(f"{name} must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), size=(input_dim, hidden_dim))
-    w2 = rng.normal(0.0, np.sqrt(2.0 / hidden_dim), size=(hidden_dim, feature_dim))
-    wc = rng.normal(0.0, np.sqrt(2.0 / feature_dim), size=(feature_dim, n_classes))
-    return ModelParams(
-        w1=w1,
-        b1=np.zeros(hidden_dim),
-        w2=w2,
-        b2=np.zeros(feature_dim),
-        wc=wc,
-        bc=np.zeros(n_classes),
-    )
+    if as_int("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got seed={seed}")
+    params = ModelParams.empty(((d, h), (h,), (h, f), (f,), (f, k), (k,)))
+    n_weights = d * h + h * f + f * k  # w1, w2 and wc lead the block
+    weights, biases = params.flat[:n_weights], params.flat[n_weights:]
+    np.random.default_rng(seed).standard_normal(out=weights)
+    for w, fan_in in ((params.w1, d), (params.w2, h), (params.wc, f)):
+        w *= math.sqrt(2.0 / fan_in)
+    weights += 0.0
+    biases.fill(0.0)
+    return params
 
 
 def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -198,11 +272,11 @@ def loss_and_grad(
     gradient; it matches central finite differences of the returned loss.
 
     The gradients are written into ``out``, which is returned: a block of
-    ``params``' shapes that shares no memory with it, as :func:`sgd_step`
-    asks of ``grads``.  A caller that steps on every batch fills one block,
-    lets :func:`sgd_step` consume it, and passes it in again.  With ``out``
-    None a new block is allocated.  Every shape is checked before any
-    array is written.
+    ``params``' shapes other than ``params`` itself, which is refused, as
+    :func:`sgd_step` asks of ``grads``.  A caller that steps on every batch
+    fills one block, lets :func:`sgd_step` consume it, and passes it in
+    again.  With ``out`` None a new block is allocated.  Every shape is
+    checked before any array is written.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -223,7 +297,11 @@ def loss_and_grad(
     if classes[0] < 0 or classes[-1] >= n_classes:
         raise ValueError("label outside [0, K)")
     if out is None:
-        out = Gradients(*(np.empty_like(p) for p in params.arrays()))
+        out = Gradients.empty(params.shapes)
+    elif out is params:
+        raise ValueError(
+            "out is params: the gradients would overwrite the parameters they are taken of"
+        )
     else:
         _check_gradient_shapes(params, out)
 
@@ -236,16 +314,16 @@ def loss_and_grad(
     # divided by n just as np.mean(-(z3[rows, ys] - log_norm[:, 0])) does, so
     # the loss keeps its bits, the sign of an exact zero included
     rows = np.arange(n)
-    zmax = z3.max(axis=1, keepdims=True)
+    zmax = np.maximum.reduce(z3, axis=1, keepdims=True)
     ez = z3 - zmax
     np.exp(ez, out=ez)
-    ez_sum = ez.sum(axis=1, keepdims=True)
+    ez_sum = np.add.reduce(ez, axis=1, keepdims=True)
     log_norm = np.log(ez_sum)
     log_norm += zmax
     terms = z3[rows, ys]
     terms -= log_norm[:, 0]
     np.negative(terms, out=terms)
-    loss = terms.sum() / n  # an np.float64 until the return: np.errstate sees an overflow
+    loss = np.add.reduce(terms) / n  # an np.float64 until the return: np.errstate sees an overflow
 
     if lam > 0:
         if np.shape(class_penalty) != (n_classes,):
@@ -261,37 +339,43 @@ def loss_and_grad(
     g3[rows, ys] -= 1.0
     g3 /= n
     np.matmul(a2.T, g3, out=out.wc)
-    g3.sum(axis=0, out=out.bc)
+    np.add.reduce(g3, axis=0, out=out.bc)
     g2 = g3 @ params.wc.T
     g2 *= a2 > 0
     np.matmul(a1.T, g2, out=out.w2)
-    g2.sum(axis=0, out=out.b2)
+    np.add.reduce(g2, axis=0, out=out.b2)
     g1 = g2 @ params.w2.T
     g1 *= a1 > 0
     np.matmul(xs.T, g1, out=out.w1)
-    g1.sum(axis=0, out=out.b1)
+    np.add.reduce(g1, axis=0, out=out.b1)
     return float(loss), out
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> None:
     """One plain SGD update in place: ``p -= lr * g`` for every parameter array.
 
-    Consumes ``grads``: each gradient is scaled by ``lr`` in place, so no
-    temporary is made, and then subtracted; the parameters come out
-    bit-equal to ``p - lr * g``.  ``grads`` must therefore share no memory
-    with ``params``.  The consumed block is fit to be refilled by the next
+    Consumes ``grads``: its vector is scaled by ``lr`` in place, so no
+    temporary is made, and then subtracted from the parameters' vector, two
+    ufunc calls for the whole model; every parameter comes out bit-equal to
+    the per-array ``p - lr * g``.  ``grads`` must therefore be another block
+    than ``params`` (two blocks share no memory); the block itself is
+    refused.  The consumed block is fit to be refilled by the next
     :func:`loss_and_grad` call's ``out``.  Every shape is checked before
     any array of either block changes.
     """
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
+    if grads is params:
+        raise ValueError("grads is params: the step would zero every parameter")
     _check_gradient_shapes(params, grads)
-    for p, g in zip(params.arrays(), grads.arrays()):
-        g *= lr
-        p -= g
+    # equal shapes make equal layouts, so the vectors line up entry for entry
+    g = grads.flat
+    g *= lr
+    p = params.flat
+    p -= g
 
 
 def _check_gradient_shapes(params: ModelParams, grads: Gradients) -> None:
-    for p, g in zip(params.arrays(), grads.arrays()):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    if grads.shapes != params.shapes:
+        p, g = next((p, g) for p, g in zip(params.shapes, grads.shapes) if p != g)
+        raise ShapeError(f"gradient shape {g} != parameter shape {p}")

@@ -1,5 +1,7 @@
 """Blob generation, Dirichlet partitioning, and train/test splits."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,25 @@ class TestDatasetInvariants:
         x[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(x, np.array([0, 1]), 3)
+
+    @pytest.mark.parametrize(
+        "n_classes, message",
+        [(2.5, "n_classes must be an integer, got 2.5"),
+         (np.float64(3.0), f"n_classes must be an integer, got {np.float64(3.0)!r}"),
+         (True, "n_classes must be an integer, got the bool True"),
+         (0, "n_classes must be >= 1, got 0"),
+         (-2, "n_classes must be >= 1, got -2")],
+        ids=["fractional", "whole-float", "bool", "zero", "negative"],
+    )
+    def test_class_count_not_a_positive_integer_refused(self, n_classes, message):
+        # 2.5 once built a dataset whose class_histogram raised TypeError, and
+        # True read as one class: "labels must lie in [0, True)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((2, 2)), np.array([0, 0]), n_classes)
+
+    def test_numpy_integer_class_count_stored_as_int(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), np.int64(2))
+        assert type(ds.n_classes) is int and ds.class_histogram().tolist() == [1, 1]
 
     @pytest.mark.parametrize(
         "indices",

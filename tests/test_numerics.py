@@ -1,5 +1,6 @@
 """Model forward passes, loss, exact gradients, and SGD."""
 
+import copy
 import re
 
 import numpy as np
@@ -17,6 +18,9 @@ from tinyproto.numerics import (
     loss_and_grad,
     sgd_step,
 )
+
+
+_FIELDS = ["w1", "b1", "w2", "b2", "wc", "bc"]
 
 
 def _identity_params(dim):
@@ -169,16 +173,26 @@ class TestLossAndGrad:
         with pytest.raises(ShapeError, match="class penalty"):
             loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), penalty, 1.0)
 
-    @pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2", "wc", "bc"])
+    @pytest.mark.parametrize("field", _FIELDS)
     def test_out_of_other_shapes_rejected_before_any_write(self, field):
         params = _identity_params(2)
-        out = Gradients(*(np.full_like(a, np.nan) for a in params.arrays()))
-        setattr(out, field, np.full(3, np.nan))  # one array of the wrong shape
+        arrays = [np.full_like(a, np.nan) for a in params.arrays()]
+        arrays[_FIELDS.index(field)] = np.full(3, np.nan)  # one array of the wrong shape
+        out = Gradients(*arrays)
         before = [a.copy() for a in params.arrays() + out.arrays()]
         with pytest.raises(ShapeError, match="gradient shape"):
             loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), None, 0.0, out=out)
         for a, b in zip(params.arrays() + out.arrays(), before):
             assert a.tobytes() == b.tobytes()  # nan included
+
+    def test_out_that_is_params_refused_before_any_write(self):
+        # the gradients would overwrite the params they are taken of
+        params = _identity_params(2)
+        before = [a.copy() for a in params.arrays()]
+        with pytest.raises(ValueError, match="^out is params: "):
+            loss_and_grad(params, np.ones((2, 2)), np.array([0, 1]), None, 0.0, out=params)
+        for a, b in zip(params.arrays(), before):
+            assert a.tobytes() == b.tobytes()
 
     def test_empty_batch_rejected(self):
         params = _identity_params(2)
@@ -528,7 +542,16 @@ class TestSgdStep:
             assert sgd_step(params, grads, lr) is None
             for before, after, want in zip(arrays, params.arrays(), expected):
                 assert after is before  # updated in place, not replaced
-                np.testing.assert_array_equal(after, want)
+                assert after.tobytes() == want.tobytes()  # the sign of a zero included
+
+    def test_grads_that_are_params_refused_before_any_change(self):
+        # the block would scale itself by lr and then subtract itself: all zeros
+        params = _identity_params(2)
+        before = [a.copy() for a in params.arrays()]
+        with pytest.raises(ValueError, match="^grads is params: "):
+            sgd_step(params, params, 0.1)
+        for a, b in zip(params.arrays(), before):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_lr_rejected_before_any_change(self, lr):
@@ -550,8 +573,8 @@ class TestSgdStep:
     def test_shape_mismatch_leaves_every_array_unchanged(self):
         params = _identity_params(2)
         before = [a.copy() for a in params.arrays()]
-        grads = Gradients(*(np.ones_like(a) for a in params.arrays()))
-        grads.bc = np.ones(3)  # only the last array is wrong
+        # only the last array is wrong
+        grads = Gradients(*(np.ones_like(a) for a in params.arrays()[:5]), np.ones(3))
         grads_before = [g.copy() for g in grads.arrays()]
         with pytest.raises(ShapeError):
             sgd_step(params, grads, 0.1)
@@ -575,6 +598,67 @@ class TestInitParams:
             assert np.isfinite(arr).all()
 
     @pytest.mark.parametrize(
+        "dims", [(1, 1, 1, 1), (4, 5, 3, 2), (8, 32, 16, 4), (16, 32, 64, 10), (3, 1, 7, 2)]
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**63])
+    def test_equals_three_normal_draws_bitwise(self, monkeypatch, dims, seed):
+        # the reference form: one rng.normal call per weight, then zero biases
+        din, hid, feat, ncls = dims
+        ref = np.random.default_rng(seed)
+        want = (
+            ref.normal(0.0, np.sqrt(2.0 / din), size=(din, hid)),
+            np.zeros(hid),
+            ref.normal(0.0, np.sqrt(2.0 / hid), size=(hid, feat)),
+            np.zeros(feat),
+            ref.normal(0.0, np.sqrt(2.0 / feat), size=(feat, ncls)),
+            np.zeros(ncls),
+        )
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        params = init_params(*dims, seed=seed)
+        for got, expected in zip(params.arrays(), want, strict=True):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # the one draw took exactly the stream the three did
+        (rng,) = made
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "dims, name, value",
+        [((4.0, 5, 3, 2), "input_dim", 4.0), ((4, True, 3, 2), "hidden_dim", True),
+         ((4, 5, np.float64(3), 2), "feature_dim", np.float64(3)),
+         ((4, 5, 3, "2"), "n_classes", "2")],
+        ids=["float", "bool", "numpy-float", "str"],
+    )
+    def test_non_integer_dimension_named(self, dims, name, value):
+        the_bool = "the bool " if isinstance(value, bool) else ""
+        message = f"{name} must be an integer, got {the_bool}{value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_params(*dims, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got seed=-1"),
+         (1.5, "seed must be an integer, got 1.5"),
+         (False, "seed must be an integer, got the bool False")],
+        ids=["negative", "float", "bool"],
+    )
+    def test_bad_seed_named(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_params(4, 5, 3, 2, seed=seed)
+
+    def test_numpy_integer_arguments_accepted(self):
+        a = init_params(*(np.int64(v) for v in (4, 5, 3, 2)), seed=np.uint32(9))
+        b = init_params(4, 5, 3, 2, seed=9)
+        assert a.dims == (4, 5, 3, 2) and a.flat.tobytes() == b.flat.tobytes()
+
+    @pytest.mark.parametrize(
         "dims, name",
         [((0, 5, 3, 2), "input_dim"), ((4, 0, 3, 2), "hidden_dim"),
          ((4, 5, 0, 2), "feature_dim"), ((4, 5, 3, 0), "n_classes"),
@@ -585,3 +669,78 @@ class TestInitParams:
         # He scaling divides by each fan-in: 0 would raise ZeroDivisionError
         with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {min(dims)}$"):
             init_params(*dims, seed=0)
+
+
+class TestModelParamsBlock:
+    def _blocks(self):
+        rng = np.random.default_rng(3)
+        params, _, _, _, _ = _random_instance(rng)
+        return {
+            "init": init_params(4, 5, 3, 2, seed=1),
+            "built": params,
+            "empty": Gradients.empty(params.shapes),
+            "grads": loss_and_grad(params, np.ones((1, params.dims[0])), [0], None, 0.0)[1],
+        }
+
+    @pytest.mark.parametrize("kind", ["init", "built", "empty", "grads"])
+    def test_six_views_share_one_vector(self, kind):
+        block = self._blocks()[kind]
+        flat = block.flat
+        assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert flat.size == sum(a.size for a in block.arrays())
+        for a in block.arrays():
+            assert a.base is flat and a.dtype == np.float64
+        # the views tile the vector: together they cover each entry once
+        flat[:] = 0.0
+        for a in block.arrays():
+            a += 1.0
+        assert (flat == 1.0).all()
+
+    def test_blocks_never_share_memory(self):
+        blocks = self._blocks()
+        params = blocks["built"]
+        arrays = [a.copy() for a in params.arrays()]
+        built, copied = ModelParams(*arrays), copy.deepcopy(params)
+        others = [*blocks.values(), built, copied, Gradients.empty(params.shapes)]
+        for i, a in enumerate(others):
+            for b in others[i + 1:]:
+                assert not np.shares_memory(a.flat, b.flat)
+        # building a block copies its arrays in, and a copy is built from its arrays
+        assert not any(np.shares_memory(built.flat, a) for a in arrays)
+        for block in (built, copied):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(block.arrays(), arrays))
+
+    def test_built_block_takes_each_shape_and_casts_to_float64(self):
+        block = ModelParams(np.ones((2, 3), dtype=np.int32), [1, 2, 3], np.eye(3, 1),
+                            np.zeros(1), np.ones((1, 4)), np.arange(4))
+        assert block.shapes == ((2, 3), (3,), (3, 1), (1,), (1, 4), (4,))
+        assert block.dims == (2, 3, 1, 4)
+        assert block.b1.tolist() == [1.0, 2.0, 3.0] and block.bc.dtype == np.float64
+
+    @pytest.mark.parametrize("name", [*_FIELDS, "flat"])
+    def test_rebinding_a_view_raises(self, name):
+        block = init_params(4, 5, 3, 2, seed=1)
+        view = getattr(block, name)
+        before = view.copy()
+        with pytest.raises(AttributeError, match=f"cannot rebind ModelParams.{name}"):
+            setattr(block, name, np.zeros_like(view))
+        with pytest.raises(AttributeError, match=f"cannot delete ModelParams.{name}"):
+            delattr(block, name)
+        assert getattr(block, name) is view and view.tobytes() == before.tobytes()
+        assert view.base is block.flat or view is block.flat
+
+    def test_augmented_assignment_writes_in_place(self):
+        # p.w1 -= g changes the view and rebinds it to itself, which is allowed
+        block = init_params(4, 5, 3, 2, seed=1)
+        w1, want = block.w1, block.w1 - 1.0
+        block.w1 -= 1.0
+        assert block.w1 is w1 and block.w1.tobytes() == want.tobytes()
+
+    def test_shapes_and_other_attributes_cannot_be_set(self):
+        block = init_params(4, 5, 3, 2, seed=1)
+        assert block.shapes == tuple(a.shape for a in block.arrays())
+        with pytest.raises(AttributeError, match="cannot rebind ModelParams.shapes"):
+            block.shapes = ((1, 1), (1,), (1, 1), (1,), (1, 1), (1,))
+        with pytest.raises(AttributeError):
+            block.extra = None
+        assert block.shapes == ((4, 5), (5,), (5, 3), (3,), (3, 2), (2,))
