@@ -9,24 +9,20 @@ Library layout:
 * :mod:`tinyproto.masking` -- per-class mask generation (disjoint blocks or
   Hamming-distance hill climbing), stored as one ``(K, d)`` bit matrix
 * :mod:`tinyproto.aggregation` -- one fold of a round's ``(ids, rows)``
-  uploads into each class's combined row: the mean that ``simple`` and
-  ``scaled`` share on the server
+  uploads into each class's combined row: the server's one mean, for every
+  aggregator
 * :mod:`tinyproto.client` -- local training, prototype generation, and
   nearest-prototype inference
 * :mod:`tinyproto.datagen` -- synthetic blobs, Dirichlet label-skew
   partitioning, train/test splits
 * :mod:`tinyproto.wire`, :mod:`tinyproto.config`, :mod:`tinyproto.protocol`
   -- frame codec (each frame one class-id vector plus one value row per
-  class), config files, round orchestration with per-frame checks, and the
-  harness
+  class), config files and the aggregator names, round orchestration with
+  per-frame checks, and the harness
 * :mod:`tinyproto.costmodel` -- closed-form per-round communication costs
 """
 
-from .aggregation import (
-    AGGREGATOR_CHOICES,
-    AggregationError,
-    aggregate_mean,
-)
+from .aggregation import AggregationError, aggregate_mean
 from .client import (
     ClientState,
     InferenceError,
@@ -34,7 +30,13 @@ from .client import (
     evaluate_accuracy,
     local_update,
 )
-from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from .config import (
+    AGGREGATOR_CHOICES,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+)
 from .costmodel import ALGORITHMS, CostQuery, cost, cost_millions, figure1_table
 from .datagen import Dataset, dirichlet_partition, make_blobs, split_train_test
 from .masking import Mask, MaskSet, format_mask_rows, generate_masks, min_pairwise_hamming

@@ -1,31 +1,21 @@
 """The per-class mean of an ``(ids, rows)`` block: the server's combination
 of a round's client prototype payloads, and each client's class means.
 
-Two server variants, selectable per experiment, differ only on the client,
-so the server runs :func:`aggregate_mean` for both:
-
-* ``simple``: plain unweighted mean over contributing clients.
-* ``scaled``: clients pre-multiply their vectors by their own sample count
-  before upload; the server never sees a count on its own.
-
 Each server call folds a whole round: ``rows`` holds every upload's rows,
 dense or compressed (the math is the same), row i of class ``ids[i]``, in
 ascending client-id order, so results are bit-identical whatever order the
 uploads arrived in (the summation rule is stated on :func:`aggregate_mean`).
 It returns ``(classes, combined)``: the ascending ids of the classes with a
-row, and one combined row each.
+row, and one combined row each.  The server folds every round with it,
+whichever aggregator the run names: the variants differ only in what the
+clients upload (README, "Aggregation variants").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "AggregationError",
-    "aggregate_mean",
-    "AGGREGATORS",
-    "AGGREGATOR_CHOICES",
-]
+__all__ = ["AggregationError", "aggregate_mean"]
 
 
 class AggregationError(ValueError):
@@ -64,10 +54,3 @@ def aggregate_mean(ids, rows) -> tuple[np.ndarray, np.ndarray]:
         rows[starts[i] : ends[i]].sum(axis=0, out=combined[i])
     combined /= held[:, None]
     return classes, combined
-
-
-AGGREGATORS = {
-    "simple": aggregate_mean,
-    "scaled": aggregate_mean,
-}
-AGGREGATOR_CHOICES = tuple(AGGREGATORS)

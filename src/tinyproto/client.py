@@ -21,7 +21,8 @@ evaluation.  A client owns its parameter block, and an update trains it in
 place with one gradient block: every batch fills that block, and its SGD
 step consumes it to change ``state.params``.  Once the starting means are
 read, ``state.local_protos`` is cleared until the update's new means are
-set, so an update that fails mid-epoch leaves no means of older params.
+set, so an update that fails mid-epoch leaves no means of older params.  A
+lam = 0 update builds no target: the penalty reads none.
 
 Every per-class quantity is a ``(K,)`` array indexed by class id or an
 ``(ids, (n, d))`` pair of class ids plus one row each.  The class counts are
@@ -154,7 +155,8 @@ def local_update(
     (experiment seed, client id, round).  K is the model's; a shard of
     another ``n_classes``, or a client that holds no mask set, is refused
     at once.  An error raised mid-training, such as an overflow, leaves
-    ``state.params`` part-trained and ``state.local_protos`` None.
+    ``state.params`` part-trained and ``state.local_protos`` None.  At
+    ``lam = 0`` the first step is skipped: no target is built.
     """
     n = len(state.shard)
     if n == 0:
@@ -175,7 +177,6 @@ def local_update(
             f"expected (K, s) = ({n_classes}, {masks.s})"
         )
 
-    targets = _dense_targets(state, global_values)
     state.test_accuracy = None
 
     xs, ys = state.shard.x, state.shard.y
@@ -183,9 +184,11 @@ def local_update(
     # consumes it to change state.params in place
     params = state.params
     grads = Gradients.empty(params.shapes)
-    # with no target every term is 0.0, so the starting means are not needed
+    # at lam = 0 the penalty reads no target, so none is built; with no
+    # target every term is 0.0, so the starting means are not needed
     penalty = np.zeros(n_classes)
-    if cfg.lam > 0 and len(targets[0]):
+    targets = _dense_targets(state, global_values) if cfg.lam > 0 else None
+    if targets is not None and len(targets[0]):
         # the update's starting means and the targets fix each class's term
         # for every epoch; local_protos, when set, describes state.params
         # (set by the previous local_update or by run_round's evaluation)

@@ -28,7 +28,9 @@ each client trains on 75% of its shard.
 A setting is declared once, on its :class:`ExperimentConfig` field (file
 key, default, range test and message); its type picks its parser, type
 test and stored form from ``_KINDS``.  :func:`is_int` is the one integer
-rule, and :func:`as_int` its raising form, which the mask and cost modules use.
+rule, and :func:`as_int` its raising form, which the mask, cost and frame
+modules use.  The aggregator names are declared here, as
+``AGGREGATOR_CHOICES``, and the module imports nothing from the package.
 
 An :class:`ExperimentConfig` holds every setting of a run, the five that
 ``client.local_update`` reads included.  It checks itself when it is made
@@ -56,9 +58,8 @@ from typing import Container
 
 import numpy as np
 
-from .aggregation import AGGREGATOR_CHOICES
-
 __all__ = [
+    "AGGREGATOR_CHOICES",
     "ConfigError",
     "ExperimentConfig",
     "is_int",
@@ -91,6 +92,21 @@ def as_int(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {the_bool}{value!r}")
 
 
+AGGREGATOR_CHOICES = ("simple", "scaled")
+
+
+def _parse_as(kind: type, what: str):
+    """``kind``'s text parser, whose error names the value and what it is not."""
+
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"expected {what}, got {text!r}") from None
+
+    return parse
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("on", "true", "1", "yes"):
@@ -103,9 +119,9 @@ def _parse_bool(text: str) -> bool:
 # field annotation -> (text parser, type test, type name, how a value that
 # has the type is stored: as the plain Python value, so a summary can hold it)
 _KINDS = {
-    int: (int, is_int, "an integer", operator.index),
+    int: (_parse_as(int, "an integer"), is_int, "an integer", operator.index),
     float: (
-        float,
+        _parse_as(float, "a number"),
         lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
         "a real number",
         float,

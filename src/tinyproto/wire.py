@@ -15,8 +15,10 @@ Layout (all integers little-endian):
 Mask records carry the d bits as 0.0/1.0 values; prototype records carry the
 payload vector.  decode(encode(frame)) is bit-exact, a frame without records
 included, and decoding rejects truncation, trailing bytes, unknown frame
-types and checksum mismatches.  Parameter counts for traffic accounting are
-simply ``values.size``.
+types and checksum mismatches.  Encoding refuses what would not read back as
+written: an unknown frame type, a round that is not an integer (a bool
+included) or does not fit u32, and values that are not real numbers.
+Parameter counts for traffic accounting are simply ``values.size``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
+
+from .config import as_int
 
 __all__ = [
     "FrameError",
@@ -66,9 +70,23 @@ class Frame:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    if frame.round < 0 or frame.round > _U32_MAX:
-        raise FrameError(f"round {frame.round} does not fit u32")
-    values = np.asarray(frame.values, dtype=np.float64)
+    """The frame's bytes; a frame that :func:`decode_frame` would refuse or
+    read back differently is refused, as a :class:`FrameError` naming the
+    field."""
+    try:
+        frame_type = FrameType(frame.frame_type)
+    except ValueError:
+        raise FrameError(f"unknown frame type {frame.frame_type!r}") from None
+    try:
+        round_no = as_int("round", frame.round)
+    except ValueError as exc:
+        raise FrameError(str(exc)) from None
+    if round_no < 0 or round_no > _U32_MAX:
+        raise FrameError(f"round {round_no} does not fit u32")
+    values = np.asarray(frame.values)
+    # complex parts, strings and objects have no f64 record, or only a lossy one
+    if values.dtype.kind not in "biuf":
+        raise FrameError(f"values must be real numbers, got {values.dtype}")
     if values.ndim != 2:
         raise FrameError(f"values must be an (n, w) array, got shape {values.shape}")
     n, width = values.shape
@@ -80,7 +98,7 @@ def encode_frame(frame: Frame) -> bytes:
     if n and (ids.min() < 0 or ids.max() > _U32_MAX):
         raise FrameError("class id does not fit u32")
     parts = [
-        _HEADER.pack(int(frame.frame_type), frame.round, n, width),
+        _HEADER.pack(frame_type, round_no, n, width),
         ids.astype("<u4").tobytes(),
         values.astype("<f8", copy=False).tobytes(),
     ]

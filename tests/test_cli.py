@@ -111,6 +111,24 @@ class TestRun:
         assert main(["run", str(config)]) == 2
         assert "lr: must be finite, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("seed = 1e3", "seed: expected an integer, got '1e3'"),
+            ("lr = fast", "lr: expected a number, got 'fast'"),
+            ("M = 2.0", "M: expected an integer, got '2.0'"),
+        ],
+        ids=["seed", "lr", "M"],
+    )
+    def test_value_that_does_not_parse_is_named_by_its_kind(
+        self, tmp_path, capsys, line, problem
+    ):
+        # worded as a cost query words it, not in Python's int() or float() text
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\nrounds = 1\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == f"invalid config:\n  {problem}\n"
+
     def test_sigma_whose_samples_overflow_is_a_config_error(self, tmp_path, capsys):
         # the config's ranges pass; only the drawn data shows the overflow
         config = tmp_path / "run.cfg"

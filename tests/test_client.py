@@ -379,6 +379,23 @@ class TestLocalUpdate:
             "penalties": int(lam > 0),
         }
 
+    def test_lambda_zero_builds_no_targets(self, monkeypatch):
+        # the penalty reads no target at lam = 0, so none is reconstructed,
+        # even from live globals, and the params train as without the patch
+        cfg = ExperimentConfig(lam=0.0, mu=0.5, lr=0.05, batch_size=4, local_epochs=2)
+        unpatched = _state()
+        local_update(unpatched, _globals(), cfg, rng=np.random.default_rng(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct called at lam = 0")
+
+        monkeypatch.setattr(client_mod, "reconstruct", refuse)
+        state = _state()
+        assert _globals().any(axis=1).all()
+        local_update(state, _globals(), cfg, rng=np.random.default_rng(3))
+        for got, want in zip(state.params.arrays(), unpatched.params.arrays()):
+            assert got.tobytes() == want.tobytes()
+
     def test_preset_snapshot_trains_like_a_fresh_one(self):
         fresh = _state()
         preset = _state()

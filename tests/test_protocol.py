@@ -1,20 +1,31 @@
 """Round orchestration, traffic accounting, config parsing, experiment runs."""
 
+import ast
 import dataclasses
 import json
 import logging
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tinyproto.config as config_mod
 import tinyproto.protocol as protocol
+from tinyproto.aggregation import aggregate_mean
 from tinyproto.client import ClientState, evaluate_accuracy
-from tinyproto.config import _KEYS, ConfigError, ExperimentConfig, load_config, parse_config_text
+from tinyproto.config import (
+    _KEYS,
+    AGGREGATOR_CHOICES,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+)
 from tinyproto.costmodel import CostQuery, cost
 from tinyproto.datagen import Dataset
 from tinyproto.masking import Mask, MaskSet
@@ -808,6 +819,24 @@ class TestConfig:
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig(aggregator=name)
             assert err.value.problems == ["aggregator: must be one of simple, scaled"]
+
+    def test_every_aggregator_name_folds_with_the_one_mean(self):
+        # the table a benchmark tracer wraps entry by entry, one per name
+        assert tuple(protocol._AGGREGATORS) == AGGREGATOR_CHOICES
+        assert all(fold is aggregate_mean for fold in protocol._AGGREGATORS.values())
+
+    def test_config_imports_nothing_from_the_package(self):
+        # a leaf module, so every other module, wire included, can read it
+        tree = ast.parse(Path(config_mod.__file__).read_text(encoding="utf-8"))
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        imported += [
+            "." * n.level + (n.module or "")
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom)
+        ]
+        assert imported and not [
+            m for m in imported if m.startswith(".") or m.split(".")[0] == "tinyproto"
+        ]
 
     def test_bool_spellings(self):
         assert parse_config_text("cps = on").cps is True

@@ -4,8 +4,7 @@ keys the parsers accept."""
 import re
 from pathlib import Path
 
-from tinyproto.aggregation import AGGREGATOR_CHOICES
-from tinyproto.config import _KEYS
+from tinyproto.config import _KEYS, AGGREGATOR_CHOICES
 from tinyproto.costmodel import QUERY_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"

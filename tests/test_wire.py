@@ -187,6 +187,35 @@ class TestRejection:
             with pytest.raises(FrameError, match="u32"):
                 encode_frame(Frame(FrameType.UPLOAD, 0, ids, np.zeros((2, 1))))
 
+    @pytest.mark.parametrize("bad", [0, 7])
+    def test_encode_rejects_unknown_frame_type(self, bad):
+        # decode_frame refuses these types, so no frame may be written with one
+        with pytest.raises(FrameError, match=f"^unknown frame type {bad}$"):
+            encode_frame(Frame(bad, 0, np.arange(1), np.zeros((1, 1))))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(True, "the bool True"), (1.5, "1.5")],
+        ids=["bool", "float"],
+    )
+    def test_encode_rejects_round_not_an_integer(self, bad, match):
+        # True was written as round 1, and 1.5 raised struct.error
+        with pytest.raises(FrameError, match=f"^round must be an integer, got {match}$"):
+            encode_frame(Frame(FrameType.UPLOAD, bad, np.arange(1), np.zeros((1, 1))))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[1.0 + 2.0j]]),  # its imaginary part would be dropped
+            np.array([["1.5"]]),  # would be parsed as the number 1.5
+            np.array([[1.5]], dtype=object),
+        ],
+        ids=["complex", "string", "object"],
+    )
+    def test_encode_rejects_values_not_real(self, values):
+        with pytest.raises(FrameError, match="^values must be real numbers, got "):
+            encode_frame(Frame(FrameType.UPLOAD, 0, np.arange(1), values))
+
 
 class TestParamCount:
     def test_counts_values_across_records(self):
